@@ -1579,29 +1579,17 @@ fn x21() {
         joined.stats.rebalance_moves, joined.stats.rebalance_bytes, joined.epoch()
     );
 
-    // Per-peer gauges, rendered once as a standalone Prometheus page
-    // (the same series the server's `--peers` scrape exposes) and
-    // validated by the in-repo checker — CI re-validates the artifact
-    // with `axml-inspect prom`.
-    let rows: Vec<(String, axml_p2p::PeerGauges)> = delta
-        .peer_gauges()
-        .into_iter()
-        .map(|(p, g)| (p.to_string(), g))
-        .collect();
+    // Per-peer gauges of the delta-push run.
     println!("\n{:>8} {:>12} {:>14} {:>13} {:>9}", "peer", "docs", "deltas-pushed", "bytes", "moves");
-    for (p, g) in &rows {
+    for (p, g) in delta.peer_gauges() {
         println!(
-            "{p:>8} {:>12} {:>14} {:>13} {:>9}",
-            g.docs_placed, g.deltas_pushed, g.bytes_pushed, g.rebalance_moves
+            "{:>8} {:>12} {:>14} {:>13} {:>9}",
+            p.as_str(),
+            g.docs_placed,
+            g.deltas_pushed,
+            g.bytes_pushed,
+            g.rebalance_moves
         );
-    }
-    let page = axml_server::metrics::render_placement_prometheus(&rows);
-    axml_server::metrics::validate_prometheus_text(&page)
-        .expect("placement page passes the exposition validator");
-    let prom_path = "target/x21_placement.prom";
-    match std::fs::create_dir_all("target").and_then(|()| std::fs::write(prom_path, &page)) {
-        Ok(()) => println!("(placement exposition: {prom_path})"),
-        Err(e) => println!("(placement exposition not written: {prom_path}: {e})"),
     }
 
     // The machine-readable trajectory artifact.

@@ -30,9 +30,17 @@ use crate::pattern::{PItem, Pattern};
 use crate::sym::Sym;
 use crate::tree::{Marking, Tree};
 
+/// Deepest `{…}` nesting the tree and pattern parsers accept. They
+/// recurse once per level, and a stack overflow aborts the process
+/// rather than unwinding, so hostile text must be cut off well before
+/// a thread's stack runs out.
+pub const MAX_NESTING: usize = 1_000;
+
 pub(crate) struct Lexer<'a> {
     src: &'a [u8],
     pub pos: usize,
+    /// `{…}` groups currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -40,6 +48,7 @@ impl<'a> Lexer<'a> {
         Lexer {
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -156,15 +165,27 @@ pub(crate) fn parse_tree_at(lx: &mut Lexer<'_>) -> Result<Tree> {
         if marking.is_value() {
             return lx.err("atomic values are leaves and take no children");
         }
-        loop {
-            parse_node_into(lx, &mut t, root)?;
-            if !lx.eat(b',') {
-                break;
-            }
-        }
-        lx.expect(b'}')?;
+        group(lx, |lx| parse_node_into(lx, &mut t, root))?;
     }
     Ok(t)
+}
+
+/// The rest of a `{` group, its brace already consumed:
+/// `child (',' child)* '}'`, refusing nesting past [`MAX_NESTING`].
+fn group(lx: &mut Lexer<'_>, mut child: impl FnMut(&mut Lexer<'_>) -> Result<()>) -> Result<()> {
+    if lx.depth == MAX_NESTING {
+        return lx.err(format!("nesting deeper than {MAX_NESTING}"));
+    }
+    lx.depth += 1;
+    loop {
+        child(lx)?;
+        if !lx.eat(b',') {
+            break;
+        }
+    }
+    lx.expect(b'}')?;
+    lx.depth -= 1;
+    Ok(())
 }
 
 fn parse_marking(lx: &mut Lexer<'_>) -> Result<Marking> {
@@ -189,13 +210,7 @@ fn parse_node_into(lx: &mut Lexer<'_>, t: &mut Tree, parent: crate::tree::NodeId
         if marking.is_value() {
             return lx.err("atomic values are leaves and take no children");
         }
-        loop {
-            parse_node_into(lx, t, id)?;
-            if !lx.eat(b',') {
-                break;
-            }
-        }
-        lx.expect(b'}')?;
+        group(lx, |lx| parse_node_into(lx, t, id))?;
     }
     Ok(())
 }
@@ -218,13 +233,7 @@ pub(crate) fn parse_pattern_at(lx: &mut Lexer<'_>) -> Result<Pattern> {
         if leafy(&item) {
             return lx.err("value/tree variables and values are pattern leaves");
         }
-        loop {
-            parse_pnode_into(lx, &mut p, root)?;
-            if !lx.eat(b',') {
-                break;
-            }
-        }
-        lx.expect(b'}')?;
+        group(lx, |lx| parse_pnode_into(lx, &mut p, root))?;
     }
     Ok(p)
 }
@@ -271,13 +280,7 @@ fn parse_pnode_into(lx: &mut Lexer<'_>, p: &mut Pattern, parent: crate::pattern:
         if leafy(&item) {
             return lx.err("value/tree variables and values are pattern leaves");
         }
-        loop {
-            parse_pnode_into(lx, p, id)?;
-            if !lx.eat(b',') {
-                break;
-            }
-        }
-        lx.expect(b'}')?;
+        group(lx, |lx| parse_pnode_into(lx, p, id))?;
     }
     Ok(())
 }

@@ -2101,9 +2101,17 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
 // plus the structural checks chrome://tracing / Perfetto rely on.
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, and a stack overflow aborts the process
+/// rather than unwinding, so hostile wire text must be cut off well
+/// before a connection thread's stack runs out.
+pub const MAX_JSON_DEPTH: usize = 1_000;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -2111,6 +2119,7 @@ impl<'a> JsonParser<'a> {
         JsonParser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -2292,52 +2301,19 @@ impl<'a> JsonParser<'a> {
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => {
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH}")));
+                }
                 self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                v
             }
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
@@ -2345,6 +2321,55 @@ impl<'a> JsonParser<'a> {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(_) => self.parse_number(),
             None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// The rest of an object, its `{` already consumed.
+    fn parse_object(&mut self) -> Result<JsonValue, String> {
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Obj(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// The rest of an array, its `[` already consumed.
+    fn parse_array(&mut self) -> Result<JsonValue, String> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Arr(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
         }
     }
 

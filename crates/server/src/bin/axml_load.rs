@@ -16,8 +16,8 @@
 //! shared session (reader p50/p99 in extra columns); `--tenants N`
 //! appends a multi-tenant phase — `N` concurrent single-session
 //! tenants, each its own small system — reporting aggregate and
-//! worst-tenant p99 (`tn-*` columns, `tenant_*` JSON fields; pair
-//! with `axml-server --peers N`); `--shutdown` stops the server
+//! worst-tenant p99 (`tn-*` columns, `tenant_*` JSON fields);
+//! `--shutdown` stops the server
 //! afterwards (the CI smoke job uses all three); `--json PATH` also
 //! writes the machine-readable summary ([`LoadReport::to_json`]) to
 //! `PATH` for benchmark trajectory files.

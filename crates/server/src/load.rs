@@ -20,10 +20,8 @@
 //! "thousands of small systems" shape of `docs/sharding.md`), each
 //! driving its own fixpoint and then a closed query loop. Per-tenant
 //! latency lands in its own histogram; the report shows the aggregate
-//! p50/p99 plus the *worst tenant's* p99 — the isolation number a
-//! placement layer is judged by (`tn-*` columns, `tenant_*` JSON
-//! fields). Run it against `axml-server --peers N` to see the
-//! placement gauges split the same traffic.
+//! p50/p99 plus the *worst tenant's* p99 — the isolation number
+//! (`tn-*` columns, `tenant_*` JSON fields).
 
 use crate::protocol::{ProtoError, Request, Response, PROTOCOL_VERSION};
 use axml_core::trace::Histogram;
@@ -580,8 +578,7 @@ struct TenantResult {
 /// each a small independent system — open, one fixpoint `run`, then a
 /// closed query loop, then close. The per-tenant sample vectors stay
 /// separate so the report can quote the worst tenant's p99 next to
-/// the aggregate: on a well-isolated server (and a well-balanced
-/// placement) the two stay close.
+/// the aggregate: on a well-isolated server the two stay close.
 fn tenant_workload(cfg: &LoadConfig) -> std::io::Result<TenantResult> {
     let started = Instant::now();
     let mut results: Vec<std::io::Result<(usize, usize, Vec<u64>)>> = Vec::new();

@@ -25,7 +25,6 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use axml_core::trace::{GlobalMetrics, Histogram};
-use axml_p2p::PeerGauges;
 
 /// A point-in-time copy of everything the scrape page reports.
 ///
@@ -50,9 +49,6 @@ pub struct ServerSnapshot {
     pub journal_dropped: u64,
     /// Time since the server started.
     pub uptime: Duration,
-    /// Per-peer placement gauges, name-sorted; empty unless the server
-    /// runs with `--peers N`.
-    pub placement: Vec<(String, PeerGauges)>,
 }
 
 /// Flatten [`GlobalMetrics`] into `(name, value)` pairs in a stable,
@@ -173,44 +169,6 @@ pub fn render_prometheus(s: &ServerSnapshot) -> String {
         for (service, h) in &s.services {
             let labels = format!("service=\"{}\"", escape_label(service));
             push_summary(&mut out, "axml_service_latency_seconds", &labels, h);
-        }
-    }
-    out.push_str(&render_placement_prometheus(&s.placement));
-    out
-}
-
-/// Render per-peer placement gauges as their own Prometheus block.
-///
-/// Split out from [`render_prometheus`] so the X21 experiment can emit
-/// a standalone placement page from a [`ShardedNetwork`]'s gauges and
-/// have `axml-inspect prom` validate it — the same series names the
-/// server scrape page uses. `docs_placed` is a gauge (it falls on
-/// rebalance); the push/rebalance series are monotone counters.
-///
-/// [`ShardedNetwork`]: axml_p2p::ShardedNetwork
-pub fn render_placement_prometheus(rows: &[(String, PeerGauges)]) -> String {
-    let mut out = String::new();
-    if rows.is_empty() {
-        return out;
-    }
-    type Getter = fn(&PeerGauges) -> u64;
-    let series: [(&str, &str, Getter); 4] = [
-        ("axml_peer_docs_placed", "gauge", |g| g.docs_placed),
-        ("axml_peer_deltas_pushed_total", "counter", |g| g.deltas_pushed),
-        ("axml_peer_bytes_pushed_total", "counter", |g| g.bytes_pushed),
-        ("axml_peer_rebalance_moves_total", "counter", |g| {
-            g.rebalance_moves
-        }),
-    ];
-    for (name, kind, get) in series {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (peer, gauges) in rows {
-            let _ = writeln!(
-                out,
-                "{name}{{peer=\"{}\"}} {}",
-                escape_label(peer),
-                get(gauges)
-            );
         }
     }
     out
@@ -395,7 +353,6 @@ mod tests {
             journal_len: 100,
             journal_dropped: 7,
             uptime: Duration::from_millis(1500),
-            placement: Vec::new(),
         }
     }
 
@@ -411,39 +368,6 @@ mod tests {
         assert!(page.contains("axml_sessions 2"));
         assert!(page.contains("service=\"tc\\\"weird\\\\name\""));
         assert!(page.contains("axml_request_latency_seconds_count 3"));
-    }
-
-    #[test]
-    fn placement_rows_render_as_valid_prometheus() {
-        let rows = vec![
-            (
-                "peer-0".to_string(),
-                PeerGauges {
-                    docs_placed: 4,
-                    deltas_pushed: 9,
-                    bytes_pushed: 1024,
-                    rebalance_moves: 1,
-                },
-            ),
-            ("peer\"1".to_string(), PeerGauges::default()),
-        ];
-        let mut snap = snapshot();
-        snap.placement = rows.clone();
-        let page = render_prometheus(&snap);
-        let samples = validate_prometheus_text(&page).expect("page validates");
-        // Base page plus 4 placement series × 2 peers.
-        assert_eq!(
-            samples,
-            global_counters(&GlobalMetrics::default()).len() + 5 + 4 + 4 + 8
-        );
-        assert!(page.contains("axml_peer_docs_placed{peer=\"peer-0\"} 4"));
-        assert!(page.contains("axml_peer_bytes_pushed_total{peer=\"peer-0\"} 1024"));
-        assert!(page.contains("peer=\"peer\\\"1\""));
-        // Standalone block is itself a valid page (X21 writes it alone).
-        let alone = render_placement_prometheus(&rows);
-        assert_eq!(validate_prometheus_text(&alone), Ok(8));
-        // Empty placement renders nothing — scrape page unchanged.
-        assert!(render_placement_prometheus(&[]).is_empty());
     }
 
     #[test]
