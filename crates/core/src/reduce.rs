@@ -7,6 +7,21 @@
 //! version up to node isomorphism (Prop 2.1 (2)), computable in PTIME
 //! (Prop 2.1 (4)) by bottom-up sibling pruning.
 //!
+//! Pruning filters sibling pairs before it walks them. `x ⊑ y` is a
+//! homomorphism from `x`'s subtree into `y`'s that maps root to root and
+//! keeps markings and parent–child edges, so two cheap per-node
+//! signatures are necessary conditions for it:
+//!
+//! - `height(x) ≤ height(y)`: a root-to-leaf path of `x` maps onto a path
+//!   of the same length that starts at `y`;
+//! - `bloom(x) ⊆ bloom(y)` bitwise, for a 128-bit Bloom filter of the
+//!   markings in a subtree and of its (parent marking, child marking)
+//!   edges: every marking and edge of `x` reappears under `y`.
+//!
+//! Only pairs that pass both reach [`subsumed_within`]. Equivalent
+//! subtrees have equal signatures, so signatures taken before a sibling
+//! is pruned stay exact.
+//!
 //! Because reduced versions are unique up to isomorphism, a sorted
 //! recursive encoding ([`canon_of_reduced`]) is a sound equality key for
 //! reduced trees: two reduced trees are equivalent iff their canonical
@@ -15,62 +30,131 @@
 
 use crate::error::{AxmlError, Result};
 use crate::subsume::{subsumed_within, SubMemo};
+use crate::sym::FxHasher;
 use crate::tree::{Marking, NodeId, Tree};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 /// Reduce `t` in place: prune every child subtree subsumed by a sibling,
 /// bottom-up. Keeps the *oldest* (lowest node id) representative of each
 /// equivalence class so that node ids — in particular function-node ids
 /// the engine schedules — survive reduction.
 ///
+/// Each unordered pair of same-marking siblings is visited once, and
+/// reaches [`subsumed_within`] only in a direction its signatures allow
+/// (see the module doc): `x ⊑ y` needs `height(x) ≤ height(y)`, since a
+/// homomorphism maps each root-to-leaf path of `x` onto a path of the same
+/// length, and `bloom(x) ⊆ bloom(y)`, since it keeps every marking and
+/// parent–child edge. The signatures are built on first need, when a node
+/// first has two children with the same marking.
+///
 /// Returns the number of subtrees pruned.
 pub fn reduce_in_place(t: &mut Tree) -> usize {
     let mut memo = SubMemo::new();
     let post = postorder(t);
+    let mut sigs: Vec<Sig> = Vec::new();
     let mut pruned = 0usize;
-    for n in post {
-        if !t.is_alive(n) {
+    for &n in &post {
+        if !t.is_alive(n) || t.children(n).len() < 2 {
             continue;
         }
-        let mut kids: Vec<NodeId> = t.children(n).to_vec();
-        if kids.len() < 2 {
-            continue;
-        }
-        // Oldest first, so equivalent younger siblings are the ones dropped.
+        // Same-marking siblings side by side, oldest first within a run,
+        // so equivalent younger siblings are the ones dropped. Subsumption
+        // requires equal root markings, so only runs are compared.
+        let mut kids: Vec<(Marking, NodeId, bool)> = t
+            .children(n)
+            .iter()
+            .map(|&c| (t.marking(c), c, false))
+            .collect();
         kids.sort_unstable();
-        let k = kids.len();
-        let mut removed = vec![false; k];
-        for i in 0..k {
-            if removed[i] {
-                continue;
+        let mut start = 0;
+        while start < kids.len() {
+            let m = kids[start].0;
+            let len = kids[start..].iter().take_while(|k| k.0 == m).count();
+            if len > 1 {
+                if sigs.is_empty() {
+                    sigs = signatures(t, &post);
+                }
+                prune_run(t, &mut kids[start..start + len], &sigs, &mut memo);
             }
-            for j in 0..k {
-                if i == j || removed[j] || removed[i] {
-                    continue;
-                }
-                // Subsumption requires equal root markings; skipping the
-                // mismatched pairs here keeps them out of the memo too.
-                if t.marking(kids[i]) != t.marking(kids[j]) {
-                    continue;
-                }
-                if subsumed_within(t, kids[i], kids[j], &mut memo) {
-                    if subsumed_within(t, kids[j], kids[i], &mut memo) {
-                        // Equivalent: drop the younger (larger index, since
-                        // kids are sorted by id ascending).
-                        removed[i.max(j)] = true;
-                    } else {
-                        removed[i] = true;
-                    }
-                }
-            }
+            start += len;
         }
-        for i in 0..k {
-            if removed[i] {
-                t.remove_subtree(kids[i]).expect("child is alive");
+        for &(_, c, removed) in &kids {
+            if removed {
+                t.remove_subtree(c).expect("child is alive");
                 pruned += 1;
             }
         }
     }
     pruned
+}
+
+/// Mark the subsumed members of one run of same-marking siblings (sorted
+/// oldest first). For each pair `i < j`: if `j ⊑ i`, `j` goes — this
+/// covers the equivalent case, where the younger goes; otherwise if
+/// `i ⊑ j`, `i` goes. The survivors are exactly the oldest member of each
+/// maximal class.
+fn prune_run(t: &Tree, run: &mut [(Marking, NodeId, bool)], sigs: &[Sig], memo: &mut SubMemo) {
+    let mut embeds = |x: NodeId, y: NodeId| {
+        sigs[x.idx()].may_embed_in(sigs[y.idx()]) && subsumed_within(t, x, y, memo)
+    };
+    for i in 0..run.len() {
+        for j in i + 1..run.len() {
+            if run[i].2 {
+                break;
+            }
+            if run[j].2 {
+                continue;
+            }
+            let (x, y) = (run[i].1, run[j].1);
+            if embeds(y, x) {
+                run[j].2 = true;
+            } else if embeds(x, y) {
+                run[i].2 = true;
+            }
+        }
+    }
+}
+
+/// Per-node summary that every homomorphism respects (see the module doc).
+#[derive(Clone, Copy, Default)]
+struct Sig {
+    height: u32,
+    bloom: u128,
+}
+
+impl Sig {
+    /// Necessary condition for `self ⊑ other`.
+    fn may_embed_in(self, other: Sig) -> bool {
+        self.height <= other.height && self.bloom & !other.bloom == 0
+    }
+}
+
+/// One Bloom-filter bit for `key`: the top 7 bits of its Fx hash.
+fn bloom_bit(key: impl Hash) -> u128 {
+    1u128 << (BuildHasherDefault::<FxHasher>::default().hash_one(key) >> 57)
+}
+
+/// Signatures of every live node of `t`, indexed by node id, built
+/// bottom-up over `post` (dead entries are skipped and stay zero).
+fn signatures(t: &Tree, post: &[NodeId]) -> Vec<Sig> {
+    let mut sigs = vec![Sig::default(); t.arena_len()];
+    for &n in post {
+        if !t.is_alive(n) {
+            continue;
+        }
+        let m = t.marking(n);
+        let mut s = Sig {
+            height: 0,
+            bloom: bloom_bit(m),
+        };
+        for &c in t.children(n) {
+            let cs = sigs[c.idx()];
+            s.height = s.height.max(cs.height + 1);
+            s.bloom |= cs.bloom | bloom_bit((m, t.marking(c)));
+        }
+        sigs[n.idx()] = s;
+    }
+    sigs
 }
 
 /// Live nodes of `t` in postorder (children before parents).
@@ -286,6 +370,73 @@ mod tests {
         let other = t("a{b,c,d}");
         assert!(subsumed(&a, &other) && subsumed(&b, &other));
         assert!(subsumed(&u, &other));
+    }
+
+    /// A seeded random tree of about `n` nodes over labels `l0`–`l2` and
+    /// values `"0"`/`"1"`: small enough alphabets that subsumption between
+    /// arbitrary nodes is common.
+    fn random_tree(n: usize, seed: u64) -> Tree {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree = Tree::with_label("l0");
+        let mut interior = vec![tree.root()];
+        for _ in 1..n {
+            let parent = interior[rng.gen_range(0..interior.len())];
+            if rng.gen_bool(0.3) {
+                let v = rng.gen_range(0..2u8);
+                tree.add_child(parent, Marking::value(&v.to_string()))
+                    .unwrap();
+            } else {
+                let l = rng.gen_range(0..3u8);
+                interior.push(
+                    tree.add_child(parent, Marking::label(&format!("l{l}")))
+                        .unwrap(),
+                );
+            }
+        }
+        tree
+    }
+
+    #[test]
+    fn signature_filter_never_rejects_a_subsumed_pair() {
+        let mut subsumed_pairs = 0;
+        for seed in 0..64 {
+            let tree = random_tree(40, seed);
+            let sigs = signatures(&tree, &postorder(&tree));
+            let nodes: Vec<NodeId> = tree.iter_live(tree.root()).collect();
+            let mut memo = SubMemo::new();
+            for &x in &nodes {
+                for &y in &nodes {
+                    if subsumed_within(&tree, x, y, &mut memo) {
+                        subsumed_pairs += 1;
+                        assert!(
+                            sigs[x.idx()].may_embed_in(sigs[y.idx()]),
+                            "seed {seed}: filter rejects {x:?} ⊑ {y:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Not vacuous: plenty of pairs, beyond the reflexive ones, held.
+        assert!(subsumed_pairs > 64 * 40 * 2, "{subsumed_pairs}");
+    }
+
+    #[test]
+    fn signature_filter_separates_distinct_items() {
+        // The `scan_large` item shape: unique id and name values, which
+        // the two items' Bloom filters record as distinct bits.
+        let tree = t(concat!(
+            r#"site{item{id{"i1"},cat{"c1"},price{"0001"},name{"n1"}},"#,
+            r#"item{id{"i2"},cat{"c1"},price{"0002"},name{"n2"}}}"#
+        ));
+        let sigs = signatures(&tree, &postorder(&tree));
+        let (a, b) = match tree.children(tree.root()) {
+            &[a, b] => (sigs[a.idx()], sigs[b.idx()]),
+            kids => panic!("expected two items, got {kids:?}"),
+        };
+        assert!(!a.may_embed_in(b));
+        assert!(!b.may_embed_in(a));
     }
 
     #[test]

@@ -6,14 +6,31 @@
 
 use positive_axml::core::eval::{snapshot, Env};
 use positive_axml::core::query::parse_query;
-use positive_axml::core::reduce::{canonical_key, is_reduced, lub, reduce};
-use positive_axml::core::{equivalent, subsumed, Marking, Tree};
+use positive_axml::core::reduce::{canonical_key, is_reduced, lub, reduce, reduce_in_place};
+use positive_axml::core::subsume::{subsumed_within, SubMemo};
+use positive_axml::core::{
+    equivalent, parse_document, subsumed, Marking, NodeId, Sym, System, Tree,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A random tree over a tiny alphabet (labels a-d, values "0"/"1",
 /// function f) — small alphabets maximize sibling collisions, which is
 /// where reduction is interesting.
 fn arb_tree() -> impl Strategy<Value = Tree> {
+    arb_tree_shaped(4, 4, 24)
+}
+
+/// Wide groups of same-label siblings over two labels, so that most
+/// sibling pairs are comparable and reduction prunes in every direction.
+fn arb_wide_tree() -> impl Strategy<Value = Tree> {
+    arb_tree_shaped(2, 9, 64)
+}
+
+/// A random tree over `labels` labels `l0`, `l1`, …, at most 4 levels
+/// deep, with fewer than `width` children per label node and about `size`
+/// nodes in all.
+fn arb_tree_shaped(labels: u8, width: usize, size: u32) -> impl Strategy<Value = Tree> {
     // Recursive structure: a node is (marking index, children).
     #[derive(Clone, Debug)]
     enum Spec {
@@ -22,13 +39,13 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
         Func(u8, Vec<Spec>),
     }
     let leaf = prop_oneof![
-        (0u8..4).prop_map(|l| Spec::Label(l, vec![])),
+        (0u8..labels).prop_map(|l| Spec::Label(l, vec![])),
         (0u8..2).prop_map(Spec::Value),
         (0u8..2).prop_map(|f| Spec::Func(f, vec![])),
     ];
-    let node = leaf.prop_recursive(4, 24, 4, |inner| {
+    let node = leaf.prop_recursive(4, size, width as u32, move |inner| {
         prop_oneof![
-            ((0u8..4), prop::collection::vec(inner.clone(), 0..4))
+            ((0u8..labels), prop::collection::vec(inner.clone(), 0..width))
                 .prop_map(|(l, cs)| Spec::Label(l, cs)),
             ((0u8..2), prop::collection::vec(inner, 0..3))
                 .prop_map(|(f, cs)| Spec::Func(f, cs)),
@@ -36,8 +53,8 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
         ]
     });
     // Root must be a label.
-    ((0u8..4), prop::collection::vec(node, 0..4)).prop_map(|(l, cs)| {
-        fn build(t: &mut Tree, parent: positive_axml::core::NodeId, s: &Spec) {
+    ((0u8..labels), prop::collection::vec(node, 0..width)).prop_map(|(l, cs)| {
+        fn build(t: &mut Tree, parent: NodeId, s: &Spec) {
             match s {
                 Spec::Label(l, cs) => {
                     let id = t
@@ -69,8 +86,46 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
     })
 }
 
+/// Brute-force survivors of in-place reduction: a node survives iff it and
+/// each of its ancestors are, among their siblings in `t`, neither strictly
+/// subsumed by a sibling nor equivalent to an older (lower-id) one. Plain,
+/// unfiltered `subsumed_within` over every sibling pair.
+fn reference_survivors(t: &Tree) -> BTreeSet<NodeId> {
+    let mut memo = SubMemo::new();
+    let mut keep = BTreeSet::new();
+    let mut stack = vec![t.root()];
+    while let Some(n) = stack.pop() {
+        keep.insert(n);
+        let kids = t.children(n);
+        for &x in kids {
+            let beaten = kids.iter().any(|&y| {
+                y != x
+                    && subsumed_within(t, x, y, &mut memo)
+                    && (y < x || !subsumed_within(t, y, x, &mut memo))
+            });
+            if !beaten {
+                stack.push(x);
+            }
+        }
+    }
+    keep
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Prop 2.1 (2), at node level: `reduce_in_place` keeps exactly the
+    /// oldest member of each maximal sibling class, recursively — the
+    /// node ids the brute-force reference keeps, and no others.
+    #[test]
+    fn reduce_in_place_keeps_reference_survivors(t in arb_wide_tree()) {
+        let mut r = t.clone();
+        reduce_in_place(&mut r);
+        let live: BTreeSet<NodeId> = r.iter_live(r.root()).collect();
+        prop_assert_eq!(live, reference_survivors(&t));
+        prop_assert!(is_reduced(&r));
+        prop_assert!(equivalent(&t, &r));
+    }
 
     /// Prop 2.1 (2): reduction yields an equivalent, reduced tree, and
     /// is idempotent.
@@ -171,4 +226,35 @@ proptest! {
         let back = positive_axml::core::parse_tree(&text).unwrap();
         prop_assert!(equivalent(&t, &back));
     }
+}
+
+/// `count` same-label `item` siblings under one `site` root; `distinct`
+/// gives each its own id and name values, otherwise all are identical.
+fn wide_site(count: usize, distinct: bool) -> String {
+    let items: Vec<String> = (0..count)
+        .map(|i| {
+            let k = if distinct { i } else { 0 };
+            format!("item{{id{{\"i{k:05}\"}},cat{{\"c{:03}\"}},name{{\"n{k:05}\"}}}}", k % 200)
+        })
+        .collect();
+    format!("site{{{}}}", items.join(","))
+}
+
+/// Wide fan-out opens in near-linear time: 5 000 pairwise-distinct
+/// same-label siblings all survive `open`, and 5 000 identical ones
+/// collapse to the oldest.
+#[test]
+fn wide_fanout_open() {
+    let db = Sym::intern("db");
+    let mut sys = System::new();
+    sys.add_document_text("db", &wide_site(5000, true)).unwrap();
+    let doc = sys.doc(db).unwrap();
+    assert_eq!(doc.children(doc.root()).len(), 5000);
+
+    let tree = parse_document(&wide_site(5000, false)).unwrap();
+    let oldest = *tree.children(tree.root()).iter().min().unwrap();
+    let mut sys = System::new();
+    sys.add_document("db", tree).unwrap();
+    let doc = sys.doc(db).unwrap();
+    assert_eq!(doc.children(doc.root()), &[oldest]);
 }
