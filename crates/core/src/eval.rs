@@ -94,7 +94,8 @@ pub struct EvalStats {
     pub atom_bindings: usize,
     /// Bindings surviving the final join.
     pub joined_bindings: usize,
-    /// Result trees before forest reduction.
+    /// Head trees built before forest reduction: one per distinct
+    /// projection of the joined bindings onto the head's variables.
     pub raw_results: usize,
 }
 
@@ -341,9 +342,20 @@ pub(crate) fn snapshot_inner(
     combined.retain(|b| q.ineqs.iter().all(|(l, r)| ineq_holds(l, r, b)));
     stats.joined_bindings = combined.len();
 
+    // A head reads only its own variables, so bindings that agree on them
+    // instantiate identical trees: build one per distinct projection, in
+    // first-appearance order, which leaves the reduced forest unchanged.
+    let head_vars = q.head.variables();
+    #[allow(clippy::mutable_key_type)]
+    let mut built = crate::sym::FxHashSet::default();
     let mut forest = Forest::new();
+    let mut p = Binding::new();
     for b in &combined {
-        forest.push(instantiate_head(&q.head, b)?);
+        b.restrict_into(&head_vars, &mut p);
+        if !built.contains(&p) {
+            forest.push(instantiate_head(&q.head, &p)?);
+            built.insert(p.clone());
+        }
     }
     stats.raw_results = forest.len();
     Ok((forest.reduce(), stats))
@@ -437,7 +449,7 @@ fn build_children(
 /// A continuous-query delta extractor: repeated [`QueryCursor::poll`]s
 /// against a growing [`System`] return only the answer trees **not yet
 /// seen** by this cursor, keyed by canonical equivalence
-/// ([`crate::reduce::canonical_key`], Definition 2.2).
+/// ([`crate::reduce::canon_of_reduced`], Definition 2.2).
 ///
 /// Snapshot evaluation is monotone (Proposition 3.1 (1)): as the system
 /// grows under fair rewriting, `q(I)` only gains answers (up to
@@ -491,12 +503,19 @@ impl QueryCursor {
     /// return the answer trees not seen by any earlier poll, in the
     /// evaluation's (deterministic) result order. An unchanged system
     /// yields an empty delta.
+    ///
+    /// Answers are keyed with [`crate::reduce::canon_of_reduced`]: the
+    /// snapshot forest comes out of [`Forest::reduce`], so every tree is
+    /// already reduced and needs no second reduction to be keyed.
     pub fn poll(&mut self, sys: &System) -> Result<Vec<Tree>> {
         let env = Env::for_system(sys);
         let forest = snapshot(&self.query, &env)?;
         let mut fresh = Vec::new();
         for t in forest.trees() {
-            if self.seen.insert(crate::reduce::canonical_key(t)) {
+            if self
+                .seen
+                .insert(crate::reduce::canon_of_reduced(t, t.root()))
+            {
                 fresh.push(t.clone());
             }
         }

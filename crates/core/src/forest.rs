@@ -4,9 +4,20 @@
 //! A forest `ϕ` is subsumed by `ϕ'` if each tree of `ϕ` is subsumed by
 //! some tree of `ϕ'`. A forest is reduced if all its trees are reduced and
 //! none is subsumed by another.
+//!
+//! [`Forest::reduce`] costs in proportion to the *distinct* trees of its
+//! input rather than to all of them squared. It reduces each tree once and
+//! keys it with [`canon_of_reduced`]. Reduced versions are unique up to
+//! isomorphism (Prop 2.1 (2)), so equal keys are exactly equivalent trees:
+//! a hash set keeps the first tree of each class. Representatives of
+//! distinct classes are never equivalent, so one direction of subsumption
+//! is already strict, and only that direction is checked. It runs only for
+//! pairs whose root signatures ([`crate::reduce`]'s height and Bloom
+//! filter) allow it, under one memo shared by the whole pass.
 
-use crate::reduce::{canonical_key, reduce, CanonKey};
-use crate::subsume::subsumed;
+use crate::reduce::{canon_of_reduced, reduce, subtree_sig, CanonKey, Sig};
+use crate::subsume::{subsumed, SubMemo};
+use crate::sym::FxHashSet;
 use crate::tree::Tree;
 
 /// A set of AXML trees.
@@ -64,34 +75,60 @@ impl Forest {
         self.subsumed_by(other) && other.subsumed_by(self)
     }
 
-    /// Reduce: reduce each tree, drop trees subsumed by another, and
-    /// deduplicate equivalent trees (keeping the first).
+    /// Reduce: reduce each tree, drop trees strictly subsumed by another,
+    /// and deduplicate equivalent trees, keeping the first of each class.
+    /// Survivors keep their input order.
+    ///
+    /// The algorithm (see the module doc):
+    ///
+    /// 1. reduce each tree once and key it with [`canon_of_reduced`]; the
+    ///    first tree of each key is its class representative;
+    /// 2. drop a representative `t` iff some *other* representative `u`
+    ///    has `sig(t) ⊑ sig(u)` on signatures and `t ⊑ u`.
+    ///
+    /// Two representatives have distinct keys, hence are not equivalent,
+    /// so `t ⊑ u` already means `t` is strictly below `u`. A tree strictly
+    /// below some input tree is strictly below that tree's representative,
+    /// so this drops exactly the classes the all-pairs definition drops.
+    /// One [`SubMemo`] serves the whole pass: every reduced tree is a fresh
+    /// tree with its own [`Tree::id`], never mutated afterwards.
     pub fn reduce(&self) -> Forest {
-        let reduced: Vec<Tree> = self.trees.iter().map(reduce).collect();
-        let mut kept: Vec<Tree> = Vec::new();
-        let mut keys: Vec<CanonKey> = Vec::new();
-        'outer: for (idx, t) in reduced.iter().enumerate() {
-            let key = canonical_key(t);
-            if keys.contains(&key) {
-                continue;
-            }
-            // Drop if subsumed by any *other* tree (strictly, or an
-            // equivalent that comes earlier — handled by the key check).
-            for (jdx, u) in reduced.iter().enumerate() {
-                if idx != jdx && subsumed(t, u) && !subsumed(u, t) {
-                    continue 'outer;
-                }
-            }
-            keys.push(key);
-            kept.push(t.clone());
-        }
-        Forest { trees: kept }
+        let mut seen: FxHashSet<CanonKey> = FxHashSet::default();
+        let reps: Vec<(Tree, Sig)> = self
+            .trees
+            .iter()
+            .map(reduce)
+            .filter(|t| seen.insert(canon_of_reduced(t, t.root())))
+            .map(|t| {
+                let sig = subtree_sig(&t, t.root());
+                (t, sig)
+            })
+            .collect();
+        let mut memo = SubMemo::new();
+        let trees = reps
+            .iter()
+            .enumerate()
+            .filter(|&(i, (t, st))| {
+                !reps.iter().enumerate().any(|(j, (u, su))| {
+                    i != j && st.may_embed_in(*su) && memo.subsumed_at(t, t.root(), u, u.root())
+                })
+            })
+            .map(|(_, (t, _))| t.clone())
+            .collect();
+        Forest { trees }
     }
 
     /// Canonical key of the reduced forest: sorted tree keys. Two forests
-    /// are equivalent iff their canonical keys agree.
+    /// are equivalent iff their canonical keys agree. Every tree of a
+    /// reduced forest is itself reduced, so [`canon_of_reduced`] keys it
+    /// without a second reduction.
     pub fn canonical_key(&self) -> Vec<CanonKey> {
-        let mut keys: Vec<CanonKey> = self.reduce().trees.iter().map(canonical_key).collect();
+        let mut keys: Vec<CanonKey> = self
+            .reduce()
+            .trees
+            .iter()
+            .map(|t| canon_of_reduced(t, t.root()))
+            .collect();
         keys.sort_unstable();
         keys
     }

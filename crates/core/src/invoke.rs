@@ -21,10 +21,10 @@ use crate::eval::{snapshot_inner, Env, MatchCache};
 use crate::forest::Forest;
 use crate::matcher::MatchStrategy;
 use crate::provenance::{query_witnesses, InvocationRecord, Origin, Provenance};
-use crate::reduce::reduce_in_place;
+use crate::reduce::{reduce_in_place, subtree_sig, Sig};
 use crate::subsume::SubMemo;
 use crate::system::{context_sym, input_sym, System};
-use crate::sym::Sym;
+use crate::sym::{FxHashMap, Sym};
 use crate::trace::{EventKind, Tracer};
 use crate::tree::{Marking, NodeId, Tree};
 
@@ -204,14 +204,19 @@ pub fn apply_plan(
     // One memo serves every (result tree, existing child) comparison:
     // entries are keyed by tree identity, and grafting earlier result
     // trees only *adds* children under `parent`, never mutating the
-    // subtrees already memoized.
+    // subtrees already memoized. For the same reason each child's
+    // signature is computed once, on first need, and stays exact; only
+    // pairs whose signatures allow an embedding reach the memo.
     let mut memo = SubMemo::new();
+    let mut child_sigs: FxHashMap<NodeId, Sig> = FxHashMap::default();
     let mut seq: Option<u64> = None;
     for r in plan.forest.trees() {
-        let already = doc
-            .children(parent)
-            .iter()
-            .any(|&c| memo.subsumed_at(r, r.root(), doc, c));
+        let (rm, rsig) = (r.marking(r.root()), subtree_sig(r, r.root()));
+        let already = doc.children(parent).iter().any(|&c| {
+            doc.marking(c) == rm
+                && rsig.may_embed_in(*child_sigs.entry(c).or_insert_with(|| subtree_sig(doc, c)))
+                && memo.subsumed_at(r, r.root(), doc, c)
+        });
         tracer.emit(|| EventKind::SubsumeCheck {
             doc: doc_name,
             subsumed: already,

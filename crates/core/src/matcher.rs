@@ -11,7 +11,7 @@
 use crate::pattern::{PItem, Pattern, PNodeId};
 use crate::reduce::canonical_key;
 use crate::reduce::CanonKey;
-use crate::sym::Sym;
+use crate::sym::{FxHashSet, Sym};
 use crate::tree::{Marking, NodeId, Tree};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -199,10 +199,26 @@ impl Binding {
 
     /// Merge two assignments; `None` on conflict. Both sides are sorted,
     /// so this is a linear two-way merge — it runs once per candidate
-    /// pair in every join level of snapshot evaluation.
+    /// pair in every join level of snapshot evaluation. Most candidate
+    /// pairs conflict, so a first pass that allocates nothing looks for a
+    /// disagreeing shared variable before the output is built.
     pub fn merge(&self, other: &Binding) -> Option<Binding> {
         use std::cmp::Ordering;
         let (a, b) = (&self.entries, &other.entries);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    if a[i].1 != b[j].1 {
+                        return None;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() && j < b.len() {
@@ -216,9 +232,6 @@ impl Binding {
                     j += 1;
                 }
                 Ordering::Equal => {
-                    if a[i].1 != b[j].1 {
-                        return None;
-                    }
                     out.push(a[i].clone());
                     i += 1;
                     j += 1;
@@ -228,6 +241,18 @@ impl Binding {
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
         Some(Binding { entries: out })
+    }
+
+    /// Overwrite `out` with the restriction of this assignment to the
+    /// variables in `vars`, reusing `out`'s storage.
+    pub(crate) fn restrict_into(&self, vars: &FxHashSet<Sym>, out: &mut Binding) {
+        out.entries.clear();
+        out.entries.extend(
+            self.entries
+                .iter()
+                .filter(|(v, _)| vars.contains(v))
+                .cloned(),
+        );
     }
 
     /// Variables bound.
@@ -545,6 +570,27 @@ mod tests {
         c.bind(Sym::intern("y"), Bound::Label(Sym::intern("l")));
         let m = a.merge(&c).unwrap();
         assert_eq!(m.len(), 2);
+
+        // A conflict after non-shared variables on both sides: the
+        // conflict check must walk past the prefix, not stop at it.
+        let (pa, pb, late) = (
+            Sym::intern("merge_prefix_a"),
+            Sym::intern("merge_prefix_b"),
+            Sym::intern("merge_late"),
+        );
+        assert!(pa < late && pb < late, "fresh symbols intern in order");
+        let mut d = Binding::new();
+        d.bind(pa, Bound::Label(Sym::intern("l")));
+        d.bind(late, Bound::Value(Sym::intern("1")));
+        let mut e = Binding::new();
+        e.bind(pb, Bound::Label(Sym::intern("l")));
+        e.bind(late, Bound::Value(Sym::intern("2")));
+        assert!(d.merge(&e).is_none());
+        assert!(e.merge(&d).is_none());
+        let mut f = Binding::new();
+        f.bind(pb, Bound::Label(Sym::intern("l")));
+        f.bind(late, Bound::Value(Sym::intern("1")));
+        assert_eq!(d.merge(&f).unwrap().len(), 3);
     }
 
     #[test]

@@ -116,16 +116,34 @@ fn prune_run(t: &Tree, run: &mut [(Marking, NodeId, bool)], sigs: &[Sig], memo: 
 }
 
 /// Per-node summary that every homomorphism respects (see the module doc).
-#[derive(Clone, Copy, Default)]
-struct Sig {
+/// It depends on the subtree's content only, so it compares subtrees of
+/// different trees as well as siblings.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Sig {
     height: u32,
     bloom: u128,
 }
 
 impl Sig {
     /// Necessary condition for `self ⊑ other`.
-    fn may_embed_in(self, other: Sig) -> bool {
+    pub(crate) fn may_embed_in(self, other: Sig) -> bool {
         self.height <= other.height && self.bloom & !other.bloom == 0
+    }
+
+    /// The signature of a childless node marked `m`.
+    fn leaf(m: Marking) -> Sig {
+        Sig {
+            height: 0,
+            bloom: bloom_bit(m),
+        }
+    }
+
+    /// Fold one child, marked `cm` with signature `cs`, into the signature
+    /// of its parent, marked `m`. With [`Sig::leaf`], the one per-node
+    /// step of [`signatures`] and [`subtree_sig`].
+    fn add_child(&mut self, m: Marking, cm: Marking, cs: Sig) {
+        self.height = self.height.max(cs.height + 1);
+        self.bloom |= cs.bloom | bloom_bit((m, cm));
     }
 }
 
@@ -143,18 +161,38 @@ fn signatures(t: &Tree, post: &[NodeId]) -> Vec<Sig> {
             continue;
         }
         let m = t.marking(n);
-        let mut s = Sig {
-            height: 0,
-            bloom: bloom_bit(m),
-        };
+        let mut s = Sig::leaf(m);
         for &c in t.children(n) {
-            let cs = sigs[c.idx()];
-            s.height = s.height.max(cs.height + 1);
-            s.bloom |= cs.bloom | bloom_bit((m, t.marking(c)));
+            s.add_child(m, t.marking(c), sigs[c.idx()]);
         }
         sigs[n.idx()] = s;
     }
     sigs
+}
+
+/// The signature of the subtree of `t` at `n` alone, in time linear in
+/// that subtree and space linear in its height (not in the arena, unlike
+/// [`signatures`]). An iterative depth-first walk: a node's frame folds in
+/// each child as the child's frame is popped.
+pub(crate) fn subtree_sig(t: &Tree, n: NodeId) -> Sig {
+    // (node, index of its next child to visit, signature so far); sized so
+    // that result trees and document children rarely regrow it.
+    let mut path: Vec<(NodeId, usize, Sig)> = Vec::with_capacity(16);
+    path.push((n, 0, Sig::leaf(t.marking(n))));
+    loop {
+        let top = path.len() - 1;
+        let (x, next, s) = path[top];
+        if let Some(&c) = t.children(x).get(next) {
+            path[top].1 += 1;
+            path.push((c, 0, Sig::leaf(t.marking(c))));
+            continue;
+        }
+        path.pop();
+        match path.last_mut() {
+            Some((p, _, ps)) => ps.add_child(t.marking(*p), t.marking(x), s),
+            None => return s,
+        }
+    }
 }
 
 /// Live nodes of `t` in postorder (children before parents).
@@ -420,6 +458,53 @@ mod tests {
         }
         // Not vacuous: plenty of pairs, beyond the reflexive ones, held.
         assert!(subsumed_pairs > 64 * 40 * 2, "{subsumed_pairs}");
+    }
+
+    #[test]
+    fn subtree_signatures_agree_with_whole_tree_signatures() {
+        for seed in 0..16 {
+            let tree = random_tree(40, seed);
+            let sigs = signatures(&tree, &postorder(&tree));
+            for n in tree.iter_live(tree.root()) {
+                assert_eq!(
+                    subtree_sig(&tree, n),
+                    sigs[n.idx()],
+                    "seed {seed}, node {n:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signature_filter_is_sound_across_trees() {
+        // Root signatures of different trees, as `Forest::reduce` and
+        // `apply_plan` compare them: `x ⊑ y` must pass the filter. `c`
+        // holds both `a` and `b`, so some pairs are sure to embed.
+        let (mut held, mut rejected) = (0, 0);
+        for seed in 0..256u64 {
+            let a = random_tree(2 + (seed % 5) as usize, seed);
+            let b = random_tree(2 + (seed % 7) as usize, seed.wrapping_mul(31) + 1);
+            let mut c = a.clone();
+            let root = c.root();
+            b.copy_children_into(b.root(), &mut c, root);
+            let trees = [&a, &b, &c];
+            let sigs = trees.map(|t| subtree_sig(t, t.root()));
+            for (i, x) in trees.iter().enumerate() {
+                for (j, y) in trees.iter().enumerate().filter(|&(j, _)| j != i) {
+                    let passes = sigs[i].may_embed_in(sigs[j]);
+                    if subsumed(x, y) {
+                        held += 1;
+                        assert!(passes, "seed {seed}: filter rejects {x} ⊑ {y}");
+                    }
+                    if !passes {
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        // Not vacuous: some pairs embed, and the filter rejects some.
+        assert!(held > 16, "{held}");
+        assert!(rejected > 16, "{rejected}");
     }
 
     #[test]

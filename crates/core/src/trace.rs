@@ -1240,7 +1240,8 @@ pub struct GlobalMetrics {
 }
 
 /// Per-session aggregates maintained by a [`MetricsRegistry`] from the
-/// `axml-server` request events.
+/// `axml-server` request events, from a session's first request until its
+/// `close` is served.
 #[derive(Clone, Debug, Default)]
 pub struct SessionMetrics {
     /// Request frames received for this session.
@@ -1315,12 +1316,12 @@ impl MetricsRegistry {
     }
 
     /// The server-request aggregates for one session, if it appeared in
-    /// the stream.
+    /// the stream and no successful `close` of it has been served since.
     pub fn session(&self, name: Sym) -> Option<SessionMetrics> {
         self.inner.borrow().sessions.get(&name).cloned()
     }
 
-    /// Names of all sessions seen, sorted by name.
+    /// Names of the sessions seen and not closed since, sorted by name.
     pub fn session_names(&self) -> Vec<Sym> {
         let mut names: Vec<Sym> = self.inner.borrow().sessions.keys().copied().collect();
         names.sort_unstable_by_key(|s| s.as_str());
@@ -1635,6 +1636,7 @@ impl TraceSink for MetricsRegistry {
             }
             EventKind::RequestServed {
                 session,
+                kind,
                 ok,
                 dur_ns,
                 ..
@@ -1642,9 +1644,16 @@ impl TraceSink for MetricsRegistry {
                 inner.globals.requests_served += 1;
                 inner.globals.request_errors += u64::from(!ok);
                 inner.requests.record(dur_ns);
-                let s = inner.sessions.entry(session).or_default();
-                s.errors += u64::from(!ok);
-                s.latency_ns.record(dur_ns);
+                // A closed session's row would describe nothing that
+                // exists, and keeping it would grow the registry with
+                // every session a client ever opens.
+                if kind == ReqKind::Close && ok {
+                    inner.sessions.remove(&session);
+                } else {
+                    let s = inner.sessions.entry(session).or_default();
+                    s.errors += u64::from(!ok);
+                    s.latency_ns.record(dur_ns);
+                }
             }
             EventKind::BatchFormed { session, size, .. } => {
                 inner.globals.batches_formed += 1;
@@ -3009,6 +3018,36 @@ mod tests {
         assert!(report.contains("f"));
         assert!(report.contains("g"));
         assert_eq!(m.service_names(), vec![sym("f"), sym("g")]);
+    }
+
+    #[test]
+    fn closed_sessions_leave_the_registry() {
+        let m = MetricsRegistry::new();
+        let request = |session: &str, kind: ReqKind, ok: bool| {
+            m.record(EventKind::RequestRecv {
+                session: sym(session),
+                kind,
+                id: 0,
+            });
+            m.record(EventKind::RequestServed {
+                session: sym(session),
+                kind,
+                id: 0,
+                ok,
+                dur_ns: 10,
+            });
+        };
+        request("kept", ReqKind::Open, true);
+        request("gone", ReqKind::Open, true);
+        request("gone", ReqKind::Query, true);
+        // A failed close leaves the session open, so its row stays.
+        request("kept", ReqKind::Close, false);
+        request("gone", ReqKind::Close, true);
+        assert_eq!(m.session_names(), vec![sym("kept")]);
+        assert_eq!(m.session(sym("kept")).unwrap().errors, 1);
+        // Server-wide aggregates still count the closed session's work.
+        assert_eq!(m.globals().requests_served, 5);
+        assert_eq!(m.request_latency().count(), 5);
     }
 
     #[test]

@@ -596,6 +596,29 @@ fn stats_frame_exposes_counters_and_latency_summaries() {
         "per-session latency rows: {session_stats:?}"
     );
 
+    // Closing the session retires its row; the server-wide summary keeps
+    // counting its requests.
+    let closed = c
+        .call(&Request::Close {
+            id: 31,
+            session: "s1".to_string(),
+        })
+        .unwrap();
+    assert!(matches!(closed, Response::Closed { .. }), "{closed:?}");
+    let Response::StatsOk {
+        session_stats,
+        latency: after,
+        ..
+    } = c.call(&Request::Stats { id: 32 }).unwrap()
+    else {
+        panic!("expected stats_ok")
+    };
+    assert!(
+        session_stats.iter().all(|(n, _)| n != "s1"),
+        "closed session still listed: {session_stats:?}"
+    );
+    assert!(after.count > latency.count);
+
     handle.shutdown();
     drop(c);
     handle.join();

@@ -4,9 +4,13 @@
 //! §2.1's lattice structure (lub), and Proposition 3.1 (snapshot
 //! monotonicity) on arbitrary inputs rather than hand-picked ones.
 
-use positive_axml::core::eval::{snapshot, Env};
+use positive_axml::core::eval::{instantiate_head, snapshot, snapshot_with_stats, Env};
+use positive_axml::core::forest::Forest;
+use positive_axml::core::matcher::match_pattern;
 use positive_axml::core::query::parse_query;
-use positive_axml::core::reduce::{canonical_key, is_reduced, lub, reduce, reduce_in_place};
+use positive_axml::core::reduce::{
+    canonical_key, is_reduced, lub, reduce, reduce_in_place, CanonKey,
+};
 use positive_axml::core::subsume::{subsumed_within, SubMemo};
 use positive_axml::core::{
     equivalent, parse_document, subsumed, Marking, NodeId, Sym, System, Tree,
@@ -111,6 +115,64 @@ fn reference_survivors(t: &Tree) -> BTreeSet<NodeId> {
     keep
 }
 
+/// Brute-force forest reduction, as the definition reads: reduce every
+/// tree, then keep the first tree of each equivalence class unless some
+/// other tree strictly subsumes it. Plain, unfiltered `subsumed` over every
+/// ordered pair. Returns the survivors' canonical keys, in order.
+fn reference_forest_keys(trees: &[Tree]) -> Vec<CanonKey> {
+    let reduced: Vec<Tree> = trees.iter().map(reduce).collect();
+    let mut keys: Vec<CanonKey> = Vec::new();
+    for (i, t) in reduced.iter().enumerate() {
+        let key = canonical_key(t);
+        let strictly_below = reduced
+            .iter()
+            .enumerate()
+            .any(|(j, u)| i != j && subsumed(t, u) && !subsumed(u, t));
+        if !keys.contains(&key) && !strictly_below {
+            keys.push(key);
+        }
+    }
+    keys
+}
+
+/// Canonical keys of a forest's trees, in order.
+fn forest_keys(f: &Forest) -> Vec<CanonKey> {
+    f.trees().iter().map(canonical_key).collect()
+}
+
+/// A forest of 0–12 trees that has duplicates, equivalent but different
+/// trees, and strictly subsumed pairs: each random tree is followed, later
+/// in the forest, by a copy, its reduced version, a copy missing its first
+/// child, or a copy with an extra child.
+fn arb_forest() -> impl Strategy<Value = Vec<Tree>> {
+    let specs = prop::collection::vec((arb_tree(), 0u8..5), 0..=6);
+    (specs, 0usize..12).prop_map(|(specs, rot)| {
+        let mut trees: Vec<Tree> = specs.iter().map(|(t, _)| t.clone()).collect();
+        for (t, kind) in &specs {
+            let mut v = t.clone();
+            let root = v.root();
+            match kind {
+                0 => {}
+                1 => v = reduce(t),
+                2 => match v.children(root).first() {
+                    Some(&c) => v.remove_subtree(c).unwrap(),
+                    None => continue,
+                },
+                3 => {
+                    v.add_child(root, Marking::label("extra")).unwrap();
+                }
+                _ => continue,
+            }
+            trees.push(v);
+        }
+        if !trees.is_empty() {
+            let k = rot % trees.len();
+            trees.rotate_left(k);
+        }
+        trees
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -125,6 +187,14 @@ proptest! {
         prop_assert_eq!(live, reference_survivors(&t));
         prop_assert!(is_reduced(&r));
         prop_assert!(equivalent(&t, &r));
+    }
+
+    /// §2.1 forest reduction: `Forest::reduce` keeps exactly the trees,
+    /// in the order, of the all-pairs definition.
+    #[test]
+    fn forest_reduce_matches_all_pairs_reference(trees in arb_forest()) {
+        let forest = Forest::from_trees(trees.clone());
+        prop_assert_eq!(forest_keys(&forest.reduce()), reference_forest_keys(&trees));
     }
 
     /// Prop 2.1 (2): reduction yields an equivalent, reduced tree, and
@@ -225,6 +295,39 @@ proptest! {
         let text = t.to_string();
         let back = positive_axml::core::parse_tree(&text).unwrap();
         prop_assert!(equivalent(&t, &back));
+    }
+}
+
+/// Prop 3.1 snapshot semantics, with heads built per distinct projection
+/// onto the head's variables: the doubling rule over an 8-edge chain, and
+/// over its transitive closure (where many `$z` join each `($x, $y)`),
+/// answers exactly like instantiating every binding and reducing by brute
+/// force — key sequence included — and builds one head per `($x, $y)`.
+#[test]
+fn doubling_rule_snapshot_matches_per_binding_reference() {
+    let q = parse_query("t{from{$x},to{$y}} :- edges/r{t{from{$x},to{$z}}, t{from{$z},to{$y}}}")
+        .unwrap();
+    let edge = |i: usize, j: usize| format!("t{{from{{\"{i}\"}},to{{\"{j}\"}}}}");
+    let chain: Vec<String> = (0..8).map(|i| edge(i, i + 1)).collect();
+    let closure: Vec<String> = (0..9)
+        .flat_map(|i| (i + 1..9).map(move |j| (i, j)))
+        .map(|(i, j)| edge(i, j))
+        .collect();
+    // (edges, distinct (x, y) pairs joined by some z)
+    for (edges, pairs) in [(chain, 7), (closure, 28)] {
+        let doc = parse_document(&format!("r{{{}}}", edges.join(","))).unwrap();
+        let mut env = Env::new();
+        env.insert("edges".into(), &doc);
+        let (got, stats) = snapshot_with_stats(&q, &env).unwrap();
+
+        let bindings = match_pattern(&q.body[0].pattern, &doc);
+        let heads: Vec<Tree> = bindings
+            .iter()
+            .map(|b| instantiate_head(&q.head, b).unwrap())
+            .collect();
+        assert_eq!(forest_keys(&got), reference_forest_keys(&heads));
+        assert_eq!(stats.joined_bindings, bindings.len());
+        assert_eq!(stats.raw_results, pairs);
     }
 }
 
