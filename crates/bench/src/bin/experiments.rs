@@ -1494,167 +1494,6 @@ fn x20() {
     println!(" and queries never wait for a running round; see docs/mvcc.md)");
 }
 
-/// X21 — sharded scale-out: consistent-hash placement, push-mode delta
-/// propagation, rebalance cost at join.
-fn x21() {
-    use axml_bench::sharded_tenant_network;
-    use axml_p2p::{detect_termination_sharded_with, ShardedConfig, Verdict};
-
-    header(
-        "X21",
-        "Sharded scale-out — placement-transparent fixpoints, delta-push wire savings, rebalance",
-    );
-
-    const PAIRS: usize = 6;
-    const CHAIN: usize = 16;
-    const MAX_ROUNDS: usize = 400;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // 1) Multi-tenant throughput vs peer count. Same workload, same
-    // fixpoint (Thm 2.1 / placement transparency); only wall-clock
-    // and wire accounting move.
-    println!(
-        "{:>6} {:>12} {:>10} {:>12} {:>14} {:>13} {:>9}",
-        "peers", "elapsed(ms)", "rounds", "evals", "remote-deliv", "push(bytes)", "speedup"
-    );
-    let peer_counts = [1usize, 2, 4];
-    let mut elapsed = Vec::new();
-    let mut keys = Vec::new();
-    for &peers in &peer_counts {
-        let mut net = sharded_tenant_network(peers, PAIRS, CHAIN, ShardedConfig::default());
-        let t0 = Instant::now();
-        let quiet = net.run(MAX_ROUNDS).unwrap();
-        let el = ms(t0);
-        assert!(quiet, "the tenant workload terminates");
-        println!(
-            "{peers:>6} {el:>12.1} {:>10} {:>12} {:>14} {:>13} {:>9.2}",
-            net.stats.rounds,
-            net.stats.evaluations,
-            net.stats.remote_deliveries,
-            net.stats.wire_push_bytes,
-            elapsed.first().copied().unwrap_or(el) / el,
-        );
-        elapsed.push(el);
-        keys.push(net.canonical_key());
-    }
-    assert!(
-        keys.windows(2).all(|w| w[0] == w[1]),
-        "fixpoints must be identical at every peer count"
-    );
-    let speedup_4 = elapsed[0] / elapsed[2];
-    if cores >= 4 {
-        assert!(
-            speedup_4 >= 1.5,
-            "4 peers should give >=1.5x over 1 on a {cores}-core box, got {speedup_4:.2}x"
-        );
-    } else {
-        println!("(scaling assertion skipped: only {cores} core(s) available)");
-    }
-
-    // 2) Delta-push vs full-response bytes, same 4-peer workload. The
-    // delta filter suppresses already-delivered response trees, so it
-    // must move strictly fewer bytes for the same fixpoint.
-    let mut full = sharded_tenant_network(
-        4,
-        PAIRS,
-        CHAIN,
-        ShardedConfig {
-            push_deltas: false,
-            ..ShardedConfig::default()
-        },
-    );
-    assert!(full.run(MAX_ROUNDS).unwrap());
-    let mut delta = sharded_tenant_network(4, PAIRS, CHAIN, ShardedConfig::default());
-    assert!(delta.run(MAX_ROUNDS).unwrap());
-    assert_eq!(
-        full.canonical_key(),
-        delta.canonical_key(),
-        "propagation mode must not change the fixpoint"
-    );
-    assert!(
-        delta.stats.wire_push_bytes < full.stats.full_push_bytes,
-        "delta-push must move strictly fewer bytes ({} vs {})",
-        delta.stats.wire_push_bytes,
-        full.stats.full_push_bytes
-    );
-    let saved = 100.0
-        * (1.0 - delta.stats.wire_push_bytes as f64 / full.stats.full_push_bytes.max(1) as f64);
-    println!(
-        "\ndelta-push: {} bytes vs {} full-response bytes ({saved:.0}% saved, \
-         {} remote deliveries)",
-        delta.stats.wire_push_bytes, full.stats.full_push_bytes, delta.stats.remote_deliveries
-    );
-
-    // 3) Rebalance at a mid-run join: the epoch bump voids the
-    // detector's quiet streak, documents migrate as O(1) COW handles,
-    // and the fixpoint still matches the undisturbed run.
-    let mut stable = sharded_tenant_network(2, PAIRS, CHAIN, ShardedConfig::default());
-    assert!(stable.run(MAX_ROUNDS).unwrap());
-    let mut joined = sharded_tenant_network(2, PAIRS, CHAIN, ShardedConfig::default());
-    let verdict = detect_termination_sharded_with(&mut joined, MAX_ROUNDS, |n, round| {
-        if round == 3 {
-            n.join_peer("late");
-        }
-    })
-    .unwrap();
-    assert!(
-        matches!(verdict, Verdict::Terminated { .. }),
-        "the detector terminates across the join"
-    );
-    assert_eq!(
-        joined.canonical_key(),
-        stable.canonical_key(),
-        "a mid-run rebalance must not change the fixpoint"
-    );
-    println!(
-        "rebalance: joined 1 peer mid-run -> {} documents migrated ({} modeled bytes), \
-         epoch {}, fixpoint unchanged",
-        joined.stats.rebalance_moves, joined.stats.rebalance_bytes, joined.epoch()
-    );
-
-    // Per-peer gauges of the delta-push run.
-    println!("\n{:>8} {:>12} {:>14} {:>13} {:>9}", "peer", "docs", "deltas-pushed", "bytes", "moves");
-    for (p, g) in delta.peer_gauges() {
-        println!(
-            "{:>8} {:>12} {:>14} {:>13} {:>9}",
-            p.as_str(),
-            g.docs_placed,
-            g.deltas_pushed,
-            g.bytes_pushed,
-            g.rebalance_moves
-        );
-    }
-
-    // The machine-readable trajectory artifact.
-    let json = format!(
-        concat!(
-            "{{\"experiment\":\"x21\",\"pairs\":{},\"chain\":{},\"cores\":{},",
-            "\"peer_counts\":[{},{},{}],",
-            "\"elapsed_ms\":[{:.1},{:.1},{:.1}],\"speedup_4\":{:.2},",
-            "\"delta_push_bytes\":{},\"full_push_bytes\":{},\"push_saved_pct\":{:.1},",
-            "\"remote_deliveries\":{},\"rebalance_moves\":{},\"rebalance_bytes\":{}}}\n"
-        ),
-        PAIRS, CHAIN, cores,
-        peer_counts[0], peer_counts[1], peer_counts[2],
-        elapsed[0], elapsed[1], elapsed[2], speedup_4,
-        delta.stats.wire_push_bytes,
-        full.stats.full_push_bytes,
-        saved,
-        delta.stats.remote_deliveries,
-        joined.stats.rebalance_moves,
-        joined.stats.rebalance_bytes,
-    );
-    let json_path = "BENCH_x21.json";
-    match std::fs::write(json_path, json) {
-        Ok(()) => println!("(scale-out summary: {json_path})"),
-        Err(e) => println!("(scale-out summary not written: {json_path}: {e})"),
-    }
-    println!("(claim: Thm 2.1's confluence licenses placement freedom — any consistent-");
-    println!(" hash assignment of tenants to peers, even one changing mid-run, reaches");
-    println!(" the same fixpoint; push-mode delta stamps move strictly fewer bytes than");
-    println!(" re-pulled full responses; see docs/sharding.md)");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all = args.is_empty();
@@ -1719,9 +1558,6 @@ fn main() {
     }
     if want("x20") {
         x20();
-    }
-    if want("x21") {
-        x21();
     }
     println!("\nall requested experiments completed in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -403,50 +403,6 @@ pub fn star_network(k: usize, mode: axml_p2p::network::Mode, seed: Option<u64>) 
     net
 }
 
-/// The X21 multi-tenant sharded workload: `pairs` independent
-/// producer/consumer tenant pairs colocated on `peers` physical peers.
-/// Each producer holds a `chain`-edge transitive-closure document plus
-/// its local `join` recursion (the per-tenant CPU load) and a `feed`
-/// service; each consumer subscribes to its producer's feed from
-/// another tenant — the cross-tenant wire traffic the delta-push
-/// propagation filters. Placement transparency (Thm 2.1) means the
-/// fixpoint is identical for every `peers` value.
-pub fn sharded_tenant_network(
-    peers: usize,
-    pairs: usize,
-    chain: usize,
-    cfg: axml_p2p::ShardedConfig,
-) -> axml_p2p::ShardedNetwork {
-    let mut net = axml_p2p::ShardedNetwork::new(cfg);
-    for i in 0..peers {
-        net.join_peer(&format!("peer-{i}"));
-    }
-    for k in 0..pairs {
-        let p = format!("prod-{k}");
-        let mut acc = String::from("r{");
-        for e in 0..chain {
-            acc.push_str(&format!(r#"t{{from{{"{e}"}},to{{"{}"}}}},"#, e + 1));
-        }
-        acc.push_str(&format!("@{p}.join}}"));
-        let producer = net.add_tenant(&p);
-        producer.add_document_text("acc", &acc).unwrap();
-        producer
-            .add_service_text(
-                "join",
-                "t{from{$x},to{$y}} :- acc/r{t{from{$x},to{$z}}, t{from{$z},to{$y}}}",
-            )
-            .unwrap();
-        producer
-            .add_service_text("feed", "t{from{$x},to{$y}} :- acc/r{t{from{$x},to{$y}}}")
-            .unwrap();
-        let consumer = net.add_tenant(&format!("cons-{k}"));
-        consumer
-            .add_document_text("inbox", &format!("box{{@{p}.feed}}"))
-            .unwrap();
-    }
-    net
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

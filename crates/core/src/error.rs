@@ -60,9 +60,6 @@ pub enum AxmlError {
     /// A user label, function, or variable name collides with the `ax…`
     /// namespace reserved by the ψ translation (Prop 5.1).
     ReservedName(Sym),
-    /// A placement operation would leave a sharded network unable to
-    /// host its documents (e.g. removing the last peer).
-    PlacementUnderflow,
 }
 
 impl fmt::Display for AxmlError {
@@ -110,9 +107,6 @@ impl fmt::Display for AxmlError {
             AxmlError::BudgetExhausted => write!(f, "rewriting budget exhausted before fixpoint"),
             AxmlError::ReservedName(s) => {
                 write!(f, "name {s} collides with the translation-reserved ax… namespace")
-            }
-            AxmlError::PlacementUnderflow => {
-                write!(f, "placement needs at least one peer while documents exist")
             }
         }
     }

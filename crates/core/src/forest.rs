@@ -12,7 +12,7 @@
 //! a hash set keeps the first tree of each class. Representatives of
 //! distinct classes are never equivalent, so one direction of subsumption
 //! is already strict, and only that direction is checked. It runs only for
-//! pairs whose root signatures ([`crate::reduce`]'s height and Bloom
+//! pairs whose root signatures ([`mod@crate::reduce`]'s height and Bloom
 //! filter) allow it, under one memo shared by the whole pass.
 
 use crate::reduce::{canon_of_reduced, reduce, subtree_sig, CanonKey, Sig};

@@ -98,7 +98,8 @@ pub struct InvocationRecord {
     /// Rewriting round (engine) / network round (simulator) / 0
     /// (threaded backend).
     pub round: u64,
-    /// Host document version just before the graft.
+    /// Host document version just before the graft (threaded p2p
+    /// backend: when the call was issued).
     pub doc_version: u64,
     /// The peer that evaluated the call, for P2P runs.
     pub peer: Option<Sym>,

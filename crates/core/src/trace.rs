@@ -71,12 +71,6 @@ pub enum MsgKind {
     Changed,
     /// A coordinator poll.
     Poll,
-    /// A push-mode document delta: per-document stamps
-    /// (`id`/`version`/`mutation_count`) plus only the response trees
-    /// the subscriber has not seen yet (provider → subscriber). The
-    /// sharded placement layer sends these instead of re-shipping full
-    /// call responses — see `axml-p2p`'s `placement` module.
-    DeltaPush,
 }
 
 impl MsgKind {
@@ -87,7 +81,6 @@ impl MsgKind {
             MsgKind::Response => "response",
             MsgKind::Changed => "changed",
             MsgKind::Poll => "poll",
-            MsgKind::DeltaPush => "delta-push",
         }
     }
 }

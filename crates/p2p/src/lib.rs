@@ -9,7 +9,7 @@
 //! system needs a dedicated mechanism, since each peer only sees its own
 //! fixpoint.
 //!
-//! This crate simulates that setting deterministically:
+//! This crate runs that setting:
 //!
 //! * [`network`] — peers, peer-qualified service names (`peer.svc`),
 //!   message-counted request/response (pull) and subscription (push)
@@ -17,37 +17,27 @@
 //!   experiments;
 //! * [`termination`] — a polling-based distributed quiescence detector
 //!   validated against the simulator's global oracle;
-//! * [`threaded`] — truly concurrent peers on OS threads, with a
-//!   double-wave quiescence coordinator;
-//! * [`placement`] — sharded scale-out: consistent-hash placement of
-//!   tenants (small independent AXML systems) onto a physical peer
-//!   ring, push-mode delta propagation of document changes, and
-//!   rebalancing on peer join/leave with O(1) COW document migration.
+//! * [`threaded`] — the same peers on OS threads, exchanging messages
+//!   over channels, with a coordinator running the same quiescence rule.
 //!
-//! Both backends can record structured trace journals of their message
-//! traffic and provider evaluations — see [`axml_core::trace`],
-//! [`Network::enable_tracing`] and [`threaded::run_threaded_traced`] —
-//! and per-peer provenance stores that stamp cross-peer lineage onto
-//! delivered nodes — see [`axml_core::provenance`],
-//! [`Network::enable_provenance`] and [`threaded::run_threaded_full`].
+//! One runtime, two schedules: the simulator's seeded delivery order
+//! and a real thread interleaving both drive the peer steps of
+//! [`network`] (issue a call, serve it, absorb the response), so each
+//! piece of AXML semantics is written once. Both can record structured
+//! trace journals of their message traffic and provider evaluations —
+//! see [`axml_core::trace`], [`Network::enable_tracing`] and
+//! [`ThreadedConfig::trace`] — and per-peer provenance stores that stamp
+//! cross-peer lineage onto delivered nodes — see
+//! [`axml_core::provenance`], [`Network::enable_provenance`] and
+//! [`ThreadedConfig::provenance`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod network;
-pub mod placement;
 pub mod termination;
 pub mod threaded;
 
-pub use network::{Mode, Network, NetworkStats, Peer, PeerSnapshot};
-pub use placement::{
-    DocId, PeerGauges, Ring, ShardStats, ShardedConfig, ShardedNetwork,
-};
-pub use termination::{
-    detect_termination, detect_termination_sharded,
-    detect_termination_sharded_with, Verdict,
-};
-pub use threaded::{
-    run_threaded, run_threaded_config, run_threaded_full, run_threaded_traced,
-    standalone_peer, ThreadedConfig, ThreadedOutcome,
-};
+pub use network::{Mode, Network, NetworkStats, Peer};
+pub use termination::{detect_termination, Verdict};
+pub use threaded::{run_threaded, standalone_peer, ThreadedConfig, ThreadedOutcome};

@@ -19,9 +19,7 @@
 use axml_core::error::{AxmlError, Result};
 use axml_core::eval::{snapshot, Env};
 use axml_core::forest::Forest;
-use axml_core::provenance::{
-    query_witnesses, InvocationRecord, Origin, Provenance, ProvenanceStore,
-};
+use axml_core::provenance::{query_witnesses, InvocationRecord, Origin, ProvenanceStore};
 use axml_core::query::{parse_query, Query};
 use axml_core::reduce::{canonical_key, reduce_in_place, CanonKey};
 use axml_core::subsume::SubMemo;
@@ -32,7 +30,6 @@ use axml_core::tree::{Marking, NodeId, Tree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One peer: named documents plus locally-hosted positive services.
@@ -91,73 +88,6 @@ impl Peer {
         &self.doc_order
     }
 
-    /// Read a document by interned name (the placement layer resolves
-    /// documents through `DocId`s, which carry `Sym`s).
-    pub(crate) fn doc_tree(&self, name: Sym) -> Option<&Tree> {
-        self.docs.get(&name)
-    }
-
-    /// Mutable access to a document tree (the placement layer's commit
-    /// phase grafts responses directly into the owning tenant's doc).
-    pub(crate) fn doc_tree_mut(&mut self, name: Sym) -> Option<&mut Tree> {
-        self.docs.get_mut(&name)
-    }
-
-    /// An immutable snapshot of this peer's current state.
-    ///
-    /// O(1) in document size: [`Tree`] is a copy-on-write persistent
-    /// structure, so cloning the peer bumps a few `Arc`s per document
-    /// and shares every node (and any built indexes) with the live
-    /// peer until it next mutates. The threaded runtime answers whole
-    /// call batches from one snapshot, so every response in a batch is
-    /// stamped with exactly the state that produced it.
-    pub fn snapshot(&self) -> PeerSnapshot {
-        PeerSnapshot(Arc::new(self.clone()))
-    }
-
-    /// Evaluate a locally-hosted service for the given input/context.
-    pub(crate) fn evaluate(&self, service: Sym, input: &Tree, context: &Tree) -> Result<Forest> {
-        let q = self
-            .services
-            .get(&service)
-            .ok_or(AxmlError::UnknownFunction(service))?;
-        let mut env = Env::new();
-        for d in &self.doc_order {
-            env.insert(*d, &self.docs[d]);
-        }
-        env.insert(input_sym(), input);
-        env.insert(context_sym(), context);
-        snapshot(q, &env)
-    }
-
-    /// Graft a response forest beside the call node, and stamp every grafted node
-    /// with `origin` into `prov` — the caller-side half of cross-peer
-    /// lineage (the origin names the remote invocation that produced
-    /// the response).
-    pub(crate) fn deliver_with(
-        &mut self,
-        doc: Sym,
-        node: NodeId,
-        forest: &Forest,
-        prov: Provenance<'_>,
-        origin: Origin,
-    ) -> bool {
-        let Some(tree) = self.docs.get_mut(&doc) else {
-            return false;
-        };
-        graft_response(tree, doc, node, forest.trees(), prov, origin)
-    }
-
-    /// Provider-side witnesses of a hosted service: the nodes of this
-    /// peer's documents its body atoms embed into (see
-    /// [`axml_core::provenance::query_witnesses`]).
-    pub(crate) fn witnesses(&self, service: Sym) -> Vec<(Sym, NodeId)> {
-        match self.services.get(&service) {
-            Some(q) => query_witnesses(q, |d| self.docs.get(&d)),
-            None => Vec::new(),
-        }
-    }
-
     /// Stamp all current nodes of this peer's documents as seed data.
     pub(crate) fn seed_provenance(&self, store: &ProvenanceStore) {
         for d in &self.doc_order {
@@ -173,19 +103,6 @@ impl Peer {
             .collect()
     }
 
-    /// Build `input`/`context` for a call node, if it is still live.
-    pub(crate) fn call_arguments(&self, doc: Sym, node: NodeId) -> Option<(Tree, Tree)> {
-        let tree = self.docs.get(&doc)?;
-        if !tree.is_alive(node) {
-            return None;
-        }
-        let parent = tree.parent(node)?;
-        let mut input = Tree::with_label("input");
-        let iroot = input.root();
-        tree.copy_children_into(node, &mut input, iroot);
-        Some((input, tree.subtree(parent)))
-    }
-
     /// Live function nodes across this peer's documents.
     pub(crate) fn function_nodes(&self) -> Vec<(Sym, NodeId, Sym)> {
         let mut out = Vec::new();
@@ -199,73 +116,230 @@ impl Peer {
         }
         out
     }
-}
 
-/// Graft response trees beside a live call node: each tree that is not
-/// already subsumed by an existing sibling becomes a new child of the
-/// call node's parent, every grafted node is stamped with `origin` in
-/// `prov`, and the document is reduced once if anything landed.
-/// Returns whether the document changed.
-///
-/// This is the single delivery primitive shared by [`Peer::deliver_with`]
-/// (the flat network's caller side) and the sharded placement layer's
-/// commit phase (`crate::placement`), so both propagate responses with
-/// bit-identical semantics — which is what lets the differential suite
-/// compare their fixpoints node-for-node.
-pub(crate) fn graft_response(
-    tree: &mut Tree,
-    doc: Sym,
-    node: NodeId,
-    trees: &[Tree],
-    prov: Provenance<'_>,
-    origin: Origin,
-) -> bool {
-    if !tree.is_alive(node) {
-        return false;
+    /// The caller side of one call site: build the [`Call`] for the
+    /// function node `node` of `doc`, named `qualified`, and emit its
+    /// send. `Ok(None)` when an earlier reduction merged the node away;
+    /// an error when `qualified` names no service (see [`resolve`]).
+    pub(crate) fn issue(
+        &self,
+        doc: Sym,
+        node: NodeId,
+        qualified: Sym,
+        is_peer: impl Fn(Sym) -> bool,
+        round: u64,
+        tracer: Tracer<'_>,
+    ) -> Result<Option<Call>> {
+        let tree = &self.docs[&doc];
+        if !tree.is_alive(node) {
+            return Ok(None);
+        }
+        let Some(parent) = tree.parent(node) else {
+            return Ok(None);
+        };
+        let (provider, service) = resolve(qualified, is_peer)?;
+        let mut input = Tree::with_label("input");
+        let iroot = input.root();
+        tree.copy_children_into(node, &mut input, iroot);
+        tracer.emit(|| EventKind::MsgSend {
+            from: self.name,
+            to: provider,
+            kind: MsgKind::Call,
+        });
+        Ok(Some(Call {
+            caller: self.name,
+            doc,
+            node,
+            provider,
+            service,
+            input,
+            context: tree.subtree(parent),
+            doc_version: tree.mutation_count(),
+            round,
+            trace: tracer.trace_id(),
+        }))
     }
-    let Some(parent) = tree.parent(node) else {
-        return false;
-    };
-    let mut grafted = false;
-    for r in trees {
-        let mut memo = SubMemo::new();
-        let already = tree
-            .children(parent)
-            .iter()
-            .any(|&c| memo.subsumed_at(r, r.root(), tree, c));
-        if !already {
-            let new_root = tree.graft(parent, r).expect("parent is alive");
-            grafted = true;
-            if prov.enabled() {
-                let fresh: Vec<NodeId> = tree.iter_live(new_root).collect();
-                prov.with(|st| {
-                    for nid in fresh {
-                        st.stamp(doc, nid, origin);
+
+    /// The provider side of one call: evaluate the hosted service
+    /// against this peer's documents plus the shipped input/context,
+    /// log the invocation (with the witnesses it read) in `store`, and
+    /// emit the receive, evaluation and response-send events under the
+    /// call's trace id. Errors when the service is not hosted here.
+    pub(crate) fn serve(
+        &self,
+        call: &Call,
+        tracer: Tracer<'_>,
+        store: Option<&ProvenanceStore>,
+    ) -> Result<Response> {
+        let tracer = tracer.with_trace(call.trace);
+        tracer.emit(|| EventKind::MsgRecv {
+            peer: self.name,
+            kind: MsgKind::Call,
+        });
+        let q = self
+            .services
+            .get(&call.service)
+            .ok_or(AxmlError::UnknownFunction(call.service))?;
+        let started = tracer.enabled().then(Instant::now);
+        let mut env = Env::new();
+        for d in &self.doc_order {
+            env.insert(*d, &self.docs[d]);
+        }
+        env.insert(input_sym(), &call.input);
+        env.insert(context_sym(), &call.context);
+        let forest = snapshot(q, &env)?;
+        tracer.emit(|| EventKind::PeerEval {
+            peer: self.name,
+            service: call.service,
+            dur_ns: started
+                .map(|t| t.elapsed().as_nanos() as u64)
+                .unwrap_or(0),
+        });
+        let seq = store.map_or(0, |st| {
+            st.begin_invocation(InvocationRecord {
+                seq: 0,
+                service: call.service,
+                doc: call.doc,
+                node: call.node,
+                round: call.round,
+                doc_version: call.doc_version,
+                peer: Some(self.name),
+                inputs: query_witnesses(q, |d| self.docs.get(&d)),
+            })
+        });
+        tracer.emit(|| EventKind::MsgSend {
+            from: self.name,
+            to: call.caller,
+            kind: MsgKind::Response,
+        });
+        Ok(Response {
+            doc: call.doc,
+            node: call.node,
+            forest,
+            provider: self.name,
+            service: call.service,
+            seq,
+            round: call.round,
+            trace: call.trace,
+        })
+    }
+
+    /// The caller side of one response: graft every response tree not
+    /// already subsumed by a sibling beside the (still live) call node,
+    /// stamp each grafted node [`Origin::Remote`] in `store` (naming
+    /// the provider invocation that produced it), and reduce the
+    /// document once if anything landed. Returns whether it changed.
+    pub(crate) fn absorb(
+        &mut self,
+        resp: &Response,
+        tracer: Tracer<'_>,
+        store: Option<&ProvenanceStore>,
+    ) -> bool {
+        tracer.with_trace(resp.trace).emit(|| EventKind::MsgRecv {
+            peer: self.name,
+            kind: MsgKind::Response,
+        });
+        let Some(tree) = self.docs.get_mut(&resp.doc) else {
+            return false;
+        };
+        if !tree.is_alive(resp.node) {
+            return false;
+        }
+        let Some(parent) = tree.parent(resp.node) else {
+            return false;
+        };
+        let origin = Origin::Remote {
+            provider: resp.provider,
+            service: resp.service,
+            seq: resp.seq,
+            round: resp.round,
+        };
+        let mut grafted = false;
+        for r in resp.forest.trees() {
+            let mut memo = SubMemo::new();
+            let already = tree
+                .children(parent)
+                .iter()
+                .any(|&c| memo.subsumed_at(r, r.root(), tree, c));
+            if !already {
+                let new_root = tree.graft(parent, r).expect("parent is alive");
+                grafted = true;
+                if let Some(st) = store {
+                    for nid in tree.iter_live(new_root) {
+                        st.stamp(resp.doc, nid, origin);
                     }
-                });
+                }
             }
         }
+        if grafted {
+            reduce_in_place(tree);
+        }
+        grafted
     }
-    if grafted {
-        reduce_in_place(tree);
-    }
-    grafted
 }
 
-/// An O(1) immutable snapshot of a [`Peer`] (see [`Peer::snapshot`]).
-///
-/// Dereferences to [`Peer`], so everything read-only — `evaluate`,
-/// `digest`, `witnesses` — works unchanged against the frozen state.
-/// Cheap to clone and `Send + Sync`: worker threads evaluating a call
-/// batch share one snapshot while the live peer stays free to mutate.
-#[derive(Clone)]
-pub struct PeerSnapshot(Arc<Peer>);
-
-impl std::ops::Deref for PeerSnapshot {
-    type Target = Peer;
-    fn deref(&self) -> &Peer {
-        &self.0
+/// Split `provider.service` into its halves; an error unless the name
+/// has both halves and `is_peer` knows the provider.
+fn resolve(qualified: Sym, is_peer: impl Fn(Sym) -> bool) -> Result<(Sym, Sym)> {
+    let (peer, svc) = qualified
+        .as_str()
+        .split_once('.')
+        .map(|(p, s)| (Sym::intern(p), Sym::intern(s)))
+        .ok_or(AxmlError::UnknownFunction(qualified))?;
+    if !is_peer(peer) {
+        return Err(AxmlError::UnknownFunction(qualified));
     }
+    Ok((peer, svc))
+}
+
+/// One call site's request to a provider's service: the `Call`
+/// message of both runtimes (see [`Peer::issue`]).
+pub(crate) struct Call {
+    /// The calling peer.
+    pub(crate) caller: Sym,
+    /// Host document of the call node, at the caller.
+    pub(crate) doc: Sym,
+    /// The call node.
+    pub(crate) node: NodeId,
+    /// The peer hosting the service.
+    pub(crate) provider: Sym,
+    /// The service, unqualified.
+    pub(crate) service: Sym,
+    /// The call node's children, under an `input` root.
+    pub(crate) input: Tree,
+    /// The call node's parent subtree.
+    pub(crate) context: Tree,
+    /// The host document's mutation count when the call was issued.
+    pub(crate) doc_version: u64,
+    /// The simulator round that issued the call (0 on the threaded
+    /// backend, which has no rounds).
+    pub(crate) round: u64,
+    /// Request-scoped trace id (0 = unattributed): the provider stamps
+    /// its receive/eval/send events with it and echoes it on the
+    /// [`Response`], so one call's derivation is reconstructable
+    /// across both peers' journals.
+    pub(crate) trace: u64,
+}
+
+/// A provider's answer to a [`Call`] (see [`Peer::serve`]).
+pub(crate) struct Response {
+    /// The call site's document, at the caller.
+    pub(crate) doc: Sym,
+    /// The call node.
+    pub(crate) node: NodeId,
+    /// The answer forest.
+    pub(crate) forest: Forest,
+    /// The peer that evaluated the call.
+    pub(crate) provider: Sym,
+    /// The service it evaluated.
+    pub(crate) service: Sym,
+    /// Seq of the provider-side [`InvocationRecord`] (0 when
+    /// provenance is off): cross-peer lineage rides the response.
+    pub(crate) seq: u64,
+    /// The originating call's round, echoed back.
+    pub(crate) round: u64,
+    /// The originating call's trace id, echoed back.
+    pub(crate) trace: u64,
 }
 
 /// Propagation mode.
@@ -399,31 +473,6 @@ impl Network {
         self.index.get(&Sym::intern(name)).map(|&i| &self.peers[i])
     }
 
-    /// Split `provider.service` into its halves.
-    fn resolve(&self, qualified: Sym) -> Result<(usize, Sym)> {
-        let s = qualified.as_str();
-        let Some((peer, svc)) = s.split_once('.') else {
-            return Err(AxmlError::UnknownFunction(qualified));
-        };
-        let pidx = *self
-            .index
-            .get(&Sym::intern(peer))
-            .ok_or(AxmlError::UnknownFunction(qualified))?;
-        Ok((pidx, Sym::intern(svc)))
-    }
-
-    /// Evaluate `service` at provider `pidx` for the given input/context.
-    fn evaluate(
-        &mut self,
-        pidx: usize,
-        service: Sym,
-        input: &Tree,
-        context: &Tree,
-    ) -> Result<Forest> {
-        self.stats.evaluations += 1;
-        self.peers[pidx].evaluate(service, input, context)
-    }
-
     /// One fair round. Returns true if any document changed.
     fn round(&mut self) -> Result<bool> {
         // The journal (and the provenance stores) are taken out for the
@@ -503,87 +552,33 @@ impl Network {
 
         for (caller, doc, node, qualified) in work {
             let cidx = self.index[&caller];
-            // The node may have been merged away by an earlier reduction.
-            let Some((input, context)) = self.peers[cidx].call_arguments(doc, node) else {
+            let is_peer = |p| self.index.contains_key(&p);
+            let Some(call) = self.peers[cidx].issue(doc, node, qualified, is_peer, round, tracer)?
+            else {
                 continue;
             };
-            let (pidx, svc) = self.resolve(qualified)?;
-            let provider = self.peers[pidx].name;
+            let provider = call.provider;
             self.stats.calls_sent += 1;
-            tracer.emit(|| EventKind::MsgSend {
-                from: caller,
-                to: provider,
-                kind: MsgKind::Call,
-            });
-            tracer.emit(|| EventKind::MsgRecv {
-                peer: provider,
-                kind: MsgKind::Call,
-            });
-            let started = tracer.enabled().then(Instant::now);
-            let forest = self.evaluate(pidx, svc, &input, &context)?;
-            tracer.emit(|| EventKind::PeerEval {
-                peer: provider,
-                service: svc,
-                dur_ns: started
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0),
-            });
-            // Provider-side lineage: log the remote invocation (with
-            // the witnesses it read from the provider's documents) in
-            // the provider's store; the response carries its seq.
-            let remote_seq = stores
-                .and_then(|m| m.get(&provider))
-                .map(|store| {
-                    store.begin_invocation(InvocationRecord {
-                        seq: 0,
-                        service: svc,
-                        doc,
-                        node,
-                        round,
-                        doc_version: self.peers[cidx]
-                            .docs
-                            .get(&doc)
-                            .map(|t| t.mutation_count())
-                            .unwrap_or(0),
-                        peer: Some(provider),
-                        inputs: self.peers[pidx].witnesses(svc),
-                    })
-                });
+            self.stats.evaluations += 1;
+            let response = self.peers[self.index[&provider]].serve(
+                &call,
+                tracer,
+                stores.and_then(|m| m.get(&provider)),
+            )?;
             self.stats.responses += 1;
-            tracer.emit(|| EventKind::MsgSend {
-                from: provider,
-                to: caller,
-                kind: MsgKind::Response,
-            });
-            tracer.emit(|| EventKind::MsgRecv {
-                peer: caller,
-                kind: MsgKind::Response,
-            });
             if self.mode == Mode::Push {
                 let sub = Subscription {
                     caller,
                     doc,
                     node,
-                    provider: self.peers[pidx].name,
-                    service: svc,
+                    provider,
+                    service: call.service,
                 };
                 if !self.subs.contains(&sub) {
                     self.subs.push(sub);
                 }
             }
-            // Caller-side lineage: stamp every node grafted from the
-            // response with the remote invocation that produced it.
-            let caller_prov = stores
-                .and_then(|m| m.get(&caller))
-                .map(Provenance::new)
-                .unwrap_or_else(Provenance::disabled);
-            let origin = Origin::Remote {
-                provider,
-                service: svc,
-                seq: remote_seq.unwrap_or(0),
-                round,
-            };
-            if self.peers[cidx].deliver_with(doc, node, &forest, caller_prov, origin) {
+            if self.peers[cidx].absorb(&response, tracer, stores.and_then(|m| m.get(&caller))) {
                 self.stats.productive_responses += 1;
                 changed = true;
             }
@@ -831,6 +826,13 @@ mod tests {
         let mut net = Network::new(Mode::Pull, None);
         let p = net.add_peer("solo");
         p.add_document_text("d", "a{@ghost.svc}").unwrap();
-        assert!(net.run(10).is_err());
+        let ghost = Sym::intern("ghost.svc");
+        assert_eq!(net.run(10).unwrap_err(), AxmlError::UnknownFunction(ghost));
+        // A known peer without the service fails at the provider.
+        let mut net = portal_network(Mode::Pull, None);
+        let p = net.add_peer("solo");
+        p.add_document_text("d", "a{@store.nosuch}").unwrap();
+        let nosuch = Sym::intern("nosuch");
+        assert_eq!(net.run(10).unwrap_err(), AxmlError::UnknownFunction(nosuch));
     }
 }

@@ -10,9 +10,12 @@
 //! in between** — one quiet wave is not enough, because a message in
 //! flight between waves can reactivate an already-polled peer (the
 //! classical laggard problem the two-phase scheme exists for).
+//!
+//! That rule is written once, as `QuietWaves`, and both drivers feed
+//! it: [`detect_termination`] one wave per simulator round, and the
+//! threaded coordinator ([`crate::threaded`]) one wave per poll.
 
 use crate::network::Network;
-use crate::placement::ShardedNetwork;
 use axml_core::error::Result;
 use axml_core::reduce::CanonKey;
 use axml_core::sym::Sym;
@@ -31,6 +34,35 @@ pub enum Verdict {
     Undecided,
 }
 
+/// The two-phase quiescence rule: announce on the second of two
+/// consecutive quiet waves whose keys are identical. A wave that is not
+/// quiet voids the streak. The key carries whatever a laggard could
+/// move between the waves — peer digests, and for the threaded
+/// coordinator the global sent/received counters too.
+pub(crate) struct QuietWaves<K> {
+    prev: Option<K>,
+}
+
+impl<K: PartialEq> QuietWaves<K> {
+    /// No wave observed yet.
+    pub(crate) fn new() -> QuietWaves<K> {
+        QuietWaves { prev: None }
+    }
+
+    /// Feed one wave; true when global termination may be announced.
+    pub(crate) fn observe(&mut self, quiet: bool, key: K) -> bool {
+        if !quiet {
+            self.prev = None;
+            return false;
+        }
+        if self.prev.as_ref() == Some(&key) {
+            return true;
+        }
+        self.prev = Some(key);
+        false
+    }
+}
+
 /// Digest of every peer's state.
 fn poll_wave(net: &Network) -> Vec<(Sym, Vec<(Sym, CanonKey)>)> {
     net.peer_names()
@@ -42,80 +74,18 @@ fn poll_wave(net: &Network) -> Vec<(Sym, Vec<(Sym, CanonKey)>)> {
 /// Drive the network one round at a time, interleaving polling waves,
 /// until the detector announces termination or `max_rounds` pass.
 pub fn detect_termination(net: &mut Network, max_rounds: usize) -> Result<Verdict> {
-    let mut prev_digest = None;
+    let mut waves = QuietWaves::new();
     for round in 0..max_rounds {
         let changed = net.step_round()?;
-        let digest = poll_wave(net);
-        if !changed && prev_digest.as_ref() == Some(&digest) {
-            // Second consecutive quiet wave with identical digests.
+        if waves.observe(!changed, poll_wave(net)) {
             // One polling wave runs per round, so the counts coincide.
             return Ok(Verdict::Terminated {
                 rounds: round + 1,
                 waves: round + 1,
             });
         }
-        prev_digest = if changed { None } else { Some(digest) };
     }
     Ok(Verdict::Undecided)
-}
-
-/// Digest of every tenant's state on a sharded network. Tenant-level,
-/// so the digest is placement-independent — a wave taken before and
-/// after a rebalance of *unchanged* documents reads the same.
-fn poll_wave_sharded(net: &ShardedNetwork) -> Vec<(Sym, Vec<(Sym, CanonKey)>)> {
-    net.tenant_names()
-        .into_iter()
-        .map(|t| (t, net.tenant_state_key(t)))
-        .collect()
-}
-
-/// [`detect_termination`] for a [`ShardedNetwork`], sound under
-/// mid-run rebalancing: `hook` runs before every round (the test/
-/// experiment harness uses it to join or remove peers), and any
-/// placement-epoch movement **voids the quiet streak**. The void is
-/// what keeps the two-phase argument intact — a migration re-homes
-/// in-flight deliveries, so a wave observed across one is not evidence
-/// that the system was quiet *at a single placement*; the detector
-/// must re-establish two quiet waves inside the new epoch before it
-/// may announce.
-pub fn detect_termination_sharded_with(
-    net: &mut ShardedNetwork,
-    max_rounds: usize,
-    mut hook: impl FnMut(&mut ShardedNetwork, usize),
-) -> Result<Verdict> {
-    let mut prev_digest = None;
-    let mut prev_epoch = net.epoch();
-    for round in 0..max_rounds {
-        hook(net, round);
-        let changed = net.step_round()?;
-        let digest = poll_wave_sharded(net);
-        let epoch = net.epoch();
-        let quiet = !changed
-            && epoch == prev_epoch
-            && prev_digest.as_ref() == Some(&digest)
-            && net.no_pending_work();
-        if quiet {
-            return Ok(Verdict::Terminated {
-                rounds: round + 1,
-                waves: round + 1,
-            });
-        }
-        prev_digest = if changed || epoch != prev_epoch {
-            None
-        } else {
-            Some(digest)
-        };
-        prev_epoch = epoch;
-    }
-    Ok(Verdict::Undecided)
-}
-
-/// [`detect_termination_sharded_with`] without a rebalance schedule.
-pub fn detect_termination_sharded(
-    net: &mut ShardedNetwork,
-    max_rounds: usize,
-) -> Result<Verdict> {
-    detect_termination_sharded_with(net, max_rounds, |_, _| {})
 }
 
 #[cfg(test)]
@@ -174,89 +144,19 @@ mod tests {
         assert_eq!(verdict, Verdict::Undecided);
     }
 
-    fn sharded_pair_net(peers: usize) -> ShardedNetwork {
-        let mut net = ShardedNetwork::new(crate::placement::ShardedConfig::default());
-        for i in 0..peers {
-            net.join_peer(&format!("peer-{i}"));
-        }
-        for k in 0..2 {
-            let p = format!("prod-{k}");
-            let producer = net.add_tenant(&p);
-            producer
-                .add_document_text(
-                    "acc",
-                    &format!(
-                        r#"r{{t{{from{{"1"}},to{{"2"}}}}, t{{from{{"2"}},to{{"3"}}}}, @{p}.join}}"#
-                    ),
-                )
-                .unwrap();
-            producer
-                .add_service_text(
-                    "join",
-                    "t{from{$x},to{$y}} :- acc/r{t{from{$x},to{$z}}, t{from{$z},to{$y}}}",
-                )
-                .unwrap();
-            producer
-                .add_service_text(
-                    "feed",
-                    "t{from{$x},to{$y}} :- acc/r{t{from{$x},to{$y}}}",
-                )
-                .unwrap();
-            let consumer = net.add_tenant(&format!("cons-{k}"));
-            consumer
-                .add_document_text("inbox", &format!("box{{@{p}.feed}}"))
-                .unwrap();
-        }
-        net
-    }
-
     #[test]
-    fn sharded_detector_agrees_with_oracle() {
-        let mut net = sharded_pair_net(2);
-        let verdict = detect_termination_sharded(&mut net, 200).unwrap();
-        match verdict {
-            Verdict::Terminated { rounds, .. } => {
-                assert!(rounds >= 2);
-                assert!(!net.step_round().unwrap(), "oracle: truly quiet");
-            }
-            Verdict::Undecided => panic!("detector failed on a terminating network"),
-        }
-    }
-
-    #[test]
-    fn rebalance_voids_the_quiet_streak() {
-        // Baseline: how many rounds without any rebalance.
-        let mut base = sharded_pair_net(2);
-        let Verdict::Terminated { rounds: base_rounds, .. } =
-            detect_termination_sharded(&mut base, 200).unwrap()
-        else {
-            panic!("baseline undecided");
-        };
-
-        // Join a peer exactly when the detector is one quiet wave from
-        // announcing: the epoch bump must void the streak, costing at
-        // least one extra quiet wave inside the new placement.
-        let join_at = base_rounds - 1;
-        let mut net = sharded_pair_net(2);
-        let verdict =
-            detect_termination_sharded_with(&mut net, 200, |n, round| {
-                if round == join_at {
-                    n.join_peer("late");
-                }
-            })
-            .unwrap();
-        match verdict {
-            Verdict::Terminated { rounds, .. } => {
-                assert!(
-                    rounds > base_rounds,
-                    "join at {join_at} must delay announcement ({rounds} vs {base_rounds})"
-                );
-                assert!(!net.step_round().unwrap(), "oracle: truly quiet");
-                // And the fixpoint is the placement-independent one.
-                assert_eq!(net.canonical_key(), base.canonical_key());
-            }
-            Verdict::Undecided => panic!("detector failed across a rebalance"),
-        }
+    fn quiet_waves_need_two_identical_quiet_observations() {
+        let mut w = QuietWaves::new();
+        assert!(!w.observe(true, 1));
+        // A changed key restarts the streak without voiding it.
+        assert!(!w.observe(true, 2));
+        assert!(w.observe(true, 2));
+        // A loud wave voids the streak, even with an equal key.
+        let mut w = QuietWaves::new();
+        assert!(!w.observe(true, 7));
+        assert!(!w.observe(false, 7));
+        assert!(!w.observe(true, 7));
+        assert!(w.observe(true, 7));
     }
 
     #[test]

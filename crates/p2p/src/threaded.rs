@@ -1,65 +1,42 @@
 //! Truly concurrent peers: each peer runs on its own OS thread and
 //! exchanges AXML messages over channels.
 //!
-//! The round-based [`crate::network`] simulator is deterministic; this
-//! module removes that crutch. Peers pull concurrently, interleave
-//! arbitrarily, and a coordinator detects global quiescence with a
-//! double-wave protocol (digests stable *and* the network's global
-//! sent/received counters balanced across two consecutive polls — the
-//! classical guard against in-flight laggards). Theorem 2.1 predicts
-//! that, despite the nondeterminism, the final state equals the
-//! deterministic simulator's fixpoint — which is exactly what the tests
-//! assert, across many runs.
+//! This module is a transport. The AXML semantics — issuing a call,
+//! serving it, absorbing the response — are the peer steps of
+//! [`crate::network`], which the round-based simulator drives too; here
+//! peers pull concurrently and interleave arbitrarily, so a thread
+//! schedule replaces the simulator's delivery order. A coordinator
+//! detects global quiescence with the two-wave rule of
+//! [`crate::termination`], fed per poll with "every peer idle and the
+//! global sent/received counters balanced", the counters inside the
+//! compared key (the classical guard against in-flight laggards).
+//! Theorem 2.1 predicts that, despite the nondeterminism, the final
+//! state equals the deterministic simulator's fixpoint — which is
+//! exactly what the tests assert, across many runs.
 
-use crate::network::Peer;
-use axml_core::engine::Parallelism;
+use crate::network::{Call, Peer, Response};
+use crate::termination::QuietWaves;
 use axml_core::error::{AxmlError, Result};
-use axml_core::forest::Forest;
-use axml_core::provenance::{InvocationRecord, Origin, Provenance, ProvenanceStore};
+use axml_core::provenance::ProvenanceStore;
 use axml_core::reduce::CanonKey;
 use axml_core::sym::{FxHashMap, Sym};
 use axml_core::trace::{EventKind, Journal, MsgKind, TraceEvent, Tracer};
-use axml_core::tree::{NodeId, Tree};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A message between peer threads.
 enum Msg {
-    /// Invoke `service` at the receiver on behalf of `(caller, doc, node)`.
-    Call {
-        caller: Sym,
-        doc: Sym,
-        node: NodeId,
-        service: Sym,
-        input: Tree,
-        context: Tree,
-        /// Request-scoped trace id, assigned by the caller when the
-        /// pull is issued; the provider stamps its receive/eval/send
-        /// events with it and echoes it on the `Response`, so one
-        /// pull's derivation is reconstructable across both peers'
-        /// journals.
-        trace: u64,
-    },
+    /// A call for a service hosted at the receiver.
+    Call(Call),
     /// The provider's answer for a call site, stamped with the
     /// provider's state digest so the caller knows whether the provider
     /// is still evolving (and must be re-pulled).
     Response {
-        doc: Sym,
-        node: NodeId,
-        forest: Forest,
-        provider: Sym,
-        service: Sym,
+        response: Response,
         provider_digest: Vec<(Sym, CanonKey)>,
-        /// Cross-peer lineage rides the response: the sequence number of
-        /// the provider-side [`InvocationRecord`] that produced the
-        /// forest (None when provenance is off).
-        prov_seq: Option<u64>,
-        /// The originating `Call`'s trace id, echoed back.
-        trace: u64,
     },
     /// A provider's documents changed: past callers should re-pull.
     /// (The §2.2 push view assisting the pull loop — without it, a
@@ -80,32 +57,26 @@ struct PollReply {
     /// No pending pull scheduled (the peer will stay silent unless a
     /// message arrives).
     idle: bool,
-    /// Cumulative `PeerSnapshot` freezes this peer performed to serve
-    /// call batches.
-    snapshot_freezes: u64,
-    /// Cumulative call batches answered from an already-frozen
-    /// snapshot (no commit intervened since the last freeze).
-    snapshot_reuses: u64,
+    /// The first error a peer step raised (an unresolvable call name,
+    /// or a service the provider does not host), which ends the run.
+    failure: Option<AxmlError>,
 }
 
-/// Configuration for the threaded runtime ([`run_threaded_config`]).
+/// Configuration for [`run_threaded`].
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedConfig {
     /// Polling waves before the coordinator gives up on quiescence.
     pub max_waves: usize,
-    /// Keep a per-peer event [`Journal`] (see [`run_threaded_traced`]).
+    /// Keep a per-peer event [`Journal`], shipped back in
+    /// [`ThreadedOutcome::journals`] (per-peer — no cross-thread sink,
+    /// no contention on the hot path).
     pub trace: bool,
-    /// Keep a per-peer [`ProvenanceStore`] (see [`run_threaded_full`]).
+    /// Keep a per-peer [`ProvenanceStore`], shipped back in
+    /// [`ThreadedOutcome::provenance`]: documents stamped as seed data
+    /// up front, every served call logged as an invocation record whose
+    /// seq rides the response, and every delivered response's grafted
+    /// nodes stamped with the remote invocation that produced them.
     pub provenance: bool,
-    /// How each peer evaluates a batch of simultaneously-pending
-    /// incoming calls: the peer freezes one O(1)
-    /// [`crate::network::PeerSnapshot`] per batch, and with
-    /// [`Parallelism::Workers`]`(n)` drains every queued `Call` and
-    /// evaluates them on `n` worker threads against that snapshot,
-    /// then sends the responses sequentially in arrival order — the
-    /// same snapshot-read / sequential-commit split as the engine's
-    /// parallel rounds, and sound for the same Theorem 2.1 reason.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ThreadedConfig {
@@ -114,7 +85,6 @@ impl Default for ThreadedConfig {
             max_waves: 2_000,
             trace: false,
             provenance: false,
-            parallelism: Parallelism::default(),
         }
     }
 }
@@ -124,14 +94,8 @@ impl Default for ThreadedConfig {
 pub struct ThreadedStats {
     /// Polling waves until quiescence.
     pub waves: usize,
-    /// Total messages sent by peers (calls + responses).
+    /// Total messages sent by peers (calls, responses, change notices).
     pub messages: u64,
-    /// `PeerSnapshot` freezes performed across all peers: one per
-    /// *invalidation*, not one per batch — a peer re-freezes only
-    /// after a commit actually changed its documents.
-    pub snapshot_freezes: u64,
-    /// Call batches answered from a still-valid frozen snapshot.
-    pub snapshot_reuses: u64,
 }
 
 /// Outcome of a threaded run: the final peers plus statistics.
@@ -140,13 +104,13 @@ pub struct ThreadedOutcome {
     pub peers: FxHashMap<Sym, Peer>,
     /// Run statistics.
     pub stats: ThreadedStats,
-    /// Per-peer event journals ([`run_threaded_traced`] with tracing
-    /// on; empty otherwise). Each peer stamps its own events, so
-    /// ordering is meaningful per peer, not across peers.
+    /// Per-peer event journals (with [`ThreadedConfig::trace`]; empty
+    /// otherwise). Each peer stamps its own events, so ordering is
+    /// meaningful per peer, not across peers.
     pub journals: FxHashMap<Sym, Vec<TraceEvent>>,
-    /// Per-peer provenance stores ([`run_threaded_full`] with
-    /// provenance on; empty otherwise). A node stamped
-    /// [`Origin::Remote`] on one peer resolves through the *provider
+    /// Per-peer provenance stores (with
+    /// [`ThreadedConfig::provenance`]; empty otherwise). A node stamped
+    /// `Origin::Remote` on one peer resolves through the *provider
     /// peer's* store via the origin's `seq`.
     pub provenance: FxHashMap<Sym, ProvenanceStore>,
 }
@@ -167,56 +131,10 @@ impl ThreadedOutcome {
 }
 
 /// Run the given peers concurrently (pull mode) until the coordinator
-/// detects global quiescence or `max_waves` polls pass.
-pub fn run_threaded(peers: Vec<Peer>, max_waves: usize) -> Result<ThreadedOutcome> {
-    run_threaded_traced(peers, max_waves, false)
-}
-
-/// [`run_threaded`] with optional tracing: when `trace` is on, each
-/// peer thread keeps a local [`Journal`] of its message traffic and
-/// service evaluations, shipped back in
-/// [`ThreadedOutcome::journals`] at shutdown (journals are per-peer —
-/// no cross-thread sink, no contention on the hot path).
-pub fn run_threaded_traced(
-    peers: Vec<Peer>,
-    max_waves: usize,
-    trace: bool,
-) -> Result<ThreadedOutcome> {
-    run_threaded_full(peers, max_waves, trace, false)
-}
-
-/// [`run_threaded_traced`] with optional provenance: when `provenance`
-/// is on, each peer thread keeps a local [`ProvenanceStore`] — its
-/// documents stamped as seed data up front, every served `Call` logged
-/// as an [`InvocationRecord`] whose seq rides the `Response`, and every
-/// delivered response's grafted nodes stamped [`Origin::Remote`] — all
-/// shipped back in [`ThreadedOutcome::provenance`] at shutdown.
-pub fn run_threaded_full(
-    peers: Vec<Peer>,
-    max_waves: usize,
-    trace: bool,
-    provenance: bool,
-) -> Result<ThreadedOutcome> {
-    run_threaded_config(
-        peers,
-        ThreadedConfig {
-            max_waves,
-            trace,
-            provenance,
-            parallelism: Parallelism::default(),
-        },
-    )
-}
-
-/// The fully-configurable entry point: [`run_threaded_full`] plus the
-/// per-peer [`Parallelism`] knob (see [`ThreadedConfig`]).
-pub fn run_threaded_config(peers: Vec<Peer>, cfg: ThreadedConfig) -> Result<ThreadedOutcome> {
-    let ThreadedConfig {
-        max_waves,
-        trace,
-        provenance,
-        parallelism,
-    } = cfg;
+/// detects global quiescence, a peer step fails (that error is
+/// returned), or `cfg.max_waves` polls pass
+/// ([`AxmlError::BudgetExhausted`]).
+pub fn run_threaded(peers: Vec<Peer>, cfg: ThreadedConfig) -> Result<ThreadedOutcome> {
     let names: Vec<Sym> = peers.iter().map(|p| p.name).collect();
     let mut senders: FxHashMap<Sym, Sender<Msg>> = FxHashMap::default();
     let mut receivers: Vec<(Peer, Receiver<Msg>)> = Vec::new();
@@ -232,79 +150,55 @@ pub fn run_threaded_config(peers: Vec<Peer>, cfg: ThreadedConfig) -> Result<Thre
     let mut handles = Vec::new();
     for (peer, rx) in receivers {
         let peers_tx = senders.clone();
-        let journal = trace.then(Journal::new);
-        let store = provenance.then(|| {
+        let journal = cfg.trace.then(Journal::new);
+        let store = cfg.provenance.then(|| {
             let store = ProvenanceStore::new();
             peer.seed_provenance(&store);
             store
         });
         let trace_ids = Arc::clone(&trace_ids);
         handles.push(thread::spawn(move || {
-            peer_loop(peer, rx, peers_tx, journal, store, parallelism, &trace_ids)
+            peer_loop(peer, rx, peers_tx, journal, store, &trace_ids)
         }));
     }
 
-    // Coordinator: two consecutive waves where every peer is idle, the
-    // digests are unchanged, the global counters balance (nothing in
-    // flight: every sent message was processed), and the counters did
-    // not move between the waves (nothing was sent in between). Any
-    // message or pending pull after a peer's poll bumps a counter and
-    // voids the fire condition — race-free by monotonicity.
+    // Coordinator: a wave is quiet when every peer is idle and the
+    // global counters balance (nothing in flight: every sent message
+    // was processed); two consecutive quiet waves with unchanged
+    // digests and counters announce. Any message or pending pull after
+    // a peer's poll bumps a counter and voids the fire condition —
+    // race-free by monotonicity.
     let mut stats = ThreadedStats::default();
-    // Per-wave snapshot: per-peer doc digests + (sent, received) counters.
-    type WaveSnapshot = (Vec<Vec<(Sym, CanonKey)>>, u64, u64);
-    let mut prev: Option<WaveSnapshot> = None;
-    let mut quiesced = false;
-    for _ in 0..max_waves {
+    let mut waves = QuietWaves::new();
+    let mut outcome = Err(AxmlError::BudgetExhausted);
+    'waves: for _ in 0..cfg.max_waves {
         stats.waves += 1;
         thread::sleep(Duration::from_millis(3));
         let mut digests = Vec::new();
         let mut sent = 0u64;
         let mut received = 0u64;
-        let mut freezes = 0u64;
-        let mut reuses = 0u64;
         let mut all_idle = true;
-        let mut ok = true;
         for name in &names {
             let (rtx, rrx) = unbounded();
             if senders[name].send(Msg::Poll(rtx)).is_err() {
-                ok = false;
-                break;
+                break 'waves;
             }
-            match rrx.recv_timeout(Duration::from_secs(5)) {
-                Ok(reply) => {
-                    digests.push(reply.digest);
-                    sent += reply.sent;
-                    received += reply.received;
-                    all_idle &= reply.idle;
-                    freezes += reply.snapshot_freezes;
-                    reuses += reply.snapshot_reuses;
-                }
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
+            let Ok(reply) = rrx.recv_timeout(Duration::from_secs(5)) else {
+                break 'waves;
+            };
+            if let Some(e) = reply.failure {
+                outcome = Err(e);
+                break 'waves;
             }
+            digests.push(reply.digest);
+            sent += reply.sent;
+            received += reply.received;
+            all_idle &= reply.idle;
         }
-        if !ok {
+        if waves.observe(all_idle && sent == received, (digests, sent, received)) {
+            stats.messages = sent;
+            outcome = Ok(());
             break;
-        }
-        // Counters are cumulative per peer; the latest complete wave
-        // holds the run's totals so far.
-        stats.snapshot_freezes = freezes;
-        stats.snapshot_reuses = reuses;
-        let balanced = sent == received;
-        if all_idle && balanced {
-            if let Some((pd, ps, pr)) = &prev {
-                if *pd == digests && *ps == sent && *pr == received {
-                    stats.messages = sent;
-                    quiesced = true;
-                    break;
-                }
-            }
-            prev = Some((digests, sent, received));
-        } else {
-            prev = None;
         }
     }
 
@@ -328,26 +222,13 @@ pub fn run_threaded_config(peers: Vec<Peer>, cfg: ThreadedConfig) -> Result<Thre
     for h in handles {
         let _ = h.join();
     }
-    if !quiesced {
-        return Err(AxmlError::BudgetExhausted);
-    }
+    outcome?;
     Ok(ThreadedOutcome {
         peers: final_peers,
         stats,
         journals,
         provenance: stores,
     })
-}
-
-/// One incoming `Call`, unpacked for batch service.
-struct PendingCall {
-    caller: Sym,
-    doc: Sym,
-    node: NodeId,
-    service: Sym,
-    input: Tree,
-    context: Tree,
-    trace: u64,
 }
 
 /// The peer's event loop: serve calls, absorb responses, keep pulling.
@@ -357,264 +238,61 @@ fn peer_loop(
     peers_tx: FxHashMap<Sym, Sender<Msg>>,
     mut journal: Option<Journal>,
     mut store: Option<ProvenanceStore>,
-    parallelism: Parallelism,
     trace_ids: &AtomicU64,
 ) {
     let myname = peer.name;
-    let workers = match parallelism {
-        Parallelism::Sequential => 0,
-        Parallelism::Workers(n) => n.max(1),
-    };
     let mut sent = 0u64;
     let mut received = 0u64;
+    let mut failure: Option<AxmlError> = None;
     // Re-pull when: never pulled, new data arrived, our own documents
     // changed, or a provider's stamped digest shows it is still moving.
     let mut need_pull = true;
     let mut provider_digests: FxHashMap<Sym, Vec<(Sym, CanonKey)>> = FxHashMap::default();
     let mut callers_seen: Vec<Sym> = Vec::new();
-    // Non-Call messages set aside while draining a call batch.
-    let mut backlog: VecDeque<Msg> = VecDeque::new();
-    // The current frozen state, reused across call batches until a
-    // commit invalidates it. The *only* mutation site in this loop is
-    // `deliver_with` in the `Response` arm, so invalidating there —
-    // and only when it reports a change — keeps the cached snapshot
-    // exactly equal to the live state whenever it exists. A whole
-    // push-propagation wave of batches between commits then freezes
-    // once instead of once per batch.
-    let mut frozen: Option<crate::network::PeerSnapshot> = None;
-    let mut snapshot_freezes = 0u64;
-    let mut snapshot_reuses = 0u64;
     loop {
         let tracer = match journal.as_ref() {
             Some(j) => Tracer::new(j),
             None => Tracer::disabled(),
         };
-        let msg = match backlog.pop_front() {
-            Some(m) => Ok(m),
-            None => rx.recv_timeout(Duration::from_millis(2)),
-        };
-        match msg {
-            Ok(Msg::Call {
-                caller,
-                doc,
-                node,
-                service,
-                input,
-                context,
-                trace,
-            }) => {
-                let mut batch = vec![PendingCall {
-                    caller,
-                    doc,
-                    node,
-                    service,
-                    input,
-                    context,
-                    trace,
-                }];
-                if workers > 0 {
-                    // Drain every already-queued call into one batch so
-                    // the worker pool has something to chew on; other
-                    // message kinds keep their relative order via the
-                    // backlog.
-                    while let Ok(m) = rx.try_recv() {
-                        match m {
-                            Msg::Call {
-                                caller,
-                                doc,
-                                node,
-                                service,
-                                input,
-                                context,
-                                trace,
-                            } => batch.push(PendingCall {
-                                caller,
-                                doc,
-                                node,
-                                service,
-                                input,
-                                context,
-                                trace,
-                            }),
-                            other => backlog.push_back(other),
-                        }
-                    }
+        match rx.recv_timeout(Duration::from_millis(2)) {
+            Ok(Msg::Call(call)) => {
+                received += 1;
+                if !callers_seen.contains(&call.caller) {
+                    callers_seen.push(call.caller);
                 }
-                received += batch.len() as u64;
-                for call in &batch {
-                    tracer.with_trace(call.trace).emit(|| EventKind::MsgRecv {
-                        peer: myname,
-                        kind: MsgKind::Call,
-                    });
-                    if !callers_seen.contains(&call.caller) {
-                        callers_seen.push(call.caller);
-                    }
-                }
-
-                // Answer the whole batch from one MVCC snapshot — an
-                // O(1) freeze of the peer's documents (COW trees, so a
-                // few Arc bumps) — and keep that snapshot for the
-                // *next* batch too, unless a commit intervenes: only
-                // the `Response` arm mutates the peer, and it drops
-                // `frozen` when the delivery changed anything. With
-                // `Workers(n)` the calls are striped across a scoped
-                // pool sharing the snapshot — the peer-local version
-                // of the engine's snapshot-read phase. Responses are
-                // sent afterwards, sequentially, in arrival order, and
-                // stamped with the digest of the exact state that
-                // answered them, so callers observe the same behavior
-                // whatever the worker count.
-                let snap = match &frozen {
-                    Some(s) => {
-                        snapshot_reuses += 1;
-                        s.clone()
-                    }
-                    None => {
-                        snapshot_freezes += 1;
-                        let s = peer.snapshot();
-                        frozen = Some(s.clone());
-                        s
-                    }
-                };
-                let evals: Vec<(Result<Forest>, u64)> = if workers > 1 && batch.len() > 1 {
-                    let k = workers.min(batch.len());
-                    let snap_ref = &snap;
-                    let batch_ref = &batch[..];
-                    crossbeam::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..k)
-                            .map(|w| {
-                                scope.spawn(move || {
-                                    let mut out = Vec::new();
-                                    let mut i = w;
-                                    while i < batch_ref.len() {
-                                        let call = &batch_ref[i];
-                                        let t0 = Instant::now();
-                                        let r = snap_ref.evaluate(
-                                            call.service,
-                                            &call.input,
-                                            &call.context,
-                                        );
-                                        out.push((i, r, t0.elapsed().as_nanos() as u64));
-                                        i += k;
-                                    }
-                                    out
-                                })
-                            })
-                            .collect();
-                        let mut slots: Vec<Option<(Result<Forest>, u64)>> =
-                            (0..batch_ref.len()).map(|_| None).collect();
-                        for h in handles {
-                            for (i, r, d) in h.join().expect("peer eval worker panicked") {
-                                slots[i] = Some((r, d));
-                            }
-                        }
-                        slots
-                            .into_iter()
-                            .map(|s| s.expect("every call evaluated"))
-                            .collect()
-                    })
-                } else {
-                    batch
-                        .iter()
-                        .map(|call| {
-                            let t0 = Instant::now();
-                            let r = snap.evaluate(call.service, &call.input, &call.context);
-                            (r, t0.elapsed().as_nanos() as u64)
-                        })
-                        .collect()
-                };
-
-                for (call, (res, dur_ns)) in batch.iter().zip(evals) {
-                    let Ok(forest) = res else { continue };
-                    tracer.with_trace(call.trace).emit(|| EventKind::PeerEval {
-                        peer: myname,
-                        service: call.service,
-                        dur_ns,
-                    });
-                    // Provider-side lineage: record what this evaluation
-                    // read locally; the seq rides the response so the
-                    // caller can stamp the grafts with it.
-                    let prov_seq = store.as_ref().map(|st| {
-                        st.begin_invocation(InvocationRecord {
-                            seq: 0,
-                            service: call.service,
-                            doc: call.doc,
-                            node: call.node,
-                            round: 0, // the threaded backend has no rounds
-                            doc_version: 0,
-                            peer: Some(myname),
-                            inputs: snap.witnesses(call.service),
-                        })
-                    });
-                    if let Some(tx) = peers_tx.get(&call.caller) {
+                match peer.serve(&call, tracer, store.as_ref()) {
+                    Ok(response) => {
                         sent += 1;
-                        tracer.with_trace(call.trace).emit(|| EventKind::MsgSend {
-                            from: myname,
-                            to: call.caller,
-                            kind: MsgKind::Response,
+                        let _ = peers_tx[&call.caller].send(Msg::Response {
+                            response,
+                            provider_digest: peer.digest(),
                         });
-                        let _ = tx.send(Msg::Response {
-                            doc: call.doc,
-                            node: call.node,
-                            forest,
-                            provider: myname,
-                            service: call.service,
-                            provider_digest: snap.digest(),
-                            prov_seq,
-                            trace: call.trace,
-                        });
+                    }
+                    Err(e) => {
+                        failure.get_or_insert(e);
                     }
                 }
             }
             Ok(Msg::Response {
-                doc,
-                node,
-                forest,
-                provider,
-                service,
+                response,
                 provider_digest,
-                prov_seq,
-                trace,
             }) => {
                 received += 1;
-                tracer.with_trace(trace).emit(|| EventKind::MsgRecv {
-                    peer: myname,
-                    kind: MsgKind::Response,
-                });
-                // Caller-side lineage: grafted nodes name the remote
-                // invocation that produced them.
-                let prov = match store.as_ref() {
-                    Some(st) => Provenance::new(st),
-                    None => Provenance::disabled(),
-                };
-                let origin = Origin::Remote {
-                    provider,
-                    service,
-                    seq: prov_seq.unwrap_or(0),
-                    round: 0,
-                };
-                let changed = peer.deliver_with(doc, node, &forest, prov, origin);
-                if changed {
-                    // The commit moved our documents: the cached batch
-                    // snapshot no longer equals the live state.
-                    frozen = None;
-                }
-                let known = provider_digests.insert(provider, provider_digest.clone());
+                let changed = peer.absorb(&response, tracer, store.as_ref());
+                let known = provider_digests.insert(response.provider, provider_digest.clone());
                 if changed || known.as_ref() != Some(&provider_digest) {
                     need_pull = true;
                 }
                 if changed {
                     // Our own data moved: past callers must re-pull us.
                     for c in &callers_seen {
-                        if let Some(tx) = peers_tx.get(c) {
-                            sent += 1;
-                            tracer.emit(|| EventKind::MsgSend {
-                                from: myname,
-                                to: *c,
-                                kind: MsgKind::Changed,
-                            });
-                            let _ = tx.send(Msg::Changed);
-                        }
+                        sent += 1;
+                        tracer.emit(|| EventKind::MsgSend {
+                            from: myname,
+                            to: *c,
+                            kind: MsgKind::Changed,
+                        });
+                        let _ = peers_tx[c].send(Msg::Changed);
                     }
                 }
             }
@@ -636,8 +314,7 @@ fn peer_loop(
                     sent,
                     received,
                     idle: !need_pull,
-                    snapshot_freezes,
-                    snapshot_reuses,
+                    failure: failure.clone(),
                 });
             }
             Ok(Msg::Shutdown(reply)) => {
@@ -646,33 +323,21 @@ fn peer_loop(
             }
             Err(RecvTimeoutError::Timeout) => {
                 if need_pull {
+                    let is_peer = |p| peers_tx.contains_key(&p);
                     for (doc, node, qualified) in peer.function_nodes() {
-                        let Some((provider, service)) = split_qualified(qualified) else {
-                            continue;
-                        };
-                        let Some((input, context)) = peer.call_arguments(doc, node) else {
-                            continue;
-                        };
-                        if let Some(tx) = peers_tx.get(&provider) {
-                            sent += 1;
-                            // Every pull is one request: a fresh
-                            // network-unique trace id stamps the send
-                            // and rides the Call to the provider.
-                            let trace = trace_ids.fetch_add(1, Ordering::Relaxed) + 1;
-                            tracer.with_trace(trace).emit(|| EventKind::MsgSend {
-                                from: myname,
-                                to: provider,
-                                kind: MsgKind::Call,
-                            });
-                            let _ = tx.send(Msg::Call {
-                                caller: myname,
-                                doc,
-                                node,
-                                service,
-                                input,
-                                context,
-                                trace,
-                            });
+                        // Every pull is one request: a fresh
+                        // network-unique trace id rides its Call.
+                        let trace = trace_ids.fetch_add(1, Ordering::Relaxed) + 1;
+                        let tracer = tracer.with_trace(trace);
+                        match peer.issue(doc, node, qualified, is_peer, 0, tracer) {
+                            Ok(Some(call)) => {
+                                sent += 1;
+                                let _ = peers_tx[&call.provider].send(Msg::Call(call));
+                            }
+                            Ok(None) => {}
+                            Err(e) => {
+                                failure.get_or_insert(e);
+                            }
                         }
                     }
                     need_pull = false;
@@ -681,22 +346,6 @@ fn peer_loop(
             Err(RecvTimeoutError::Disconnected) => return,
         }
     }
-}
-
-fn split_qualified(qualified: Sym) -> Option<(Sym, Sym)> {
-    let s = qualified.as_str();
-    let (peer, svc) = s.split_once('.')?;
-    Some((Sym::intern(peer), Sym::intern(svc)))
-}
-
-/// Convenience: build peers with a closure and run them.
-pub fn run_with(
-    build: impl FnOnce(&mut Vec<Peer>),
-    max_waves: usize,
-) -> Result<ThreadedOutcome> {
-    let mut peers = Vec::new();
-    build(&mut peers);
-    run_threaded(peers, max_waves)
 }
 
 /// Create a standalone peer (for [`run_threaded`]).
@@ -728,26 +377,18 @@ mod tests {
         vec![store, hub, portal]
     }
 
+    fn traced() -> ThreadedConfig {
+        ThreadedConfig {
+            trace: true,
+            ..ThreadedConfig::default()
+        }
+    }
+
     fn reference_key() -> Vec<(Sym, Sym, CanonKey)> {
         let mut net = Network::new(Mode::Pull, None);
-        {
-            let p = net.add_peer("store");
-            p.add_document_text(
-                "cds",
-                r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-            )
-            .unwrap();
-            p.add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-                .unwrap();
-        }
-        {
-            let p = net.add_peer("hub");
-            p.add_document_text("feed", "feed{@store.titles}").unwrap();
-            p.add_service_text("relay", "got{$x} :- feed/feed{t{$x}}").unwrap();
-        }
-        {
-            let p = net.add_peer("portal");
-            p.add_document_text("page", "page{@hub.relay}").unwrap();
+        for peer in build_peers() {
+            let name = peer.name;
+            *net.add_peer(name.as_str()) = peer;
         }
         net.run(100).unwrap();
         net.canonical_key()
@@ -758,7 +399,7 @@ mod tests {
         let reference = reference_key();
         // Several runs: thread interleavings differ, the fixpoint must not.
         for attempt in 0..3 {
-            let out = run_threaded(build_peers(), 2_000)
+            let out = run_threaded(build_peers(), ThreadedConfig::default())
                 .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
             assert_eq!(
                 out.canonical_key(),
@@ -770,29 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_snapshots_are_reused_until_a_commit_intervenes() {
-        let out = run_threaded(build_peers(), 2_000).unwrap();
-        assert_eq!(out.canonical_key(), reference_key());
-        // Freezes happen (batches were served)…
-        assert!(
-            out.stats.snapshot_freezes >= 1,
-            "no snapshot was ever frozen: {:?}",
-            out.stats
-        );
-        // …but the store peer never commits (nothing calls into its
-        // documents), so its repeat pulls from the hub are answered
-        // from the cached snapshot: at least one reuse is guaranteed
-        // by the protocol, whatever the interleaving.
-        assert!(
-            out.stats.snapshot_reuses >= 1,
-            "every batch re-froze: {:?}",
-            out.stats
-        );
-    }
-
-    #[test]
     fn traced_run_ships_per_peer_journals() {
-        let out = run_threaded_traced(build_peers(), 2_000, true).unwrap();
+        let out = run_threaded(build_peers(), traced()).unwrap();
         assert_eq!(out.canonical_key(), reference_key());
         // Every peer shipped a journal; the provider logged evaluations
         // and the callers logged their pulls.
@@ -814,13 +434,13 @@ mod tests {
             assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         }
         // Untraced runs ship no journals.
-        let plain = run_threaded(build_peers(), 2_000).unwrap();
+        let plain = run_threaded(build_peers(), ThreadedConfig::default()).unwrap();
         assert!(plain.journals.is_empty());
     }
 
     #[test]
     fn trace_ids_reconstruct_a_pull_across_peer_journals() {
-        let out = run_threaded_traced(build_peers(), 2_000, true).unwrap();
+        let out = run_threaded(build_peers(), traced()).unwrap();
         let hub = &out.journals[&Sym::intern("hub")];
         let store = &out.journals[&Sym::intern("store")];
         // Pick one of hub's pulls of the store: its Call send carries a
@@ -862,63 +482,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_peer_evaluation_matches_sequential_fixpoint() {
-        // A star: many callers pull the same provider, so the provider
-        // thread actually accumulates call batches for its worker pool.
-        fn star_peers() -> Vec<Peer> {
+    fn unresolvable_calls_fail_like_the_simulator() {
+        // An unknown peer, then an unknown service at a known peer: the
+        // threaded run returns the simulator's error for each.
+        for doc in ["a{@ghost.svc}", "a{@store.nosuch}"] {
             let mut store = standalone_peer("store");
-            store
-                .add_document_text(
-                    "cds",
-                    r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-                )
-                .unwrap();
-            store
-                .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-                .unwrap();
-            let mut peers = vec![store];
-            for i in 0..4 {
-                let mut caller = standalone_peer(&format!("caller{i}"));
-                caller
-                    .add_document_text("page", "page{@store.titles}")
-                    .unwrap();
-                peers.push(caller);
-            }
-            peers
-        }
-        let reference = {
+            store.add_document_text("cds", r#"catalog{cd}"#).unwrap();
+            let mut solo = standalone_peer("solo");
+            solo.add_document_text("d", doc).unwrap();
+            let threaded = run_threaded(vec![store.clone(), solo], ThreadedConfig::default())
+                .err()
+                .unwrap_or_else(|| panic!("{doc}: threaded run succeeded"));
+
             let mut net = Network::new(Mode::Pull, None);
-            {
-                let p = net.add_peer("store");
-                p.add_document_text(
-                    "cds",
-                    r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
-                )
-                .unwrap();
-                p.add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
-                    .unwrap();
-            }
-            for i in 0..4 {
-                let p = net.add_peer(&format!("caller{i}"));
-                p.add_document_text("page", "page{@store.titles}").unwrap();
-            }
-            net.run(100).unwrap();
-            net.canonical_key()
-        };
-        for n in [1, 2, 4] {
-            let out = run_threaded_config(
-                star_peers(),
-                ThreadedConfig {
-                    parallelism: Parallelism::Workers(n),
-                    ..ThreadedConfig::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("Workers({n}): {e}"));
-            assert_eq!(
-                out.canonical_key(),
-                reference,
-                "Workers({n}): parallel peer fixpoint differs"
-            );
+            *net.add_peer("store") = store;
+            net.add_peer("solo").add_document_text("d", doc).unwrap();
+            let simulated = net.run(10).unwrap_err();
+            assert_eq!(threaded, simulated, "{doc}");
+            assert!(matches!(threaded, AxmlError::UnknownFunction(_)), "{doc}: {threaded}");
         }
     }
 
@@ -926,7 +507,7 @@ mod tests {
     fn quiescence_detected_promptly_on_static_network() {
         let mut solo = standalone_peer("solo");
         solo.add_document_text("d", r#"a{"static"}"#).unwrap();
-        let out = run_threaded(vec![solo], 2_000).unwrap();
+        let out = run_threaded(vec![solo], ThreadedConfig::default()).unwrap();
         assert_eq!(out.stats.messages, 0);
         assert!(out.stats.waves >= 2);
     }

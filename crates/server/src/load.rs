@@ -16,8 +16,8 @@
 //! writer (the MVCC read-while-commit path; see `docs/mvcc.md`).
 //!
 //! `--tenants N` appends a multi-tenant phase: `N` concurrent
-//! connections, each owning its own small session (the colocated
-//! "thousands of small systems" shape of `docs/sharding.md`), each
+//! connections, each owning its own small session (many small,
+//! independent systems colocated on one server), each
 //! driving its own fixpoint and then a closed query loop. Per-tenant
 //! latency lands in its own histogram; the report shows the aggregate
 //! p50/p99 plus the *worst tenant's* p99 — the isolation number

@@ -209,7 +209,7 @@ fn simulator_stamps_cross_peer_lineage() {
 #[test]
 fn threaded_run_ships_cross_peer_lineage() {
     use positive_axml::core::provenance::Origin;
-    use positive_axml::p2p::{run_threaded_full, standalone_peer};
+    use positive_axml::p2p::{run_threaded, standalone_peer, ThreadedConfig};
     let mut store = standalone_peer("store");
     store
         .add_document_text("cds", r#"catalog{cd{title{"Kind of Blue"}}}"#)
@@ -221,8 +221,12 @@ fn threaded_run_ships_cross_peer_lineage() {
     portal
         .add_document_text("dir", "directory{@store.titles}")
         .unwrap();
-    let outcome =
-        run_threaded_full(vec![store, portal], 64, false, true).unwrap();
+    let cfg = ThreadedConfig {
+        max_waves: 64,
+        provenance: true,
+        ..ThreadedConfig::default()
+    };
+    let outcome = run_threaded(vec![store, portal], cfg).unwrap();
     assert!(outcome.stats.messages > 0);
 
     let dir = Sym::intern("dir");
