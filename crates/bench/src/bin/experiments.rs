@@ -732,44 +732,61 @@ fn x16() {
         "indexed matching — bucket probes beat arena scans, same bindings (bench x16_indexed_match)",
     );
 
-    // Matcher level: anchored single-label probe on a wide-fanout doc
-    // and the spine pattern on a junk-padded deep chain.
+    // Matcher level: anchored single-label probe on a wide-fanout doc,
+    // the spine pattern on a junk-padded deep chain, and a category
+    // selection over an XMark-style site, which enters at its rarest
+    // constant instead of descending through every item.
     println!(
         "{:>20} {:>10} {:>12} {:>12} {:>8} {:>8}",
-        "workload", "matches", "scan(ms)", "indexed(ms)", "speedup", "probes"
+        "workload", "matches", "scan(us)", "indexed(us)", "speedup", "probes"
     );
-    let reps = 300u32;
     let mut widest_speedup = 0.0f64;
-    for &(name, fanout, depth) in &[
-        ("wide-fanout-1024", 1024usize, 0usize),
-        ("wide-fanout-4096", 4096, 0),
-        ("deep-chain-24", 0, 24),
-        ("deep-chain-48", 0, 48),
-    ] {
-        let (doc, pat) = if fanout > 0 {
-            (
-                axml_bench::wide_fanout_doc(fanout, 256),
-                axml_bench::wide_fanout_pattern(256),
-            )
-        } else {
-            (
-                axml_bench::deep_chain_doc(depth, 64),
-                axml_bench::deep_chain_pattern(depth),
-            )
-        };
+    let rows = [
+        (
+            "wide-fanout-1024",
+            axml_bench::wide_fanout_doc(1024, 256),
+            axml_bench::wide_fanout_pattern(256),
+            300u32,
+        ),
+        (
+            "wide-fanout-4096",
+            axml_bench::wide_fanout_doc(4096, 256),
+            axml_bench::wide_fanout_pattern(256),
+            300,
+        ),
+        (
+            "deep-chain-24",
+            axml_bench::deep_chain_doc(24, 64),
+            axml_bench::deep_chain_pattern(24),
+            300,
+        ),
+        (
+            "deep-chain-48",
+            axml_bench::deep_chain_doc(48, 64),
+            axml_bench::deep_chain_pattern(48),
+            300,
+        ),
+        (
+            "xmark-selective-20k",
+            axml_bench::site_doc(2, 100, 100, 200),
+            axml_bench::site_pattern(17),
+            20,
+        ),
+    ];
+    for (name, doc, pat, reps) in rows {
         doc.build_index();
         let t0 = Instant::now();
         let mut scan_n = 0usize;
         for _ in 0..reps {
             scan_n = match_pattern_with(&pat, &doc, MatchStrategy::Scan).0.len();
         }
-        let scan_ms = ms(t0);
+        let scan_us = ms(t0) * 1e3 / f64::from(reps);
         let t0 = Instant::now();
         let mut ix_n = 0usize;
         for _ in 0..reps {
             ix_n = match_pattern_with(&pat, &doc, MatchStrategy::Indexed).0.len();
         }
-        let ix_ms = ms(t0);
+        let ix_us = ms(t0) * 1e3 / f64::from(reps);
         let (bindings, mstats) = match_pattern_with(&pat, &doc, MatchStrategy::Indexed);
         assert_eq!(
             bindings,
@@ -778,12 +795,23 @@ fn x16() {
         );
         assert_eq!(scan_n, ix_n);
         assert_eq!(mstats.fallbacks, 0, "built index must answer every probe");
-        let speedup = scan_ms / ix_ms;
-        if fanout > 0 {
+        let speedup = scan_us / ix_us;
+        if name.starts_with("wide-fanout") {
             widest_speedup = widest_speedup.max(speedup);
         }
+        if name == "xmark-selective-20k" {
+            // The anchor "c017" sits at depth 5 in a bucket of 100.
+            let (answers, depth, bucket) = (bindings.len() as u64, 5u64, 100u64);
+            assert_eq!(answers, 100);
+            assert!(
+                mstats.probes <= 4 * answers + depth,
+                "anchored selection took {} probes",
+                mstats.probes
+            );
+            assert!(mstats.parent_steps > 0 && mstats.parent_steps <= bucket * depth);
+        }
         println!(
-            "{name:>20} {scan_n:>10} {scan_ms:>12.2} {ix_ms:>12.2} {speedup:>7.1}x {:>8}",
+            "{name:>20} {scan_n:>10} {scan_us:>12.1} {ix_us:>12.1} {speedup:>7.1}x {:>8}",
             mstats.probes
         );
     }

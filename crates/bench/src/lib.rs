@@ -354,6 +354,48 @@ pub fn deep_chain_pattern(depth: usize) -> axml_core::pattern::Pattern {
     axml_core::parse::parse_pattern(&s).unwrap()
 }
 
+/// An XMark-style site: `zones × regions × per_region` items, each
+/// `item{id{..},cat{"cK"},price{..},name{..}}` under
+/// `site{zone{zid{..},region{rid{..},item…}}}`. Item `i` falls in
+/// category `i % cats`, so every category selects `items / cats` items
+/// spread over the regions, and the document is the same on every call.
+pub fn site_doc(zones: usize, regions: usize, per_region: usize, cats: usize) -> Tree {
+    assert!(cats >= 1);
+    let mut t = Tree::with_label("site");
+    let leaf = |t: &mut Tree, parent: NodeId, label: &str, value: String| {
+        let n = t.add_child(parent, Marking::label(label)).unwrap();
+        t.add_child(n, Marking::value(&value)).unwrap();
+    };
+    let mut i = 0usize;
+    for z in 0..zones {
+        let zone = t.add_child(t.root(), Marking::label("zone")).unwrap();
+        leaf(&mut t, zone, "zid", format!("z{z:02}"));
+        for r in 0..regions {
+            let region = t.add_child(zone, Marking::label("region")).unwrap();
+            leaf(&mut t, region, "rid", format!("r{r:02}"));
+            for _ in 0..per_region {
+                let item = t.add_child(region, Marking::label("item")).unwrap();
+                leaf(&mut t, item, "id", format!("i{i:05}"));
+                leaf(&mut t, item, "cat", format!("c{:03}", i % cats));
+                leaf(&mut t, item, "price", format!("{:04}", (i * 37) % 10_000));
+                leaf(&mut t, item, "name", format!("n{i:05}"));
+                i += 1;
+            }
+        }
+    }
+    t
+}
+
+/// The category selection over [`site_doc`]: the name and price of
+/// every item in category `cat`. Its rarest constant, `"cK"`, sits at
+/// depth 5.
+pub fn site_pattern(cat: usize) -> axml_core::pattern::Pattern {
+    axml_core::parse::parse_pattern(&format!(
+        "site{{zone{{region{{item{{cat{{\"c{cat:03}\"}},name{{$n}},price{{$p}}}}}}}}}}"
+    ))
+    .unwrap()
+}
+
 /// A `depth`-deep catalog for the path-expression experiments (X10).
 pub fn catalog(width: usize, depth: usize) -> String {
     fn level(width: usize, depth: usize, idx: usize) -> String {

@@ -45,11 +45,18 @@
 //!   does not change the joined set (the runtime still re-sorts by
 //!   actual candidate-set size, exactly like the interpreter — the
 //!   static reorder only changes tie-breaks among equal sizes).
+//! * Under `Indexed`, both executors take their candidate sets through
+//!   the same anchor ([`crate::matcher`], "rarest constant"): it drops
+//!   only candidates through which no embedding passes, and its records
+//!   do not depend on an op's position, so shared ops' memoized
+//!   relations are the unrestricted ones.
 //!
 //! What *may* differ: per-atom match statistics (the decorrelated
 //! executor probes each `(op, node)` pair once where the interpreter
-//! probes per seed binding, so compiled probe counts are ≤ interpreted)
-//! and [`crate::eval::EvalStats::atom_bindings`] for eliminated atoms.
+//! probes per seed binding, so compiled probe counts are ≤ interpreted
+//! when both enter at the same anchor — equally rare constants are
+//! ordered by each executor's own child order) and
+//! [`crate::eval::EvalStats::atom_bindings`] for eliminated atoms.
 //!
 //! # Caching and invalidation
 //!
@@ -80,7 +87,9 @@ use std::time::Instant;
 
 use crate::error::Result;
 use crate::eval::Env;
-use crate::matcher::{bind_item, candidates, Binding, MatchStats, MatchStrategy};
+use crate::matcher::{
+    anchored_candidates, bind_item, Anchor, Binding, MatchStats, MatchStrategy, Shape,
+};
 use crate::pathexpr::{CompiledRegQuery, RegQuery};
 use crate::pattern::{PItem, Pattern, PNodeId};
 use crate::query::Query;
@@ -260,15 +269,42 @@ impl MatchProgram {
     /// index-usage counters (compiled probe counts are ≤ interpreted —
     /// each `(op, node)` pair is probed once, not once per seed).
     pub fn run_atom(&self, pos: usize, t: &Tree) -> (Vec<Binding>, MatchStats) {
+        let root = self.atoms[pos].root;
+        let mut stats = MatchStats::default();
+        let anchor = Anchor::choose(self.ops.as_slice(), root, t, self.strategy, &mut stats);
         let mut ex = Exec {
             prog: self,
             t,
-            stats: MatchStats::default(),
+            anchor: anchor.as_ref(),
+            stats,
             memo: FxHashMap::default(),
         };
-        let mut out = ex.eval(self.atoms[pos].root, t.root());
+        let mut out = ex.eval(root, t.root());
         out.sort_unstable();
+        #[cfg(debug_assertions)]
+        if anchor.is_some() && t.arena_len() <= crate::matcher::ANCHOR_SELF_CHECK_NODES {
+            let mut plain = Exec {
+                prog: self,
+                t,
+                anchor: None,
+                stats: MatchStats::default(),
+                memo: FxHashMap::default(),
+            }
+            .eval(root, t.root());
+            plain.sort_unstable();
+            assert!(out == plain, "anchored program diverged from the unanchored one");
+        }
         (out, ex.stats)
+    }
+}
+
+impl Shape for [MatchOp] {
+    type Id = OpId;
+    fn item(&self, n: OpId) -> &PItem {
+        &self[n as usize].item
+    }
+    fn kids(&self, n: OpId) -> &[OpId] {
+        &self[n as usize].children
     }
 }
 
@@ -566,16 +602,28 @@ fn emit(plan: &QueryPlan, strategy: MatchStrategy) -> MatchProgram {
 // The executor
 // ---------------------------------------------------------------------
 
-/// The compact execution frame: the program, the document, running
-/// index-usage counters, and the per-run memo table for shared ops.
+/// The compact execution frame: the program, the document, the atom's
+/// anchor (if it has one), running index-usage counters, and the
+/// per-run memo table for shared ops. The anchor's restriction does not
+/// depend on an op's position, so memoized relations of shared ops stay
+/// exact.
 struct Exec<'p, 't> {
     prog: &'p MatchProgram,
     t: &'t Tree,
+    anchor: Option<&'t Anchor<OpId>>,
     stats: MatchStats,
     memo: FxHashMap<(OpId, NodeId), Arc<Vec<Binding>>>,
 }
 
 impl<'t> Exec<'_, 't> {
+    /// Candidates of child op `c` of `op` below `tn` (see
+    /// [`anchored_candidates`]).
+    fn candidates(&mut self, op: OpId, c: OpId, tn: NodeId) -> Cow<'t, [NodeId]> {
+        let item = &self.prog.ops[c as usize].item;
+        let (t, strategy) = (self.t, self.prog.strategy);
+        anchored_candidates(self.anchor, op, c, item, t, tn, strategy, &mut self.stats)
+    }
+
     /// The relation of op `op` rooted at document node `tn`: the
     /// sorted, duplicate-free vector of all embeddings of the op's
     /// subtree at `tn` (over the empty seed — decorrelated).
@@ -594,12 +642,7 @@ impl<'t> Exec<'_, 't> {
         let mut cands: Vec<(OpId, Cow<'t, [NodeId]>)> = o
             .children
             .iter()
-            .map(|&c| {
-                (
-                    c,
-                    candidates(&prog.ops[c as usize].item, t, tn, prog.strategy, &mut self.stats),
-                )
-            })
+            .map(|&c| (c, self.candidates(op, c, tn)))
             .collect();
         if cands.iter().any(|(_, c)| c.is_empty()) {
             return Vec::new();
@@ -693,12 +736,7 @@ impl<'t> Exec<'_, 't> {
         let cands: Vec<(OpId, Cow<'t, [NodeId]>)> = o
             .children
             .iter()
-            .map(|&c| {
-                (
-                    c,
-                    candidates(&prog.ops[c as usize].item, t, tn, prog.strategy, &mut self.stats),
-                )
-            })
+            .map(|&c| (c, self.candidates(op, c, tn)))
             .collect();
         if cands.iter().any(|(_, cs)| cs.is_empty()) {
             return false;

@@ -7,6 +7,12 @@
 //! (Prop 3.1 (3)): for a fixed pattern the number of distinct bindings is
 //! polynomial in the document, and duplicates are eliminated at every
 //! join level.
+//!
+//! Under [`MatchStrategy::Indexed`] a rooted match may enter at its
+//! rarest constant instead of only from the root: an `Anchor` walks up
+//! from that constant's marking-index bucket and restricts the descent
+//! along the root-to-anchor path to the ancestors it found (see
+//! `docs/indexing.md`, "Anchored descent").
 
 use crate::pattern::{PItem, Pattern, PNodeId};
 use crate::reduce::canonical_key;
@@ -43,6 +49,10 @@ pub struct MatchStats {
     /// Indexed-mode lookups that fell back to a scan (index below its
     /// lazy-build threshold).
     pub fallbacks: u64,
+    /// Upward [`Tree::parent`] steps an anchored match took from its
+    /// anchor's bucket (at most bucket × anchor depth). Not part of
+    /// [`crate::trace::EventKind::IndexLookup`].
+    pub parent_steps: u64,
 }
 
 impl MatchStats {
@@ -51,6 +61,7 @@ impl MatchStats {
         self.probes += other.probes;
         self.probe_hits += other.probe_hits;
         self.fallbacks += other.fallbacks;
+        self.parent_steps += other.parent_steps;
     }
 }
 
@@ -282,8 +293,19 @@ pub fn match_pattern(p: &Pattern, t: &Tree) -> Vec<Binding> {
 /// the index-usage counters of the call.
 pub fn match_pattern_with(p: &Pattern, t: &Tree, strategy: MatchStrategy) -> (Vec<Binding>, MatchStats) {
     let mut stats = MatchStats::default();
-    let mut out = match_at(p, p.root(), t, t.root(), &Binding::new(), strategy, &mut stats);
-    out.sort_unstable();
+    let anchor = Anchor::choose(p, p.root(), t, strategy, &mut stats);
+    let seed = Binding::new();
+    let descend = |anchor: Option<&Anchor<PNodeId>>, stats: &mut MatchStats| {
+        let mut out = match_at(p, p.root(), t, t.root(), &seed, strategy, anchor, stats);
+        out.sort_unstable();
+        out
+    };
+    let out = descend(anchor.as_ref(), &mut stats);
+    #[cfg(debug_assertions)]
+    if anchor.is_some() && t.arena_len() <= ANCHOR_SELF_CHECK_NODES {
+        let plain = descend(None, &mut MatchStats::default());
+        assert!(out == plain, "anchored descent diverged from the unanchored one");
+    }
     (out, stats)
 }
 
@@ -322,7 +344,7 @@ pub fn match_pattern_anywhere_with(
     };
     let mut out = Vec::new();
     for &n in seeds.iter() {
-        for b in match_at(p, p.root(), t, n, &Binding::new(), strategy, &mut stats) {
+        for b in match_at(p, p.root(), t, n, &Binding::new(), strategy, None, &mut stats) {
             out.push((n, b));
         }
     }
@@ -375,36 +397,260 @@ pub(crate) fn candidates<'t>(
     strategy: MatchStrategy,
     stats: &mut MatchStats,
 ) -> Cow<'t, [NodeId]> {
-    let scan = |keep: &dyn Fn(Marking) -> bool| -> Cow<'t, [NodeId]> {
-        Cow::Owned(
-            t.children(tn)
-                .iter()
-                .copied()
-                .filter(|&c| keep(t.marking(c)))
-                .collect(),
-        )
-    };
     match item {
-        PItem::Const(m) => {
-            if strategy == MatchStrategy::Indexed {
-                if let Some(bucket) = t.indexed_children_with(tn, *m) {
-                    stats.probes += 1;
-                    if !bucket.is_empty() {
-                        stats.probe_hits += 1;
-                    }
-                    return Cow::Borrowed(bucket);
+        PItem::Const(m) if strategy == MatchStrategy::Indexed => {
+            if let Some(bucket) = t.indexed_children_with(tn, *m) {
+                stats.probes += 1;
+                if !bucket.is_empty() {
+                    stats.probe_hits += 1;
                 }
-                stats.fallbacks += 1;
+                return Cow::Borrowed(bucket);
             }
-            scan(&|cm| cm == *m)
+            stats.fallbacks += 1;
         }
-        PItem::LabelVar(_) => scan(&|cm| matches!(cm, Marking::Label(_))),
-        PItem::FuncVar(_) => scan(&|cm| matches!(cm, Marking::Func(_))),
-        PItem::ValueVar(_) => scan(&|cm| matches!(cm, Marking::Value(_))),
-        PItem::TreeVar(_) => Cow::Borrowed(t.children(tn)),
+        PItem::TreeVar(_) => return Cow::Borrowed(t.children(tn)),
+        _ => {}
+    }
+    Cow::Owned(
+        t.children(tn)
+            .iter()
+            .copied()
+            .filter(|&c| admits(item, t.marking(c)))
+            .collect(),
+    )
+}
+
+/// The marking test of one pattern item: equality for a constant, the
+/// node kind for `?l` / `@?f` / `$v`, anything for `#T`.
+fn admits(item: &PItem, m: Marking) -> bool {
+    match item {
+        PItem::Const(c) => *c == m,
+        PItem::LabelVar(_) => matches!(m, Marking::Label(_)),
+        PItem::FuncVar(_) => matches!(m, Marking::Func(_)),
+        PItem::ValueVar(_) => matches!(m, Marking::Value(_)),
+        PItem::TreeVar(_) => true,
     }
 }
 
+/// Documents at most this large (arena slots) re-run every anchored
+/// match unanchored under debug assertions and compare the outputs, the
+/// way the document index validates itself against a rebuild.
+#[cfg(debug_assertions)]
+pub(crate) const ANCHOR_SELF_CHECK_NODES: usize = 4096;
+
+/// The tree a rooted match descends: the interpreter's [`Pattern`]
+/// nodes, or a compiled program's ops ([`crate::compile`]), whose
+/// hash-consing may share one op between several positions.
+pub(crate) trait Shape {
+    /// A node (or op) of the shape.
+    type Id: Copy + Eq;
+    /// The item node `n` tests.
+    fn item(&self, n: Self::Id) -> &PItem;
+    /// The children of `n`.
+    fn kids(&self, n: Self::Id) -> &[Self::Id];
+}
+
+impl Shape for Pattern {
+    type Id = PNodeId;
+    fn item(&self, n: PNodeId) -> &PItem {
+        Pattern::item(self, n)
+    }
+    fn kids(&self, n: PNodeId) -> &[PNodeId] {
+        self.children(n)
+    }
+}
+
+/// The entry point of a rooted match at its rarest constant.
+///
+/// The anchor is a constant pattern node whose parent is also a
+/// constant, with the smallest marking-index bucket among those where
+/// `bucket(anchor) × depth(anchor) < bucket(parent's marking)` — the
+/// walk up from the bucket must cost less than the descent it saves at
+/// the parent's level. [`Anchor::choose`] walks up from every node of
+/// the anchor's bucket along the root-to-anchor path `p_0 … p_k`, and
+/// records, for each level `i < k`, which children `c` of a document
+/// node `d` passing `p_i`'s marking test lead down to the bucket through
+/// `p_{i+1} … p_k`. The descent then takes those children as the
+/// candidates of `p_{i+1}` below `d`.
+///
+/// Every embedding maps `p_0 … p_k` onto the ancestor chain of a bucket
+/// node, so the restricted sets keep every embedding and are subsets of
+/// [`candidates`]' sets. A record does not depend on where `d` sits in
+/// the document, only on the chain below it, so a shared compiled op
+/// may consult it wherever the op occurs.
+pub(crate) struct Anchor<Id> {
+    /// `p_0 … p_k`: the pattern nodes (or ops) from the root to the
+    /// anchor.
+    path: Vec<Id>,
+    /// Sorted, duplicate-free `(level i, document node d)` keys;
+    /// `kids[j]` is an allowed child of `keys[j]`.
+    keys: Vec<(u32, NodeId)>,
+    kids: Vec<NodeId>,
+}
+
+impl<Id: Copy + Eq> Anchor<Id> {
+    /// Choose the anchor of the match rooted at `root` and build its
+    /// restriction, or decline (`None`: the descent runs unrestricted).
+    /// Bucket sizes come from [`Tree::indexed_nodes_if_built`], so the
+    /// choice never builds an index, and declining allocates nothing.
+    pub(crate) fn choose<S: Shape<Id = Id> + ?Sized>(
+        s: &S,
+        root: Id,
+        t: &Tree,
+        strategy: MatchStrategy,
+        stats: &mut MatchStats,
+    ) -> Option<Anchor<Id>> {
+        if strategy != MatchStrategy::Indexed || !t.index_is_built() {
+            return None;
+        }
+        let choice = rarest_constant(s, root, t)?;
+        let depth = choice.depth;
+        let mut path = Vec::with_capacity(depth + 1);
+        let found = path_to(s, root, depth, (choice.parent, choice.anchor), &mut path);
+        debug_assert!(found, "the chosen anchor lies below the root");
+        let bucket = t.indexed_nodes_if_built(choice.marking).expect("the index is built");
+        stats.probes += 1;
+        if !bucket.is_empty() {
+            stats.probe_hits += 1;
+        }
+        let mut edges: Vec<(u32, NodeId, NodeId)> =
+            Vec::with_capacity(bucket.len() * depth);
+        for &a in bucket {
+            let mut c = a;
+            for level in (0..depth).rev() {
+                let Some(d) = t.parent(c) else { break };
+                stats.parent_steps += 1;
+                if !admits(s.item(path[level]), t.marking(d)) {
+                    break;
+                }
+                edges.push((level as u32, d, c));
+                c = d;
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let (keys, kids) = edges.into_iter().map(|(l, d, c)| ((l, d), c)).unzip();
+        Some(Anchor { path, keys, kids })
+    }
+
+    /// The restricted candidates of pattern child `child` of `parent`
+    /// below document node `tn`, when that edge lies on the anchor path.
+    fn restricted(&self, parent: Id, child: Id, tn: NodeId) -> Option<&[NodeId]> {
+        let level = self
+            .path
+            .windows(2)
+            .position(|w| w[0] == parent && w[1] == child)?;
+        let key = (level as u32, tn);
+        let lo = self.keys.partition_point(|k| *k < key);
+        let hi = lo + self.keys[lo..].partition_point(|k| *k == key);
+        Some(&self.kids[lo..hi])
+    }
+}
+
+/// The chosen anchor: the edge `parent → anchor` at `depth`, and the
+/// anchor's marking with its bucket size.
+struct Choice<Id> {
+    bucket: usize,
+    marking: Marking,
+    depth: usize,
+    parent: Id,
+    anchor: Id,
+}
+
+/// The anchor choice, read-only: the constant with the smallest bucket
+/// among those that pass the acceptance test (first in depth-first
+/// order on ties).
+fn rarest_constant<S: Shape + ?Sized>(s: &S, root: S::Id, t: &Tree) -> Option<Choice<S::Id>> {
+    fn visit<S: Shape + ?Sized>(
+        s: &S,
+        n: S::Id,
+        depth: usize,
+        t: &Tree,
+        best: &mut Option<Choice<S::Id>>,
+    ) {
+        let PItem::Const(pm) = *s.item(n) else {
+            for &c in s.kids(n) {
+                visit(s, c, depth + 1, t, best);
+            }
+            return;
+        };
+        let parent_bucket = t.indexed_nodes_if_built(pm).map_or(0, <[NodeId]>::len);
+        for &c in s.kids(n) {
+            if let PItem::Const(m) = *s.item(c) {
+                let bucket =
+                    t.indexed_nodes_if_built(m).map_or(usize::MAX, <[NodeId]>::len);
+                let accepted = bucket.saturating_mul(depth + 1) < parent_bucket;
+                if accepted && best.as_ref().is_none_or(|b| bucket < b.bucket) {
+                    *best = Some(Choice {
+                        bucket,
+                        marking: m,
+                        depth: depth + 1,
+                        parent: n,
+                        anchor: c,
+                    });
+                }
+            }
+            visit(s, c, depth + 1, t, best);
+        }
+    }
+    let mut best = None;
+    visit(s, root, 0, t, &mut best);
+    best
+}
+
+/// Push onto `path` a root-to-anchor path of `depth` edges from `n`
+/// that ends in the edge `end = (parent, anchor)`. With hash-consed ops
+/// the anchor may occur at several positions; any one of this depth
+/// below this parent admits the same restriction.
+fn path_to<S: Shape + ?Sized>(
+    s: &S,
+    n: S::Id,
+    depth: usize,
+    end: (S::Id, S::Id),
+    path: &mut Vec<S::Id>,
+) -> bool {
+    path.push(n);
+    if depth == 1 {
+        if n == end.0 && s.kids(n).contains(&end.1) {
+            path.push(end.1);
+            return true;
+        }
+    } else if s.kids(n).iter().any(|&c| path_to(s, c, depth - 1, end, path)) {
+        return true;
+    }
+    path.pop();
+    false
+}
+
+/// The candidates of pattern child `child` of `parent` below `tn`: the
+/// anchor's restricted set on the anchor path, [`candidates`]
+/// elsewhere. Both executors take every candidate set from here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn anchored_candidates<'a, Id: Copy + Eq>(
+    anchor: Option<&'a Anchor<Id>>,
+    parent: Id,
+    child: Id,
+    item: &PItem,
+    t: &'a Tree,
+    tn: NodeId,
+    strategy: MatchStrategy,
+    stats: &mut MatchStats,
+) -> Cow<'a, [NodeId]> {
+    if let Some(kids) = anchor.and_then(|a| a.restricted(parent, child, tn)) {
+        #[cfg(debug_assertions)]
+        {
+            let all = candidates(item, t, tn, strategy, &mut MatchStats::default());
+            assert!(
+                kids.iter().all(|k| all.contains(k)),
+                "anchored candidates escape the unanchored candidate set"
+            );
+        }
+        return Cow::Borrowed(kids);
+    }
+    candidates(item, t, tn, strategy, stats)
+}
+
+#[allow(clippy::too_many_arguments)]
 fn match_at(
     p: &Pattern,
     pn: PNodeId,
@@ -412,6 +658,7 @@ fn match_at(
     tn: NodeId,
     b: &Binding,
     strategy: MatchStrategy,
+    anchor: Option<&Anchor<PNodeId>>,
     stats: &mut MatchStats,
 ) -> Vec<Binding> {
     let Some(b0) = bind_item(p.item(pn), t, tn, b) else {
@@ -423,7 +670,10 @@ fn match_at(
     }
     let mut cands: Vec<(PNodeId, Cow<'_, [NodeId]>)> = pcs
         .iter()
-        .map(|&pc| (pc, candidates(p.item(pc), t, tn, strategy, stats)))
+        .map(|&pc| {
+            let cs = anchored_candidates(anchor, pn, pc, p.item(pc), t, tn, strategy, stats);
+            (pc, cs)
+        })
         .collect();
     if cands.iter().any(|(_, c)| c.is_empty()) {
         return Vec::new();
@@ -447,7 +697,7 @@ fn match_at(
                         next.push(nb);
                     }
                 } else {
-                    next.extend(match_at(p, pc, t, tc, base, strategy, stats));
+                    next.extend(match_at(p, pc, t, tc, base, strategy, anchor, stats));
                 }
             }
         }

@@ -30,7 +30,9 @@ use axml_core::trace::{
     chrome_trace, chrome_trace_to, EventCategory, EventKind, Histogram, Journal, JournalConfig,
     MetricsRegistry, ReqKind, TraceEvent, TraceSink, Tracer,
 };
-use axml_core::{snapshot, Env, QueryCursor, RoundRunner, Sym, System, SystemSnapshot};
+use axml_core::{
+    snapshot, AxmlError, Env, Query, QueryCursor, RoundRunner, Sym, System, SystemSnapshot,
+};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1113,9 +1115,24 @@ fn run_session(
 fn eval_query(sys: &System, query: &str) -> Result<Vec<String>, ProtoError> {
     let q = axml_core::parse_query(query)
         .map_err(|e| ProtoError::new(codes::BAD_QUERY, e.to_string()))?;
+    check_docs(&q, sys)?;
     let env = Env::for_system(sys);
     let forest = snapshot(&q, &env).map_err(|e| ProtoError::new(codes::ENGINE_FAILED, e.to_string()))?;
     Ok(forest.trees().iter().map(|t| t.to_string()).collect())
+}
+
+/// A query naming a document the session does not hold is a bad query,
+/// whatever the data: resolved up front, every body atom, before
+/// anything is evaluated (the evaluator would report it as an engine
+/// error, or not at all once an earlier atom came back empty).
+fn check_docs(q: &Query, sys: &System) -> Result<(), ProtoError> {
+    match q.body.iter().find(|a| sys.doc(a.doc).is_none()) {
+        Some(a) => Err(ProtoError::new(
+            codes::BAD_QUERY,
+            AxmlError::UnknownDocument(a.doc).to_string(),
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Serve a dataloader batch of `query` frames: one session lock, one
@@ -1243,6 +1260,9 @@ fn serve_subscribe(
     // Writer lock for the whole drive (one fair run), republishing a
     // snapshot after every committed round.
     let mut sys = lock(&sess.writer);
+    if let Err(e) = check_docs(&q, &sys) {
+        return Ok(Err(e));
+    }
     let sym = session_sym(Some(session));
     write_frame(
         out,

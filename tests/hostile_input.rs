@@ -1,10 +1,17 @@
 //! Hostile input against a live server: text nested past the parsers'
 //! depth limits is refused with the ordinary error codes instead of
 //! overflowing a connection thread's stack (which would abort the whole
-//! process), text exactly at the limits is still served, and a client
-//! cannot raise the invocation budget past the server's own.
+//! process), text exactly at the limits is still served, a client
+//! cannot raise the invocation budget past the server's own, and a
+//! query naming an unknown document is a bad query whatever the data.
+//! Below the server, a selective match costs what its answers cost,
+//! counted rather than timed, and decoys of its rarest constant cost
+//! bounded work.
 
+use positive_axml::core::compile::compile_query;
+use positive_axml::core::matcher::{match_pattern_with, MatchStrategy};
 use positive_axml::core::parse::MAX_NESTING;
+use positive_axml::core::{parse_query, Marking, NodeId};
 use positive_axml::core::trace::MAX_JSON_DEPTH;
 use positive_axml::server::load::Client;
 use positive_axml::server::protocol::{codes, Request, Response};
@@ -177,6 +184,123 @@ fn run_budget_cannot_exceed_the_server_ceiling() {
         matches!(resp, Response::RunOk { ref status, .. } if status == "terminated"),
         "{resp:?}"
     );
+
+    handle.shutdown();
+    drop(c);
+    handle.join();
+}
+
+/// The rarest constant of [`axml_bench::site_pattern`], `"cK"`, sits at
+/// this pattern depth.
+const SITE_ANCHOR_DEPTH: u64 = 5;
+
+/// One category of 200 over 20 000 items: the matcher probes per answer,
+/// not per item, under both executors (an unanchored descent probes
+/// every item, 80 203 times).
+#[test]
+fn a_selective_site_query_probes_per_answer_not_per_item() {
+    let doc = axml_bench::site_doc(2, 100, 100, 200);
+    doc.build_index();
+    let p = axml_bench::site_pattern(17);
+    let (bindings, stats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
+    let answers = bindings.len() as u64;
+    assert_eq!(answers, 100);
+    assert!(
+        stats.probes <= 4 * answers + SITE_ANCHOR_DEPTH,
+        "{} probes for {answers} answers",
+        stats.probes
+    );
+    let q = parse_query(&format!("h :- d/{p}")).unwrap();
+    let (compiled, cstats) = compile_query(&q, None, MatchStrategy::Indexed).run_atom(0, &doc);
+    assert_eq!(compiled, bindings);
+    assert!(cstats.probes <= 4 * answers + SITE_ANCHOR_DEPTH, "{cstats:?}");
+    assert_eq!(bindings, match_pattern_with(&p, &doc, MatchStrategy::Scan).0);
+}
+
+/// The anchor constant `"c001"` thousands of times off the pattern's
+/// path (under `tag` instead of `cat`, and one level too high): the walk
+/// up from its bucket stays within bucket × depth parent steps, and the
+/// answers still equal `Scan`'s.
+#[test]
+fn decoys_of_the_anchor_constant_cost_bounded_parent_steps() {
+    let mut doc = axml_bench::site_doc(2, 60, 100, 400);
+    let (items, regions): (Vec<NodeId>, Vec<NodeId>) = {
+        let all: Vec<NodeId> = doc.iter_live(doc.root()).collect();
+        (
+            all.iter().copied().filter(|&n| doc.marking(n) == Marking::label("item")).collect(),
+            all.iter().copied().filter(|&n| doc.marking(n) == Marking::label("region")).collect(),
+        )
+    };
+    let mut decoy = |parent: NodeId, label: &str| {
+        let n = doc.add_child(parent, Marking::label(label)).unwrap();
+        doc.add_child(n, Marking::value("c001")).unwrap();
+    };
+    for &item in items.iter().step_by(8) {
+        decoy(item, "tag");
+    }
+    for i in 0..500 {
+        decoy(regions[i % regions.len()], "cat");
+    }
+    doc.build_index();
+    let bucket = doc.indexed_nodes_with(Marking::value("c001")).unwrap().len() as u64;
+    assert!(bucket > 2_000, "{bucket} decoys and hits");
+    let p = axml_bench::site_pattern(1);
+    let (bindings, stats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
+    assert_eq!(bindings.len(), 30);
+    assert!(stats.parent_steps > 0, "the anchor did not fire");
+    assert!(
+        stats.parent_steps <= bucket * SITE_ANCHOR_DEPTH,
+        "{} parent steps from a bucket of {bucket}",
+        stats.parent_steps
+    );
+    assert_eq!(bindings, match_pattern_with(&p, &doc, MatchStrategy::Scan).0);
+}
+
+/// A query naming a document the session does not hold is `bad-query`
+/// under `query`, `batch` and `subscribe` — even when an earlier atom
+/// would come back empty — and `subscribe` refuses before `sub_ok`.
+#[test]
+fn unknown_documents_are_bad_queries_whatever_the_data() {
+    let mut handle = spawn();
+    let mut c = connect(&handle);
+    let resp = c
+        .call(&Request::Open {
+            id: 1,
+            session: "s".into(),
+            docs: vec![("db".into(), r#"a{b{"1"}}"#.into())],
+            services: vec![],
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::OpenOk { .. }), "{resp:?}");
+    let unknown = |resp: &Response| {
+        assert_eq!(error_code(resp), Some(codes::BAD_QUERY), "{resp:?}");
+        let Response::Error { message, .. } = resp else { unreachable!() };
+        assert!(message.contains("nosuch"), "{message}");
+    };
+    for query in [r#"hit{$x} :- nosuch/a{$x}"#, r#"hit{$x} :- db/a{zzz{$x}}, nosuch/a{$x}"#] {
+        let resp = c
+            .call(&Request::Query { id: 2, session: "s".into(), query: query.into() })
+            .unwrap();
+        unknown(&resp);
+        let resp = c
+            .call(&Request::Batch {
+                id: 3,
+                session: "s".into(),
+                queries: vec![r#"hit{$x} :- db/a{b{$x}}"#.into(), query.into()],
+            })
+            .unwrap();
+        unknown(&resp);
+    }
+    c.send(&Request::Subscribe {
+        id: 4,
+        session: "s".into(),
+        query: r#"hit{$x} :- nosuch/a{$x}"#.into(),
+    })
+    .unwrap();
+    unknown(&c.recv().unwrap());
+    // The connection is still in step: the next reply is the next call's.
+    let resp = c.call(&Request::Health { id: 5 }).unwrap();
+    assert!(matches!(resp, Response::HealthOk { id: 5, .. }), "{resp:?}");
 
     handle.shutdown();
     drop(c);

@@ -3,14 +3,16 @@
 //! binding lists in the same order at the matcher level, same fixpoints,
 //! invocation counts, and explanation DAGs at the engine level — with
 //! the index itself validating against a rebuild-from-scratch after
-//! every run.
+//! every run. Anchored descents (a rooted match entering at its rarest
+//! constant) are held to the same standard on decoy-laden documents.
 
 use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::{
     match_pattern, match_pattern_anywhere_with, match_pattern_with, MatchStrategy,
 };
-use positive_axml::core::parse_pattern;
+use positive_axml::core::compile::compile_query;
+use positive_axml::core::{parse_pattern, parse_query, Marking, NodeId, Tree};
 use proptest::prelude::*;
 
 const BUDGET: usize = 5_000;
@@ -44,6 +46,8 @@ proptest! {
             "root{l0{$x}, l1, #T}",
             "root{l0{l1{$x}}}",
             "root{l2{?a}, l2{?b}}",
+            r#"root{l0{"1"}, l1{$x}}"#,
+            r#"root{?a{l1{"2"}}, l3{#T}}"#,
         ] {
             let p = parse_pattern(pat).unwrap();
             let (scan, sstats) = match_pattern_with(&p, &doc, MatchStrategy::Scan);
@@ -153,4 +157,122 @@ fn explain_answer_dags_identical_across_strategies() {
     }
     assert_eq!(dots[0].len(), dots[1].len());
     assert_eq!(dots[0], dots[1], "derivation DAGs diverged between strategies");
+}
+
+/// An XMark-style site with decoys around the constant `"c003"`: under
+/// the wrong parent label (`tag`), at the wrong depth (directly under
+/// the root, under a zone, and nested one item deeper), and as a `name`
+/// value. 4 zones × 6 regions × 10 items stay under the debug
+/// self-check bound, so debug builds also re-run every anchored match
+/// unanchored.
+fn decoy_site() -> Tree {
+    fn leaf(t: &mut Tree, parent: NodeId, label: &str, value: &str) -> NodeId {
+        let n = t.add_child(parent, Marking::label(label)).unwrap();
+        t.add_child(n, Marking::value(value)).unwrap();
+        n
+    }
+    let mut t = axml_bench::site_doc(4, 6, 10, 16);
+    let root = t.root();
+    let items: Vec<NodeId> = t
+        .iter_live(root)
+        .filter(|&n| t.marking(n) == Marking::label("item"))
+        .collect();
+    let zones: Vec<NodeId> = t.children(root).to_vec();
+    for (i, &item) in items.iter().enumerate() {
+        if i % 13 == 0 {
+            leaf(&mut t, item, "tag", "c003");
+        }
+        if i % 31 == 0 {
+            let inner = t.add_child(item, Marking::label("item")).unwrap();
+            leaf(&mut t, inner, "cat", "c003");
+            leaf(&mut t, inner, "name", "nested");
+        }
+        if i % 53 == 0 {
+            leaf(&mut t, item, "name", "c003");
+        }
+    }
+    for k in 0..80 {
+        leaf(&mut t, root, "cat", &format!("c{:03}", if k % 20 == 0 { 3 } else { k % 8 + 16 }));
+    }
+    for &zone in &zones[..2] {
+        let item = t.add_child(zone, Marking::label("item")).unwrap();
+        leaf(&mut t, item, "cat", "c003");
+        leaf(&mut t, item, "name", "n00003");
+    }
+    t
+}
+
+/// Matcher- and program-level differential for anchored descents: the
+/// anchor fires at depths 2–5 (the second indexed call, once the first
+/// one built the index), the bindings equal `Scan`'s bit for bit under
+/// both executors, and the anchored probe count is far below the
+/// unanchored one the first call reports.
+#[test]
+fn anchored_descent_equals_scan_and_fires_past_decoys() {
+    let patterns = [
+        // depth 2: "c003" under a root-level cat
+        r#"site{cat{"c003"}, zone{zid{$z}}}"#,
+        // depth 3: one zone id out of four
+        r#"site{zone{zid{"z01"}, region{rid{$r}}}}"#,
+        // depth 4: one region id per zone, with an item sibling
+        r#"site{zone{region{rid{"r03"}, item{name{$n}}}}}"#,
+        // depth 5: the category selection
+        r#"site{zone{region{item{cat{"c003"},name{$n},price{$p}}}}}"#,
+        // the same constant twice in one pattern
+        r#"site{zone{region{item{cat{"c003"},name{$n}}, item{cat{"c003"},price{$p}}}}}"#,
+        r#"site{zone{region{item{cat{"c003"},id{$i}}}}, cat{"c003"}}"#,
+        // ?l and #T siblings on the path
+        r#"site{?z{region{item{cat{"c003"},price{$p}}}}}"#,
+        r#"site{zone{?r{item{cat{"c003"},name{$n}}, rid{#T}}}}"#,
+        r#"site{zone{region{item{cat{"c003"},#T}}}}"#,
+        // repeated subpatterns: the compiled program hash-conses one op
+        // onto the anchor path, and the item op also occurs one level up
+        r#"site{zone{region{item{cat{"c003"},name{$n}}}}, zone{region{item{cat{"c003"},name{$n}}}}}"#,
+        r#"site{zone{region{item{cat{"c003"},name{$n}}}, item{cat{"c003"},name{$n}}}}"#,
+    ];
+    // Per pattern the anchor can only remove probes. How many depends on
+    // the branches off the anchor path, which stay unrestricted (the
+    // interpreter re-embeds them once per binding), so "far below" is
+    // asserted for the interpreter on the four single-path selections
+    // and for the program over the whole set.
+    let mut compiled = (0u64, 0u64);
+    for (i, pat) in patterns.into_iter().enumerate() {
+        let p = parse_pattern(pat).unwrap();
+        let q = parse_query(&format!("h :- d/{pat}")).unwrap();
+        let program = compile_query(&q, None, MatchStrategy::Indexed);
+        let scan = match_pattern_with(&p, &decoy_site(), MatchStrategy::Scan).0;
+        assert!(!scan.is_empty(), "{pat} must match something");
+
+        let doc = decoy_site();
+        let (first, plain) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
+        let (anchored, stats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
+        assert_eq!(first, scan, "{pat}: unanchored indexed diverged");
+        assert_eq!(anchored, scan, "{pat}: anchored indexed diverged");
+        assert_eq!(plain.parent_steps, 0, "{pat}: no index yet, so no anchor");
+        assert!(stats.parent_steps > 0, "{pat}: the anchor did not fire");
+        assert!(stats.probes <= plain.probes, "{pat}: the anchor added probes");
+        if i < 4 {
+            assert!(
+                stats.probes * 2 < plain.probes,
+                "{pat}: anchored {} probes vs unanchored {}",
+                stats.probes,
+                plain.probes
+            );
+        }
+
+        let doc = decoy_site();
+        let (first, plain) = program.run_atom(0, &doc);
+        let (anchored, stats) = program.run_atom(0, &doc);
+        assert_eq!(first, scan, "{pat}: unanchored program diverged");
+        assert_eq!(anchored, scan, "{pat}: anchored program diverged");
+        assert!(stats.parent_steps > 0, "{pat}: the program's anchor did not fire");
+        assert!(stats.probes <= plain.probes, "{pat}: the program's anchor added probes");
+        compiled = (compiled.0 + stats.probes, compiled.1 + plain.probes);
+        assert_eq!(
+            anchored,
+            compile_query(&q, None, MatchStrategy::Scan).run_atom(0, &doc).0,
+            "{pat}: scan program diverged"
+        );
+    }
+    assert!(compiled.0 * 3 < compiled.1, "program probes {compiled:?}");
 }
