@@ -8,8 +8,8 @@
 //! ```
 
 use axml_bench::{
-    catalog, pipeline_system, poisoned_portal, random_tree, rating_query, scan_fanout_system,
-    star_network, tc_random_digraph, tc_sharded_closure, tc_system,
+    catalog, pipeline_system, poisoned_portal, random_tree, rating_query, star_network,
+    tc_random_digraph, tc_system,
 };
 use axml_core::engine::{run, run_traced, EngineConfig, EngineMode, RunStatus, Strategy};
 use axml_core::eval::{snapshot, snapshot_with_stats, Env};
@@ -887,145 +887,6 @@ fn x16() {
     println!(" rarest conjunct first; observable behavior is identical to scans)");
 }
 
-/// X17 — parallel round evaluation (bench `x17_parallel_round`):
-/// snapshot-read workers, sequential grafts, worker-count-invariant
-/// fixpoints.
-fn x17() {
-    use axml_core::engine::Parallelism;
-    use axml_core::matcher::MatchStrategy;
-
-    header(
-        "X17",
-        "parallel rounds — snapshot-read workers, sequential grafts, same fixpoint (bench x17_parallel_round)",
-    );
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("available parallelism: {cores} core(s)");
-    println!(
-        "\n{:>20} {:>12} {:>12} {:>11} {:>8} {:>7}",
-        "workload", "parallelism", "invocations", "time(ms)", "speedup", "agree"
-    );
-
-    let schedules = [
-        ("sequential", Parallelism::Sequential),
-        ("workers(1)", Parallelism::Workers(1)),
-        ("workers(2)", Parallelism::Workers(2)),
-        ("workers(4)", Parallelism::Workers(4)),
-    ];
-    let mut tc_speedup4 = 0.0_f64;
-    let mut tc_overhead1 = 0.0_f64;
-    for &(name, sharded) in &[("tc-sharded-64", true), ("wide-fanout-16x32k", false)] {
-        let build = || -> System {
-            if sharded {
-                // The 64-node random digraph of X12/X16, closure step
-                // split into 8 per-shard joins so a round carries 8
-                // comparably-heavy evaluations (see tc_sharded_closure).
-                tc_sharded_closure(64, 8, 12)
-            } else {
-                scan_fanout_system(16, 32_768)
-            }
-        };
-        let mut keys = Vec::new();
-        let mut invocations = Vec::new();
-        let mut seq_ms = 0.0_f64;
-        for &(label, par) in &schedules {
-            let mut sys = build();
-            let cfg = EngineConfig {
-                mode: EngineMode::Delta,
-                match_strategy: MatchStrategy::Scan,
-                parallelism: par,
-                ..EngineConfig::with_budget(200_000)
-            };
-            let t0 = Instant::now();
-            let (status, stats) = run(&mut sys, &cfg).unwrap();
-            let t = ms(t0);
-            assert_eq!(status, RunStatus::Terminated);
-            keys.push(sys.canonical_key());
-            invocations.push(stats.invocations);
-            let agree = keys.first() == keys.last();
-            assert!(agree, "{name}/{label}: fixpoint diverged from sequential");
-            if par == Parallelism::Sequential {
-                seq_ms = t;
-            }
-            let speedup = seq_ms / t;
-            if sharded {
-                match par {
-                    Parallelism::Workers(1) => tc_overhead1 = t / seq_ms,
-                    Parallelism::Workers(4) => tc_speedup4 = speedup,
-                    _ => {}
-                }
-            }
-            println!(
-                "{name:>20} {label:>12} {:>12} {t:>11.2} {speedup:>7.2}x {agree:>7}",
-                stats.invocations
-            );
-        }
-        // Determinism: the worker count is not observable in the stats —
-        // every Workers(n) row is identical. Sequential may differ by a
-        // bounded amount (snapshot evaluation defers a same-round
-        // re-fire to the next round; it never starves one).
-        assert!(
-            invocations[1..].iter().all(|&i| i == invocations[1]),
-            "{name}: invocation counts varied with the worker count: {invocations:?}"
-        );
-        assert!(
-            invocations[1] <= invocations[0] * 2 + 8
-                && invocations[0] <= invocations[1] * 2 + 8,
-            "{name}: parallel invocations {} outside the fairness bound of \
-             sequential {}",
-            invocations[1],
-            invocations[0]
-        );
-    }
-
-    println!(
-        "\ntc-sharded-64: {tc_speedup4:.2}x at 4 workers; workers(1) overhead {:+.0}% \
-         (claim: ≤10% on multi-core hosts)",
-        (tc_overhead1 - 1.0) * 100.0
-    );
-    assert!(
-        tc_overhead1 <= 1.5,
-        "workers(1) must stay near the sequential loop (got {tc_overhead1:.2}x)"
-    );
-    if cores >= 4 {
-        assert!(
-            tc_speedup4 >= 2.0,
-            "4 workers must be ≥2x sequential on the eval-bound closure \
-             with {cores} cores (got {tc_speedup4:.2}x)"
-        );
-    } else {
-        println!(
-            "({cores} core(s) available — wall-clock speedup is not expected here; \
-             the ≥2x-at-4-workers check needs ≥4 cores and was skipped)"
-        );
-    }
-
-    // Observability: the Workers(4) run with metrics attached surfaces
-    // the per-round parallel section and per-worker evaluation lanes.
-    let journal = Journal::new();
-    let metrics = MetricsRegistry::new();
-    let fan = Fanout::new(vec![&journal, &metrics]);
-    let mut traced = tc_sharded_closure(64, 8, 12);
-    let (status, _) = run_traced(
-        &mut traced,
-        &EngineConfig {
-            mode: EngineMode::Delta,
-            parallelism: Parallelism::Workers(4),
-            ..EngineConfig::default()
-        },
-        Tracer::new(&fan),
-    )
-    .unwrap();
-    assert_eq!(status, RunStatus::Terminated);
-    let report = metrics.render_report("x17 tc-sharded-64 (delta, workers=4)");
-    assert!(report.contains("parallel:"), "metrics report must show the parallel line");
-    print!("\n{report}");
-    println!("(claim: evaluation is read-only against the round-start snapshot, so");
-    println!(" rounds stripe their pending calls across a worker pool and commit the");
-    println!(" grafts sequentially in canonical call order — by Theorem 2.1 every");
-    println!(" schedule reaches the same fixpoint, bit-for-bit, at any worker count)");
-}
-
 /// X18 — compiled match programs (bench `x18_compiled_match`): cached
 /// per-service compilation beats the recursive interpreter with
 /// identical observable behavior.
@@ -1574,9 +1435,6 @@ fn main() {
     }
     if want("x16") {
         x16();
-    }
-    if want("x17") {
-        x17();
     }
     if want("x18") {
         x18();

@@ -201,104 +201,6 @@ pub fn tc_random_digraph(n: usize, shards: usize, seed: u64) -> System {
     sys
 }
 
-/// X17's eval-bound variant of the random-digraph closure: the same
-/// digraph as [`tc_random_digraph`], but the closure step is split into
-/// one service per edge shard — `f<s>` joins the accumulated t-set in
-/// `d1` against shard `s`'s edge document — so every round carries
-/// `shards` independent, comparably-heavy join evaluations instead of
-/// one monolithic `f`. The union over shards is exactly the single-`f`
-/// closure step, so the fixpoint is the same transitive closure; what
-/// changes is that a worker pool has `shards` big evaluations to stripe
-/// across threads (a single dominant call would be Amdahl-limited).
-pub fn tc_sharded_closure(n: usize, shards: usize, seed: u64) -> System {
-    assert!(n >= 4 && shards >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spine = n / 4;
-    let mut edges: Vec<(usize, usize)> = (0..spine).map(|i| (i, i + 1)).collect();
-    for _ in 0..n / 4 {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && !edges.contains(&(a, b)) {
-            edges.push((a, b));
-        }
-    }
-
-    let mut sys = System::new();
-    for s in 0..shards {
-        let mut doc = String::from("r{");
-        let mut any = false;
-        for (j, (a, b)) in edges.iter().enumerate() {
-            if j % shards == s {
-                doc.push_str(&format!(r#"edge{{from{{"{a}"}},to{{"{b}"}}}},"#));
-                any = true;
-            }
-        }
-        if any {
-            doc.pop();
-        }
-        doc.push('}');
-        sys.add_document_text(&format!("e{s}"), &doc).unwrap();
-    }
-    let mut d1 = String::from("r{");
-    for s in 0..shards {
-        d1.push_str(&format!("@loadt{s},"));
-    }
-    for s in 0..shards {
-        d1.push_str(&format!("@f{s},"));
-    }
-    d1.pop();
-    d1.push('}');
-    sys.add_document_text("d1", &d1).unwrap();
-    for s in 0..shards {
-        sys.add_service_text(
-            &format!("loadt{s}"),
-            &format!("t{{from{{$x}},to{{$y}}}} :- e{s}/r{{edge{{from{{$x}},to{{$y}}}}}}"),
-        )
-        .unwrap();
-        sys.add_service_text(
-            &format!("f{s}"),
-            &format!(
-                "t{{from{{$x}},to{{$y}}}} :- d1/r{{t{{from{{$x}},to{{$z}}}}}}, \
-                 e{s}/r{{edge{{from{{$z}},to{{$y}}}}}}"
-            ),
-        )
-        .unwrap();
-    }
-    sys
-}
-
-/// X17's wide-fanout evaluation workload: one wide extensional document
-/// ([`wide_fanout_doc`] with `fanout / 8` label buckets, so each label
-/// holds ~8 children) plus `services` independent probe services, each
-/// anchored at its own label, all called from one output document.
-/// Under [`axml_core::matcher::MatchStrategy::Scan`] every evaluation
-/// walks all `fanout` children but binds only its own small bucket, so
-/// a round is `services` equally-sized read-dominated scans with cheap
-/// grafts — embarrassingly parallel, terminating after one productive
-/// round.
-pub fn scan_fanout_system(services: usize, fanout: usize) -> System {
-    assert!(services >= 1);
-    let labels = (fanout / 8).max(services);
-    let mut sys = System::new();
-    sys.add_document("src", wide_fanout_doc(fanout, labels))
-        .unwrap();
-    let mut out = String::from("out{");
-    for i in 0..services {
-        out.push_str(&format!("@probe{i},"));
-    }
-    out.pop();
-    out.push('}');
-    sys.add_document_text("out", &out).unwrap();
-    for i in 0..services {
-        sys.add_service_text(
-            &format!("probe{i}"),
-            &format!("hit{i}{{$x}} :- src/root{{l{i}{{$x}}}}"),
-        )
-        .unwrap();
-    }
-    sys
-}
-
 /// X16's wide-fanout document: a root with `fanout` children spread
 /// round-robin over `labels` distinct labels, each child holding one
 /// value leaf. An anchored probe for a single label must consider all
@@ -510,54 +412,6 @@ mod tests {
             nstats.invocations,
             dstats.invocations
         );
-    }
-
-    #[test]
-    fn sharded_closure_matches_single_f_closure() {
-        // X17's workload invariant: splitting the closure step by edge
-        // shard computes the same transitive closure as the monolithic
-        // `f` — the t-tuple sets agree tuple-for-tuple.
-        fn t_tuples(sys: &axml_core::system::System) -> Vec<(String, String)> {
-            let d1 = sys.doc("d1".into()).unwrap();
-            let mut out = Vec::new();
-            for &n in d1.children(d1.root()) {
-                if d1.marking(n) != Marking::label("t") {
-                    continue;
-                }
-                let (mut from, mut to) = (None, None);
-                for &c in d1.children(n) {
-                    let v = d1
-                        .children(c)
-                        .first()
-                        .map(|&v| d1.marking(v).sym().as_str().to_string());
-                    match d1.marking(c).sym().as_str() {
-                        "from" => from = v,
-                        "to" => to = v,
-                        _ => {}
-                    }
-                }
-                out.push((from.unwrap(), to.unwrap()));
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        }
-        let mut mono = tc_random_digraph(32, 4, 7);
-        let mut sharded = tc_sharded_closure(32, 4, 7);
-        let (ms, _) = run(&mut mono, &EngineConfig::default()).unwrap();
-        let (ss, _) = run(&mut sharded, &EngineConfig::default()).unwrap();
-        assert_eq!(ms, RunStatus::Terminated);
-        assert_eq!(ss, RunStatus::Terminated);
-        assert_eq!(t_tuples(&mono), t_tuples(&sharded));
-    }
-
-    #[test]
-    fn scan_fanout_system_terminates_quickly() {
-        let mut sys = scan_fanout_system(8, 256);
-        let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-        assert!(stats.rounds <= 2);
-        assert_eq!(stats.invocations, 8 * stats.rounds);
     }
 
     #[test]

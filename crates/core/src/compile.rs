@@ -100,10 +100,10 @@ use crate::translate::{translate, Translation};
 use crate::tree::{NodeId, Tree};
 
 /// Is the `AXML_FORCE_INTERPRET` escape hatch set? Read once per
-/// process (same pattern as the engine's `AXML_WORKERS`); it only flips
-/// the *default* of [`crate::engine::EngineConfig::compile`] — explicit
-/// config settings always win, so differential tests can exercise both
-/// paths regardless of the environment.
+/// process; it only flips the *default* of
+/// [`crate::engine::EngineConfig::compile`] — explicit config settings
+/// always win, so differential tests can exercise both paths regardless
+/// of the environment.
 pub fn force_interpret() -> bool {
     static FORCED: OnceLock<bool> = OnceLock::new();
     *FORCED.get_or_init(|| {
@@ -778,11 +778,11 @@ struct PsiEntry {
     translation: Arc<Translation>,
 }
 
-/// The per-engine (or per-worker) cache of compiled artifacts:
-/// match programs keyed by `(service, strategy)` and validated against
-/// the index generation, plus the regular-path machinery's per-service
-/// memos (prebuilt path NFAs, ψ translations). See the module docs for
-/// the invalidation story.
+/// The per-engine cache of compiled artifacts: match programs keyed by
+/// `(service, strategy)` and validated against the index generation,
+/// plus the regular-path machinery's per-service memos (prebuilt path
+/// NFAs, ψ translations). See the module docs for the invalidation
+/// story.
 #[derive(Default)]
 pub struct ProgramCache {
     programs: FxHashMap<(Sym, MatchStrategy), ProgramEntry>,

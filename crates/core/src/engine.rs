@@ -19,14 +19,13 @@ use crate::compile::ProgramCache;
 use crate::depgraph::{read_set, ReadSet};
 use crate::error::Result;
 use crate::eval::MatchCache;
-use crate::invoke::{apply_plan, evaluate_node, invoke_node_with_provenance, GraftPlan};
+use crate::invoke::invoke_node_with_provenance;
 use crate::matcher::MatchStrategy;
 use crate::provenance::{Provenance, SkipRecord};
 use crate::sym::{FxHashMap, Sym};
 use crate::system::{System, SystemSnapshot};
-use crate::trace::{EventKind, Journal, Tracer};
+use crate::trace::{EventKind, Tracer};
 use crate::tree::NodeId;
-use std::sync::OnceLock;
 use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -64,54 +63,6 @@ pub enum EngineMode {
     Delta,
 }
 
-/// How each round's pending calls are *evaluated*. Orthogonal to both
-/// [`EngineMode`] and [`MatchStrategy`].
-///
-/// Evaluation (pattern matching + query answering) is read-only; only
-/// grafting mutates documents. [`Parallelism::Workers`] exploits that
-/// split: workers evaluate against the immutable round-start snapshot
-/// and the calling thread commits every resulting graft sequentially in
-/// call order. Theorem 2.1 (confluence of fair rewritings) guarantees
-/// the same limit as [`Parallelism::Sequential`]; the fixed commit
-/// order additionally makes parallel runs bit-for-bit deterministic for
-/// every worker count. See `docs/parallelism.md`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Evaluate calls one at a time on the calling thread.
-    Sequential,
-    /// Evaluate each round's calls on `n` worker threads (clamped to
-    /// ≥ 1); grafts still commit sequentially on the calling thread.
-    Workers(usize),
-}
-
-impl Default for Parallelism {
-    /// [`Parallelism::Sequential`], unless the `AXML_WORKERS`
-    /// environment variable forces `Workers(n)` process-wide — the hook
-    /// the forced-parallel CI job uses. Read once and cached.
-    fn default() -> Parallelism {
-        static FORCED: OnceLock<Option<usize>> = OnceLock::new();
-        match FORCED.get_or_init(|| {
-            std::env::var("AXML_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-        }) {
-            Some(n) => Parallelism::Workers(*n),
-            None => Parallelism::Sequential,
-        }
-    }
-}
-
-impl Parallelism {
-    /// Worker-thread count; 0 means evaluate on the calling thread.
-    fn worker_count(self) -> usize {
-        match self {
-            Parallelism::Sequential => 0,
-            Parallelism::Workers(n) => n.max(1),
-        }
-    }
-}
-
 /// Engine budgets, strategy, and evaluation mode.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -128,12 +79,6 @@ pub struct EngineConfig {
     /// is the baseline of the X16 experiment). Observationally
     /// equivalent either way.
     pub match_strategy: MatchStrategy,
-    /// Whether rounds evaluate their pending calls on worker threads
-    /// ([`Parallelism::Sequential`] by default; setting `AXML_WORKERS=n`
-    /// in the environment flips the default to
-    /// [`Parallelism::Workers`]`(n)`). Observationally equivalent either
-    /// way.
-    pub parallelism: Parallelism,
     /// Whether positive services evaluate through compiled, cached match
     /// programs ([`crate::compile`]) instead of the recursive pattern
     /// interpreter. On by default; setting `AXML_FORCE_INTERPRET=1` in
@@ -152,7 +97,6 @@ impl Default for EngineConfig {
             strategy: Strategy::RoundRobin,
             mode: EngineMode::Naive,
             match_strategy: MatchStrategy::default(),
-            parallelism: Parallelism::default(),
             compile: !crate::compile::force_interpret(),
         }
     }
@@ -187,14 +131,6 @@ impl EngineConfig {
     pub fn with_match_strategy(match_strategy: MatchStrategy) -> EngineConfig {
         EngineConfig {
             match_strategy,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// A config with the given parallelism, default elsewhere.
-    pub fn with_parallelism(parallelism: Parallelism) -> EngineConfig {
-        EngineConfig {
-            parallelism,
             ..EngineConfig::default()
         }
     }
@@ -309,11 +245,10 @@ pub fn run_restricted_traced(
     run_restricted_with_provenance(sys, cfg, allow, tracer, Provenance::disabled())
 }
 
-/// The semi-naive skip rule for one pending call, shared by the
-/// sequential and parallel round loops: returns `true` — emitting the
-/// `CallSkipped` event and the provenance skip evidence — iff the call
-/// was invoked before and no document of its read set has changed
-/// since. Never invoked before ⇒ must run once.
+/// The semi-naive skip rule for one pending call: returns `true` —
+/// emitting the `CallSkipped` event and the provenance skip evidence —
+/// iff the call was invoked before and no document of its read set has
+/// changed since. Never invoked before ⇒ must run once.
 #[allow(clippy::too_many_arguments)]
 fn delta_skip(
     sys: &System,
@@ -466,12 +401,6 @@ pub struct RoundRunner {
     /// whole run (unlike the delta-only match cache it pays off in
     /// every mode — a service's pattern never changes mid-run).
     pcache: ProgramCache,
-    /// Parallel-mode state: one persistent match cache per worker (the
-    /// job→worker assignment is a fixed stride, so a worker tends to
-    /// see the same calls every round and its cache keeps paying off).
-    /// Same per-worker ownership for the program caches.
-    wcaches: Vec<MatchCache>,
-    wpcaches: Vec<ProgramCache>,
     seeded: bool,
     status: Option<RunStatus>,
     /// The latest *committed* state, republished as an O(1) MVCC
@@ -508,11 +437,6 @@ pub struct DocDelta {
 impl RoundRunner {
     /// A fresh runner for one run of a system under `cfg`.
     pub fn new(cfg: &EngineConfig) -> RoundRunner {
-        let workers = cfg.parallelism.worker_count();
-        let mut wcaches: Vec<MatchCache> = Vec::new();
-        wcaches.resize_with(workers, MatchCache::new);
-        let mut wpcaches: Vec<ProgramCache> = Vec::new();
-        wpcaches.resize_with(workers, ProgramCache::new);
         RoundRunner {
             cfg: *cfg,
             stats: RunStats::default(),
@@ -526,8 +450,6 @@ impl RoundRunner {
             invoked_at: FxHashMap::default(),
             cache: MatchCache::new(),
             pcache: ProgramCache::new(),
-            wcaches,
-            wpcaches,
             seeded: false,
             status: None,
             latest: None,
@@ -553,10 +475,9 @@ impl RoundRunner {
     /// The delta stamps of the last completed step: one [`DocDelta`]
     /// per document the round actually mutated, in document order.
     /// Empty before the first step *and* after any quiet round — a
-    /// consumer (e.g. the server's subscription loop, or a sharded
-    /// peer deciding whether to push) can skip recomputing derived
-    /// state entirely when this is empty, because every observable
-    /// answer is a function of the documents.
+    /// consumer (e.g. the server's subscription loop) can skip
+    /// recomputing derived state entirely when this is empty, because
+    /// every observable answer is a function of the documents.
     pub fn round_deltas(&self) -> &[DocDelta] {
         &self.last_deltas
     }
@@ -590,21 +511,16 @@ impl RoundRunner {
     }
 
     /// The statistics of the run so far, with the end-of-run fields
-    /// (final node count, cache and program counters summed across
-    /// evaluation lanes) assembled from the current state.
+    /// (final node count, cache and program counters) assembled from
+    /// the current state.
     pub fn stats(&self, sys: &System) -> RunStats {
         let mut stats = self.stats.clone();
         stats.final_nodes = sys.node_count();
-        stats.cache_hits =
-            self.cache.hits() + self.wcaches.iter().map(MatchCache::hits).sum::<usize>();
-        stats.cache_misses = self.cache.misses()
-            + self.wcaches.iter().map(MatchCache::misses).sum::<usize>();
-        let pcaches = std::iter::once(&self.pcache).chain(self.wpcaches.iter());
-        for pc in pcaches {
-            stats.programs_compiled += pc.compiles() as usize;
-            stats.program_cache_hits += pc.hits() as usize;
-            stats.program_cache_misses += pc.misses() as usize;
-        }
+        stats.cache_hits = self.cache.hits();
+        stats.cache_misses = self.cache.misses();
+        stats.programs_compiled = self.pcache.compiles() as usize;
+        stats.program_cache_hits = self.pcache.hits() as usize;
+        stats.program_cache_misses = self.pcache.misses() as usize;
         stats
     }
 
@@ -688,7 +604,6 @@ impl RoundRunner {
         let doc_changed_at = &mut self.doc_changed_at;
         let invoked_at = &mut self.invoked_at;
         let stats = &mut self.stats;
-        let workers = cfg.parallelism.worker_count();
 
         let mut pending = sys.function_nodes();
         match cfg.strategy {
@@ -705,294 +620,78 @@ impl RoundRunner {
         let round = stats.rounds as u64;
         tracer.emit(|| EventKind::RoundStart { round });
         let mut any_change = false;
-        if workers > 0 {
-            // ---- Parallel round: snapshot-read / sequential-graft ----
-            //
-            // Phase 1 (select, main thread): filter the pending calls
-            // against the round-start state — aliveness, marking, the
-            // semi-naive skip rule — exactly as the sequential loop
-            // does, but before anything is evaluated.
-            let mut jobs: Vec<(Sym, NodeId, Sym)> = Vec::new();
-            for (d, n) in pending {
-                if !sys.doc(d).map(|t| t.is_alive(n)).unwrap_or(false) {
-                    continue;
-                }
-                let fname = match sys.doc(d).map(|t| t.marking(n)) {
-                    Some(crate::tree::Marking::Func(f)) => f,
-                    _ => continue,
-                };
-                if delta
-                    && delta_skip(
-                        sys, read_sets, doc_changed_at, invoked_at, d, n,
-                        fname, round, tracer, prov,
-                    )
-                {
-                    stats.skipped += 1;
-                    continue;
-                }
-                jobs.push((d, n, fname));
+        for (d, n) in pending {
+            // Reduction during an earlier invocation of this round
+            // may have merged this node away; its information
+            // survives in the equivalent sibling that was kept.
+            if !sys.doc(d).map(|t| t.is_alive(n)).unwrap_or(false) {
+                continue;
             }
-            // Evaluate only what the invocation budget still allows;
-            // the truncated remainder would have been cut off at the
-            // same point by the sequential loop's per-call check.
-            let remaining = cfg.max_invocations.saturating_sub(stats.invocations);
-            let over_budget = jobs.len() > remaining;
-            if over_budget {
-                jobs.truncate(remaining);
+            let fname = match sys.doc(d).map(|t| t.marking(n)) {
+                Some(crate::tree::Marking::Func(f)) => f,
+                _ => continue,
+            };
+            if delta
+                && delta_skip(
+                    sys, read_sets, doc_changed_at, invoked_at, d, n,
+                    fname, round, tracer, prov,
+                )
+            {
+                stats.skipped += 1;
+                continue;
             }
-
-            if !jobs.is_empty() {
-                // Phase 2 (evaluate, workers): the system is frozen —
-                // workers share `&System` and evaluate read-only, each
-                // with its own match cache and (when tracing) its own
-                // journal. Worker w takes jobs w, w+k, w+2k, … so the
-                // assignment is deterministic and cache-friendly.
-                let n_workers = workers;
-                let compile_on = cfg.compile;
-                let trace_on = tracer.enabled();
-                let epoch = tracer.epoch();
-                let trace_id = tracer.trace_id();
-                let prov_on = prov.enabled();
-                let match_strategy = cfg.match_strategy;
-                let eval_t0 = Instant::now();
-                let wcaches = &mut self.wcaches;
-                let wpcaches = &mut self.wpcaches;
-                // Workers read the round-start state through an MVCC
-                // snapshot (O(1) to take). The commit phase below runs
-                // after the scope ends, on `sys` itself, so evaluation
-                // semantics are identical to sharing `&*sys` — but the
-                // snapshot keeps its documents' `(id, version)` keys,
-                // so per-worker match/program caches stay warm, and any
-                // index a worker builds is published into the cell the
-                // snapshot shares with the live documents.
-                let round_snap = sys.snapshot();
-                let sys_ref: &System = round_snap.system();
-                let jobs_ref: &[(Sym, NodeId, Sym)] = &jobs;
-                type WorkerOut = (Vec<(usize, Result<GraftPlan>)>, Option<Journal>);
-                let worker_outs: Vec<WorkerOut> =
-                    crossbeam::thread::scope(|scope| {
-                        let handles: Vec<_> = wcaches
-                            .iter_mut()
-                            .zip(wpcaches.iter_mut())
-                            .enumerate()
-                            .map(|(w, (wcache, wpcache))| {
-                                scope.spawn(move || {
-                                    let journal = trace_on
-                                        .then(|| Journal::for_worker(w as u32, epoch));
-                                    let mut out = Vec::new();
-                                    let mut i = w;
-                                    while i < jobs_ref.len() {
-                                        let (d, n, fname) = jobs_ref[i];
-                                        // Worker events inherit the round's
-                                        // request-scoped trace id.
-                                        let wt = match &journal {
-                                            Some(j) => Tracer::new(j).with_trace(trace_id),
-                                            None => Tracer::disabled(),
-                                        };
-                                        let t0 = trace_on.then(Instant::now);
-                                        let plan = evaluate_node(
-                                            sys_ref,
-                                            d,
-                                            n,
-                                            if delta { Some(&mut *wcache) } else { None },
-                                            if compile_on {
-                                                Some(&mut *wpcache)
-                                            } else {
-                                                None
-                                            },
-                                            wt,
-                                            prov_on,
-                                            match_strategy,
-                                        );
-                                        wt.emit(|| EventKind::WorkerEval {
-                                            worker: w as u32,
-                                            doc: d,
-                                            node: n,
-                                            service: fname,
-                                            result_trees: plan
-                                                .as_ref()
-                                                .map(|p| p.forest.len() as u32)
-                                                .unwrap_or(0),
-                                            dur_ns: t0
-                                                .map(|t| t.elapsed().as_nanos() as u64)
-                                                .unwrap_or(0),
-                                        });
-                                        out.push((i, plan));
-                                        i += n_workers;
-                                    }
-                                    (out, journal)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("engine worker panicked"))
-                            .collect()
-                    });
-
-                // Deterministic journal merge: workers in index order,
-                // each worker's events in its own emission order. The
-                // main sink re-stamps `seq` on absorption, so the merged
-                // journal has one total order independent of how the
-                // threads actually interleaved.
-                let mut plans: Vec<Option<Result<GraftPlan>>> = Vec::new();
-                plans.resize_with(jobs.len(), || None);
-                for (out, journal) in worker_outs {
-                    if let Some(j) = journal {
-                        for ev in j.snapshot() {
-                            tracer.absorb(ev);
-                        }
-                    }
-                    for (i, plan) in out {
-                        plans[i] = Some(plan);
-                    }
-                }
-                tracer.emit(|| EventKind::ParallelRound {
-                    round,
-                    workers: n_workers as u32,
-                    evaluated: jobs.len() as u32,
-                    dur_ns: eval_t0.elapsed().as_nanos() as u64,
-                });
-
-                // Phase 3 (commit, main thread): graft every plan in job
-                // order — the *same* fixed order for every worker count,
-                // which is what pins bit-for-bit determinism. Commit-time
-                // subsumption inside `apply_plan` re-checks against the
-                // current siblings, so a plan whose data an earlier
-                // same-round commit already produced grafts nothing.
-                let round_stamp = self.stamp;
-                for (i, &(d, n, fname)) in jobs.iter().enumerate() {
-                    let plan = plans[i]
-                        .take()
-                        .expect("every job was assigned to a worker")?;
-                    // An earlier commit's reduction may have merged this
-                    // node away; its information survives in the
-                    // equivalent sibling that was kept.
-                    if !sys.doc(d).map(|t| t.is_alive(n)).unwrap_or(false) {
-                        continue;
-                    }
-                    tracer.emit(|| EventKind::CallSelected {
-                        doc: d,
-                        node: n,
-                        service: fname,
-                    });
-                    let started = tracer.enabled().then(Instant::now);
-                    let outcome = apply_plan(sys, &plan, tracer, prov, round)?
-                        .expect("node alive: just checked");
-                    tracer.emit(|| EventKind::Invoke {
-                        doc: d,
-                        node: n,
-                        service: fname,
-                        changed: outcome.changed,
-                        grafted: outcome.grafted as u32,
-                        result_trees: outcome.result_trees as u32,
-                        doc_version: sys.doc(d).map(|t| t.mutation_count()).unwrap_or(0),
-                        dur_ns: started
-                            .map(|t| t.elapsed().as_nanos() as u64)
-                            .unwrap_or(0),
-                    });
-                    stats.invocations += 1;
-                    *stats.per_function.entry(fname).or_insert(0) += 1;
-                    if delta {
-                        // The evaluation read the *round-start* snapshot,
-                        // so the call's invocation time is the round-start
-                        // stamp: any same-round change to its read set is
-                        // stamped strictly later and re-fires it next
-                        // round.
-                        invoked_at.insert((d, n), round_stamp);
-                        if outcome.changed {
-                            self.stamp += 1;
-                            doc_changed_at.insert(d, self.stamp);
-                        }
-                    }
-                    if outcome.changed {
-                        stats.productive += 1;
-                        any_change = true;
-                    }
-                    if sys.node_count() > cfg.max_nodes {
-                        self.status = Some(RunStatus::NodeBudget);
-                        return Ok(self.status);
-                    }
-                }
-            }
-            if over_budget {
+            if stats.invocations >= cfg.max_invocations {
                 self.status = Some(RunStatus::InvocationBudget);
                 return Ok(self.status);
             }
-        } else {
-            for (d, n) in pending {
-                // Reduction during an earlier invocation of this round
-                // may have merged this node away; its information
-                // survives in the equivalent sibling that was kept.
-                if !sys.doc(d).map(|t| t.is_alive(n)).unwrap_or(false) {
-                    continue;
-                }
-                let fname = match sys.doc(d).map(|t| t.marking(n)) {
-                    Some(crate::tree::Marking::Func(f)) => f,
-                    _ => continue,
-                };
-                if delta
-                    && delta_skip(
-                        sys, read_sets, doc_changed_at, invoked_at, d, n,
-                        fname, round, tracer, prov,
-                    )
-                {
-                    stats.skipped += 1;
-                    continue;
-                }
-                if stats.invocations >= cfg.max_invocations {
-                    self.status = Some(RunStatus::InvocationBudget);
-                    return Ok(self.status);
-                }
-                tracer.emit(|| EventKind::CallSelected {
-                    doc: d,
-                    node: n,
-                    service: fname,
-                });
-                let started = tracer.enabled().then(Instant::now);
-                let outcome = invoke_node_with_provenance(
-                    sys,
-                    d,
-                    n,
-                    delta.then_some(&mut self.cache),
-                    cfg.compile.then_some(&mut self.pcache),
-                    tracer,
-                    prov,
-                    round,
-                    cfg.match_strategy,
-                )?;
-                tracer.emit(|| EventKind::Invoke {
-                    doc: d,
-                    node: n,
-                    service: fname,
-                    changed: outcome.changed,
-                    grafted: outcome.grafted as u32,
-                    result_trees: outcome.result_trees as u32,
-                    doc_version: sys.doc(d).map(|t| t.mutation_count()).unwrap_or(0),
-                    dur_ns: started
-                        .map(|t| t.elapsed().as_nanos() as u64)
-                        .unwrap_or(0),
-                });
-                stats.invocations += 1;
-                *stats.per_function.entry(fname).or_insert(0) += 1;
-                if delta {
-                    // The invocation read state at time `stamp`; its own
-                    // change (if any) is stamped strictly later so calls
-                    // reading their host document re-fire.
-                    invoked_at.insert((d, n), self.stamp);
-                    if outcome.changed {
-                        self.stamp += 1;
-                        doc_changed_at.insert(d, self.stamp);
-                    }
-                }
+            tracer.emit(|| EventKind::CallSelected {
+                doc: d,
+                node: n,
+                service: fname,
+            });
+            let started = tracer.enabled().then(Instant::now);
+            let outcome = invoke_node_with_provenance(
+                sys,
+                d,
+                n,
+                delta.then_some(&mut self.cache),
+                cfg.compile.then_some(&mut self.pcache),
+                tracer,
+                prov,
+                round,
+                cfg.match_strategy,
+            )?;
+            tracer.emit(|| EventKind::Invoke {
+                doc: d,
+                node: n,
+                service: fname,
+                changed: outcome.changed,
+                grafted: outcome.grafted as u32,
+                result_trees: outcome.result_trees as u32,
+                doc_version: sys.doc(d).map(|t| t.mutation_count()).unwrap_or(0),
+                dur_ns: started
+                    .map(|t| t.elapsed().as_nanos() as u64)
+                    .unwrap_or(0),
+            });
+            stats.invocations += 1;
+            *stats.per_function.entry(fname).or_insert(0) += 1;
+            if delta {
+                // The invocation read state at time `stamp`; its own
+                // change (if any) is stamped strictly later so calls
+                // reading their host document re-fire.
+                invoked_at.insert((d, n), self.stamp);
                 if outcome.changed {
-                    stats.productive += 1;
-                    any_change = true;
+                    self.stamp += 1;
+                    doc_changed_at.insert(d, self.stamp);
                 }
-                if sys.node_count() > cfg.max_nodes {
-                    self.status = Some(RunStatus::NodeBudget);
-                    return Ok(self.status);
-                }
+            }
+            if outcome.changed {
+                stats.productive += 1;
+                any_change = true;
+            }
+            if sys.node_count() > cfg.max_nodes {
+                self.status = Some(RunStatus::NodeBudget);
+                return Ok(self.status);
             }
         }
         stats.rounds += 1;
@@ -1338,210 +1037,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shared_state_is_send_and_sync() {
-        // The Sync/Send audit the worker pool relies on, pinned at
-        // compile time: workers share `&System` and move plans,
-        // journals, and caches across threads.
+    fn server_shared_state_is_send_and_sync() {
+        // The thread-safety audit for what still crosses threads, pinned
+        // at compile time: server reader threads share the writer's
+        // `System` and the published `SystemSnapshot`, and the server's
+        // trace sink keeps a `Journal` behind a mutex.
         fn sync<T: Sync>() {}
         fn send<T: Send>() {}
         sync::<System>();
-        send::<crate::invoke::GraftPlan>();
-        send::<MatchCache>();
-        send::<ProgramCache>();
+        send::<System>();
+        sync::<SystemSnapshot>();
+        send::<SystemSnapshot>();
         send::<crate::trace::Journal>();
-    }
-
-    #[test]
-    fn parallel_workers_match_sequential_fixpoint() {
-        let mut reference = tc_system();
-        run(&mut reference, &EngineConfig::default()).unwrap();
-        for n in [1, 2, 4, 8] {
-            for mode in [EngineMode::Naive, EngineMode::Delta] {
-                let mut sys = tc_system();
-                let cfg = EngineConfig {
-                    mode,
-                    ..EngineConfig::with_parallelism(Parallelism::Workers(n))
-                };
-                let (status, stats) = run(&mut sys, &cfg).unwrap();
-                assert_eq!(status, RunStatus::Terminated);
-                assert_eq!(
-                    sys.canonical_key(),
-                    reference.canonical_key(),
-                    "Workers({n}) × {mode:?} diverged"
-                );
-                assert!(stats.invocations > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_runs_are_deterministic_across_worker_counts() {
-        // The sequential-graft phase commits in job order whatever the
-        // worker count, so *stats* (not just fixpoints) must agree.
-        let run_with = |n: usize| {
-            let mut sys = tc_system();
-            let cfg = EngineConfig {
-                mode: EngineMode::Delta,
-                ..EngineConfig::with_parallelism(Parallelism::Workers(n))
-            };
-            let (status, stats) = run(&mut sys, &cfg).unwrap();
-            (status, stats, sys.canonical_key())
-        };
-        let (s1, st1, k1) = run_with(1);
-        for n in [2, 3, 8] {
-            let (s, st, k) = run_with(n);
-            assert_eq!(s, s1);
-            assert_eq!(k, k1);
-            assert_eq!(st.invocations, st1.invocations);
-            assert_eq!(st.productive, st1.productive);
-            assert_eq!(st.skipped, st1.skipped);
-            assert_eq!(st.rounds, st1.rounds);
-        }
-        assert_eq!(s1, RunStatus::Terminated);
-    }
-
-    #[test]
-    fn parallel_respects_invocation_budget() {
-        let mut sys = System::new();
-        sys.add_document_text("d", "a{@f}").unwrap();
-        sys.add_service_text("f", "a{@f} :-").unwrap();
-        let cfg = EngineConfig {
-            parallelism: Parallelism::Workers(4),
-            ..EngineConfig::with_budget(50)
-        };
-        let (status, stats) = run(&mut sys, &cfg).unwrap();
-        assert_eq!(status, RunStatus::InvocationBudget);
-        assert!(stats.invocations <= 50);
-        assert!(stats.productive >= 8, "productive = {}", stats.productive);
-    }
-
-    #[test]
-    fn parallel_respects_node_budget() {
-        let mut sys = System::new();
-        sys.add_document_text("d", "a{@f}").unwrap();
-        sys.add_service_text("f", "a{@f} :-").unwrap();
-        let cfg = EngineConfig {
-            max_nodes: 30,
-            parallelism: Parallelism::Workers(4),
-            ..EngineConfig::default()
-        };
-        let (status, stats) = run(&mut sys, &cfg).unwrap();
-        assert_eq!(status, RunStatus::NodeBudget);
-        assert!(stats.final_nodes > 30);
-        assert!(stats.final_nodes < 100);
-    }
-
-    #[test]
-    fn parallel_delta_uses_worker_caches() {
-        let mut sys = System::new();
-        sys.add_document_text("d0", r#"r{v{"1"},v{"2"}}"#).unwrap();
-        sys.add_document_text("d1", "out{@join,@pump}").unwrap();
-        sys.add_service_text("join", "pair{$x,$y} :- d0/r{v{$x}}, d1/out{w{$y}}")
-            .unwrap();
-        sys.add_service_text("pump", r#"w{"a"} :-"#).unwrap();
-        let cfg = EngineConfig {
-            mode: EngineMode::Delta,
-            ..EngineConfig::with_parallelism(Parallelism::Workers(2))
-        };
-        let (status, stats) = run(&mut sys, &cfg).unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-        assert!(stats.cache_misses > 0);
-        assert!(stats.cache_hits > 0, "stats: {stats:?}");
-    }
-
-    #[test]
-    fn parallel_traced_run_keeps_journal_invariants() {
-        use crate::trace::{
-            chrome_trace, validate_chrome_trace, Fanout, Journal, MetricsRegistry,
-        };
-        let journal = Journal::new();
-        let metrics = MetricsRegistry::new();
-        let fan = Fanout::new(vec![&journal, &metrics]);
-        let mut sys = tc_system();
-        let cfg = EngineConfig {
-            mode: EngineMode::Delta,
-            ..EngineConfig::with_parallelism(Parallelism::Workers(3))
-        };
-        let (status, stats) = run_traced(&mut sys, &cfg, Tracer::new(&fan)).unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-
-        let events = journal.snapshot();
-        // The Invoke/CallSkipped ↔ RunStats agreement survives the
-        // evaluate/commit split.
-        let invokes = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Invoke { .. }))
-            .count();
-        let skips = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::CallSkipped { .. }))
-            .count();
-        assert_eq!(invokes, stats.invocations);
-        assert_eq!(skips, stats.skipped);
-        // Every evaluated call produced a WorkerEval in some worker lane,
-        // and every round with jobs produced a ParallelRound marker.
-        let wevals = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::WorkerEval { .. }))
-            .count();
-        assert!(wevals >= stats.invocations, "wevals = {wevals}");
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::ParallelRound { .. })));
-        // Worker events carry worker ids > 0; the merged journal is
-        // seq-ordered (absorption re-stamps).
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::WorkerEval { .. }) && e.worker > 0));
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-        let g = metrics.globals();
-        assert_eq!(g.rounds as usize, stats.rounds);
-        assert_eq!(g.calls_selected as usize, stats.invocations);
-        assert!(g.parallel_rounds > 0);
-        assert!(g.worker_evals as usize >= stats.invocations);
-        // Chrome export round-trips with the worker lanes included.
-        let json = chrome_trace(&events);
-        assert_eq!(validate_chrome_trace(&json).unwrap(), events.len());
-        // The metrics report surfaces the parallel line.
-        let report = metrics.render_report("parallel-tc");
-        assert!(report.contains("parallel:"), "report:\n{report}");
-        // Traced parallel and untraced sequential agree on the fixpoint.
-        let mut plain = tc_system();
-        run(&mut plain, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
-        assert_eq!(plain.canonical_key(), sys.canonical_key());
-    }
-
-    #[test]
-    fn parallel_with_provenance_records_lineage() {
-        use crate::provenance::ProvenanceStore;
-        let store = ProvenanceStore::new();
-        let mut sys = tc_system();
-        let cfg = EngineConfig {
-            mode: EngineMode::Delta,
-            ..EngineConfig::with_parallelism(Parallelism::Workers(2))
-        };
-        let (status, stats) = run_with_provenance(
-            &mut sys,
-            &cfg,
-            Tracer::disabled(),
-            Provenance::new(&store),
-        )
-        .unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-        assert!(stats.invocations > 0);
-        // Same lineage counts as the sequential provenance run.
-        let seq_store = ProvenanceStore::new();
-        let mut seq = tc_system();
-        run_with_provenance(
-            &mut seq,
-            &EngineConfig::with_mode(EngineMode::Delta),
-            Tracer::disabled(),
-            Provenance::new(&seq_store),
-        )
-        .unwrap();
-        assert_eq!(sys.canonical_key(), seq.canonical_key());
-        assert_eq!(store.invocations().len(), seq_store.invocations().len());
-        assert_eq!(store.skips().len(), seq_store.skips().len());
     }
 
     #[test]

@@ -49,40 +49,35 @@ pub fn build_input(doc: &Tree, node: NodeId) -> Tree {
 }
 
 /// The read-only half of one invocation: the evaluated result forest
-/// plus everything the commit phase needs to graft it later via
-/// [`apply_plan`].
-///
-/// Produced by [`evaluate_node`] against an *immutable* system
-/// reference — building a plan never mutates any document. That split
-/// is what lets [`crate::engine`]'s parallel mode evaluate a whole
-/// round's calls concurrently on worker threads and then commit the
-/// plans sequentially, in a deterministic order, on the main thread.
-#[derive(Clone, Debug)]
-pub struct GraftPlan {
+/// plus everything [`apply_plan`] needs to graft it. Produced by
+/// [`evaluate_node`] against an immutable system reference — building
+/// a plan never mutates any document.
+struct GraftPlan {
     /// Document hosting the call.
-    pub doc: Sym,
+    doc: Sym,
     /// The invoked function node.
-    pub node: NodeId,
+    node: NodeId,
+    /// The call's parent, where the results are grafted.
+    parent: NodeId,
     /// The service invoked.
-    pub service: Sym,
+    service: Sym,
     /// The service's result forest (snapshot answer or black-box
     /// output), already reduced.
-    pub forest: Forest,
+    forest: Forest,
     /// Provenance witnesses matched before evaluation (empty unless
     /// requested via `collect_witnesses`).
-    pub witnesses: Vec<(Sym, NodeId)>,
+    witnesses: Vec<(Sym, NodeId)>,
 }
 
 /// Evaluate the service call at `node` of `doc_name` against the
 /// current system state, without applying anything: the read-only
-/// phase 1 of [`invoke_node_with_provenance`], shared-borrow friendly
-/// so it can run from worker threads.
+/// phase 1 of [`invoke_node_with_provenance`].
 ///
 /// `collect_witnesses` asks for the provenance witness set (the nodes
 /// the evaluation read); pass `prov.enabled()` when a store is
 /// attached, `false` otherwise to skip the extra matching work.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_node(
+fn evaluate_node(
     sys: &System,
     doc_name: Sym,
     node: NodeId,
@@ -154,6 +149,7 @@ pub fn evaluate_node(
     Ok(GraftPlan {
         doc: doc_name,
         node,
+        parent,
         service: fname,
         forest,
         witnesses,
@@ -164,33 +160,19 @@ pub fn evaluate_node(
 /// [`invoke_node_with_provenance`]. Result trees not subsumed by an
 /// existing sibling are grafted next to the call, lineage is stamped,
 /// and the document is reduced.
-///
-/// Subsumption is re-checked here against the document *as it now is*,
-/// so a plan evaluated against an older snapshot stays sound: results
-/// that an intervening commit already made redundant are simply
-/// dropped (monotonicity — Theorem 2.1's confluence argument).
-///
-/// Returns `Ok(None)` when the call node is no longer alive (an
-/// earlier commit's reduction merged it away); the plan's information
-/// survives in the equivalent sibling that was kept.
-pub fn apply_plan(
+fn apply_plan(
     sys: &mut System,
     plan: &GraftPlan,
     tracer: Tracer<'_>,
     prov: Provenance<'_>,
     round: u64,
-) -> Result<Option<InvokeOutcome>> {
+) -> Result<InvokeOutcome> {
     let doc_name = plan.doc;
+    let parent = plan.parent;
     let result_trees = plan.forest.len();
     let doc = sys
         .doc_mut(doc_name)
         .ok_or(AxmlError::UnknownDocument(doc_name))?;
-    if !doc.is_alive(plan.node) {
-        return Ok(None);
-    }
-    // Re-resolve the parent from the live document: reduction during
-    // earlier commits may have re-parented the (still alive) node.
-    let parent = doc.parent(plan.node).ok_or(AxmlError::FunctionRoot)?;
     let pre_version = doc.mutation_count();
     // Index maintenance is reported as counter deltas over the whole
     // graft+reduce batch; the index's build state cannot change during
@@ -279,11 +261,11 @@ pub fn apply_plan(
             }
         }
     }
-    Ok(Some(InvokeOutcome {
+    Ok(InvokeOutcome {
         changed: grafted > 0,
         result_trees,
         grafted,
-    }))
+    })
 }
 
 /// Invoke the function node `node` of document `doc_name` in `sys`.
@@ -359,9 +341,7 @@ pub fn invoke_node_with_provenance(
         prov.enabled(),
         strategy,
     )?;
-    let outcome = apply_plan(sys, &plan, tracer, prov, round)?;
-    // Nothing ran between the two phases, so the node is still alive.
-    Ok(outcome.expect("node alive: evaluate_node just checked"))
+    apply_plan(sys, &plan, tracer, prov, round)
 }
 
 #[cfg(test)]

@@ -11,13 +11,13 @@
 //! workload is small (labels, service names, atomic values of the system),
 //! so this is bounded in practice.
 //!
-//! The interner is safe to use from any number of threads — the parallel
-//! engine's workers and the p2p peer threads intern and resolve symbols
+//! The interner is safe to use from any number of threads — the server's
+//! connection threads and the p2p peer threads intern and resolve symbols
 //! concurrently. Reads take a shared `RwLock` guard; an insert upgrades
 //! to the write lock and re-checks under it (double-checked), so two
 //! threads racing to intern the same string always agree on one id. The
 //! lock is the in-repo `parking_lot` shim, which recovers rather than
-//! propagates poison, so a panicking worker can never wedge the interner
+//! propagates poison, so a panicking thread can never wedge the interner
 //! for the rest of the process.
 
 use parking_lot::RwLock;
@@ -206,7 +206,7 @@ mod tests {
         // Many threads intern overlapping string sets while others
         // resolve: every thread must observe one consistent id per
         // string and `as_str` must round-trip, with no panic or
-        // deadlock. (The worker pool and p2p peers do exactly this.)
+        // deadlock. (Server connections and p2p peers do exactly this.)
         const THREADS: usize = 8;
         const STRINGS: usize = 200;
         let ids: Vec<Vec<(String, Sym)>> = std::thread::scope(|s| {

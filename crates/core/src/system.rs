@@ -259,8 +259,8 @@ impl System {
     /// `System: Clone` is already cheap — every [`Tree`] clone is two
     /// `Arc` bumps (see the copy-on-write notes on [`Tree`]) — and the
     /// snapshot wraps that clone in an `Arc` so it can be handed to any
-    /// number of concurrent readers (server query/stats frames, engine
-    /// workers, p2p peers) for one more pointer bump each. The snapshot
+    /// number of concurrent readers (server query/stats frames, p2p
+    /// peers) for one more pointer bump each. The snapshot
     /// is fully immutable: writers that keep mutating the original
     /// diverge via path copying and never disturb it, and every
     /// document keeps its `(id, version)` handle so snapshot-side

@@ -282,37 +282,6 @@ pub enum EventKind {
         /// Wall-clock latency of the evaluation, in nanoseconds.
         dur_ns: u64,
     },
-    /// One call evaluated on a worker thread during a parallel round's
-    /// read-only phase ([`crate::engine::Parallelism::Workers`]). The
-    /// commit-side [`EventKind::Invoke`] still follows once the plan is
-    /// applied, so `Invoke` counts stay 1:1 with evaluated calls.
-    WorkerEval {
-        /// The evaluating worker (0-based).
-        worker: u32,
-        /// Host document of the evaluated call.
-        doc: Sym,
-        /// The evaluated function node.
-        node: NodeId,
-        /// The evaluated service.
-        service: Sym,
-        /// Trees in the service's result forest.
-        result_trees: u32,
-        /// Wall-clock latency of the read-only evaluation, nanoseconds.
-        dur_ns: u64,
-    },
-    /// A parallel round's evaluation phase completed: `evaluated` plans
-    /// were produced by `workers` workers in `dur_ns` wall-clock time
-    /// (the sequential commit phase follows).
-    ParallelRound {
-        /// Round index, matching the surrounding round events.
-        round: u64,
-        /// Worker threads used for the evaluation phase.
-        workers: u32,
-        /// Calls evaluated (plans produced) this round.
-        evaluated: u32,
-        /// Wall-clock duration of the evaluation phase, nanoseconds.
-        dur_ns: u64,
-    },
     /// A service query was lowered, optimized, and emitted as a
     /// [`crate::compile::MatchProgram`].
     PlanCompiled {
@@ -416,8 +385,6 @@ pub enum EventCategory {
     Index,
     /// P2p message traffic and provider evaluations.
     P2p,
-    /// Parallel-engine worker evaluations and round phases.
-    Parallel,
     /// Query compilation and program-cache traffic.
     Compile,
     /// `axml-server` request lifecycle events.
@@ -427,7 +394,7 @@ pub enum EventCategory {
 impl EventCategory {
     /// Every category, in stable order — the index into
     /// [`JournalConfig`] sampling-rate and drop-counter arrays.
-    pub const ALL: [EventCategory; 11] = [
+    pub const ALL: [EventCategory; 10] = [
         EventCategory::Engine,
         EventCategory::Schedule,
         EventCategory::Invoke,
@@ -436,7 +403,6 @@ impl EventCategory {
         EventCategory::Reduce,
         EventCategory::Index,
         EventCategory::P2p,
-        EventCategory::Parallel,
         EventCategory::Compile,
         EventCategory::Server,
     ];
@@ -453,7 +419,6 @@ impl EventCategory {
             EventCategory::Reduce => "reduce",
             EventCategory::Index => "index",
             EventCategory::P2p => "p2p",
-            EventCategory::Parallel => "parallel",
             EventCategory::Compile => "compile",
             EventCategory::Server => "server",
         }
@@ -482,9 +447,6 @@ impl EventKind {
             EventKind::IndexLookup { .. } | EventKind::IndexMaintain { .. } => EventCategory::Index,
             EventKind::MsgSend { .. } | EventKind::MsgRecv { .. } | EventKind::PeerEval { .. } => {
                 EventCategory::P2p
-            }
-            EventKind::WorkerEval { .. } | EventKind::ParallelRound { .. } => {
-                EventCategory::Parallel
             }
             EventKind::PlanCompiled { .. }
             | EventKind::ProgramCacheHit { .. }
@@ -529,10 +491,7 @@ impl EventKind {
             EventKind::IndexMaintain { .. } => "index-maintain".to_string(),
             EventKind::MsgSend { kind, .. } => format!("send {}", kind.name()),
             EventKind::MsgRecv { kind, .. } => format!("recv {}", kind.name()),
-            EventKind::PeerEval { service, .. } | EventKind::WorkerEval { service, .. } => {
-                format!("eval {service}")
-            }
-            EventKind::ParallelRound { round, .. } => format!("parallel round {round}"),
+            EventKind::PeerEval { service, .. } => format!("eval {service}"),
             EventKind::PlanCompiled { service, .. } => format!("compile {service}"),
             EventKind::ProgramCacheHit { service } => format!("program hit {service}"),
             EventKind::ProgramCacheMiss { service } => format!("program miss {service}"),
@@ -545,29 +504,19 @@ impl EventKind {
 }
 
 /// One journal entry: an [`EventKind`] stamped by the recording sink
-/// with a strictly increasing sequence number, a monotone timestamp
-/// (nanoseconds since the sink's epoch), and the recording worker's id
-/// (`0` for the main thread / single-threaded runs).
-///
-/// Under [`crate::engine::Parallelism::Workers`] the full stamp is
-/// effectively `(round, worker, seq)`: worker-local journals are merged
-/// into the main journal at each round's commit phase in ascending
-/// worker order, so the merged `seq` order is deterministic however the
-/// worker threads interleaved in real time.
+/// with a strictly increasing sequence number and a monotone timestamp
+/// (nanoseconds since the sink's epoch).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Strictly increasing per-sink sequence number (journal order).
     pub seq: u64,
     /// Monotone nanoseconds since the sink's epoch.
     pub ts_ns: u64,
-    /// Recording worker id: 0 for the main thread, `w + 1` for parallel
-    /// worker `w` (see [`Journal::for_worker`]).
-    pub worker: u32,
     /// The request-scoped trace id the event belongs to (0 =
     /// unattributed). `axml-server` stamps one per request frame and
-    /// threads it through engine rounds, invocations, worker
-    /// evaluations, and p2p calls, so one query's end-to-end derivation
-    /// is reconstructable from a merged journal.
+    /// threads it through engine rounds, invocations and p2p calls, so
+    /// one query's end-to-end derivation is reconstructable from a
+    /// merged journal.
     pub trace: u64,
     /// The event itself.
     pub kind: EventKind,
@@ -593,23 +542,6 @@ pub trait TraceSink {
     fn record_traced(&self, kind: EventKind, trace: u64) {
         let _ = trace;
         self.record(kind);
-    }
-
-    /// Record an already-stamped event — the merge path for per-worker
-    /// journals. Storing sinks should preserve the event's timestamp
-    /// and worker id while re-stamping the sequence number in arrival
-    /// order (so the merged order is the deterministic arrival order,
-    /// not the racy wall-clock order). The default forwards to
-    /// [`TraceSink::record`], which is correct for pure aggregators.
-    fn record_stamped(&self, ev: TraceEvent) {
-        self.record(ev.kind);
-    }
-
-    /// The sink's timestamp epoch, when it has one. Worker-local
-    /// journals adopt the main sink's epoch so merged timestamps share
-    /// one timeline.
-    fn epoch(&self) -> Option<Instant> {
-        None
     }
 }
 
@@ -665,21 +597,6 @@ impl<'a> Tracer<'a> {
         if let Some(sink) = self.sink {
             sink.record_traced(f(), self.trace);
         }
-    }
-
-    /// Forward an already-stamped event (from a worker-local journal)
-    /// to the sink, preserving its timestamp and worker id — see
-    /// [`TraceSink::record_stamped`].
-    #[inline]
-    pub fn absorb(&self, ev: TraceEvent) {
-        if let Some(sink) = self.sink {
-            sink.record_stamped(ev);
-        }
-    }
-
-    /// The attached sink's timestamp epoch, when it has one.
-    pub fn epoch(&self) -> Option<Instant> {
-        self.sink.and_then(|s| s.epoch())
     }
 }
 
@@ -756,9 +673,6 @@ struct JournalInner {
 /// sound).
 pub struct Journal {
     epoch: Instant,
-    /// The worker id stamped on events recorded *by this journal*
-    /// (0 = main thread; see [`Journal::for_worker`]).
-    worker: u32,
     cfg: JournalConfig,
     inner: RefCell<JournalInner>,
 }
@@ -774,7 +688,17 @@ impl Journal {
     /// every event — use [`Journal::with_config`] for the bounded
     /// production profile.
     pub fn new() -> Journal {
-        Journal::with_epoch(Instant::now())
+        Journal {
+            epoch: Instant::now(),
+            cfg: JournalConfig::unbounded(),
+            inner: RefCell::new(JournalInner {
+                seq: 0,
+                events: std::collections::VecDeque::new(),
+                seen: [0; EventCategory::ALL.len()],
+                sampled_out: [0; EventCategory::ALL.len()],
+                evicted: [0; EventCategory::ALL.len()],
+            }),
+        }
     }
 
     /// An empty journal with the given retention policy; timestamps
@@ -793,37 +717,6 @@ impl Journal {
             capacity: Some(capacity),
             ..JournalConfig::unbounded()
         })
-    }
-
-    /// An empty unbounded journal whose timestamps count from `epoch` —
-    /// use the main sink's epoch ([`TraceSink::epoch`]) so a
-    /// worker-local journal's timestamps merge onto the same timeline.
-    pub fn with_epoch(epoch: Instant) -> Journal {
-        Journal {
-            epoch,
-            worker: 0,
-            cfg: JournalConfig::unbounded(),
-            inner: RefCell::new(JournalInner {
-                seq: 0,
-                events: std::collections::VecDeque::new(),
-                seen: [0; EventCategory::ALL.len()],
-                sampled_out: [0; EventCategory::ALL.len()],
-                evicted: [0; EventCategory::ALL.len()],
-            }),
-        }
-    }
-
-    /// A worker-local journal: events it records are stamped with
-    /// worker id `worker + 1` (0 is reserved for the main thread) and
-    /// timestamps counting from `epoch`. Each parallel worker keeps one
-    /// and the engine merges it into the main sink, in worker order, at
-    /// the end of the round's evaluation phase. Unbounded: retention
-    /// policy is the merged-into sink's concern.
-    pub fn for_worker(worker: u32, epoch: Option<Instant>) -> Journal {
-        Journal {
-            worker: worker + 1,
-            ..Journal::with_epoch(epoch.unwrap_or_else(Instant::now))
-        }
     }
 
     /// The retention policy.
@@ -879,8 +772,8 @@ impl Journal {
     }
 
     /// Stamp `kind` with the next sequence number, the monotone
-    /// timestamp, this journal's worker id, and `trace`, then retain it
-    /// subject to the sampling and capacity policy. Returns the stamped
+    /// timestamp and `trace`, then retain it subject to the sampling and
+    /// capacity policy. Returns the stamped
     /// event whether or not it was retained — the server's tail
     /// subscriptions forward it to live observers either way.
     pub fn record_event(&self, kind: EventKind, trace: u64) -> TraceEvent {
@@ -891,7 +784,6 @@ impl Journal {
         let ev = TraceEvent {
             seq,
             ts_ns,
-            worker: self.worker,
             trace,
             kind,
         };
@@ -899,22 +791,8 @@ impl Journal {
         ev
     }
 
-    /// Absorb an already-stamped event (the worker-merge path),
-    /// re-stamping only its sequence number, and return the re-stamped
-    /// event. This is what [`TraceSink::record_stamped`] does for a
-    /// journal; callers that also fan events out to live observers use
-    /// this directly for the authoritative stamp.
-    pub fn record_absorbed(&self, ev: TraceEvent) -> TraceEvent {
-        let mut inner = self.inner.borrow_mut();
-        let seq = inner.seq;
-        inner.seq += 1;
-        let ev = TraceEvent { seq, ..ev };
-        self.store(&mut inner, ev);
-        ev
-    }
-
-    /// The sampling + ring phase, shared by every record path. The
-    /// caller already consumed a sequence number for `ev`.
+    /// The sampling + ring phase. The caller already consumed a
+    /// sequence number for `ev`.
     fn store(&self, inner: &mut JournalInner, ev: TraceEvent) {
         let cat = ev.kind.category() as usize;
         let nth = inner.seen[cat];
@@ -946,18 +824,6 @@ impl TraceSink for Journal {
     fn record_traced(&self, kind: EventKind, trace: u64) {
         self.record_event(kind, trace);
     }
-
-    /// Merged events keep their original timestamp, worker id, and
-    /// trace id; only the sequence number is re-stamped, in arrival
-    /// order, so the journal stays strictly `seq`-ordered and
-    /// deterministic. The retention policy applies as for fresh events.
-    fn record_stamped(&self, ev: TraceEvent) {
-        self.record_absorbed(ev);
-    }
-
-    fn epoch(&self) -> Option<Instant> {
-        Some(self.epoch)
-    }
 }
 
 /// Fan one event stream out to several sinks (e.g. a [`Journal`] for
@@ -984,18 +850,6 @@ impl TraceSink for Fanout<'_> {
         for s in &self.sinks {
             s.record_traced(kind, trace);
         }
-    }
-
-    fn record_stamped(&self, ev: TraceEvent) {
-        for s in &self.sinks {
-            s.record_stamped(ev);
-        }
-    }
-
-    /// The first member sink's epoch (journals before aggregators, in
-    /// the order given to [`Fanout::new`]).
-    fn epoch(&self) -> Option<Instant> {
-        self.sinks.iter().find_map(|s| s.epoch())
     }
 }
 
@@ -1192,15 +1046,6 @@ pub struct GlobalMetrics {
     pub index_removes: u64,
     /// Peak estimated index heap footprint over any host document, bytes.
     pub index_bytes_peak: u64,
-    /// Parallel evaluation phases completed
-    /// ([`EventKind::ParallelRound`]).
-    pub parallel_rounds: u64,
-    /// Worker-side evaluations ([`EventKind::WorkerEval`]).
-    pub worker_evals: u64,
-    /// Largest worker-pool size seen.
-    pub workers_max: u32,
-    /// Total wall-clock time spent in parallel evaluation phases, ns.
-    pub parallel_eval_ns: u64,
     /// Match programs compiled ([`EventKind::PlanCompiled`]).
     pub programs_compiled: u64,
     /// Program-cache lookups served from cache.
@@ -1254,8 +1099,6 @@ pub struct SessionMetrics {
 struct MetricsInner {
     services: FxHashMap<Sym, ServiceMetrics>,
     globals: GlobalMetrics,
-    /// Worker-side evaluation latency, per worker id (0-based).
-    workers: FxHashMap<u32, Histogram>,
     /// Per-session server request aggregates.
     sessions: FxHashMap<Sym, SessionMetrics>,
     /// Server request latency across all sessions (the p50/p99 source).
@@ -1283,24 +1126,10 @@ impl MetricsRegistry {
             inner: RefCell::new(MetricsInner {
                 services: FxHashMap::default(),
                 globals: GlobalMetrics::default(),
-                workers: FxHashMap::default(),
                 sessions: FxHashMap::default(),
                 requests: Histogram::new(),
             }),
         }
-    }
-
-    /// The evaluation-latency histogram of one parallel worker
-    /// (0-based id), if it appeared in the stream.
-    pub fn worker_latency(&self, worker: u32) -> Option<Histogram> {
-        self.inner.borrow().workers.get(&worker).cloned()
-    }
-
-    /// Ids of all parallel workers seen, ascending.
-    pub fn worker_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.inner.borrow().workers.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// The aggregates for one service, if it appeared in the stream.
@@ -1380,27 +1209,6 @@ impl MetricsRegistry {
             g.index_removes,
             g.index_bytes_peak,
         );
-        if g.parallel_rounds > 0 {
-            let mut line = format!(
-                "parallel: rounds {}  workers {}  worker-evals {}  eval-phase {} us total",
-                g.parallel_rounds,
-                g.workers_max,
-                g.worker_evals,
-                g.parallel_eval_ns / 1_000,
-            );
-            let mut ids: Vec<u32> = inner.workers.keys().copied().collect();
-            ids.sort_unstable();
-            for w in ids {
-                let h = &inner.workers[&w];
-                let _ = write!(
-                    line,
-                    "  [w{w}: {} evals p50 {} us]",
-                    h.count(),
-                    h.quantile(0.5) / 1_000,
-                );
-            }
-            let _ = writeln!(out, "{line}");
-        }
         if g.programs_compiled > 0 || g.program_cache_hits + g.program_cache_misses > 0 {
             let lookups = g.program_cache_hits + g.program_cache_misses;
             let hit_rate = if lookups == 0 {
@@ -1589,22 +1397,6 @@ impl TraceSink for MetricsRegistry {
                 m.invocations += 1;
                 m.latency_ns.record(dur_ns);
             }
-            EventKind::WorkerEval { worker, dur_ns, .. } => {
-                inner.globals.worker_evals += 1;
-                inner
-                    .workers
-                    .entry(worker)
-                    .or_default()
-                    .record(dur_ns);
-            }
-            EventKind::ParallelRound {
-                workers, dur_ns, ..
-            } => {
-                inner.globals.parallel_rounds += 1;
-                inner.globals.workers_max = inner.globals.workers_max.max(workers);
-                inner.globals.parallel_eval_ns =
-                    inner.globals.parallel_eval_ns.saturating_add(dur_ns);
-            }
             EventKind::PlanCompiled {
                 ops,
                 shared,
@@ -1693,8 +1485,8 @@ fn us(ts_ns: u64) -> f64 {
 }
 
 /// The fixed Chrome-trace thread lane (`tid`) of the `axml-server`
-/// request events — between the peer lanes (2+) and the worker lanes
-/// (1000+), so neither range shifts when a trace mixes all three.
+/// request events — above the peer lanes (2+), so peer numbering does
+/// not shift when a trace mixes both.
 pub const SERVER_TID: u64 = 500;
 
 /// Export a journal as Chrome `trace_event` JSON (the
@@ -1707,19 +1499,16 @@ pub const SERVER_TID: u64 = 500;
 /// * skips, cache traffic, grafts, reductions, subsumption checks and
 ///   p2p messages become instant (`i`) events on the same timeline.
 ///
-/// All engine events share `pid` 1 / `tid` 1 (the commit path is
+/// All engine events share `pid` 1 / `tid` 1 (the engine is
 /// single-threaded); p2p events get one `tid` lane per peer (assigned
-/// in order of first appearance, tids 2+), and parallel-engine
-/// [`EventKind::WorkerEval`] events get one lane per worker at
-/// `tid 1000 + worker` — disjoint from the peer range so peer lane
-/// numbering is unaffected by parallelism. `axml-server` request events
+/// in order of first appearance, tids 2+). `axml-server` request events
 /// ([`EventKind::RequestRecv`] / [`EventKind::RequestServed`] /
 /// [`EventKind::BatchFormed`] / [`EventKind::SubscriptionPush`]) share
-/// the fixed `tid` 500 — the "server" swimlane, between the peer and
-/// worker ranges. The export leads with `ph:"M"` metadata events naming
-/// the process and every thread lane, and stable-sorts the events by
-/// sequence number so an out-of-order slice (e.g. a hand-merged
-/// journal) still renders deterministically.
+/// the fixed `tid` 500 — the "server" swimlane. The export leads
+/// with `ph:"M"` metadata events naming the process and every thread
+/// lane, and stable-sorts the events by sequence number so an
+/// out-of-order slice (e.g. a hand-merged journal) still renders
+/// deterministically.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut out = Vec::new();
     chrome_trace_to(events, &mut out).expect("Vec<u8> writes are infallible");
@@ -1740,12 +1529,10 @@ pub fn chrome_trace_to(
     let mut ordered: Vec<&TraceEvent> = events.iter().collect();
     ordered.sort_by_key(|e| e.seq);
     // Lane assignment: tid 1 is the engine; each peer acting in an
-    // event (sender, receiver, or evaluator) gets its own tid; each
-    // parallel worker gets the fixed lane 1000 + its id. The metadata
-    // header must name every lane before the rows stream out, so a
-    // first pass assigns lanes and a second pass renders.
+    // event (sender, receiver, or evaluator) gets its own tid. The
+    // metadata header must name every lane before the rows stream out,
+    // so a first pass assigns lanes and a second pass renders.
     let mut lanes: Vec<(Sym, u64)> = Vec::new();
-    let mut worker_lanes: Vec<u64> = Vec::new();
     let mut server_lane = false;
     let lane = |lanes: &mut Vec<(Sym, u64)>, peer: Sym| -> u64 {
         if let Some(&(_, t)) = lanes.iter().find(|(p, _)| *p == peer) {
@@ -1763,12 +1550,6 @@ pub fn chrome_trace_to(
             EventKind::MsgRecv { peer, .. } | EventKind::PeerEval { peer, .. } => {
                 lane(&mut lanes, peer);
             }
-            EventKind::WorkerEval { worker, .. } => {
-                let t = 1_000 + u64::from(worker);
-                if !worker_lanes.contains(&t) {
-                    worker_lanes.push(t);
-                }
-            }
             EventKind::RequestRecv { .. }
             | EventKind::RequestServed { .. }
             | EventKind::BatchFormed { .. }
@@ -1776,7 +1557,6 @@ pub fn chrome_trace_to(
             _ => {}
         }
     }
-    worker_lanes.sort_unstable();
     // Second-pass lane lookup: every lane is assigned by now.
     let tid_of = |ev: &TraceEvent| -> u64 {
         match ev.kind {
@@ -1788,7 +1568,6 @@ pub fn chrome_trace_to(
                 .iter()
                 .find(|(p, _)| *p == peer)
                 .map_or(1, |&(_, t)| t),
-            EventKind::WorkerEval { worker, .. } => 1_000 + u64::from(worker),
             EventKind::RequestRecv { .. }
             | EventKind::RequestServed { .. }
             | EventKind::BatchFormed { .. }
@@ -1817,14 +1596,6 @@ pub fn chrome_trace_to(
             w,
             ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\
              \"tid\":{SERVER_TID},\"args\":{{\"name\":\"server\"}}}}",
-        )?;
-    }
-    for tid in &worker_lanes {
-        write!(
-            w,
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\
-             \"tid\":{tid},\"args\":{{\"name\":\"worker {}\"}}}}",
-            tid - 1_000
         )?;
     }
     for ev in &ordered {
@@ -1992,38 +1763,6 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
                 common(&format!("eval {service}"), "X", "p2p", start),
                 us(dur_ns),
                 json_escape(peer.as_str()),
-            )
-        }
-        EventKind::WorkerEval {
-            worker,
-            doc,
-            node,
-            service,
-            result_trees,
-            dur_ns,
-        } => {
-            let start = us(ev.ts_ns.saturating_sub(dur_ns));
-            format!(
-                "{},\"dur\":{:.3},\"args\":{{\"worker\":{worker},\"doc\":\"{}\",\
-                 \"node\":{},\"results\":{result_trees}}}}}",
-                common(&format!("eval {service}"), "X", "parallel", start),
-                us(dur_ns),
-                json_escape(doc.as_str()),
-                node.0,
-            )
-        }
-        EventKind::ParallelRound {
-            round,
-            workers,
-            evaluated,
-            dur_ns,
-        } => {
-            let start = us(ev.ts_ns.saturating_sub(dur_ns));
-            format!(
-                "{},\"dur\":{:.3},\"args\":{{\"round\":{round},\"workers\":{workers},\
-                 \"evaluated\":{evaluated}}}}}",
-                common(&format!("parallel round {round}"), "X", "parallel", start),
-                us(dur_ns),
             )
         }
         EventKind::PlanCompiled {
@@ -2863,16 +2602,9 @@ mod tests {
         let cfg = JournalConfig::default();
         assert_eq!(cfg.capacity, Some(DEFAULT_JOURNAL_CAPACITY));
         assert!(cfg.sample.iter().all(|&r| r == 1));
-        // record_stamped (the worker-merge path) also honors capacity.
         let j = Journal::bounded(2);
-        for seq in 0..5u64 {
-            j.record_stamped(TraceEvent {
-                seq,
-                ts_ns: seq,
-                worker: 1,
-                trace: 0,
-                kind: EventKind::RoundStart { round: seq },
-            });
+        for round in 0..5u64 {
+            j.record(EventKind::RoundStart { round });
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.dropped_evicted(), 3);

@@ -206,8 +206,8 @@ pub struct Tree {
     /// cell are at the same `(id, version)` — any mutation replaces the
     /// cell before restamping — so a published index can never be stale
     /// for a reader. `OnceLock` rather than a cell keeps `Tree: Sync`
-    /// (services are `Send + Sync` and may capture forests; engine
-    /// workers probe shared snapshots).
+    /// (services are `Send + Sync` and may capture forests; server
+    /// reader threads probe shared snapshots).
     index: Arc<OnceLock<Arc<DocIndex>>>,
 }
 

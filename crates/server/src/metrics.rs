@@ -74,10 +74,6 @@ pub fn global_counters(g: &GlobalMetrics) -> Vec<(&'static str, u64)> {
         ("index_adds", g.index_adds),
         ("index_removes", g.index_removes),
         ("index_bytes_peak", g.index_bytes_peak),
-        ("parallel_rounds", g.parallel_rounds),
-        ("worker_evals", g.worker_evals),
-        ("workers_max", u64::from(g.workers_max)),
-        ("parallel_eval_ns", g.parallel_eval_ns),
         ("programs_compiled", g.programs_compiled),
         ("program_cache_hits", g.program_cache_hits),
         ("program_cache_misses", g.program_cache_misses),

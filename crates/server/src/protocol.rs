@@ -401,7 +401,8 @@ pub enum Response {
         seq: u64,
         /// Nanoseconds since the server's trace epoch.
         ts_ns: u64,
-        /// Recording lane (0 = main thread, 1+w = worker w).
+        /// Reserved; always 0. Kept on the wire because protocol v1
+        /// clients require the field.
         worker: u64,
         /// Request-scoped trace id (0 = unattributed).
         trace: u64,

@@ -312,17 +312,6 @@ impl TraceSink for SharedSink {
         inner.metrics.record(kind);
         Self::fan_out(&mut inner.tails, ev);
     }
-
-    fn record_stamped(&self, ev: TraceEvent) {
-        let mut inner = self.lock();
-        let ev = inner.journal.record_absorbed(ev);
-        inner.metrics.record_stamped(ev);
-        Self::fan_out(&mut inner.tails, ev);
-    }
-
-    fn epoch(&self) -> Option<Instant> {
-        self.lock().journal.epoch()
-    }
 }
 
 /// One session: a named AXML [`System`] shared by every connection
@@ -947,7 +936,7 @@ fn serve_trace_tail(
                     id,
                     seq: ev.seq,
                     ts_ns: ev.ts_ns,
-                    worker: u64::from(ev.worker),
+                    worker: 0,
                     trace: ev.trace,
                     cat: ev.kind.category().name().to_string(),
                     name: ev.kind.label(),

@@ -1,54 +1,5 @@
 //! Offline shim for `crossbeam`: the `channel` subset the p2p substrate
-//! uses (backed by `std::sync::mpsc`) plus the `thread::scope` subset
-//! the parallel engine uses (backed by `std::thread::scope`, stable
-//! since Rust 1.63 — within the workspace's 1.75 floor).
-
-/// Scoped threads, mirroring `crossbeam::thread` (the `scope` entry
-/// point only). Scoped spawns may borrow from the caller's stack; the
-/// scope joins every thread before returning.
-pub mod thread {
-    /// A handle to a running scoped thread (mirrors
-    /// `crossbeam::thread::ScopedJoinHandle`).
-    pub struct ScopedJoinHandle<'scope, T>(std::thread::ScopedJoinHandle<'scope, T>);
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Wait for the thread to finish and return its result.
-        /// Panics propagate to the joiner, matching crossbeam's
-        /// behavior of surfacing child panics at the scope boundary.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.0.join()
-        }
-    }
-
-    /// The scope passed to the closure of [`scope`].
-    pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread that may borrow non-`'static` data from the
-        /// enclosing scope.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce() -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            ScopedJoinHandle(self.0.spawn(f))
-        }
-    }
-
-    /// Create a scope for spawning borrowing threads. All spawned
-    /// threads are joined before `scope` returns; a child panic is
-    /// re-raised on the caller once every sibling has been joined.
-    ///
-    /// Unlike real crossbeam (which returns `thread::Result<R>`), the
-    /// std backend propagates child panics directly, so the closure's
-    /// value is returned as-is — the signature the engine uses.
-    pub fn scope<'env, F, R>(f: F) -> R
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::thread::scope(|s| f(&Scope(s)))
-    }
-}
+//! uses, backed by `std::sync::mpsc`.
 
 /// Multi-producer channels, mirroring `crossbeam::channel`.
 pub mod channel {
@@ -151,19 +102,6 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(1)),
             Err(RecvTimeoutError::Disconnected)
         );
-    }
-
-    #[test]
-    fn scoped_threads_borrow_and_join() {
-        let data = [1u64, 2, 3, 4];
-        let sums: Vec<u64> = super::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move || c.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(sums, vec![3, 7]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Differential coverage for compiled pattern matching: the compiled
 //! path (`EngineConfig { compile: true }`) must be bit-for-bit
 //! equivalent to the recursive interpreter across the full
-//! {Naive,Delta} × {Scan,Indexed} × {Sequential,Workers} matrix —
-//! identical fixpoints, invocation/productive/skip/round counts, final
-//! node counts, snapshot-level bindings, and explain/provenance DAGs.
+//! {Naive,Delta} × {Scan,Indexed} matrix — identical fixpoints,
+//! invocation/productive/skip/round counts, final node counts,
+//! snapshot-level bindings, and explain/provenance DAGs.
 //!
 //! Soundness background (see `docs/compilation.md`): the optimization
 //! passes only remove work the interpreter would have proved redundant
@@ -14,9 +14,7 @@
 //! interpreter does.
 
 use positive_axml::core::compile::ProgramCache;
-use positive_axml::core::engine::{
-    run, EngineConfig, EngineMode, Parallelism, RunStatus,
-};
+use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
 use positive_axml::core::eval::{snapshot_compiled, snapshot_with_strategy, Env};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::MatchStrategy;
@@ -38,9 +36,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The full matrix on random simple positive systems: every
-    /// (mode, strategy, parallelism) cell computes the identical
-    /// fixpoint and the identical run statistics with compilation on
-    /// and off. The compiled run additionally reports program-cache
+    /// (mode, strategy) cell computes the identical fixpoint and the
+    /// identical run statistics with compilation on and off. The compiled run additionally reports program-cache
     /// traffic; the interpreted run never compiles anything.
     #[test]
     fn compiled_runs_reproduce_interpreted_runs(
@@ -50,67 +47,62 @@ proptest! {
         let sys = random_simple_system(&gen_cfg(knob), seed);
         for mode in [EngineMode::Naive, EngineMode::Delta] {
             for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-                for parallelism in
-                    [Parallelism::Sequential, Parallelism::Workers(2)]
-                {
-                    let base = EngineConfig {
-                        mode,
-                        match_strategy: strategy,
-                        parallelism,
-                        ..EngineConfig::with_budget(BUDGET)
-                    };
-                    let mut interp = sys.clone();
-                    let (i_status, i_stats) = run(
-                        &mut interp,
-                        &EngineConfig { compile: false, ..base },
-                    )
-                    .unwrap();
-                    if i_status != RunStatus::Terminated {
-                        // Budget-exhausted prefixes are compared by the
-                        // small-budget test below; their documents can
-                        // be too deep for recursive canonicalization.
-                        continue;
-                    }
-                    let mut comp = sys.clone();
-                    let (c_status, c_stats) = run(
-                        &mut comp,
-                        &EngineConfig { compile: true, ..base },
-                    )
-                    .unwrap();
+                let base = EngineConfig {
+                    mode,
+                    match_strategy: strategy,
+                    ..EngineConfig::with_budget(BUDGET)
+                };
+                let mut interp = sys.clone();
+                let (i_status, i_stats) = run(
+                    &mut interp,
+                    &EngineConfig { compile: false, ..base },
+                )
+                .unwrap();
+                if i_status != RunStatus::Terminated {
+                    // Budget-exhausted prefixes are compared by the
+                    // small-budget test below; their documents can
+                    // be too deep for recursive canonicalization.
+                    continue;
+                }
+                let mut comp = sys.clone();
+                let (c_status, c_stats) = run(
+                    &mut comp,
+                    &EngineConfig { compile: true, ..base },
+                )
+                .unwrap();
+                prop_assert!(
+                    c_status == i_status,
+                    "seed {} knob {} {:?}/{:?}: status {:?} vs {:?}",
+                    seed, knob, mode, strategy,
+                    c_status, i_status
+                );
+                prop_assert!(
+                    comp.canonical_key() == interp.canonical_key(),
+                    "seed {} knob {} {:?}/{:?}: fixpoint diverged",
+                    seed, knob, mode, strategy
+                );
+                prop_assert!(c_stats.invocations == i_stats.invocations);
+                prop_assert!(c_stats.productive == i_stats.productive);
+                prop_assert!(c_stats.skipped == i_stats.skipped);
+                prop_assert!(c_stats.rounds == i_stats.rounds);
+                prop_assert!(c_stats.final_nodes == i_stats.final_nodes);
+                prop_assert!(c_stats.cache_hits == i_stats.cache_hits);
+                prop_assert!(c_stats.cache_misses == i_stats.cache_misses);
+                // Program-cache traffic is the only divergence.
+                prop_assert!(
+                    i_stats.programs_compiled == 0
+                        && i_stats.program_cache_hits == 0
+                        && i_stats.program_cache_misses == 0
+                );
+                if c_stats.invocations > 0 {
                     prop_assert!(
-                        c_status == i_status,
-                        "seed {} knob {} {:?}/{:?}/{:?}: status {:?} vs {:?}",
-                        seed, knob, mode, strategy, parallelism,
-                        c_status, i_status
+                        c_stats.program_cache_hits
+                            + c_stats.program_cache_misses
+                            > 0,
+                        "seed {} knob {}: compiled run never consulted \
+                         the program cache",
+                        seed, knob
                     );
-                    prop_assert!(
-                        comp.canonical_key() == interp.canonical_key(),
-                        "seed {} knob {} {:?}/{:?}/{:?}: fixpoint diverged",
-                        seed, knob, mode, strategy, parallelism
-                    );
-                    prop_assert!(c_stats.invocations == i_stats.invocations);
-                    prop_assert!(c_stats.productive == i_stats.productive);
-                    prop_assert!(c_stats.skipped == i_stats.skipped);
-                    prop_assert!(c_stats.rounds == i_stats.rounds);
-                    prop_assert!(c_stats.final_nodes == i_stats.final_nodes);
-                    prop_assert!(c_stats.cache_hits == i_stats.cache_hits);
-                    prop_assert!(c_stats.cache_misses == i_stats.cache_misses);
-                    // Program-cache traffic is the only divergence.
-                    prop_assert!(
-                        i_stats.programs_compiled == 0
-                            && i_stats.program_cache_hits == 0
-                            && i_stats.program_cache_misses == 0
-                    );
-                    if c_stats.invocations > 0 {
-                        prop_assert!(
-                            c_stats.program_cache_hits
-                                + c_stats.program_cache_misses
-                                > 0,
-                            "seed {} knob {}: compiled run never consulted \
-                             the program cache",
-                            seed, knob
-                        );
-                    }
                 }
             }
         }

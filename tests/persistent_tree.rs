@@ -2,8 +2,8 @@
 //! `Tree::clone` / `System::snapshot` are O(1) frozen handles, and the
 //! engine run on a COW clone is bit-for-bit the engine run on the
 //! original — answers, fixpoint statistics, trace journals, and explain
-//! DAGs — across the full {Naive,Delta} × {Scan,Indexed} ×
-//! {Sequential,Workers} configuration matrix.
+//! DAGs — across the full {Naive,Delta} × {Scan,Indexed}
+//! configuration matrix.
 //!
 //! Background (see `docs/mvcc.md`): nodes live in chunked `Arc`-shared
 //! spines, mutators path-copy only the touched chunk, and every commit
@@ -11,9 +11,7 @@
 //! mutation tally keeps everything observable (journals, stats, wire
 //! frames) deterministic run-to-run.
 
-use positive_axml::core::engine::{
-    run, EngineConfig, EngineMode, Parallelism, RunStatus,
-};
+use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::MatchStrategy;
 use positive_axml::core::tree::{Marking, Tree};
@@ -97,10 +95,9 @@ proptest! {
     /// The full engine matrix on COW clones of one random system:
     /// every cell runs on its own O(1) clone, all cells agree on the
     /// canonical fixpoint, statistics are identical wherever the
-    /// semantics say they must be (across strategies and worker counts
-    /// within a mode), and a snapshot taken before any run is still
-    /// bit-for-bit the seed state after all sixteen runs mutated their
-    /// clones.
+    /// semantics say they must be (across strategies within a mode),
+    /// and a snapshot taken before any run is still bit-for-bit the
+    /// seed state after every run mutated its clone.
     #[test]
     fn engine_matrix_on_cow_clones_is_bit_for_bit(
         seed in 0u64..1_000_000,
@@ -113,30 +110,24 @@ proptest! {
         for mode in [EngineMode::Naive, EngineMode::Delta] {
             let mut cells = Vec::new();
             for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-                for parallelism in [Parallelism::Sequential, Parallelism::Workers(2)] {
-                    let mut clone = sys.clone();
-                    let cfg = EngineConfig {
-                        mode,
-                        match_strategy: strategy,
-                        parallelism,
-                        ..EngineConfig::with_budget(BUDGET)
-                    };
-                    let (status, stats) = run(&mut clone, &cfg).unwrap();
-                    if cells.is_empty() && status != RunStatus::Terminated {
-                        // Nonterminating seed: budget-exhausted states
-                        // can be enormous, skip the whole mode.
-                        break;
-                    }
-                    cells.push((status, stats, clone.canonical_key()));
-                }
-                if cells.is_empty() {
+                let mut clone = sys.clone();
+                let cfg = EngineConfig {
+                    mode,
+                    match_strategy: strategy,
+                    ..EngineConfig::with_budget(BUDGET)
+                };
+                let (status, stats) = run(&mut clone, &cfg).unwrap();
+                if cells.is_empty() && status != RunStatus::Terminated {
+                    // Nonterminating seed: budget-exhausted states
+                    // can be enormous, skip the whole mode.
                     break;
                 }
+                cells.push((status, stats, clone.canonical_key()));
             }
             if cells.is_empty() {
                 continue;
             }
-            // Cells are [Scan/Seq, Scan/W2, Indexed/Seq, Indexed/W2].
+            // Cells are [Scan, Indexed].
             for (status, _, key) in &cells[1..] {
                 prop_assert!(*status == RunStatus::Terminated);
                 prop_assert!(
@@ -146,24 +137,12 @@ proptest! {
                 );
             }
             // The match strategy must not change any statistic at all.
-            for (seq, par) in [(0usize, 2usize), (1, 3)] {
-                prop_assert!(cells[seq].1.invocations == cells[par].1.invocations);
-                prop_assert!(cells[seq].1.productive == cells[par].1.productive);
-                prop_assert!(cells[seq].1.skipped == cells[par].1.skipped);
-                prop_assert!(cells[seq].1.rounds == cells[par].1.rounds);
-                prop_assert!(cells[seq].1.final_nodes == cells[par].1.final_nodes);
-            }
-            // Sequential vs workers: snapshot evaluation may defer a
-            // same-round re-fire to the next round, so counts agree
-            // only up to the fairness bound (see tests/parallel_engine.rs).
-            let (s, w) = (&cells[0].1, &cells[1].1);
-            prop_assert!(
-                w.invocations <= s.invocations * 2 + 8
-                    && s.invocations <= w.invocations * 2 + 8,
-                "seed {} knob {} {:?}: invocations {} vs {} outside the fairness bound",
-                seed, knob, mode, w.invocations, s.invocations
-            );
-            prop_assert!(cells[1].1.final_nodes == cells[0].1.final_nodes);
+            let (scan, indexed) = (&cells[0].1, &cells[1].1);
+            prop_assert!(scan.invocations == indexed.invocations);
+            prop_assert!(scan.productive == indexed.productive);
+            prop_assert!(scan.skipped == indexed.skipped);
+            prop_assert!(scan.rounds == indexed.rounds);
+            prop_assert!(scan.final_nodes == indexed.final_nodes);
         }
         // The pre-run snapshot never moved, whatever the clones did.
         prop_assert!(pre_snap.canonical_key() == pre_key);
@@ -179,17 +158,14 @@ proptest! {
 /// `doc_version` comes from. With raw stamps in the events, two runs
 /// in one process could never agree.
 #[test]
-fn journals_identical_across_cow_clones_and_worker_counts() {
+fn journals_identical_across_cow_clones() {
     use positive_axml::core::trace::{Journal, Tracer};
 
     let base = axml_bench::tc_system(10);
-    let journal_of = |parallelism: Parallelism| {
+    let journal_of = || {
         let mut sys = base.clone();
         let journal = Journal::new();
-        let cfg = EngineConfig {
-            parallelism,
-            ..EngineConfig::with_mode(EngineMode::Delta)
-        };
+        let cfg = EngineConfig::with_mode(EngineMode::Delta);
         positive_axml::core::engine::run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
         (journal.snapshot(), sys.canonical_key())
     };
@@ -210,34 +186,15 @@ fn journals_identical_across_cow_clones_and_worker_counts() {
         out.push_str(rest);
         out
     };
-    use positive_axml::core::trace::EventKind;
-    // Worker-tagged events (eval striping, pool shape) legitimately
-    // depend on the worker count; everything committed does not.
-    let worker_tagged = |k: &EventKind| {
-        matches!(
-            k,
-            EventKind::WorkerEval { .. } | EventKind::ParallelRound { .. }
-        )
-    };
     let strip = |evs: &[positive_axml::core::trace::TraceEvent]| -> Vec<String> {
         evs.iter()
-            .filter(|e| !worker_tagged(&e.kind))
             .map(|e| zero_after(format!("{:?}", e.kind), "dur_ns: "))
             .collect()
     };
-    let (j1, k1) = journal_of(Parallelism::Sequential);
-    let (j2, k2) = journal_of(Parallelism::Sequential);
+    let (j1, k1) = journal_of();
+    let (j2, k2) = journal_of();
     assert_eq!(k1, k2);
     assert_eq!(strip(&j1), strip(&j2), "two clones of one system journaled differently");
-    let (w1, wk1) = journal_of(Parallelism::Workers(1));
-    let (w2, wk2) = journal_of(Parallelism::Workers(2));
-    assert_eq!(wk1, k1);
-    assert_eq!(wk2, k1);
-    assert_eq!(
-        strip(&w1),
-        strip(&w2),
-        "worker count changed the committed event stream"
-    );
 }
 
 /// Explain DAGs are unchanged by COW cloning: lineage recorded while
