@@ -689,17 +689,23 @@ impl<'t> Exec<'_, 't> {
     /// interpreter re-embeds per seed binding × candidate).
     fn child_relation(&mut self, op: OpId, tcs: &[NodeId]) -> Vec<Binding> {
         let mut crel: Vec<Binding> = Vec::new();
-        if self.prog.ops[op as usize].leaf {
+        let prog = self.prog;
+        let o = &prog.ops[op as usize];
+        if o.leaf {
             for &tc in tcs {
-                if let Some(nb) = bind_item(&self.prog.ops[op as usize].item, self.t, tc, &Binding::new())
-                {
+                if let Some(nb) = bind_item(&o.item, self.t, tc, &Binding::new()) {
                     crel.push(nb);
                 }
             }
-        } else {
+        } else if o.shared {
             for &tc in tcs {
                 let sub = self.eval_memo(op, tc);
                 crel.extend(sub.iter().cloned());
+            }
+        } else {
+            // Unshared: nothing else reads this relation, so move it.
+            for &tc in tcs {
+                crel.extend(self.eval(op, tc));
             }
         }
         crel.sort_unstable();
@@ -707,11 +713,8 @@ impl<'t> Exec<'_, 't> {
         crel
     }
 
-    /// [`Exec::eval`], memoized per `(op, node)` for shared ops.
+    /// [`Exec::eval`] of a shared op, memoized per `(op, node)`.
     fn eval_memo(&mut self, op: OpId, tn: NodeId) -> Arc<Vec<Binding>> {
-        if !self.prog.ops[op as usize].shared {
-            return Arc::new(self.eval(op, tn));
-        }
         if let Some(hit) = self.memo.get(&(op, tn)) {
             return Arc::clone(hit);
         }

@@ -38,12 +38,21 @@ impl<'a> Env<'a> {
     }
 
     /// The environment a service call evaluates under: every stored
-    /// document of `sys`, plus the reserved `input` and `context` trees.
+    /// document of `sys`, plus the reserved `input` and `context` trees
+    /// that are given. A reserved document passed as `None` is not
+    /// visible — the caller builds it only when the service reads it.
     /// Constant-time — stored documents are resolved lazily via `sys`.
-    pub fn for_invocation(sys: &'a System, input: &'a Tree, context: &'a Tree) -> Env<'a> {
+    pub fn for_invocation(
+        sys: &'a System,
+        input: Option<&'a Tree>,
+        context: Option<&'a Tree>,
+    ) -> Env<'a> {
         let mut docs = FxHashMap::default();
-        docs.insert(input_sym(), input);
-        docs.insert(context_sym(), context);
+        for (name, doc) in [(input_sym(), input), (context_sym(), context)] {
+            if let Some(doc) = doc {
+                docs.insert(name, doc);
+            }
+        }
         Env {
             docs,
             sys: Some(sys),
@@ -667,7 +676,7 @@ mod tests {
 
         let input = parse_tree("input").unwrap();
         let context = parse_tree("c").unwrap();
-        let env = Env::for_invocation(&sys, &input, &context);
+        let env = Env::for_invocation(&sys, Some(&input), Some(&context));
         let (f1, _) = snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         let (f2, _) = snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
@@ -680,7 +689,7 @@ mod tests {
         let doc = sys.doc_mut(Sym::intern("d")).unwrap();
         let root = doc.root();
         doc.graft(root, &extra).unwrap();
-        let env = Env::for_invocation(&sys, &input, &context);
+        let env = Env::for_invocation(&sys, Some(&input), Some(&context));
         let (f3, _) = snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
         assert_eq!(f3.len(), 3);
@@ -695,7 +704,7 @@ mod tests {
         let mut cache = MatchCache::new();
         let context = parse_tree("c").unwrap();
         let input = parse_tree(r#"input{p{"1"}}"#).unwrap();
-        let env = Env::for_invocation(&sys, &input, &context);
+        let env = Env::for_invocation(&sys, Some(&input), Some(&context));
         snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
         snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
@@ -708,13 +717,18 @@ mod tests {
         sys.add_document_text("d", "a{b}").unwrap();
         let input = parse_tree("input{x}").unwrap();
         let context = parse_tree("ctx").unwrap();
-        let env = Env::for_invocation(&sys, &input, &context);
+        let env = Env::for_invocation(&sys, Some(&input), Some(&context));
         assert!(env.get(Sym::intern("d")).is_some());
         assert!(env.get(crate::system::input_sym()).is_some());
         assert!(env.get(crate::system::context_sym()).is_some());
         assert!(env.get(Sym::intern("nosuch")).is_none());
         let names: Vec<Sym> = env.names().collect();
         assert_eq!(names.len(), 3);
+        // A reserved document not given is not visible.
+        let env = Env::for_invocation(&sys, Some(&input), None);
+        assert!(env.get(crate::system::input_sym()).is_some());
+        assert!(env.get(crate::system::context_sym()).is_none());
+        assert_eq!(env.names().count(), 2);
     }
 
     #[test]

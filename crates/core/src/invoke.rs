@@ -9,6 +9,12 @@
 //! 4. the service result forest is appended as **siblings of `v`**, and
 //!    the document is reduced.
 //!
+//! `θ(input)` and `θ(context)` are documents the service *may* read, so
+//! an invocation builds each only when the service can read it: for a
+//! positive service, when some body atom names it; a black box gets both.
+//! For a call under the document root, `θ(context)` is a copy of the whole
+//! document, which a service that never names `context` does not pay for.
+//!
 //! A step only counts as a rewriting step when the document strictly
 //! grows (`I ≢ I'`, Definition 2.4); [`invoke_node`] reports this via
 //! [`InvokeOutcome::changed`], determined *before* grafting by checking
@@ -103,16 +109,23 @@ fn evaluate_node(
         .service(fname)
         .ok_or(AxmlError::UnknownFunction(fname))?;
 
+    // A positive service reads θ(input) and θ(context) only through
+    // body atoms naming them; a black box may read anything.
+    let (reads_input, reads_context) = match svc.query() {
+        Some(q) => (
+            q.body.iter().any(|a| a.doc == input_sym()),
+            q.body.iter().any(|a| a.doc == context_sym()),
+        ),
+        None => (true, true),
+    };
+
     // Witnesses are only matched when a provenance store is
     // attached — the disabled path pays one branch.
     let witnesses = if collect_witnesses {
         match svc.query() {
             Some(q) => {
                 let mut w = query_witnesses(q, |d| sys.doc(d));
-                if q.body
-                    .iter()
-                    .any(|a| a.doc == input_sym() || a.doc == context_sym())
-                {
+                if reads_input || reads_context {
                     // input/context data comes from the call site.
                     w.push((doc_name, node));
                 }
@@ -126,9 +139,9 @@ fn evaluate_node(
         Vec::new()
     };
 
-    let input = build_input(doc, node);
-    let context = doc.subtree(parent);
-    let env = Env::for_invocation(sys, &input, &context);
+    let input = reads_input.then(|| build_input(doc, node));
+    let context = reads_context.then(|| doc.subtree(parent));
+    let env = Env::for_invocation(sys, input.as_ref(), context.as_ref());
     // Positive services evaluate through the snapshot pipeline so
     // the match strategy (and the match/program caches, when attached)
     // applies; black boxes always run their closure.
@@ -144,7 +157,9 @@ fn evaluate_node(
             )?
             .0
         }
-        None => svc.invoke(&env)?,
+        // Reduced like a snapshot answer: a black box may return clones
+        // that share a `Tree::id`, and `apply_plan`'s memo keys by it.
+        None => svc.invoke(&env)?.reduce(),
     };
     Ok(GraftPlan {
         doc: doc_name,
@@ -413,6 +428,27 @@ mod tests {
         assert!(out.changed);
         let expected =
             parse_tree(r#"a{ctx{"c"}, @f{param{"p"}}, echo{"p","c"}}"#).unwrap();
+        assert!(equivalent(sys.doc(d).unwrap(), &expected));
+    }
+
+    #[test]
+    fn black_box_clones_sharing_an_id_are_checked_apart() {
+        // `u` is a clone of `t` grown to strictly more: same `Tree::id`,
+        // equal signatures. Checked against the existing copy of `t`
+        // under one memo, `u` would inherit `t`'s "already present".
+        let t = parse_tree("a{b{c{b}},c{b}}").unwrap();
+        let mut u = t.clone();
+        let c = u.children(u.root())[1];
+        let cb = u.children(c)[0];
+        u.add_child(cb, Marking::label("c")).unwrap();
+        let mut sys = System::new();
+        sys.add_document_text("d", "r{a{b{c{b}},c{b}}, @bb}").unwrap();
+        let pair = Forest::from_trees(vec![t, u]);
+        sys.add_black_box("bb", BlackBoxService::constant("clones", pair))
+            .unwrap();
+        let (d, n) = sys.function_nodes()[0];
+        assert!(invoke_node(&mut sys, d, n).unwrap().changed);
+        let expected = parse_tree("r{a{b{c{b}},c{b{c}}}, @bb}").unwrap();
         assert!(equivalent(sys.doc(d).unwrap(), &expected));
     }
 

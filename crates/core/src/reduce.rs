@@ -32,6 +32,7 @@ use crate::error::{AxmlError, Result};
 use crate::subsume::{subsumed_within, SubMemo};
 use crate::sym::FxHasher;
 use crate::tree::{Marking, NodeId, Tree};
+use std::fmt::Write;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 /// Reduce `t` in place: prune every child subtree subsumed by a sibling,
@@ -243,8 +244,8 @@ fn marking_tag(m: Marking, out: &mut String) {
     };
     let name = s.as_str();
     out.push(tag);
-    out.push_str(&name.len().to_string());
-    out.push(':');
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{}:", name.len());
     out.push_str(name);
 }
 
@@ -358,6 +359,19 @@ mod tests {
         assert_eq!(canonical_key(&a), canonical_key(&b));
         assert_eq!(canonical_key(&b), canonical_key(&c));
         assert_ne!(canonical_key(&a), canonical_key(&t("a{b{c}}")));
+    }
+
+    #[test]
+    fn canonical_key_bytes_are_pinned() {
+        // Children are sorted by their encodings' bytes, so the label `b`
+        // (`L1:b`) precedes the value `"1"` (`V1:1`) whatever their order.
+        let a = t(r#"a{"1",b}"#);
+        assert_eq!(canon_of_reduced(&a, a.root()).0, "L1:a{L1:bV1:1}");
+        let long = t(r#"item{"0123456789"}"#);
+        assert_eq!(
+            canon_of_reduced(&long, long.root()).0,
+            "L4:item{V10:0123456789}"
+        );
     }
 
     #[test]

@@ -147,6 +147,69 @@ fn example_3_2_closure_confluent() {
     }
 }
 
+/// §2.2: θ(input) and θ(context) are documents a service *may* read. An
+/// invocation builds each only when the service can read it, and the
+/// fixpoint does not depend on that: four calls — one reading only
+/// `input`, one reading only `context` at a non-root call site, one
+/// reading neither, and a black box reading both — reach the same
+/// written-out fixpoint under Naive and Delta.
+#[test]
+fn reserved_documents_built_only_when_read() {
+    use positive_axml::core::engine::EngineMode;
+    use positive_axml::core::service::BlackBoxService;
+    use positive_axml::core::system::{context_sym, input_sym};
+    use positive_axml::core::tree::{Marking, Tree};
+    use positive_axml::core::{Forest, Sym};
+
+    let build = || {
+        let mut sys = System::new();
+        sys.add_document_text(
+            "d",
+            r#"site{cfg{"k"}, @inp{"p1"}, sec{name{"s"}, @ctx}, @plain, box{@bb{"q"}}}"#,
+        )
+        .unwrap();
+        sys.add_service_text("inp", "out{$x} :- input/input{$x}")
+            .unwrap();
+        sys.add_service_text("ctx", "ctxout{$n} :- context/sec{name{$n}}")
+            .unwrap();
+        sys.add_service_text("plain", "plainout{$v} :- d/site{cfg{$v}}")
+            .unwrap();
+        // got{p{<the call's parameters>}, c{<the context's root>}}.
+        let bb = BlackBoxService::new("reads input and context", |env| {
+            let input = env.get(input_sym()).expect("a black box sees input");
+            let context = env.get(context_sym()).expect("a black box sees context");
+            let mut got = Tree::with_label("got");
+            let root = got.root();
+            let p = got.add_child(root, Marking::label("p"))?;
+            input.copy_children_into(input.root(), &mut got, p);
+            let c = got.add_child(root, Marking::label("c"))?;
+            got.add_child(c, context.marking(context.root()))?;
+            Ok(Forest::from_trees(vec![got]))
+        });
+        sys.add_black_box("bb", bb).unwrap();
+        sys
+    };
+    let expected = parse_tree(
+        r#"site{cfg{"k"},
+                @inp{"p1"}, out{"p1"},
+                sec{name{"s"}, @ctx, ctxout{"s"}},
+                @plain, plainout{"k"},
+                box{@bb{"q"}, got{p{"q"}, c{box}}}}"#,
+    )
+    .unwrap();
+    let d = Sym::intern("d");
+    let mut fixpoints = Vec::new();
+    for mode in [EngineMode::Naive, EngineMode::Delta] {
+        let mut sys = build();
+        let (status, _) = run(&mut sys, &EngineConfig::with_mode(mode)).unwrap();
+        assert_eq!(status, RunStatus::Terminated, "{mode:?}");
+        let doc = sys.doc(d).unwrap();
+        assert!(equivalent(doc, &expected), "{mode:?}: {doc}");
+        fixpoints.push(sys);
+    }
+    assert!(fixpoints[0].equivalent_to(&fixpoints[1]));
+}
+
 /// Example 3.3: d'/a{a{b},g} with the tree-variable service grows a
 /// non-regular family a^i{b}; the displayed prefix is reproduced.
 #[test]

@@ -140,12 +140,30 @@ fn forest_keys(f: &Forest) -> Vec<CanonKey> {
     f.trees().iter().map(canonical_key).collect()
 }
 
+/// `t` with every node's children in reverse order: an isomorphic copy
+/// whose children come in a different order.
+fn reversed(t: &Tree) -> Tree {
+    fn go(t: &Tree, n: NodeId, out: &mut Tree, on: NodeId) {
+        for &c in t.children(n).iter().rev() {
+            let oc = out.add_child(on, t.marking(c)).unwrap();
+            go(t, c, out, oc);
+        }
+    }
+    let mut out = Tree::new(t.marking(t.root()));
+    let root = out.root();
+    go(t, t.root(), &mut out, root);
+    out
+}
+
 /// A forest of 0–12 trees that has duplicates, equivalent but different
 /// trees, and strictly subsumed pairs: each random tree is followed, later
 /// in the forest, by a copy, its reduced version, a copy missing its first
-/// child, or a copy with an extra child.
+/// child, a copy with an extra child, a copy with its children permuted,
+/// or a clone whose first child is removed and re-grown with an extra
+/// leaf. Clones keep their `Tree::id`, so the mutated ones are different
+/// content under the same id.
 fn arb_forest() -> impl Strategy<Value = Vec<Tree>> {
-    let specs = prop::collection::vec((arb_tree(), 0u8..5), 0..=6);
+    let specs = prop::collection::vec((arb_tree(), 0u8..7), 0..=6);
     (specs, 0usize..12).prop_map(|(specs, rot)| {
         let mut trees: Vec<Tree> = specs.iter().map(|(t, _)| t.clone()).collect();
         for (t, kind) in &specs {
@@ -161,6 +179,15 @@ fn arb_forest() -> impl Strategy<Value = Vec<Tree>> {
                 3 => {
                     v.add_child(root, Marking::label("extra")).unwrap();
                 }
+                4 => v = reversed(t),
+                5 => match t.children(root).first() {
+                    Some(&c) if !t.marking(c).is_value() => {
+                        v.remove_subtree(c).unwrap();
+                        let regrown = t.copy_subtree_into(c, &mut v, root);
+                        v.add_child(regrown, Marking::label("extra")).unwrap();
+                    }
+                    _ => continue,
+                },
                 _ => continue,
             }
             trees.push(v);
