@@ -227,7 +227,11 @@ mod tests {
         let w: Vec<String> = word.iter().map(|s| s.to_string()).collect();
         let plain = nfa.accepts(&w);
         // ε-free variant must agree.
-        assert_eq!(nfa.without_epsilon().accepts(&w), plain, "ε-free disagrees on {expr}");
+        assert_eq!(
+            nfa.without_epsilon().accepts(&w),
+            plain,
+            "ε-free disagrees on {expr}"
+        );
         plain
     }
 

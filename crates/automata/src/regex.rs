@@ -206,8 +206,7 @@ impl<'a> Parser<'a> {
             Some(c) if c.is_ascii_alphanumeric() || c == b'-' => {
                 let start = self.pos;
                 while self.pos < self.src.len()
-                    && (self.src[self.pos].is_ascii_alphanumeric()
-                        || self.src[self.pos] == b'-')
+                    && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'-')
                 {
                     self.pos += 1;
                 }

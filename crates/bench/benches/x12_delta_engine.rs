@@ -94,8 +94,14 @@ fn bench_tm(c: &mut Criterion) {
     let mut g = c.benchmark_group("x12/turing");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     let cases = [
-        ("parity-6", encode_tm(&samples::even_parity(), &["one"; 6]).unwrap()),
-        ("anbn-4", encode_tm(&samples::anbn(), &["a", "a", "b", "b"]).unwrap()),
+        (
+            "parity-6",
+            encode_tm(&samples::even_parity(), &["one"; 6]).unwrap(),
+        ),
+        (
+            "anbn-4",
+            encode_tm(&samples::anbn(), &["a", "a", "b", "b"]).unwrap(),
+        ),
     ];
     for (name, sys) in &cases {
         g.bench_with_input(BenchmarkId::new("naive", name), sys, |b, s| {

@@ -85,8 +85,14 @@ fn bench_graft_heavy(c: &mut Criterion) {
     let mut g = c.benchmark_group("x16/graft-heavy");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     let cases = [
-        ("parity-6", encode_tm(&samples::even_parity(), &["one"; 6]).unwrap()),
-        ("anbn-4", encode_tm(&samples::anbn(), &["a", "a", "b", "b"]).unwrap()),
+        (
+            "parity-6",
+            encode_tm(&samples::even_parity(), &["one"; 6]).unwrap(),
+        ),
+        (
+            "anbn-4",
+            encode_tm(&samples::anbn(), &["a", "a", "b", "b"]).unwrap(),
+        ),
     ];
     for (name, sys) in &cases {
         for (mode, strategy) in [

@@ -45,7 +45,12 @@ fn bench_tc_join(c: &mut Criterion) {
             env.insert(d, sys.doc(d).unwrap());
         }
         g.bench_with_input(BenchmarkId::new("interpreted", n), &(), |b, _| {
-            b.iter(|| snapshot_with_strategy(q, &env, MatchStrategy::Indexed).unwrap().0.len())
+            b.iter(|| {
+                snapshot_with_strategy(q, &env, MatchStrategy::Indexed)
+                    .unwrap()
+                    .0
+                    .len()
+            })
         });
         let mut programs = ProgramCache::new();
         g.bench_with_input(BenchmarkId::new("compiled-warm", n), &(), |b, _| {
@@ -77,11 +82,9 @@ fn bench_wide_fanout(c: &mut Criterion) {
         let doc = wide_fanout_doc(fanout, labels);
         doc.build_index();
         let pat = wide_fanout_pattern(labels);
-        let q = axml_core::query::parse_query(&format!(
-            "hit{{$x}} :- d/root{{l{}{{$x}}}}",
-            labels - 1
-        ))
-        .unwrap();
+        let q =
+            axml_core::query::parse_query(&format!("hit{{$x}} :- d/root{{l{}{{$x}}}}", labels - 1))
+                .unwrap();
         let mut env = Env::new();
         env.insert(Sym::intern("d"), &doc);
         let compiled = compile_query(&q, Some(&env), MatchStrategy::Indexed);
@@ -135,5 +138,11 @@ fn bench_reg_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_tc_join, bench_wide_fanout, bench_engine, bench_reg_path);
+criterion_group!(
+    benches,
+    bench_tc_join,
+    bench_wide_fanout,
+    bench_engine,
+    bench_reg_path
+);
 criterion_main!(benches);

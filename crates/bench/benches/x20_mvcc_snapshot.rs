@@ -53,7 +53,8 @@ fn bench_system_snapshot(c: &mut Criterion) {
     g.sample_size(20).measurement_time(Duration::from_secs(2));
     for &n in &[1_000usize, 8_000, 64_000] {
         let mut sys = System::new();
-        sys.add_document("d", random_tree(n, 8, 8, 0.0, 11)).unwrap();
+        sys.add_document("d", random_tree(n, 8, 8, 0.0, 11))
+            .unwrap();
         g.bench_with_input(BenchmarkId::new("snapshot-x1000", n), &sys, |b, sys| {
             b.iter(|| {
                 let mut last = 0;

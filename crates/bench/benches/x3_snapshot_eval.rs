@@ -32,7 +32,9 @@ fn bench_pattern_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("x3/query-atoms");
     g.sample_size(10).measurement_time(Duration::from_secs(1));
     for &k in &[1usize, 2, 3] {
-        let body: Vec<String> = (0..k).map(|i| format!("d/root{{?l{i}{{$x{i}}}}}")).collect();
+        let body: Vec<String> = (0..k)
+            .map(|i| format!("d/root{{?l{i}{{$x{i}}}}}"))
+            .collect();
         let head: Vec<String> = (0..k).map(|i| format!("v{{$x{i}}}")).collect();
         let q = parse_query(&format!("hit{{{}}} :- {}", head.join(","), body.join(", "))).unwrap();
         g.bench_with_input(BenchmarkId::from_parameter(k), &q, |bencher, q| {

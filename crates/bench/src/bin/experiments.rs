@@ -11,21 +11,21 @@ use axml_bench::{
     catalog, pipeline_system, poisoned_portal, random_tree, rating_query, star_network,
     tc_random_digraph, tc_system,
 };
+use axml_core::engine::run_with_provenance;
 use axml_core::engine::{run, run_traced, EngineConfig, EngineMode, RunStatus, Strategy};
 use axml_core::eval::{snapshot, snapshot_with_stats, Env};
 use axml_core::fireonce::run_fire_once;
 use axml_core::forest::Forest;
 use axml_core::graphrepr::{decide_termination, full_query_result, GraphRepr, Termination};
 use axml_core::lazy::{is_q_stable, is_unneeded, lazy_query_eval, weak_relevance, LazyConfig};
+use axml_core::matcher::match_pattern;
 use axml_core::parse::parse_document;
 use axml_core::pathexpr::{parse_reg_query, snapshot_reg};
+use axml_core::provenance::{Origin, Provenance, ProvenanceStore};
 use axml_core::query::parse_query;
 use axml_core::reduce::{canonical_key, reduce};
 use axml_core::subsume::subsumed;
 use axml_core::system::System;
-use axml_core::engine::run_with_provenance;
-use axml_core::matcher::match_pattern;
-use axml_core::provenance::{Origin, Provenance, ProvenanceStore};
 use axml_core::trace::{
     chrome_trace, validate_chrome_trace, Fanout, Journal, MetricsRegistry, Tracer,
 };
@@ -56,7 +56,10 @@ fn x1() {
         "X1",
         "Prop 2.1 — subsumption/reduction PTIME; unique reduced version",
     );
-    println!("{:>8} {:>11} {:>12} {:>12} {:>10}", "nodes", "redundancy", "subsume(ms)", "reduce(ms)", "pruned");
+    println!(
+        "{:>8} {:>11} {:>12} {:>12} {:>10}",
+        "nodes", "redundancy", "subsume(ms)", "reduce(ms)", "pruned"
+    );
     for &n in &[100usize, 400, 1600, 6400] {
         for &red in &[0.0f64, 0.5] {
             let a = random_tree(n, 4, 4, red, 11);
@@ -84,7 +87,10 @@ fn x1() {
     // Wide fan-out: one parent, n pairwise-distinct same-label siblings in
     // the `scan_large` item shape. Every pair shares a marking, so this is
     // the quadratic case of sibling pruning; none of them is subsumed.
-    println!("\n{:>9} {:>8} {:>10} {:>11} {:>10}", "siblings", "nodes", "open(ms)", "reduce(ms)", "survivors");
+    println!(
+        "\n{:>9} {:>8} {:>10} {:>11} {:>10}",
+        "siblings", "nodes", "open(ms)", "reduce(ms)", "survivors"
+    );
     for &n in &[1000usize, 2000, 5000, 10_000] {
         let items: Vec<String> = (0..n)
             .map(|i| {
@@ -117,9 +123,15 @@ fn x1() {
 /// X2 — Thm 2.1: confluence of fair rewritings.
 fn x2() {
     header("X2", "Thm 2.1 — all fair schedules reach the same system");
-    println!("{:>14} {:>9} {:>22} {:>9}", "system", "seeds", "distinct fixpoints", "ok");
+    println!(
+        "{:>14} {:>9} {:>22} {:>9}",
+        "system", "seeds", "distinct fixpoints", "ok"
+    );
     for (name, build) in [
-        ("tc-chain-6", Box::new(|| tc_system(6)) as Box<dyn Fn() -> System>),
+        (
+            "tc-chain-6",
+            Box::new(|| tc_system(6)) as Box<dyn Fn() -> System>,
+        ),
         ("portal+1junk", Box::new(|| poisoned_portal(0))),
         ("pipeline-4x3", Box::new(|| pipeline_system(4, 3))),
     ] {
@@ -127,22 +139,36 @@ fn x2() {
         let seeds = 12u64;
         for seed in 0..seeds {
             let mut sys = build();
-            run(&mut sys, &EngineConfig::with_strategy(Strategy::Random(seed))).unwrap();
+            run(
+                &mut sys,
+                &EngineConfig::with_strategy(Strategy::Random(seed)),
+            )
+            .unwrap();
             keys.push(sys.canonical_key());
         }
         keys.dedup();
         keys.sort();
         keys.dedup();
-        println!("{name:>14} {seeds:>9} {:>22} {:>9}", keys.len(), keys.len() == 1);
+        println!(
+            "{name:>14} {seeds:>9} {:>22} {:>9}",
+            keys.len(),
+            keys.len() == 1
+        );
         assert_eq!(keys.len(), 1);
     }
 }
 
 /// X3 — Prop 3.1: snapshot evaluation PTIME & monotone.
 fn x3() {
-    header("X3", "Prop 3.1 — snapshot queries: PTIME data complexity, monotone");
+    header(
+        "X3",
+        "Prop 3.1 — snapshot queries: PTIME data complexity, monotone",
+    );
     let q = parse_query("hit{$x,?l} :- d/root{?l{$x}, l0}").unwrap();
-    println!("{:>8} {:>12} {:>10} {:>12}", "nodes", "eval(ms)", "bindings", "monotone");
+    println!(
+        "{:>8} {:>12} {:>10} {:>12}",
+        "nodes", "eval(ms)", "bindings", "monotone"
+    );
     let mut prev: Option<Forest> = None;
     for &n in &[200usize, 800, 3200, 12800] {
         let t = random_tree(n, 4, 6, 0.2, 5);
@@ -169,7 +195,10 @@ fn x3() {
 
 /// X4 — Ex 3.2/§3.2: AXML simulates datalog; baseline comparison.
 fn x4() {
-    header("X4", "Ex 3.2 — simple positive systems express datalog (TC)");
+    header(
+        "X4",
+        "Ex 3.2 — simple positive systems express datalog (TC)",
+    );
     println!(
         "{:>14} {:>8} {:>14} {:>12} {:>12} {:>7}",
         "workload", "tuples", "seminaive(ms)", "axml(ms)", "axml calls", "agree"
@@ -200,7 +229,10 @@ fn x4() {
 
 /// X5 — Ex 2.1 & 3.3: infinite semantics; regular vs non-regular.
 fn x5() {
-    header("X5", "Ex 2.1/3.3 — infinite limits: regular (simple) vs non-regular");
+    header(
+        "X5",
+        "Ex 2.1/3.3 — infinite limits: regular (simple) vs non-regular",
+    );
     // Example 2.1 under increasing budgets.
     println!("Example 2.1  d/a{{@f}},  f: a{{@f}} :-");
     println!("{:>10} {:>10} {:>10}", "budget", "nodes", "depth");
@@ -210,7 +242,11 @@ fn x5() {
         sys.add_service_text("f", "a{@f} :-").unwrap();
         run(&mut sys, &EngineConfig::with_budget(budget)).unwrap();
         let d = sys.doc("d".into()).unwrap();
-        println!("{budget:>10} {:>10} {:>10}", d.node_count(), d.depth(d.root()));
+        println!(
+            "{budget:>10} {:>10} {:>10}",
+            d.node_count(),
+            d.depth(d.root())
+        );
     }
     let mut simple = System::new();
     simple.add_document_text("d", "a{@f}").unwrap();
@@ -226,10 +262,15 @@ fn x5() {
     for &budget in &[4usize, 8, 16] {
         let mut sys = System::new();
         sys.add_document_text("d", "a{a{b},@g}").unwrap();
-        sys.add_service_text("g", "a{a{#X}} :- context/a{a{#X}}").unwrap();
+        sys.add_service_text("g", "a{a{#X}} :- context/a{a{#X}}")
+            .unwrap();
         run(&mut sys, &EngineConfig::with_budget(budget)).unwrap();
         let d = sys.doc("d".into()).unwrap();
-        println!("{budget:>10} {:>10} {:>10}", d.node_count(), d.depth(d.root()));
+        println!(
+            "{budget:>10} {:>10} {:>10}",
+            d.node_count(),
+            d.depth(d.root())
+        );
     }
     println!("non-simple: depth grows without bound; GraphRepr::build correctly refuses");
 }
@@ -242,7 +283,11 @@ fn x6() {
         "machine", "input", "native", "native(ms)", "axml(ms)", "configs", "agree"
     );
     let cases: Vec<(&str, axml_tm::Tm, Vec<Vec<&str>>)> = vec![
-        ("parity", samples::even_parity(), vec![vec!["one"; 2], vec!["one"; 6]]),
+        (
+            "parity",
+            samples::even_parity(),
+            vec![vec!["one"; 2], vec!["one"; 6]],
+        ),
         (
             "anbn",
             samples::anbn(),
@@ -282,7 +327,10 @@ fn x6() {
 
 /// X7 — Thm 3.3: termination decidable for simple systems.
 fn x7() {
-    header("X7", "Thm 3.3 — deciding termination of simple positive systems");
+    header(
+        "X7",
+        "Thm 3.3 — deciding termination of simple positive systems",
+    );
     println!(
         "{:>16} {:>10} {:>12} {:>12} {:>12} {:>9}",
         "system", "verdict", "decide(ms)", "graph nodes", "engine", "agree"
@@ -326,7 +374,10 @@ fn x7() {
 
 /// X8 — Prop 3.2/3.3: q-finiteness and emptiness over simple systems.
 fn x8() {
-    header("X8", "Prop 3.2/3.3 — q-finiteness / emptiness of full results");
+    header(
+        "X8",
+        "Prop 3.2/3.3 — q-finiteness / emptiness of full results",
+    );
     let mut div = System::new();
     div.add_document_text("d", "a{@f}").unwrap();
     div.add_service_text("f", "a{@f} :-").unwrap();
@@ -335,7 +386,10 @@ fn x8() {
         ("tree-var q / divergent I", &div, "copy{#X} :- d/a{#X}"),
         ("empty q / divergent I", &div, "hit :- d/a{zzz}"),
     ];
-    println!("{:>26} {:>9} {:>9} {:>12}", "case", "finite", "empty", "answers");
+    println!(
+        "{:>26} {:>9} {:>9} {:>12}",
+        "case", "finite", "empty", "answers"
+    );
     for (name, sys, q) in rows {
         let res = full_query_result(sys, &parse_query(q).unwrap()).unwrap();
         let fin = res.is_finite();
@@ -350,13 +404,20 @@ fn x8() {
     let pipe = pipeline_system(3, 2);
     let q = parse_query("got{$x} :- out/out{v3{$x}}").unwrap();
     let res = full_query_result(&pipe, &q).unwrap();
-    println!("acyclic pipeline: finite={} answers={}", res.is_finite(), res.materialize().unwrap().len());
+    println!(
+        "acyclic pipeline: finite={} answers={}",
+        res.is_finite(),
+        res.materialize().unwrap().len()
+    );
     assert!(res.is_finite());
 }
 
 /// X9 — Thm 4.1/§4: lazy evaluation; weak analysis vs exact.
 fn x9() {
-    header("X9", "§4 — lazy evaluation: invocations, stability, weak vs exact");
+    header(
+        "X9",
+        "§4 — lazy evaluation: invocations, stability, weak vs exact",
+    );
     println!(
         "{:>8} {:>14} {:>14} {:>12} {:>12}",
         "junk", "eager status", "eager calls", "lazy calls", "lazy stable"
@@ -386,7 +447,10 @@ fn x9() {
         let weakly = !rel.relevant_calls.contains(occ);
         if weakly {
             weak_unneeded += 1;
-            assert!(is_unneeded(&sys, &q, &[*occ]).unwrap(), "weak analysis unsound");
+            assert!(
+                is_unneeded(&sys, &q, &[*occ]).unwrap(),
+                "weak analysis unsound"
+            );
         }
         if is_unneeded(&sys, &q, &[*occ]).unwrap() {
             exact_unneeded += 1;
@@ -397,12 +461,18 @@ fn x9() {
         all.len(),
         all.len()
     );
-    println!("q-stable before materialization: {}", is_q_stable(&sys, &q).unwrap());
+    println!(
+        "q-stable before materialization: {}",
+        is_q_stable(&sys, &q).unwrap()
+    );
 }
 
 /// X10 — Prop 5.1: the ψ translation.
 fn x10() {
-    header("X10", "Prop 5.1 — ψ removes path expressions, preserving results");
+    header(
+        "X10",
+        "Prop 5.1 — ψ removes path expressions, preserving results",
+    );
     println!(
         "{:>12} {:>8} {:>10} {:>12} {:>12} {:>10} {:>7}",
         "catalog", "answers", "direct(ms)", "ψ-build(ms)", "ψ-run(ms)", "calls+", "agree"
@@ -444,7 +514,10 @@ fn x10() {
 
 /// X11 — §2.2/§6: P2P pull vs push; distributed termination.
 fn x11() {
-    header("X11", "§2.2/§6 — P2P: push ≈ pull results, fewer push messages");
+    header(
+        "X11",
+        "§2.2/§6 — P2P: push ≈ pull results, fewer push messages",
+    );
     println!(
         "{:>7} {:>12} {:>12} {:>12} {:>12} {:>7}",
         "peers", "pull calls", "push calls", "pull rounds", "push rounds", "agree"
@@ -476,7 +549,10 @@ fn x11() {
 
 /// X12 — §4 fire-once semantics.
 fn x12() {
-    header("X12", "§4 — fire-once: weaker than positive, equal on acyclic");
+    header(
+        "X12",
+        "§4 — fire-once: weaker than positive, equal on acyclic",
+    );
     let mut fo = tc_system(6);
     let fstats = run_fire_once(&mut fo, 10_000).unwrap();
     let mut pos = tc_system(6);
@@ -510,7 +586,10 @@ fn x12() {
 
 /// X13 — §5 nesting with a simple system.
 fn x13() {
-    header("X13", "§5 — nesting a relation with a simple positive system");
+    header(
+        "X13",
+        "§5 — nesting a relation with a simple positive system",
+    );
     for &rows in &[3usize, 6, 12] {
         let mut d = String::from("r{");
         for i in 0..rows {
@@ -521,7 +600,8 @@ fn x13() {
         let mut sys = System::new();
         sys.add_document_text("d", &d).unwrap();
         sys.add_document_text("dn", "r{@f}").unwrap();
-        sys.add_service_text("f", "t{a{$x}, @g} :- d/r{t{a{$x}}}").unwrap();
+        sys.add_service_text("f", "t{a{$x}, @g} :- d/r{t{a{$x}}}")
+            .unwrap();
         sys.add_service_text("g", "b{$y} :- context/t{a{$x}}, d/r{t{a{$x}, b{$y}}}")
             .unwrap();
         assert!(sys.is_simple());
@@ -559,8 +639,7 @@ fn x14() {
         let mut naive = tc_random_digraph(n, 6, 12);
         let (ns, nstats) = run(&mut naive, &EngineConfig::default()).unwrap();
         let mut delta = tc_random_digraph(n, 6, 12);
-        let (ds, dstats) =
-            run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (ds, dstats) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
         assert_eq!(ns, RunStatus::Terminated);
         assert_eq!(ds, RunStatus::Terminated);
         let agree = naive.canonical_key() == delta.canonical_key();
@@ -622,7 +701,10 @@ fn x15() {
 
     // Overhead: the same delta run with the provenance handle disabled
     // vs. attached (the disabled side is the default everywhere else).
-    println!("{:>16} {:>12} {:>11} {:>9} {:>9} {:>9}", "workload", "provenance", "time(ms)", "invocs", "records", "stamped");
+    println!(
+        "{:>16} {:>12} {:>11} {:>9} {:>9} {:>9}",
+        "workload", "provenance", "time(ms)", "invocs", "records", "stamped"
+    );
     for &(name, n) in &[("tc-digraph-32", 32usize), ("tc-digraph-64", 64)] {
         let mut off = tc_random_digraph(n, 6, 12);
         let t0 = Instant::now();
@@ -701,8 +783,12 @@ fn x15() {
     let mut remote = 0usize;
     let mut resolved = 0usize;
     for node in tree.iter_live(tree.root()) {
-        if let Some(Origin::Remote { provider, service, seq, .. }) =
-            portal_store.origin(page, node)
+        if let Some(Origin::Remote {
+            provider,
+            service,
+            seq,
+            ..
+        }) = portal_store.origin(page, node)
         {
             remote += 1;
             let rec = net
@@ -784,7 +870,9 @@ fn x16() {
         let t0 = Instant::now();
         let mut ix_n = 0usize;
         for _ in 0..reps {
-            ix_n = match_pattern_with(&pat, &doc, MatchStrategy::Indexed).0.len();
+            ix_n = match_pattern_with(&pat, &doc, MatchStrategy::Indexed)
+                .0
+                .len();
         }
         let ix_us = ms(t0) * 1e3 / f64::from(reps);
         let (bindings, mstats) = match_pattern_with(&pat, &doc, MatchStrategy::Indexed);
@@ -854,13 +942,20 @@ fn x16() {
             assert!(agree);
             println!(
                 "{name:>20} {:>9} {:>12} {t:>11.2} {agree:>9}",
-                if strategy == MatchStrategy::Scan { "scan" } else { "indexed" },
+                if strategy == MatchStrategy::Scan {
+                    "scan"
+                } else {
+                    "indexed"
+                },
                 stats.invocations
             );
         }
         let overhead = times[1] / times[0];
         if graft_heavy {
-            println!("graft-heavy maintenance overhead: {:.2}x the scan time", overhead);
+            println!(
+                "graft-heavy maintenance overhead: {:.2}x the scan time",
+                overhead
+            );
             assert!(
                 overhead <= 1.5,
                 "index maintenance cost exploded on the graft-heavy workload ({overhead:.2}x)"
@@ -881,7 +976,10 @@ fn x16() {
     )
     .unwrap();
     assert_eq!(status, RunStatus::Terminated);
-    print!("\n{}", metrics.render_report("x16 tc-digraph-64 (delta, indexed)"));
+    print!(
+        "\n{}",
+        metrics.render_report("x16 tc-digraph-64 (delta, indexed)")
+    );
     println!("(claim: candidate roots and child probes come from the incremental");
     println!(" marking/child-label indexes; selectivity-ordered joins expand the");
     println!(" rarest conjunct first; observable behavior is identical to scans)");
@@ -945,7 +1043,10 @@ fn x18() {
                 .len();
         }
         let comp_ms = ms(t0) / f64::from(reps);
-        assert_eq!(interp_len, comp_len, "paths must produce identical answer sets");
+        assert_eq!(
+            interp_len, comp_len,
+            "paths must produce identical answer sets"
+        );
         assert_eq!(warm.len(), interp_len);
         let speedup = interp_ms / comp_ms;
         best_tc_speedup = best_tc_speedup.max(speedup);
@@ -1053,7 +1154,10 @@ fn x18() {
         let agree = keys.first() == keys.last();
         assert!(agree);
         let programs = if compile {
-            assert!(stats.program_cache_hits > 0, "later rounds must hit the cache");
+            assert!(
+                stats.program_cache_hits > 0,
+                "later rounds must hit the cache"
+            );
             format!(
                 "{} ({}h/{}m)",
                 stats.programs_compiled, stats.program_cache_hits, stats.program_cache_misses
@@ -1116,7 +1220,10 @@ fn x18() {
     .unwrap();
     assert_eq!(status, RunStatus::Terminated);
     let report = metrics.render_report("x18 tc-digraph-64 (delta, compiled)");
-    assert!(report.contains("compile:"), "metrics report must show the compile line");
+    assert!(
+        report.contains("compile:"),
+        "metrics report must show the compile line"
+    );
     print!("\n{report}");
     println!("(claim: each service's positive pattern lowers once into an optimized");
     println!(" match program — dead/duplicate conjuncts eliminated, children joined");
@@ -1168,7 +1275,10 @@ fn x19() {
             rep.answer_trees, rep.requests,
             "every point lookup hits exactly one pair"
         );
-        assert!(rep.deltas >= 2, "the tc subscription streams multiple deltas");
+        assert!(
+            rep.deltas >= 2,
+            "the tc subscription streams multiple deltas"
+        );
         let frames = rep.latency.count();
         println!(
             "{batch:>6} {:>9} {frames:>8} {:>10.0} {:>9} {:>9} {:>9} {:>11}",
@@ -1334,7 +1444,10 @@ fn x20() {
     let rep = load_run(&cfg).expect("the mixed load completes against a live server");
     handle.join();
     assert_eq!(rep.errors, 0, "no error frames while reads race commits");
-    assert!(rep.writer_runs >= 1, "the writer committed at least one fixpoint");
+    assert!(
+        rep.writer_runs >= 1,
+        "the writer committed at least one fixpoint"
+    );
     assert_eq!(
         rep.reader_requests,
         cfg.readers * cfg.requests,
@@ -1361,11 +1474,24 @@ fn x20() {
             "\"reader_requests\":{},\"reader_rps\":{:.0},",
             "\"reader_p50_ns\":{},\"reader_p99_ns\":{},\"writer_runs\":{}}}\n"
         ),
-        sizes[0], sizes[1], sizes[2], sizes[3],
-        clone_ns[0], clone_ns[1], clone_ns[2], clone_ns[3],
-        snap_ns[0], snap_ns[1], snap_ns[2], snap_ns[3],
-        deep_ns[0], deep_ns[1], deep_ns[2], deep_ns[3],
-        excl, cow,
+        sizes[0],
+        sizes[1],
+        sizes[2],
+        sizes[3],
+        clone_ns[0],
+        clone_ns[1],
+        clone_ns[2],
+        clone_ns[3],
+        snap_ns[0],
+        snap_ns[1],
+        snap_ns[2],
+        snap_ns[3],
+        deep_ns[0],
+        deep_ns[1],
+        deep_ns[2],
+        deep_ns[3],
+        excl,
+        cow,
         rep.reader_requests,
         rep.reader_throughput(),
         rep.reader_latency.quantile(0.50),
@@ -1445,5 +1571,8 @@ fn main() {
     if want("x20") {
         x20();
     }
-    println!("\nall requested experiments completed in {:.1}s", t0.elapsed().as_secs_f64());
+    println!(
+        "\nall requested experiments completed in {:.1}s",
+        t0.elapsed().as_secs_f64()
+    );
 }

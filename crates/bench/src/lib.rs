@@ -45,9 +45,8 @@ pub fn random_tree(n: usize, labels: usize, values: usize, redundancy: f64, seed
 /// plus `junk_branches` branches each hosting a diverging service.
 pub fn poisoned_portal(junk_branches: usize) -> System {
     let mut sys = System::new();
-    let mut dir = String::from(
-        r#"directory{cd{title{"Body and Soul"}, @GetRating{"Body and Soul"}}"#,
-    );
+    let mut dir =
+        String::from(r#"directory{cd{title{"Body and Soul"}, @GetRating{"Body and Soul"}}"#);
     for i in 0..junk_branches {
         dir.push_str(&format!(r#", junk{i}{{@Spam{i}}}"#));
     }
@@ -72,8 +71,7 @@ pub fn poisoned_portal(junk_branches: usize) -> System {
 
 /// The rating query over [`poisoned_portal`].
 pub fn rating_query() -> axml_core::query::Query {
-    parse_query(r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#)
-        .unwrap()
+    parse_query(r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#).unwrap()
 }
 
 /// A terminating simple positive system whose graph representation grows
@@ -324,7 +322,11 @@ pub fn catalog(width: usize, depth: usize) -> String {
 }
 
 /// The X11 peer network: `k` store peers feeding one portal.
-pub fn star_network(k: usize, mode: axml_p2p::network::Mode, seed: Option<u64>) -> axml_p2p::network::Network {
+pub fn star_network(
+    k: usize,
+    mode: axml_p2p::network::Mode,
+    seed: Option<u64>,
+) -> axml_p2p::network::Network {
     let mut net = axml_p2p::network::Network::new(mode, seed);
     let mut dir = String::from("page{");
     for i in 0..k {
@@ -366,10 +368,7 @@ mod tests {
         for k in [1usize, 3] {
             let sys = pipeline_system(k, 2);
             assert!(sys.is_simple());
-            assert_eq!(
-                decide_termination(&sys).unwrap(),
-                Termination::Terminates
-            );
+            assert_eq!(decide_termination(&sys).unwrap(), Termination::Terminates);
             let mut runner = sys;
             let (status, _) = run(&mut runner, &EngineConfig::default()).unwrap();
             assert_eq!(status, RunStatus::Terminated);
@@ -400,8 +399,7 @@ mod tests {
         let mut naive = tc_random_digraph(64, 6, 12);
         let mut delta = tc_random_digraph(64, 6, 12);
         let (ns, nstats) = run(&mut naive, &EngineConfig::default()).unwrap();
-        let (ds, dstats) =
-            run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (ds, dstats) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
         assert_eq!(ns, RunStatus::Terminated);
         assert_eq!(ds, RunStatus::Terminated);
         assert_eq!(naive.canonical_key(), delta.canonical_key());

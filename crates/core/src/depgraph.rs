@@ -64,7 +64,10 @@ impl DepGraph {
             let t = sys.doc(d).expect("stored");
             for n in t.iter_live(t.root()) {
                 if let Marking::Func(f) = t.marking(n) {
-                    edges.get_mut(&DepNode::Doc(d)).expect("inserted").insert(DepNode::Func(f));
+                    edges
+                        .get_mut(&DepNode::Doc(d))
+                        .expect("inserted")
+                        .insert(DepNode::Func(f));
                 }
             }
         }
@@ -239,9 +242,7 @@ impl ReadSet {
     pub fn reads(&self, host: Sym, d: Sym) -> bool {
         match self {
             ReadSet::All => true,
-            ReadSet::Docs { docs, own_doc } => {
-                docs.contains(&d) || (*own_doc && host == d)
-            }
+            ReadSet::Docs { docs, own_doc } => docs.contains(&d) || (*own_doc && host == d),
         }
     }
 }
@@ -272,9 +273,11 @@ mod tests {
 
     fn acyclic_portal() -> System {
         let mut sys = System::new();
-        sys.add_document_text("reviews", r#"r{v{"1"},v{"2"}}"#).unwrap();
+        sys.add_document_text("reviews", r#"r{v{"1"},v{"2"}}"#)
+            .unwrap();
         sys.add_document_text("portal", "out{@fetch}").unwrap();
-        sys.add_service_text("fetch", "v{$x} :- reviews/r{v{$x}}").unwrap();
+        sys.add_service_text("fetch", "v{$x} :- reviews/r{v{$x}}")
+            .unwrap();
         sys
     }
 
@@ -286,8 +289,12 @@ mod tests {
         let order = g.topo_order().unwrap();
         // reviews before fetch before portal.
         let pos = |n: DepNode| order.iter().position(|&x| x == n).unwrap();
-        assert!(pos(DepNode::Doc(Sym::intern("reviews"))) < pos(DepNode::Func(Sym::intern("fetch"))));
-        assert!(pos(DepNode::Func(Sym::intern("fetch"))) < pos(DepNode::Doc(Sym::intern("portal"))));
+        assert!(
+            pos(DepNode::Doc(Sym::intern("reviews"))) < pos(DepNode::Func(Sym::intern("fetch")))
+        );
+        assert!(
+            pos(DepNode::Func(Sym::intern("fetch"))) < pos(DepNode::Doc(Sym::intern("portal")))
+        );
         let mut sys = sys;
         let (status, _) = run(&mut sys, &EngineConfig::default()).unwrap();
         assert_eq!(status, RunStatus::Terminated);
@@ -324,8 +331,11 @@ mod tests {
     fn black_box_is_conservatively_cyclic() {
         let mut sys = System::new();
         sys.add_document_text("d", "a{@bb}").unwrap();
-        sys.add_black_box("bb", BlackBoxService::constant("c", crate::forest::Forest::new()))
-            .unwrap();
+        sys.add_black_box(
+            "bb",
+            BlackBoxService::constant("c", crate::forest::Forest::new()),
+        )
+        .unwrap();
         // bb conservatively depends on d, and d contains bb: cycle.
         assert!(!is_acyclic(&sys));
     }
@@ -390,7 +400,8 @@ mod tests {
         sys.add_document_text("d", "a{@copycall}").unwrap();
         // Copies any call found in d — could call anything, including
         // itself.
-        sys.add_service_text("copycall", "r{@?f} :- d/a{@?f}").unwrap();
+        sys.add_service_text("copycall", "r{@?f} :- d/a{@?f}")
+            .unwrap();
         assert!(!is_acyclic(&sys));
     }
 }

@@ -26,10 +26,10 @@ use crate::sym::{FxHashMap, Sym};
 use crate::system::{System, SystemSnapshot};
 use crate::trace::{EventKind, Tracer};
 use crate::tree::NodeId;
-use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// Order in which a round visits the pending function nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,8 +268,7 @@ fn delta_skip(
     let changed_at = |e: &Sym| doc_changed_at.get(e).copied().unwrap_or(0);
     let unchanged = match read_sets.get(&fname) {
         Some(ReadSet::Docs { docs, own_doc }) => {
-            docs.iter().all(|e| changed_at(e) <= at)
-                && (!own_doc || changed_at(&d) <= at)
+            docs.iter().all(|e| changed_at(e) <= at) && (!own_doc || changed_at(&d) <= at)
         }
         // Black box / unknown service: conservative.
         _ => sys.doc_names().iter().all(|e| changed_at(e) <= at),
@@ -320,9 +319,7 @@ pub fn run_restricted_with_provenance(
 ) -> Result<(RunStatus, RunStats)> {
     let mut runner = RoundRunner::new(cfg);
     loop {
-        if let Some(status) =
-            runner.step_restricted_with_provenance(sys, &allow, tracer, prov)?
-        {
+        if let Some(status) = runner.step_restricted_with_provenance(sys, &allow, tracer, prov)? {
             return Ok((status, runner.stats(sys)));
         }
     }
@@ -497,17 +494,8 @@ impl RoundRunner {
     /// provenance. Returns `Some(status)` when the run is over (this
     /// round hit a fixpoint or a budget), `None` when more rounds
     /// remain.
-    pub fn step(
-        &mut self,
-        sys: &mut System,
-        tracer: Tracer<'_>,
-    ) -> Result<Option<RunStatus>> {
-        self.step_restricted_with_provenance(
-            sys,
-            &|_, _| true,
-            tracer,
-            Provenance::disabled(),
-        )
+    pub fn step(&mut self, sys: &mut System, tracer: Tracer<'_>) -> Result<Option<RunStatus>> {
+        self.step_restricted_with_provenance(sys, &|_, _| true, tracer, Provenance::disabled())
     }
 
     /// The statistics of the run so far, with the end-of-run fields
@@ -590,17 +578,16 @@ impl RoundRunner {
         // counter that ticks on every document change; a call may be
         // skipped iff no document of its read set changed after the
         // call's last invocation.
-        let read_sets: &FxHashMap<Sym, ReadSet> =
-            self.read_sets.get_or_insert_with(|| {
-                if delta {
-                    sys.service_names()
-                        .iter()
-                        .map(|&f| (f, read_set(sys, f)))
-                        .collect()
-                } else {
-                    FxHashMap::default()
-                }
-            });
+        let read_sets: &FxHashMap<Sym, ReadSet> = self.read_sets.get_or_insert_with(|| {
+            if delta {
+                sys.service_names()
+                    .iter()
+                    .map(|&f| (f, read_set(sys, f)))
+                    .collect()
+            } else {
+                FxHashMap::default()
+            }
+        });
         let doc_changed_at = &mut self.doc_changed_at;
         let invoked_at = &mut self.invoked_at;
         let stats = &mut self.stats;
@@ -609,8 +596,9 @@ impl RoundRunner {
         match cfg.strategy {
             Strategy::RoundRobin => {}
             Strategy::Reverse => pending.reverse(),
-            Strategy::Random(_) => pending
-                .shuffle(self.rng.as_mut().expect("random strategy has an rng")),
+            Strategy::Random(_) => {
+                pending.shuffle(self.rng.as_mut().expect("random strategy has an rng"))
+            }
         }
         pending.retain(|&(d, n)| allow(d, n));
         if pending.is_empty() {
@@ -633,8 +621,16 @@ impl RoundRunner {
             };
             if delta
                 && delta_skip(
-                    sys, read_sets, doc_changed_at, invoked_at, d, n,
-                    fname, round, tracer, prov,
+                    sys,
+                    read_sets,
+                    doc_changed_at,
+                    invoked_at,
+                    d,
+                    n,
+                    fname,
+                    round,
+                    tracer,
+                    prov,
                 )
             {
                 stats.skipped += 1;
@@ -669,9 +665,7 @@ impl RoundRunner {
                 grafted: outcome.grafted as u32,
                 result_trees: outcome.result_trees as u32,
                 doc_version: sys.doc(d).map(|t| t.mutation_count()).unwrap_or(0),
-                dur_ns: started
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0),
+                dur_ns: started.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
             });
             stats.invocations += 1;
             *stats.per_function.entry(fname).or_insert(0) += 1;
@@ -887,8 +881,7 @@ mod tests {
         assert_eq!(ns, RunStatus::Terminated);
 
         let mut delta = tc_system();
-        let (ds, dstats) =
-            run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (ds, dstats) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
         assert_eq!(ds, RunStatus::Terminated);
         assert_eq!(naive.canonical_key(), delta.canonical_key());
         // g reads only d0 (static): after its first evaluation every
@@ -923,17 +916,13 @@ mod tests {
             let mut sys = System::new();
             sys.add_document_text("d0", r#"r{v{"1"},v{"2"}}"#).unwrap();
             sys.add_document_text("d1", "out{@join,@pump}").unwrap();
-            sys.add_service_text(
-                "join",
-                "pair{$x,$y} :- d0/r{v{$x}}, d1/out{w{$y}}",
-            )
-            .unwrap();
+            sys.add_service_text("join", "pair{$x,$y} :- d0/r{v{$x}}, d1/out{w{$y}}")
+                .unwrap();
             sys.add_service_text("pump", r#"w{"a"} :-"#).unwrap();
             sys
         }
         let mut sys = mixed_reads();
-        let (status, stats) =
-            run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (status, stats) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
         assert_eq!(status, RunStatus::Terminated);
         assert!(stats.cache_misses > 0);
         assert!(stats.cache_hits > 0, "stats: {stats:?}");
@@ -970,26 +959,21 @@ mod tests {
         use crate::forest::Forest;
         use crate::service::BlackBoxService;
         let mut naive = System::new();
-        naive
-            .add_document_text("d", r#"a{@bb}"#)
-            .unwrap();
+        naive.add_document_text("d", r#"a{@bb}"#).unwrap();
         let result = Forest::from_trees(vec![crate::parse::parse_tree("r{x}").unwrap()]);
         naive
             .add_black_box("bb", BlackBoxService::constant("c", result.clone()))
             .unwrap();
         let mut delta = naive.clone();
         run(&mut naive, &EngineConfig::default()).unwrap();
-        let (status, _) =
-            run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (status, _) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
         assert_eq!(status, RunStatus::Terminated);
         assert_eq!(naive.canonical_key(), delta.canonical_key());
     }
 
     #[test]
     fn traced_run_journals_the_full_taxonomy() {
-        use crate::trace::{
-            chrome_trace, validate_chrome_trace, Fanout, Journal, MetricsRegistry,
-        };
+        use crate::trace::{chrome_trace, validate_chrome_trace, Fanout, Journal, MetricsRegistry};
         let journal = Journal::new();
         let metrics = MetricsRegistry::new();
         let fan = Fanout::new(vec![&journal, &metrics]);
@@ -1023,7 +1007,9 @@ mod tests {
             .iter()
             .any(|e| matches!(e.kind, EventKind::CacheMiss { .. })));
         // Productive invocations grafted and reduced.
-        assert!(events.iter().any(|e| matches!(e.kind, EventKind::Graft { .. })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Graft { .. })));
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::Reduce { .. })));
@@ -1057,7 +1043,8 @@ mod tests {
         let mut sys = System::new();
         sys.add_document_text("src", r#"r{v{"1"},v{"2"}}"#).unwrap();
         sys.add_document_text("dst", "out{@copy}").unwrap();
-        sys.add_service_text("copy", "v{$x} :- src/r{v{$x}}").unwrap();
+        sys.add_service_text("copy", "v{$x} :- src/r{v{$x}}")
+            .unwrap();
         let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
         assert_eq!(status, RunStatus::Terminated);
         assert!(stats.rounds <= 2);

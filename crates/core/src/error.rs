@@ -99,14 +99,20 @@ impl fmt::Display for AxmlError {
             AxmlError::UnknownFunction(s) => write!(f, "no service registered for function {s}"),
             AxmlError::UnknownDocument(d) => write!(f, "unknown document name {d}"),
             AxmlError::NotSimple(s) => {
-                write!(f, "operation requires a simple system, but service {s} uses tree variables")
+                write!(
+                    f,
+                    "operation requires a simple system, but service {s} uses tree variables"
+                )
             }
             AxmlError::IncomparableRoots => {
                 write!(f, "trees with distinct root markings are incomparable")
             }
             AxmlError::BudgetExhausted => write!(f, "rewriting budget exhausted before fixpoint"),
             AxmlError::ReservedName(s) => {
-                write!(f, "name {s} collides with the translation-reserved ax… namespace")
+                write!(
+                    f,
+                    "name {s} collides with the translation-reserved ax… namespace"
+                )
             }
         }
     }

@@ -74,14 +74,15 @@ pub fn run_fire_once(sys: &mut System, max_fired: usize) -> Result<FireOnceStats
             return Ok(stats);
         }
         pending.sort_by_key(|&(d, n)| {
-            let f = sys
-                .doc(d)
-                .map(|t| t.marking(n))
-                .and_then(|m| match m {
-                    Marking::Func(f) => Some(f),
-                    _ => None,
-                });
-            (f.and_then(|f| rank.get(&f).copied()).unwrap_or(usize::MAX), d, n)
+            let f = sys.doc(d).map(|t| t.marking(n)).and_then(|m| match m {
+                Marking::Func(f) => Some(f),
+                _ => None,
+            });
+            (
+                f.and_then(|f| rank.get(&f).copied()).unwrap_or(usize::MAX),
+                d,
+                n,
+            )
         });
         for (d, n) in pending {
             if stats.fired >= max_fired {
@@ -154,11 +155,14 @@ mod tests {
     fn fire_once_coincides_on_acyclic_systems() {
         let build = || {
             let mut sys = System::new();
-            sys.add_document_text("base", r#"r{v{"1"},v{"2"}}"#).unwrap();
+            sys.add_document_text("base", r#"r{v{"1"},v{"2"}}"#)
+                .unwrap();
             sys.add_document_text("mid", "m{@copy}").unwrap();
             sys.add_document_text("top", "t{@wrap}").unwrap();
-            sys.add_service_text("copy", "v{$x} :- base/r{v{$x}}").unwrap();
-            sys.add_service_text("wrap", "w{$x} :- mid/m{v{$x}}").unwrap();
+            sys.add_service_text("copy", "v{$x} :- base/r{v{$x}}")
+                .unwrap();
+            sys.add_service_text("wrap", "w{$x} :- mid/m{v{$x}}")
+                .unwrap();
             sys
         };
         let mut fo = build();
@@ -184,8 +188,7 @@ mod tests {
         let stats = run_fire_once(&mut sys, 10_000).unwrap();
         assert_eq!(stats.fired, 2);
         let d = sys.doc(Sym::intern("d")).unwrap();
-        let expected =
-            crate::parse::parse_tree(r#"a{@f, mid{@h, leaf{"x"}}}"#).unwrap();
+        let expected = crate::parse::parse_tree(r#"a{@f, mid{@h, leaf{"x"}}}"#).unwrap();
         assert!(crate::subsume::equivalent(d, &expected));
     }
 

@@ -9,8 +9,8 @@
 
 use crate::pattern::{PItem, Pattern};
 use crate::query::{Atom, Query};
-use crate::system::System;
 use crate::sym::Sym;
+use crate::system::System;
 use crate::tree::{Marking, NodeId, Tree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,7 +84,8 @@ pub fn random_simple_system(cfg: &GenConfig, seed: u64) -> System {
                 }
             }
         }
-        sys.add_document(&format!("d{d}"), t).expect("generated doc is valid");
+        sys.add_document(&format!("d{d}"), t)
+            .expect("generated doc is valid");
     }
 
     // Services: simple queries. Body: 0–2 atoms over stored documents or

@@ -31,7 +31,7 @@
 //! depth, which no finite document subsumes.
 
 use crate::error::{AxmlError, Result};
-use crate::pattern::{PItem, Pattern, PNodeId};
+use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::{Operand, Query};
 use crate::regular::{GNodeId, Graph};
 use crate::sym::{FxHashMap, FxHashSet, Sym};
@@ -123,13 +123,7 @@ pub fn match_on_graph(p: &Pattern, g: &Graph, start: GNodeId) -> Vec<GBinding> {
     match_gnode(p, p.root(), g, start, &GBinding::default())
 }
 
-fn match_gnode(
-    p: &Pattern,
-    pn: PNodeId,
-    g: &Graph,
-    gn: GNodeId,
-    b: &GBinding,
-) -> Vec<GBinding> {
+fn match_gnode(p: &Pattern, pn: PNodeId, g: &Graph, gn: GNodeId, b: &GBinding) -> Vec<GBinding> {
     let Some(b0) = bind_gitem(p.item(pn), g.marking(gn), gn, b) else {
         return Vec::new();
     };
@@ -244,11 +238,7 @@ fn query_bindings(q: &Query, env: &GraphQueryEnv<'_>) -> Result<Vec<GBinding>> {
 /// Instantiate a (possibly tree-variable-using) head into the graph:
 /// constants and marking variables become fresh nodes, tree variables
 /// become edges to their bound graph nodes. Returns the result root.
-fn instantiate_head_into_graph(
-    head: &Pattern,
-    b: &GBinding,
-    g: &mut Graph,
-) -> Result<GNodeId> {
+fn instantiate_head_into_graph(head: &Pattern, b: &GBinding, g: &mut Graph) -> Result<GNodeId> {
     fn resolve(item: &PItem, b: &GBinding) -> Result<GBound> {
         match item {
             PItem::Const(m) => Ok(GBound::Mark(*m)),
@@ -257,12 +247,7 @@ fn instantiate_head_into_graph(
             }
         }
     }
-    fn build(
-        head: &Pattern,
-        hn: PNodeId,
-        b: &GBinding,
-        g: &mut Graph,
-    ) -> Result<GNodeId> {
+    fn build(head: &Pattern, hn: PNodeId, b: &GBinding, g: &mut Graph) -> Result<GNodeId> {
         match resolve(head.item(hn), b)? {
             GBound::Node(n) => Ok(n),
             GBound::Mark(m) => {
@@ -474,8 +459,7 @@ impl GraphRepr {
 
     /// Document roots in a deterministic order.
     pub fn doc_roots(&self) -> Vec<GNodeId> {
-        let mut roots: Vec<(Sym, GNodeId)> =
-            self.roots.iter().map(|(&d, &r)| (d, r)).collect();
+        let mut roots: Vec<(Sym, GNodeId)> = self.roots.iter().map(|(&d, &r)| (d, r)).collect();
         roots.sort_unstable();
         roots.into_iter().map(|(_, r)| r).collect()
     }

@@ -110,9 +110,8 @@ impl DocIndex {
         // so child entries ≈ marking entries; the estimate charges map
         // and bucket overhead per bucket plus 4 bytes per entry.
         let entries = self.entries as u64;
-        let bytes_estimate = self.by_marking.len() as u64 * 40
-            + self.by_child.len() as u64 * 48
-            + entries * 8;
+        let bytes_estimate =
+            self.by_marking.len() as u64 * 40 + self.by_child.len() as u64 * 48 + entries * 8;
         IndexStats {
             adds: self.adds,
             removes: self.removes,

@@ -122,8 +122,11 @@ mod tests {
             }"#,
         )
         .unwrap();
-        sys.add_document_text("ratings", r#"db{entry{name{"Body and Soul"}, stars{"****"}}}"#)
-            .unwrap();
+        sys.add_document_text(
+            "ratings",
+            r#"db{entry{name{"Body and Soul"}, stars{"****"}}}"#,
+        )
+        .unwrap();
         sys.add_service_text(
             "GetRating",
             r#"rating{$s} :- input/input{$n}, ratings/db{entry{name{$n}, stars{$s}}}"#,
@@ -136,10 +139,9 @@ mod tests {
 
     #[test]
     fn lazy_answers_where_eager_diverges() {
-        let q = parse_query(
-            r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#,
-        )
-        .unwrap();
+        let q =
+            parse_query(r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#)
+                .unwrap();
         // Eager: budget exhausted, no fixpoint.
         let mut eager = poisoned_portal();
         let (status, estats) = run(&mut eager, &EngineConfig::with_budget(200)).unwrap();
@@ -196,7 +198,8 @@ mod tests {
     #[test]
     fn stable_system_answers_without_any_invocation() {
         let mut sys = System::new();
-        sys.add_document_text("d", r#"store{item{"cd"}, other{@f}}"#).unwrap();
+        sys.add_document_text("d", r#"store{item{"cd"}, other{@f}}"#)
+            .unwrap();
         sys.add_service_text("f", r#"x{"1"} :-"#).unwrap();
         let q = parse_query("ans{$i} :- d/store{item{$i}}").unwrap();
         let (answer, stats) = lazy_query_eval(&mut sys, &q, &LazyConfig::default()).unwrap();
@@ -210,7 +213,8 @@ mod tests {
         // A relevant diverging branch: lazy evaluation cannot stabilize.
         let mut sys = System::new();
         sys.add_document_text("d", "a{b{@Spam}}").unwrap();
-        sys.add_service_text("Spam", r#"b{@Spam, w{"1"}} :-"#).unwrap();
+        sys.add_service_text("Spam", r#"b{@Spam, w{"1"}} :-"#)
+            .unwrap();
         let q = parse_query("ans{$x} :- d/a{b{b{b{b{b{b{b{b{w{$x}}}}}}}}}}").unwrap();
         let cfg = LazyConfig {
             max_rounds: 5,

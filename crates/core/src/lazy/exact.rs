@@ -123,14 +123,18 @@ mod tests {
             }"#,
         )
         .unwrap();
-        sys.add_document_text("ratings", r#"db{entry{name{"Body and Soul"}, stars{"****"}}}"#)
-            .unwrap();
+        sys.add_document_text(
+            "ratings",
+            r#"db{entry{name{"Body and Soul"}, stars{"****"}}}"#,
+        )
+        .unwrap();
         sys.add_service_text(
             "GetRating",
             r#"rating{$s} :- input/input{$n}, ratings/db{entry{name{$n}, stars{$s}}}"#,
         )
         .unwrap();
-        sys.add_service_text("FreeMusicDB", r#"cd{title{"More"}} :-"#).unwrap();
+        sys.add_service_text("FreeMusicDB", r#"cd{title{"More"}} :-"#)
+            .unwrap();
         sys
     }
 
@@ -198,12 +202,10 @@ mod tests {
         // §4's motivating example: both "****" and the intensional
         // GetRating call are possible answers to the rating query.
         let sys = portal();
-        let q = parse_query(
-            r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#,
-        )
-        .unwrap();
-        let extensional =
-            Forest::from_trees(vec![parse_tree(r#"rating{"****"}"#).unwrap()]);
+        let q =
+            parse_query(r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#)
+                .unwrap();
+        let extensional = Forest::from_trees(vec![parse_tree(r#"rating{"****"}"#).unwrap()]);
         // The intensional variant wraps the call so it lands in the same
         // shape: rating is produced by expanding GetRating inside.
         assert!(is_possible_answer(&sys, &q, &extensional).unwrap());

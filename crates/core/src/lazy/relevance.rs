@@ -20,7 +20,7 @@
 //! invoked by the lazy evaluator). Black-box services make everything
 //! relevant — on the open Web we cannot see their definitions (§4).
 
-use crate::pattern::{PItem, Pattern, PNodeId};
+use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::Query;
 use crate::sym::{FxHashSet, Sym};
 use crate::system::{context_sym, input_sym, System};
@@ -77,11 +77,7 @@ fn item_compatible(it: &PItem, m: Marking) -> bool {
 /// parent-child steps with compatible items, *ignoring* whether the
 /// pattern completes below. New sibling data at a tree node `n` matters
 /// iff some pair `(pp, n)` exists with `pp` non-leaf.
-fn prefix_pairs(
-    p: &Pattern,
-    t: &Tree,
-    seeds: &[(PNodeId, NodeId)],
-) -> Vec<(PNodeId, NodeId)> {
+fn prefix_pairs(p: &Pattern, t: &Tree, seeds: &[(PNodeId, NodeId)]) -> Vec<(PNodeId, NodeId)> {
     let mut seen: FxHashSet<(PNodeId, NodeId)> = FxHashSet::default();
     let mut stack: Vec<(PNodeId, NodeId)> = Vec::new();
     for &(pp, tn) in seeds {
@@ -140,13 +136,8 @@ pub fn weak_relevance(sys: &System, q: &Query) -> Relevance {
             }
             if let Some(t) = sys.doc(atom.doc) {
                 let seeds = [(atom.pattern.root(), t.root())];
-                changed |= relevant_from_goal(
-                    atom.doc,
-                    &atom.pattern,
-                    t,
-                    &seeds,
-                    &mut rel.relevant_calls,
-                );
+                changed |=
+                    relevant_from_goal(atom.doc, &atom.pattern, t, &seeds, &mut rel.relevant_calls);
             }
         }
 
@@ -254,9 +245,7 @@ pub fn weak_relevance(sys: &System, q: &Query) -> Relevance {
                         // nested calls whose results land under `n`.
                         if !atom.pattern.children(atom.pattern.root()).is_empty() {
                             for &tc in t.children(n) {
-                                if t.marking(tc).is_func()
-                                    && rel.relevant_calls.insert((d, tc))
-                                {
+                                if t.marking(tc).is_func() && rel.relevant_calls.insert((d, tc)) {
                                     changed = true;
                                 }
                             }
@@ -275,10 +264,9 @@ pub fn weak_relevance(sys: &System, q: &Query) -> Relevance {
             // (their fresh calls will be fired by the lazy evaluator).
             for n in fq.head.node_ids() {
                 match fq.head.item(n) {
-                    PItem::Const(Marking::Func(g))
-                        if rel.relevant_functions.insert(*g) => {
-                            changed = true;
-                        }
+                    PItem::Const(Marking::Func(g)) if rel.relevant_functions.insert(*g) => {
+                        changed = true;
+                    }
                     PItem::FuncVar(_) => {
                         for &g in sys.service_names() {
                             if rel.relevant_functions.insert(g) {
@@ -337,8 +325,10 @@ mod tests {
             }"#,
         )
         .unwrap();
-        sys.add_service_text("GetRating", r#"rating{"****"} :-"#).unwrap();
-        sys.add_service_text("FreeMusicDB", r#"cd{title{"More"}} :-"#).unwrap();
+        sys.add_service_text("GetRating", r#"rating{"****"} :-"#)
+            .unwrap();
+        sys.add_service_text("FreeMusicDB", r#"cd{title{"More"}} :-"#)
+            .unwrap();
         sys
     }
 
@@ -390,7 +380,8 @@ mod tests {
         sys.add_document_text("d_in", "r{v{@g}}").unwrap();
         sys.add_document_text("d_out", "out{@f}").unwrap();
         sys.add_service_text("g", r#"w{"1"} :-"#).unwrap();
-        sys.add_service_text("f", "got{$x} :- d_in/r{v{w{$x}}}").unwrap();
+        sys.add_service_text("f", "got{$x} :- d_in/r{v{w{$x}}}")
+            .unwrap();
         let q = parse_query("ans{$x} :- d_out/out{got{$x}}").unwrap();
         let rel = weak_relevance(&sys, &q);
         // Both f (directly) and g (transitively, feeding f's body) are
@@ -403,8 +394,10 @@ mod tests {
     #[test]
     fn context_atoms_anchor_at_call_parents() {
         let mut sys = System::new();
-        sys.add_document_text("d", "a{b{@f, @inner}, c{@other}}").unwrap();
-        sys.add_service_text("f", "got{$x} :- context/b{w{$x}}").unwrap();
+        sys.add_document_text("d", "a{b{@f, @inner}, c{@other}}")
+            .unwrap();
+        sys.add_service_text("f", "got{$x} :- context/b{w{$x}}")
+            .unwrap();
         sys.add_service_text("inner", r#"w{"1"} :-"#).unwrap();
         sys.add_service_text("other", r#"z{"2"} :-"#).unwrap();
         let q = parse_query("ans{$x} :- d/a{b{got{$x}}}").unwrap();
@@ -439,7 +432,8 @@ mod tests {
     fn soundness_on_tc_system() {
         // In Example 3.2, a query over d1 must keep both g and f relevant.
         let mut sys = System::new();
-        sys.add_document_text("d0", r#"r{t{from{"1"},to{"2"}}}"#).unwrap();
+        sys.add_document_text("d0", r#"r{t{from{"1"},to{"2"}}}"#)
+            .unwrap();
         sys.add_document_text("d1", "r{@g,@f}").unwrap();
         sys.add_service_text("g", "t{from{$x},to{$y}} :- d0/r{t{from{$x},to{$y}}}")
             .unwrap();

@@ -110,8 +110,8 @@ impl<'a> Lexer<'a> {
         if self.pos == start {
             return self.err("expected identifier");
         }
-        let s = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("identifier bytes are ASCII");
+        let s =
+            std::str::from_utf8(&self.src[start..self.pos]).expect("identifier bytes are ASCII");
         Ok(Sym::intern(s))
     }
 
@@ -273,7 +273,11 @@ pub(crate) fn parse_pitem(lx: &mut Lexer<'_>) -> Result<PItem> {
     }
 }
 
-fn parse_pnode_into(lx: &mut Lexer<'_>, p: &mut Pattern, parent: crate::pattern::PNodeId) -> Result<()> {
+fn parse_pnode_into(
+    lx: &mut Lexer<'_>,
+    p: &mut Pattern,
+    parent: crate::pattern::PNodeId,
+) -> Result<()> {
     let item = parse_pitem(lx)?;
     let id = p.add_child(parent, item.clone())?;
     if lx.eat(b'{') {
@@ -335,7 +339,8 @@ mod tests {
 
     #[test]
     fn pattern_variables() {
-        let p = parse_pattern(r#"directory{cd{title{$x}, singer{"Carla Bruni"}, ?l, #Z}}"#).unwrap();
+        let p =
+            parse_pattern(r#"directory{cd{title{$x}, singer{"Carla Bruni"}, ?l, #Z}}"#).unwrap();
         assert_eq!(p.node_count(), 8);
         assert!(parse_pattern("a{$x{b}}").is_err()); // value var leaf only
         assert!(parse_pattern("a{#X{b}}").is_err()); // tree var leaf only

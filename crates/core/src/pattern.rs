@@ -139,7 +139,11 @@ impl Pattern {
     /// Depth (edge count) of the pattern.
     pub fn depth(&self) -> usize {
         fn go(p: &Pattern, n: PNodeId) -> usize {
-            p.children(n).iter().map(|&c| 1 + go(p, c)).max().unwrap_or(0)
+            p.children(n)
+                .iter()
+                .map(|&c| 1 + go(p, c))
+                .max()
+                .unwrap_or(0)
         }
         go(self, self.root)
     }
@@ -297,7 +301,9 @@ mod tests {
     #[test]
     fn leaf_only_enforced_programmatically() {
         let mut p = Pattern::new(PItem::TreeVar(Sym::intern("X")));
-        assert!(p.add_child(p.root(), PItem::Const(Marking::label("a"))).is_err());
+        assert!(p
+            .add_child(p.root(), PItem::Const(Marking::label("a")))
+            .is_err());
     }
 
     #[test]

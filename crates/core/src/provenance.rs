@@ -135,11 +135,7 @@ impl fmt::Display for SkipRecord {
         write!(
             f,
             "@{} at {}#{} skipped in round {}: last invoked at t={}, reads unchanged [",
-            self.service,
-            self.doc,
-            self.node.0,
-            self.round,
-            self.invoked_at
+            self.service, self.doc, self.node.0, self.round, self.invoked_at
         )?;
         for (i, (d, at)) in self.evidence.iter().enumerate() {
             if i > 0 {
@@ -299,9 +295,8 @@ impl ProvenanceStore {
             if let Origin::Local { seq } = dag.nodes[ix].origin {
                 if let Some(rec) = self.invocation(seq) {
                     for &(pd, pn) in &rec.inputs {
-                        let pix = Self::intern_dag_node(
-                            &mut dag, &mut index, &mut doc_of, pd, pn, self,
-                        );
+                        let pix =
+                            Self::intern_dag_node(&mut dag, &mut index, &mut doc_of, pd, pn, self);
                         if !dag.nodes[ix].parents.contains(&pix) {
                             dag.nodes[ix].parents.push(pix);
                         }
@@ -357,12 +352,7 @@ impl ProvenanceStore {
     /// their merged lineage DAG; and the calls the weak relevance
     /// analysis of `crate::lazy` proves q-unneeded for this query —
     /// making the §4 verdicts concretely inspectable per answer.
-    pub fn explain_answer(
-        &self,
-        sys: &System,
-        q: &Query,
-        binding: &Binding,
-    ) -> AnswerExplanation {
+    pub fn explain_answer(&self, sys: &System, q: &Query, binding: &Binding) -> AnswerExplanation {
         let mut atoms = Vec::new();
         let mut all: Vec<(Sym, NodeId)> = Vec::new();
         let mut seen: FxHashSet<(Sym, NodeId)> = FxHashSet::default();
@@ -664,10 +654,9 @@ mod tests {
     fn atom_witnesses_find_conjunct_anchors() {
         // Two conjuncts under the root: t-tuples and e-tuples.
         let p = parse_pattern(r#"r{t{from{$x},to{$z}}, e{from{$z},to{$y}}}"#).unwrap();
-        let t = parse_tree(
-            r#"r{t{from{"1"},to{"2"}}, e{from{"2"},to{"3"}}, e{from{"9"},to{"9"}}}"#,
-        )
-        .unwrap();
+        let t =
+            parse_tree(r#"r{t{from{"1"},to{"2"}}, e{from{"2"},to{"3"}}, e{from{"9"},to{"9"}}}"#)
+                .unwrap();
         let w = atom_witnesses(&p, &t, None);
         // One t anchor + two e anchors; never the document root.
         assert_eq!(w.len(), 3);

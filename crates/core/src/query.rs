@@ -130,9 +130,7 @@ impl Query {
             for op in [l, r] {
                 if let Operand::Var(v) = op {
                     match kinds.get(v) {
-                        Some(VarKind::Tree) => {
-                            return Err(AxmlError::TreeVariableInInequality(*v))
-                        }
+                        Some(VarKind::Tree) => return Err(AxmlError::TreeVariableInInequality(*v)),
                         Some(_) => {}
                         // An inequality variable not occurring in the body
                         // would be unsafe (never bound).
@@ -341,10 +339,7 @@ mod tests {
         assert_eq!(q.ineqs.len(), 2);
         let q2 = parse_query("r{?z} :- d/a{?z}, ?z != b").unwrap();
         assert_eq!(q2.ineqs.len(), 1);
-        assert_eq!(
-            q2.ineqs[0].1,
-            Operand::Const(Marking::label("b"))
-        );
+        assert_eq!(q2.ineqs[0].1, Operand::Const(Marking::label("b")));
     }
 
     #[test]

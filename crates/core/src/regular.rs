@@ -178,8 +178,7 @@ impl Graph {
                         for &c in self.children(n) {
                             match color.get(&c).copied().unwrap_or(Color::White) {
                                 Color::Gray => {
-                                    let start =
-                                        path.iter().position(|&x| x == c).unwrap_or(0);
+                                    let start = path.iter().position(|&x| x == c).unwrap_or(0);
                                     let mut cyc = path[start..].to_vec();
                                     cyc.push(c);
                                     return Some(cyc);

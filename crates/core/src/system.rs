@@ -193,17 +193,22 @@ impl System {
     /// tree variables (§3.2)? Such systems have regular semantics
     /// (Lemma 3.2) and decidable termination (Thm 3.3).
     pub fn is_simple(&self) -> bool {
-        self.service_order
-            .iter()
-            .all(|s| self.services[s].query().map(Query::is_simple).unwrap_or(false))
+        self.service_order.iter().all(|s| {
+            self.services[s]
+                .query()
+                .map(Query::is_simple)
+                .unwrap_or(false)
+        })
     }
 
     /// First service whose definition breaks simplicity, if any.
     pub fn non_simple_witness(&self) -> Option<Sym> {
-        self.service_order
-            .iter()
-            .copied()
-            .find(|s| !self.services[s].query().map(Query::is_simple).unwrap_or(false))
+        self.service_order.iter().copied().find(|s| {
+            !self.services[s]
+                .query()
+                .map(Query::is_simple)
+                .unwrap_or(false)
+        })
     }
 
     /// Total live nodes across documents.
@@ -325,11 +330,8 @@ mod tests {
         )
         .unwrap();
         sys.add_document_text("d1", "r{@g,@f}").unwrap();
-        sys.add_service_text(
-            "g",
-            "t{from{$x},to{$y}} :- d0/r{t{from{$x},to{$y}}}",
-        )
-        .unwrap();
+        sys.add_service_text("g", "t{from{$x},to{$y}} :- d0/r{t{from{$x},to{$y}}}")
+            .unwrap();
         sys.add_service_text(
             "f",
             "t{from{$x},to{$y}} :- d1/r{t{from{$x},to{$z}}, t{from{$z},to{$y}}}",
@@ -380,10 +382,7 @@ mod tests {
     fn validate_catches_unknown_function() {
         let mut sys = System::new();
         sys.add_document_text("d", "a{@nosvc}").unwrap();
-        assert!(matches!(
-            sys.validate(),
-            Err(AxmlError::UnknownFunction(_))
-        ));
+        assert!(matches!(sys.validate(), Err(AxmlError::UnknownFunction(_))));
     }
 
     #[test]
@@ -391,10 +390,7 @@ mod tests {
         let mut sys = System::new();
         sys.add_document_text("d", "a{@f}").unwrap();
         sys.add_service_text("f", "r{$x} :- nodoc/a{$x}").unwrap();
-        assert!(matches!(
-            sys.validate(),
-            Err(AxmlError::UnknownDocument(_))
-        ));
+        assert!(matches!(sys.validate(), Err(AxmlError::UnknownDocument(_))));
         // input/context are always allowed.
         let mut sys2 = System::new();
         sys2.add_document_text("d", "a{@f}").unwrap();
@@ -429,9 +425,7 @@ mod tests {
         let (d, n) = sys
             .function_nodes()
             .into_iter()
-            .find(|&(d, n)| {
-                d == d1 && sys.doc(d).unwrap().marking(n) == Marking::func("g")
-            })
+            .find(|&(d, n)| d == d1 && sys.doc(d).unwrap().marking(n) == Marking::func("g"))
             .unwrap();
         crate::invoke::invoke_node(&mut sys, d, n).unwrap();
         assert!(sys.doc_version(d1).unwrap() > before_doc);

@@ -1312,11 +1312,7 @@ impl TraceSink for MetricsRegistry {
             EventKind::CallSelected { .. } => inner.globals.calls_selected += 1,
             EventKind::CallSkipped { service, .. } => {
                 inner.globals.calls_skipped += 1;
-                inner
-                    .services
-                    .entry(service)
-                    .or_default()
-                    .skipped += 1;
+                inner.services.entry(service).or_default().skipped += 1;
             }
             EventKind::Invoke {
                 service,
@@ -1326,10 +1322,7 @@ impl TraceSink for MetricsRegistry {
                 dur_ns,
                 ..
             } => {
-                let m = inner
-                    .services
-                    .entry(service)
-                    .or_default();
+                let m = inner.services.entry(service).or_default();
                 m.invocations += 1;
                 m.productive += u64::from(changed);
                 m.grafted += u64::from(grafted);
@@ -1337,18 +1330,10 @@ impl TraceSink for MetricsRegistry {
                 m.latency_ns.record(dur_ns);
             }
             EventKind::CacheHit { service, .. } => {
-                inner
-                    .services
-                    .entry(service)
-                    .or_default()
-                    .cache_hits += 1;
+                inner.services.entry(service).or_default().cache_hits += 1;
             }
             EventKind::CacheMiss { service, .. } => {
-                inner
-                    .services
-                    .entry(service)
-                    .or_default()
-                    .cache_misses += 1;
+                inner.services.entry(service).or_default().cache_misses += 1;
             }
             EventKind::SubsumeCheck { subsumed, .. } => {
                 inner.globals.subsume_checks += 1;
@@ -1361,8 +1346,7 @@ impl TraceSink for MetricsRegistry {
                 ..
             } => {
                 inner.globals.reduces += 1;
-                inner.globals.nodes_pruned +=
-                    u64::from(nodes_before.saturating_sub(nodes_after));
+                inner.globals.nodes_pruned += u64::from(nodes_before.saturating_sub(nodes_after));
             }
             EventKind::IndexLookup {
                 probes,
@@ -1390,10 +1374,7 @@ impl TraceSink for MetricsRegistry {
             EventKind::PeerEval {
                 service, dur_ns, ..
             } => {
-                let m = inner
-                    .services
-                    .entry(service)
-                    .or_default();
+                let m = inner.services.entry(service).or_default();
                 m.invocations += 1;
                 m.latency_ns.record(dur_ns);
             }
@@ -1406,8 +1387,7 @@ impl TraceSink for MetricsRegistry {
                 inner.globals.programs_compiled += 1;
                 inner.globals.program_ops += u64::from(ops);
                 inner.globals.program_shared_ops += u64::from(shared);
-                inner.globals.compile_ns =
-                    inner.globals.compile_ns.saturating_add(dur_ns);
+                inner.globals.compile_ns = inner.globals.compile_ns.saturating_add(dur_ns);
             }
             EventKind::ProgramCacheHit { .. } => {
                 inner.globals.program_cache_hits += 1;
@@ -1446,9 +1426,7 @@ impl TraceSink for MetricsRegistry {
                 inner.globals.batch_max = inner.globals.batch_max.max(size);
                 inner.sessions.entry(session).or_default().batches += 1;
             }
-            EventKind::SubscriptionPush {
-                session, trees, ..
-            } => {
+            EventKind::SubscriptionPush { session, trees, .. } => {
                 inner.globals.subscription_pushes += 1;
                 inner.globals.pushed_trees += u64::from(trees);
                 let s = inner.sessions.entry(session).or_default();
@@ -1519,10 +1497,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 /// `w` (one row at a time) instead of assembling one giant `String`, so
 /// dumping a large ring journal does not double peak memory. Same
 /// output, byte for byte.
-pub fn chrome_trace_to(
-    events: &[TraceEvent],
-    w: &mut impl std::io::Write,
-) -> std::io::Result<()> {
+pub fn chrome_trace_to(events: &[TraceEvent], w: &mut impl std::io::Write) -> std::io::Result<()> {
     // Stable order: by the journal's own seq stamp. Merged journals
     // are already seq-ordered; this makes the export robust to callers
     // concatenating event slices themselves.
@@ -1647,7 +1622,10 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
     };
     match ev.kind {
         EventKind::RoundStart { round } => {
-            format!("{}}}", common(&format!("round {round}"), "B", "engine", us(ev.ts_ns)))
+            format!(
+                "{}}}",
+                common(&format!("round {round}"), "B", "engine", us(ev.ts_ns))
+            )
         }
         EventKind::RoundEnd { round, changed } => format!(
             "{},\"args\":{{\"round\":{round},\"changed\":{changed}}}}}",
@@ -1656,12 +1634,20 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
         EventKind::CallSelected { doc, node, service } => instant(
             &format!("select {service}"),
             "schedule",
-            format!("\"doc\":\"{}\",\"node\":{}", json_escape(doc.as_str()), node.0),
+            format!(
+                "\"doc\":\"{}\",\"node\":{}",
+                json_escape(doc.as_str()),
+                node.0
+            ),
         ),
         EventKind::CallSkipped { doc, node, service } => instant(
             &format!("skip {service}"),
             "schedule",
-            format!("\"doc\":\"{}\",\"node\":{}", json_escape(doc.as_str()), node.0),
+            format!(
+                "\"doc\":\"{}\",\"node\":{}",
+                json_escape(doc.as_str()),
+                node.0
+            ),
         ),
         EventKind::Invoke {
             doc,
@@ -1696,9 +1682,16 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
         EventKind::SubsumeCheck { doc, subsumed } => instant(
             "subsume-check",
             "graft",
-            format!("\"doc\":\"{}\",\"subsumed\":{subsumed}", json_escape(doc.as_str())),
+            format!(
+                "\"doc\":\"{}\",\"subsumed\":{subsumed}",
+                json_escape(doc.as_str())
+            ),
         ),
-        EventKind::Graft { doc, doc_version, trees } => instant(
+        EventKind::Graft {
+            doc,
+            doc_version,
+            trees,
+        } => instant(
             "graft",
             "graft",
             format!(
@@ -1756,7 +1749,11 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
             "p2p",
             format!("\"peer\":\"{}\"", json_escape(peer.as_str())),
         ),
-        EventKind::PeerEval { peer, service, dur_ns } => {
+        EventKind::PeerEval {
+            peer,
+            service,
+            dur_ns,
+        } => {
             let start = us(ev.ts_ns.saturating_sub(dur_ns));
             format!(
                 "{},\"dur\":{:.3},\"args\":{{\"peer\":\"{}\"}}}}",
@@ -1789,7 +1786,10 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
         EventKind::RequestRecv { session, kind, id } => instant(
             &format!("recv {}", kind.name()),
             "server",
-            format!("\"session\":\"{}\",\"id\":{id}", json_escape(session.as_str())),
+            format!(
+                "\"session\":\"{}\",\"id\":{id}",
+                json_escape(session.as_str())
+            ),
         ),
         EventKind::RequestServed {
             session,
@@ -1924,23 +1924,17 @@ impl<'a> JsonParser<'a> {
                             let c = if (0xD800..0xDC00).contains(&hi) {
                                 // High surrogate: a \uXXXX low surrogate
                                 // must follow to complete the pair.
-                                self.expect(b'\\').and_then(|()| {
-                                    self.expect(b'u')
-                                })?;
+                                self.expect(b'\\').and_then(|()| self.expect(b'u'))?;
                                 let lo = self.hex4()?;
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("bad low surrogate"));
                                 }
-                                let cp = 0x10000
-                                    + ((hi - 0xD800) << 10)
-                                    + (lo - 0xDC00);
-                                char::from_u32(cp)
-                                    .expect("paired surrogates are valid")
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(cp).expect("paired surrogates are valid")
                             } else if (0xDC00..0xE000).contains(&hi) {
                                 return Err(self.err("lone low surrogate"));
                             } else {
-                                char::from_u32(hi)
-                                    .expect("non-surrogate BMP scalar")
+                                char::from_u32(hi).expect("non-surrogate BMP scalar")
                             };
                             out.push(c);
                         }
@@ -1984,8 +1978,7 @@ impl<'a> JsonParser<'a> {
                         self.pos += 1;
                     }
                     out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input is a str"),
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is a str"),
                     );
                 }
             }
@@ -2021,8 +2014,7 @@ impl<'a> JsonParser<'a> {
         if self.pos == start {
             return Err(self.err("expected number"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
         // Integral numbers spanning the full i64/u64 range are kept
         // lossless — request ids must be echoed verbatim
         // (docs/protocol.md) and f64 rounds above 2^53.
@@ -2152,9 +2144,7 @@ impl JsonValue {
     /// Object-field lookup by key (first match; `None` on non-objects).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -2184,9 +2174,7 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Int(n) => u64::try_from(*n).ok(),
-            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => Some(*n as u64),
             _ => None,
         }
     }
@@ -2289,8 +2277,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent>, String> {
     let JsonValue::Obj(fields) = top else {
         return Err("top level is not an object".to_string());
     };
-    let Some((_, events)) = fields.iter().find(|(k, _)| k == "traceEvents")
-    else {
+    let Some((_, events)) = fields.iter().find(|(k, _)| k == "traceEvents") else {
         return Err("missing \"traceEvents\" key".to_string());
     };
     let JsonValue::Arr(items) = events else {
@@ -2301,9 +2288,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent>, String> {
         let JsonValue::Obj(fields) = item else {
             return Err("traceEvents contains non-object elements".to_string());
         };
-        let get = |k: &str| {
-            fields.iter().find(|(f, _)| f == k).map(|(_, v)| v)
-        };
+        let get = |k: &str| fields.iter().find(|(f, _)| f == k).map(|(_, v)| v);
         let str_field = |k: &str| match get(k) {
             Some(JsonValue::Str(s)) => Ok(s.clone()),
             Some(_) => Err(format!("event {i}: key \"{k}\" is not a string")),
@@ -2326,10 +2311,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent>, String> {
             (num_field("ts")?, num_field("tid")? as i64)
         };
         let args = match get("args") {
-            Some(JsonValue::Obj(kvs)) => kvs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.render()))
-                .collect(),
+            Some(JsonValue::Obj(kvs)) => kvs.iter().map(|(k, v)| (k.clone(), v.render())).collect(),
             _ => Vec::new(),
         };
         out.push(ChromeEvent {
@@ -2822,7 +2804,10 @@ mod tests {
     fn validator_rejects_malformed_traces() {
         assert!(validate_chrome_trace("").is_err());
         assert!(validate_chrome_trace("[]").is_err(), "array at top level");
-        assert!(validate_chrome_trace("{\"foo\": 1}").is_err(), "no traceEvents");
+        assert!(
+            validate_chrome_trace("{\"foo\": 1}").is_err(),
+            "no traceEvents"
+        );
         assert!(
             validate_chrome_trace("{\"traceEvents\": [{\"name\":\"x\"}]}").is_err(),
             "event missing required keys"
@@ -2869,7 +2854,10 @@ mod tests {
             parse_json("99999999999999999999999").unwrap(),
             JsonValue::Num(1e23)
         );
-        assert_eq!(parse_json("18446744073709551615").unwrap().as_f64(), Some(u64::MAX as f64));
+        assert_eq!(
+            parse_json("18446744073709551615").unwrap().as_f64(),
+            Some(u64::MAX as f64)
+        );
     }
 
     #[test]
@@ -2922,11 +2910,7 @@ mod tests {
             "ctrl\u{1}\u{1f}end",
         ] {
             let (json, n) = trace_with_names(name, name);
-            assert_eq!(
-                validate_chrome_trace(&json).unwrap(),
-                n,
-                "name={name:?}"
-            );
+            assert_eq!(validate_chrome_trace(&json).unwrap(), n, "name={name:?}");
             let events = parse_chrome_trace(&json).unwrap();
             let select = events
                 .iter()
@@ -2941,11 +2925,7 @@ mod tests {
             // The peer's thread_name metadata carries the same name.
             let lane = events
                 .iter()
-                .find(|e| {
-                    e.ph == "M"
-                        && e.name == "thread_name"
-                        && e.tid == send.tid
-                })
+                .find(|e| e.ph == "M" && e.name == "thread_name" && e.tid == send.tid)
                 .expect("peer lane is named");
             assert_eq!(lane.arg("name"), Some(name));
         }
@@ -2982,11 +2962,7 @@ mod tests {
         let tid_of = |name: &str| {
             events
                 .iter()
-                .find(|e| {
-                    e.ph == "M"
-                        && e.name == "thread_name"
-                        && e.arg("name") == Some(name)
-                })
+                .find(|e| e.ph == "M" && e.name == "thread_name" && e.arg("name") == Some(name))
                 .map(|e| e.tid)
         };
         assert_eq!(tid_of("engine"), Some(1));

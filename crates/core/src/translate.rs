@@ -40,8 +40,8 @@
 //! ([`crate::pathexpr::snapshot_reg`]). See DESIGN.md.
 
 use crate::error::{AxmlError, Result};
-use crate::pattern::{PItem, Pattern, PNodeId};
-use crate::pathexpr::{RItem, RegPattern, RegQuery, RNodeId};
+use crate::pathexpr::{RItem, RNodeId, RegPattern, RegQuery};
+use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::{parse_query, Operand, Query, VarKind};
 use crate::sym::{FxHashMap, FxHashSet, Sym};
 use crate::system::System;
@@ -225,9 +225,7 @@ impl Translator {
         }
 
         let start = Translator::state_name(nfa.start);
-        let replacement = format!(
-            "{ann}{{{STATE_LABEL}{{\"{start}\"}}{binders}}}"
-        );
+        let replacement = format!("{ann}{{{STATE_LABEL}{{\"{start}\"}}{binders}}}");
         self.reserved_labels.push(ann.clone());
         self.service_names
             .extend(services.iter().map(|(n, _)| n.clone()));
@@ -254,10 +252,13 @@ impl Translator {
     }
 }
 
-
 /// Recursively transform a reg-pattern node into plain pattern text,
 /// registering occurrences for every path item (innermost first).
-fn transform_rnode(tr: &mut Translator, rp: &RegPattern, rn: RNodeId) -> (String, Vec<(Sym, VarKind)>) {
+fn transform_rnode(
+    tr: &mut Translator,
+    rp: &RegPattern,
+    rn: RNodeId,
+) -> (String, Vec<(Sym, VarKind)>) {
     match rp.item(rn) {
         RItem::Plain(item) => {
             let mut vars = Vec::new();
@@ -339,10 +340,7 @@ fn guards_for_query(q: &Query, tr: &Translator) -> Vec<(Operand, Operand)> {
         }
         match k {
             VarKind::Label => {
-                out.push((
-                    Operand::Var(v),
-                    Operand::Const(Marking::label(STATE_LABEL)),
-                ));
+                out.push((Operand::Var(v), Operand::Const(Marking::label(STATE_LABEL))));
                 for occ in &tr.occurrences {
                     out.push((
                         Operand::Var(v),
@@ -506,10 +504,7 @@ pub fn translate(sys: &System, q: &RegQuery) -> Result<Translation> {
     // The translated query.
     let mut qtext = String::new();
     let _ = write!(qtext, "{} :- ", q.head);
-    let parts: Vec<String> = body_texts
-        .iter()
-        .map(|(d, t)| format!("{d}/{t}"))
-        .collect();
+    let parts: Vec<String> = body_texts.iter().map(|(d, t)| format!("{d}/{t}")).collect();
     qtext.push_str(&parts.join(", "));
     for (l, r) in &q.ineqs {
         let _ = write!(qtext, ", {l} != {r}");
@@ -568,8 +563,16 @@ mod tests {
         assert!(
             direct.equivalent(&via_psi),
             "ψ mismatch for {qtext}:\ndirect: {:?}\npsi: {:?}",
-            direct.trees().iter().map(|t| t.to_string()).collect::<Vec<_>>(),
-            via_psi.trees().iter().map(|t| t.to_string()).collect::<Vec<_>>()
+            direct
+                .trees()
+                .iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>(),
+            via_psi
+                .trees()
+                .iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
         );
     }
 
@@ -603,7 +606,8 @@ mod tests {
         // The document grows at run time; planted head calls keep the
         // annotations complete.
         let mut sys = System::new();
-        sys.add_document_text("src", r#"r{item{"X"}, item{"Y"}}"#).unwrap();
+        sys.add_document_text("src", r#"r{item{"X"}, item{"Y"}}"#)
+            .unwrap();
         sys.add_document_text("d", "lib{@fill}").unwrap();
         sys.add_service_text("fill", "shelf{cd{title{$t}}} :- src/r{item{$t}}")
             .unwrap();
@@ -660,7 +664,12 @@ mod tests {
         let tr = translate(&sys, &q).unwrap();
         assert_eq!(tr.call_map.len(), 1);
         let d = Sym::intern("d");
-        let (_, new_node) = tr.call_map.iter().next().map(|(&(a, b), &c)| ((a, b), c)).unwrap();
+        let (_, new_node) = tr
+            .call_map
+            .iter()
+            .next()
+            .map(|(&(a, b), &c)| ((a, b), c))
+            .unwrap();
         let tdoc = tr.system.doc(d).unwrap();
         assert_eq!(tdoc.marking(new_node), Marking::func("fill"));
     }

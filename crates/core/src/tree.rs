@@ -753,7 +753,10 @@ mod tests {
         assert!(t.function_nodes().is_empty());
         // Dead node operations fail.
         assert_eq!(t.remove_subtree(f), Err(AxmlError::DeadNode));
-        assert_eq!(t.add_child(f, Marking::label("x")), Err(AxmlError::DeadNode));
+        assert_eq!(
+            t.add_child(f, Marking::label("x")),
+            Err(AxmlError::DeadNode)
+        );
     }
 
     #[test]
@@ -904,8 +907,11 @@ mod tests {
     fn index_shared_by_clones_until_divergence() {
         let mut t = Tree::with_label("r");
         for i in 0..INDEX_BUILD_THRESHOLD {
-            t.add_child(t.root(), Marking::label(if i % 2 == 0 { "even" } else { "odd" }))
-                .unwrap();
+            t.add_child(
+                t.root(),
+                Marking::label(if i % 2 == 0 { "even" } else { "odd" }),
+            )
+            .unwrap();
         }
         assert!(!t.index_is_built());
         let evens = t.indexed_nodes_with(Marking::label("even")).unwrap();
@@ -941,7 +947,9 @@ mod tests {
             INDEX_BUILD_THRESHOLD / 2 + 1
         );
         assert_eq!(
-            dup.indexed_nodes_with(Marking::label("even")).unwrap().len(),
+            dup.indexed_nodes_with(Marking::label("even"))
+                .unwrap()
+                .len(),
             INDEX_BUILD_THRESHOLD / 2,
             "snapshot's index is untouched by the writer's maintenance"
         );

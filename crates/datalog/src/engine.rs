@@ -82,7 +82,11 @@ fn instantiate(head: &Atom, b: &BindingMap) -> Vec<String> {
 /// Apply one rule against `db`, with at most one body atom read from
 /// `delta` (semi-naive differentiation); `None` reads everything from
 /// `db` (naive).
-fn apply_rule(rule: &Rule, db: &Database, delta_at: Option<(usize, &Database)>) -> Vec<Vec<String>> {
+fn apply_rule(
+    rule: &Rule,
+    db: &Database,
+    delta_at: Option<(usize, &Database)>,
+) -> Vec<Vec<String>> {
     let mut bindings: Vec<BindingMap> = vec![BindingMap::new()];
     for (i, atom) in rule.body.iter().enumerate() {
         let use_delta = matches!(delta_at, Some((j, _)) if j == i);
@@ -148,9 +152,16 @@ pub fn seminaive_eval(prog: &Program) -> (Database, EvalStats) {
     for rule in &prog.rules {
         stats.rule_firings += 1;
         for tuple in apply_rule(rule, &db, None) {
-            if db.entry(rule.head.pred.clone()).or_default().insert(tuple.clone()) {
+            if db
+                .entry(rule.head.pred.clone())
+                .or_default()
+                .insert(tuple.clone())
+            {
                 stats.derived += 1;
-                delta.entry(rule.head.pred.clone()).or_default().insert(tuple);
+                delta
+                    .entry(rule.head.pred.clone())
+                    .or_default()
+                    .insert(tuple);
             }
         }
     }
@@ -241,10 +252,7 @@ mod tests {
 
     #[test]
     fn constants_in_rules() {
-        let prog = parse_program(
-            r#"e("1","2"). e("2","3"). from1(Y) :- e("1", Y)."#,
-        )
-        .unwrap();
+        let prog = parse_program(r#"e("1","2"). e("2","3"). from1(Y) :- e("1", Y)."#).unwrap();
         let (db, _) = seminaive_eval(&prog);
         assert_eq!(db["from1"].len(), 1);
     }

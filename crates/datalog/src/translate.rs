@@ -202,10 +202,7 @@ mod tests {
 
     #[test]
     fn constants_in_rule_bodies() {
-        let prog = parse_program(
-            r#"e("1","2"). e("2","3"). from1(Y) :- e("1", Y)."#,
-        )
-        .unwrap();
+        let prog = parse_program(r#"e("1","2"). e("2","3"). from1(Y) :- e("1", Y)."#).unwrap();
         let (axml_db, _) = axml_eval(&prog).unwrap();
         assert_eq!(axml_db["from1"].len(), 1);
         assert!(axml_db["from1"].contains(&vec!["2".to_string()]));

@@ -62,9 +62,7 @@ pub fn same_generation(depth: usize) -> Program {
         let _ = writeln!(src, "par(\"{}\",\"{id}\").", 2 * id + 2);
         id += 1;
     }
-    src.push_str(
-        "sg(X,Y) :- par(X,Z), par(Y,Z).\nsg(X,Y) :- par(X,U), sg(U,V), par(Y,V).\n",
-    );
+    src.push_str("sg(X,Y) :- par(X,Z), par(Y,Z).\nsg(X,Y) :- par(X,U), sg(U,V), par(Y,V).\n");
     parse_program(&src).expect("generated program parses")
 }
 

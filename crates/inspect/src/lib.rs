@@ -32,8 +32,7 @@ use axml_core::eval::Env;
 use axml_core::matcher::{match_pattern, MatchStrategy};
 use axml_core::provenance::{Provenance, ProvenanceStore};
 use axml_core::trace::{
-    ChromeEvent, EventKind, Fanout, Journal, MetricsRegistry, MsgKind,
-    TraceEvent, Tracer,
+    ChromeEvent, EventKind, Fanout, Journal, MetricsRegistry, MsgKind, TraceEvent, Tracer,
 };
 use axml_core::{parse_query, Sym};
 
@@ -54,10 +53,7 @@ impl EventFilter {
     fn keep(&self, e: &ChromeEvent) -> bool {
         self.cat.as_deref().is_none_or(|c| e.cat == c)
             && self.ph.as_deref().is_none_or(|p| e.ph == p)
-            && self
-                .contains
-                .as_deref()
-                .is_none_or(|s| e.name.contains(s))
+            && self.contains.as_deref().is_none_or(|s| e.name.contains(s))
     }
 }
 
@@ -113,7 +109,10 @@ pub fn matrix_from_events(events: &[TraceEvent]) -> String {
     }
     peers.sort_by_key(|p| p.as_str());
     let count = |from: Sym, to: Sym| {
-        cells.iter().filter(|(f, t, _)| *f == from && *t == to).count()
+        cells
+            .iter()
+            .filter(|(f, t, _)| *f == from && *t == to)
+            .count()
     };
     let w = peers
         .iter()
@@ -127,7 +126,12 @@ pub fn matrix_from_events(events: &[TraceEvent]) -> String {
         let _ = write!(out, " {:>w$}", p.as_str());
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "{}-+{}", "-".repeat(w), "-".repeat((w + 1) * peers.len()));
+    let _ = writeln!(
+        out,
+        "{}-+{}",
+        "-".repeat(w),
+        "-".repeat((w + 1) * peers.len())
+    );
     for from in &peers {
         let _ = write!(out, "{:>w$} |", from.as_str());
         for to in &peers {
@@ -180,11 +184,7 @@ pub fn run_metrics_report(n: usize, shards: usize, seed: u64) -> String {
 /// return the load line plus the server's rendered metrics report —
 /// the `server:` block with p50/p99 request latency and per-session
 /// rows.
-pub fn serve_report(
-    conns: usize,
-    requests: usize,
-    batch: usize,
-) -> Result<String, String> {
+pub fn serve_report(conns: usize, requests: usize, batch: usize) -> Result<String, String> {
     serve_report_traced(conns, requests, batch, None)
 }
 
@@ -199,11 +199,9 @@ pub fn serve_report_traced(
     batch: usize,
     trace_path: Option<&str>,
 ) -> Result<String, String> {
-    let mut handle = axml_server::Server::spawn(
-        "127.0.0.1:0",
-        axml_server::ServerConfig::default(),
-    )
-    .map_err(|e| format!("spawn: {e}"))?;
+    let mut handle =
+        axml_server::Server::spawn("127.0.0.1:0", axml_server::ServerConfig::default())
+            .map_err(|e| format!("spawn: {e}"))?;
     let cfg = axml_server::load::LoadConfig {
         addr: handle.addr().to_string(),
         conns,
@@ -236,11 +234,7 @@ pub fn serve_report_traced(
 /// Run the tc-digraph closure workload with provenance enabled and
 /// return `(dot, summary)`: the DOT derivation DAG of the deepest
 /// explainable `path` answer, plus a one-line summary of the run.
-pub fn deepest_provenance_dot(
-    n: usize,
-    shards: usize,
-    seed: u64,
-) -> (String, String) {
+pub fn deepest_provenance_dot(n: usize, shards: usize, seed: u64) -> (String, String) {
     let mut sys = axml_bench::tc_random_digraph(n, shards, seed);
     let store = ProvenanceStore::new();
     run_with_provenance(
@@ -251,8 +245,7 @@ pub fn deepest_provenance_dot(
     )
     .expect("the tc workload terminates");
 
-    let q = parse_query("path{$x,$y} :- d1/r{t{from{$x},to{$y}}}")
-        .expect("well-formed query");
+    let q = parse_query("path{$x,$y} :- d1/r{t{from{$x},to{$y}}}").expect("well-formed query");
     let d1 = Sym::intern("d1");
     let tree = sys.doc(d1).expect("the workload builds d1");
     let mut best = None;

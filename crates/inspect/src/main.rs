@@ -37,8 +37,8 @@
 use std::process::ExitCode;
 
 use axml_inspect::{
-    deepest_provenance_dot, matrix_from_events, render_events, render_plan,
-    run_metrics_report, serve_report_traced, EventFilter,
+    deepest_provenance_dot, matrix_from_events, render_events, render_plan, run_metrics_report,
+    serve_report_traced, EventFilter,
 };
 
 fn usage() -> ExitCode {
@@ -74,9 +74,7 @@ fn take_num<T: std::str::FromStr>(
 ) -> Result<T, String> {
     match take_opt(args, flag) {
         None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{flag}: bad value {v:?}")),
+        Some(v) => v.parse().map_err(|_| format!("{flag}: bad value {v:?}")),
     }
 }
 
@@ -129,10 +127,8 @@ fn cmd_events(args: &mut Vec<String>) -> Result<(), String> {
         return Err("events: expected exactly one <trace.json> path".into());
     }
     let path = args.remove(0);
-    let json = std::fs::read_to_string(&path)
-        .map_err(|e| format!("{path}: {e}"))?;
-    let events = axml_core::trace::parse_chrome_trace(&json)
-        .map_err(|e| format!("{path}: {e}"))?;
+    let json = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    let events = axml_core::trace::parse_chrome_trace(&json).map_err(|e| format!("{path}: {e}"))?;
     print!("{}", render_events(&events, &filter));
     Ok(())
 }
@@ -141,11 +137,7 @@ fn cmd_matrix(args: &mut Vec<String>) -> Result<(), String> {
     let peers = take_num(args, "--peers", 4usize)?;
     let rounds = take_num(args, "--rounds", 16usize)?;
     reject_extra(args)?;
-    let mut net = axml_bench::star_network(
-        peers,
-        axml_p2p::network::Mode::Pull,
-        None,
-    );
+    let mut net = axml_bench::star_network(peers, axml_p2p::network::Mode::Pull, None);
     net.enable_tracing();
     net.run(rounds).map_err(|e| e.to_string())?;
     print!("{}", matrix_from_events(&net.take_journal()));
@@ -183,7 +175,10 @@ fn cmd_plan(args: &mut Vec<String>) -> Result<(), String> {
         axml_core::MatchStrategy::Indexed
     };
     reject_extra(args)?;
-    print!("{}", render_plan(n, shards, seed, query.as_deref(), strategy)?);
+    print!(
+        "{}",
+        render_plan(n, shards, seed, query.as_deref(), strategy)?
+    );
     Ok(())
 }
 

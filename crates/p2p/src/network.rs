@@ -68,11 +68,7 @@ impl Peer {
     /// documents (plus `input`/`context` shipped by callers).
     pub fn add_service_text(&mut self, name: &str, query: &str) -> Result<()> {
         let name = Sym::intern(name);
-        if self
-            .services
-            .insert(name, parse_query(query)?)
-            .is_some()
-        {
+        if self.services.insert(name, parse_query(query)?).is_some() {
             return Err(AxmlError::DuplicateService(name));
         }
         Ok(())
@@ -191,9 +187,7 @@ impl Peer {
         tracer.emit(|| EventKind::PeerEval {
             peer: self.name,
             service: call.service,
-            dur_ns: started
-                .map(|t| t.elapsed().as_nanos() as u64)
-                .unwrap_or(0),
+            dur_ns: started.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
         });
         let seq = store.map_or(0, |st| {
             st.begin_invocation(InvocationRecord {
@@ -515,9 +509,10 @@ impl Network {
                 // New, unsubscribed call nodes always fire (subscribe).
                 for p in &self.peers {
                     for (d, n, f) in p.function_nodes() {
-                        let sub_exists = self.subs.iter().any(|s| {
-                            s.caller == p.name && s.doc == d && s.node == n
-                        });
+                        let sub_exists = self
+                            .subs
+                            .iter()
+                            .any(|s| s.caller == p.name && s.doc == d && s.node == n);
                         if !sub_exists {
                             work.push((p.name, d, n, f));
                         }
@@ -532,17 +527,12 @@ impl Network {
                     .collect();
                 for s in &self.subs {
                     if dirty.contains(&s.provider) {
-                        let qualified =
-                            Sym::intern(&format!("{}.{}", s.provider, s.service));
+                        let qualified = Sym::intern(&format!("{}.{}", s.provider, s.service));
                         work.push((s.caller, s.doc, s.node, qualified));
                     }
                 }
                 // Snapshot provider keys for the next round.
-                self.last_keys = self
-                    .peers
-                    .iter()
-                    .map(|p| (p.name, p.digest()))
-                    .collect();
+                self.last_keys = self.peers.iter().map(|p| (p.name, p.digest())).collect();
             }
         }
 
@@ -553,7 +543,8 @@ impl Network {
         for (caller, doc, node, qualified) in work {
             let cidx = self.index[&caller];
             let is_peer = |p| self.index.contains_key(&p);
-            let Some(call) = self.peers[cidx].issue(doc, node, qualified, is_peer, round, tracer)?
+            let Some(call) =
+                self.peers[cidx].issue(doc, node, qualified, is_peer, round, tracer)?
             else {
                 continue;
             };
@@ -654,7 +645,10 @@ mod tests {
         let mut net = Network::new(mode, seed);
         let store = net.add_peer("store");
         store
-            .add_document_text("cds", r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#)
+            .add_document_text(
+                "cds",
+                r#"catalog{cd{title{"Body and Soul"}}, cd{title{"So What"}}}"#,
+            )
             .unwrap();
         store
             .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
@@ -728,15 +722,14 @@ mod tests {
         let b = net.add_peer("b");
         b.add_document_text("mid", "m{hint}").unwrap();
         // b's answer ships a *call to a.get*, not the data itself.
-        b.add_service_text("relay", "wrap{@a.get} :- mid/m{hint}").unwrap();
+        b.add_service_text("relay", "wrap{@a.get} :- mid/m{hint}")
+            .unwrap();
         let c = net.add_peer("c");
         c.add_document_text("out", "o{@b.relay}").unwrap();
         assert!(net.run(100).unwrap());
         let out = net.peer("c").unwrap().doc("out").unwrap();
-        let expected = axml_core::parse::parse_tree(
-            r#"o{@b.relay, wrap{@a.get, w{"42"}}}"#,
-        )
-        .unwrap();
+        let expected =
+            axml_core::parse::parse_tree(r#"o{@b.relay, wrap{@a.get, w{"42"}}}"#).unwrap();
         assert!(equivalent(out, &expected), "got {out}");
     }
 

@@ -97,10 +97,7 @@ mod tests {
         let mut net = Network::new(Mode::Pull, None);
         let store = net.add_peer("store");
         store
-            .add_document_text(
-                "edges",
-                r#"r{t{from{"1"},to{"2"}}, t{from{"2"},to{"3"}}}"#,
-            )
+            .add_document_text("edges", r#"r{t{from{"1"},to{"2"}}, t{from{"2"},to{"3"}}}"#)
             .unwrap();
         store
             .add_service_text("base", "t{from{$x},to{$y}} :- edges/r{t{from{$x},to{$y}}}")
@@ -170,14 +167,14 @@ mod tests {
         c.add_service_text("get", "w{$x} :- base/r{v{$x}}").unwrap();
         let b = net.add_peer("b");
         b.add_document_text("mid", "m{@c.get}").unwrap();
-        b.add_service_text("relay", "got{$x} :- mid/m{w{$x}}").unwrap();
+        b.add_service_text("relay", "got{$x} :- mid/m{w{$x}}")
+            .unwrap();
         let a = net.add_peer("a");
         a.add_document_text("out", "o{@b.relay}").unwrap();
         let verdict = detect_termination(&mut net, 100).unwrap();
         assert!(matches!(verdict, Verdict::Terminated { .. }));
         let out = net.peer("a").unwrap().doc("out").unwrap();
-        let expected =
-            axml_core::parse::parse_tree(r#"o{@b.relay, got{"1"}}"#).unwrap();
+        let expected = axml_core::parse::parse_tree(r#"o{@b.relay, got{"1"}}"#).unwrap();
         assert!(axml_core::subsume::equivalent(out, &expected), "got {out}");
     }
 }

@@ -370,10 +370,14 @@ mod tests {
             .add_service_text("titles", "t{$x} :- cds/catalog{cd{title{$x}}}")
             .unwrap();
         let mut hub = standalone_peer("hub");
-        hub.add_document_text("feed", "feed{@store.titles}").unwrap();
-        hub.add_service_text("relay", "got{$x} :- feed/feed{t{$x}}").unwrap();
+        hub.add_document_text("feed", "feed{@store.titles}")
+            .unwrap();
+        hub.add_service_text("relay", "got{$x} :- feed/feed{t{$x}}")
+            .unwrap();
         let mut portal = standalone_peer("portal");
-        portal.add_document_text("page", "page{@hub.relay}").unwrap();
+        portal
+            .add_document_text("page", "page{@hub.relay}")
+            .unwrap();
         vec![store, hub, portal]
     }
 
@@ -459,22 +463,46 @@ mod tests {
         // ...the provider's receive, evaluation, and response send all
         // carry the same id...
         assert!(store.iter().any(|e| e.trace == id
-            && matches!(e.kind, EventKind::MsgRecv { kind: MsgKind::Call, .. })));
+            && matches!(
+                e.kind,
+                EventKind::MsgRecv {
+                    kind: MsgKind::Call,
+                    ..
+                }
+            )));
         assert!(store.iter().any(|e| e.trace == id
             && matches!(
                 e.kind,
                 EventKind::PeerEval { service, .. } if service == Sym::intern("titles")
             )));
         assert!(store.iter().any(|e| e.trace == id
-            && matches!(e.kind, EventKind::MsgSend { kind: MsgKind::Response, .. })));
+            && matches!(
+                e.kind,
+                EventKind::MsgSend {
+                    kind: MsgKind::Response,
+                    ..
+                }
+            )));
         // ...and the caller's response receive closes the loop.
         assert!(hub.iter().any(|e| e.trace == id
-            && matches!(e.kind, EventKind::MsgRecv { kind: MsgKind::Response, .. })));
+            && matches!(
+                e.kind,
+                EventKind::MsgRecv {
+                    kind: MsgKind::Response,
+                    ..
+                }
+            )));
         // Ids are network-unique: portal's pulls of the hub never share
         // an id with hub's pulls of the store.
         let portal = &out.journals[&Sym::intern("portal")];
         for e in portal {
-            if matches!(e.kind, EventKind::MsgSend { kind: MsgKind::Call, .. }) {
+            if matches!(
+                e.kind,
+                EventKind::MsgSend {
+                    kind: MsgKind::Call,
+                    ..
+                }
+            ) {
                 assert_ne!(e.trace, 0, "pulls are always trace-stamped");
                 assert_ne!(e.trace, id, "trace ids are unique per pull");
             }
@@ -499,7 +527,10 @@ mod tests {
             net.add_peer("solo").add_document_text("d", doc).unwrap();
             let simulated = net.run(10).unwrap_err();
             assert_eq!(threaded, simulated, "{doc}");
-            assert!(matches!(threaded, AxmlError::UnknownFunction(_)), "{doc}: {threaded}");
+            assert!(
+                matches!(threaded, AxmlError::UnknownFunction(_)),
+                "{doc}: {threaded}"
+            );
         }
     }
 

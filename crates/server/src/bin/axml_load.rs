@@ -38,10 +38,12 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut val = |name: &str| args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {name}");
-            usage()
-        });
+        let mut val = |name: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("missing value for {name}");
+                usage()
+            })
+        };
         match arg.as_str() {
             "--addr" => cfg.addr = val("--addr"),
             "--conns" => cfg.conns = parse(&val("--conns")),
@@ -82,11 +84,7 @@ fn main() {
     }
 }
 
-fn write_json(
-    path: Option<&str>,
-    report: &LoadReport,
-    cfg: &LoadConfig,
-) -> std::io::Result<()> {
+fn write_json(path: Option<&str>, report: &LoadReport, cfg: &LoadConfig) -> std::io::Result<()> {
     let Some(path) = path else { return Ok(()) };
     let mut body = report.to_json(cfg);
     body.push('\n');

@@ -41,10 +41,12 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut val = |name: &str| args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {name}");
-            usage()
-        });
+        let mut val = |name: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("missing value for {name}");
+                usage()
+            })
+        };
         match arg.as_str() {
             "--addr" => addr = val("--addr"),
             "--max-conns" => cfg.max_conns = parse(&val("--max-conns")),

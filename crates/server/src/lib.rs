@@ -79,4 +79,4 @@ pub mod protocol;
 pub mod server;
 
 pub use protocol::{ProtoError, Request, Response, PROTOCOL_VERSION};
-pub use server::{Server,ServerConfig, ServerHandle, SharedSink};
+pub use server::{Server, ServerConfig, ServerHandle, SharedSink};

@@ -159,7 +159,12 @@ pub fn render_prometheus(s: &ServerSnapshot) -> String {
     let _ = writeln!(out, "# TYPE axml_uptime_seconds gauge");
     let _ = writeln!(out, "axml_uptime_seconds {:.3}", s.uptime.as_secs_f64());
     let _ = writeln!(out, "# TYPE axml_request_latency_seconds summary");
-    push_summary(&mut out, "axml_request_latency_seconds", "", &s.request_latency);
+    push_summary(
+        &mut out,
+        "axml_request_latency_seconds",
+        "",
+        &s.request_latency,
+    );
     if !s.services.is_empty() {
         let _ = writeln!(out, "# TYPE axml_service_latency_seconds summary");
         for (service, h) in &s.services {
@@ -200,9 +205,7 @@ fn check_labels(mut s: &str) -> Result<&str, String> {
         if let Some(rest) = s.strip_prefix('}') {
             return Ok(rest);
         }
-        let eq = s
-            .find('=')
-            .ok_or_else(|| "label without '='".to_string())?;
+        let eq = s.find('=').ok_or_else(|| "label without '='".to_string())?;
         if !valid_label_name(&s[..eq]) {
             return Err(format!("bad label name {:?}", &s[..eq]));
         }
@@ -358,7 +361,10 @@ mod tests {
         let samples = validate_prometheus_text(&page).expect("page validates");
         // 35 counters + 5 gauge/counter singles + request summary (4)
         // + one service summary (4).
-        assert_eq!(samples, global_counters(&GlobalMetrics::default()).len() + 5 + 4 + 4);
+        assert_eq!(
+            samples,
+            global_counters(&GlobalMetrics::default()).len() + 5 + 4 + 4
+        );
         assert!(page.contains("axml_requests_recv_total 31"));
         assert!(page.contains("axml_journal_dropped_total 7"));
         assert!(page.contains("axml_sessions 2"));

@@ -875,11 +875,7 @@ impl Response {
                     if i > 0 {
                         o.push(',');
                     }
-                    let _ = write!(
-                        o,
-                        r#"{{"name":"{}","value":{value}}}"#,
-                        json_escape(name)
-                    );
+                    let _ = write!(o, r#"{{"name":"{}","value":{value}}}"#, json_escape(name));
                 }
                 o.push_str(r#"],"latency":{"#);
                 latency.push_fields(&mut o);
@@ -1128,10 +1124,7 @@ fn counter_pairs(v: &JsonValue, key: &str) -> Result<Vec<(String, u64)>, ProtoEr
     }
 }
 
-fn summary_pairs(
-    v: &JsonValue,
-    key: &str,
-) -> Result<Vec<(String, LatencySummary)>, ProtoError> {
+fn summary_pairs(v: &JsonValue, key: &str) -> Result<Vec<(String, LatencySummary)>, ProtoError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(Vec::new()),
         Some(f) => {
@@ -1559,12 +1552,24 @@ mod tests {
             (r#"{"type":7}"#, codes::BAD_FRAME),
             (r#"{"type":"frobnicate"}"#, codes::UNKNOWN_TYPE),
             (r#"{"type":"query","session":"s"}"#, codes::BAD_FIELD),
-            (r#"{"type":"query","session":9,"query":"q"}"#, codes::BAD_FIELD),
+            (
+                r#"{"type":"query","session":9,"query":"q"}"#,
+                codes::BAD_FIELD,
+            ),
             (r#"{"type":"hello","version":-1}"#, codes::BAD_FIELD),
             (r#"{"type":"hello","version":1.5}"#, codes::BAD_FIELD),
-            (r#"{"type":"batch","session":"s","queries":"q"}"#, codes::BAD_FIELD),
-            (r#"{"type":"batch","session":"s","queries":[1]}"#, codes::BAD_FIELD),
-            (r#"{"type":"open","session":"s","docs":[{"name":"d"}]}"#, codes::BAD_FIELD),
+            (
+                r#"{"type":"batch","session":"s","queries":"q"}"#,
+                codes::BAD_FIELD,
+            ),
+            (
+                r#"{"type":"batch","session":"s","queries":[1]}"#,
+                codes::BAD_FIELD,
+            ),
+            (
+                r#"{"type":"open","session":"s","docs":[{"name":"d"}]}"#,
+                codes::BAD_FIELD,
+            ),
             (r#"{"type":"stats"} trailing"#, codes::BAD_JSON),
             (r#"{"type":"trace_tail","cat":7}"#, codes::BAD_FIELD),
             (r#"{"type":"trace_tail","limit":"many"}"#, codes::BAD_FIELD),

@@ -22,9 +22,7 @@
 //! the writer lock, so `query`/`stats` frames are answered while a
 //! fixpoint is mid-round.
 
-use crate::protocol::{
-    codes, LatencySummary, ProtoError, Request, Response, PROTOCOL_VERSION,
-};
+use crate::protocol::{codes, LatencySummary, ProtoError, Request, Response, PROTOCOL_VERSION};
 use axml_core::engine::{EngineConfig, EngineMode, RunStatus};
 use axml_core::trace::{
     chrome_trace, chrome_trace_to, EventCategory, EventKind, Histogram, Journal, JournalConfig,
@@ -400,9 +398,7 @@ impl Server {
             }
             None => None,
         };
-        let metrics_addr = metrics_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok());
+        let metrics_addr = metrics_listener.as_ref().and_then(|l| l.local_addr().ok());
         let shared = Arc::new(Shared {
             cfg,
             sink: SharedSink::with_config(journal),
@@ -796,7 +792,9 @@ fn dispatch(
             } else {
                 Err(ProtoError::new(
                     codes::UNSUPPORTED_VERSION,
-                    format!("server speaks protocol v{PROTOCOL_VERSION}, client asked for v{version}"),
+                    format!(
+                        "server speaks protocol v{PROTOCOL_VERSION}, client asked for v{version}"
+                    ),
                 ))
             }
         }
@@ -811,7 +809,14 @@ fn dispatch(
             session,
             mode,
             max_invocations,
-        } => run_session(shared, *id, session, mode.as_deref(), *max_invocations, trace),
+        } => run_session(
+            shared,
+            *id,
+            session,
+            mode.as_deref(),
+            *max_invocations,
+            trace,
+        ),
         Request::Batch {
             id,
             session,
@@ -820,15 +825,13 @@ fn dispatch(
         Request::Subscribe { id, session, query } => {
             return serve_subscribe(shared, out, *id, session, query, trace)
         }
-        Request::Close { id, session } => {
-            match lock(&shared.sessions).remove(session) {
-                Some(_) => Ok(Response::Closed {
-                    id: *id,
-                    session: session.clone(),
-                }),
-                None => Err(unknown_session(session)),
-            }
-        }
+        Request::Close { id, session } => match lock(&shared.sessions).remove(session) {
+            Some(_) => Ok(Response::Closed {
+                id: *id,
+                session: session.clone(),
+            }),
+            None => Err(unknown_session(session)),
+        },
         Request::Stats { id } => {
             let g = shared.sink.globals();
             Ok(Response::StatsOk {
@@ -872,19 +875,13 @@ fn dispatch(
             cat,
             session,
             limit,
-        } => {
-            return serve_trace_tail(
-                shared,
-                out,
-                *id,
-                cat.as_deref(),
-                session.as_deref(),
-                *limit,
-            )
-        }
+        } => return serve_trace_tail(shared, out, *id, cat.as_deref(), session.as_deref(), *limit),
         Request::Shutdown { id } => {
             if shared.shutdown.swap(true, Ordering::SeqCst) {
-                Err(ProtoError::new(codes::SHUTTING_DOWN, "already shutting down"))
+                Err(ProtoError::new(
+                    codes::SHUTTING_DOWN,
+                    "already shutting down",
+                ))
             } else {
                 // Poke the accept loop so it notices the flag.
                 let _ = TcpStream::connect(shared.listen_addr);
@@ -1106,7 +1103,8 @@ fn eval_query(sys: &System, query: &str) -> Result<Vec<String>, ProtoError> {
         .map_err(|e| ProtoError::new(codes::BAD_QUERY, e.to_string()))?;
     check_docs(&q, sys)?;
     let env = Env::for_system(sys);
-    let forest = snapshot(&q, &env).map_err(|e| ProtoError::new(codes::ENGINE_FAILED, e.to_string()))?;
+    let forest =
+        snapshot(&q, &env).map_err(|e| ProtoError::new(codes::ENGINE_FAILED, e.to_string()))?;
     Ok(forest.trees().iter().map(|t| t.to_string()).collect())
 }
 
@@ -1285,9 +1283,7 @@ fn serve_subscribe(
         let fresh = if must_poll {
             match cursor.poll(cur.system()) {
                 Ok(fresh) => fresh,
-                Err(e) => {
-                    return Ok(Err(ProtoError::new(codes::ENGINE_FAILED, e.to_string())))
-                }
+                Err(e) => return Ok(Err(ProtoError::new(codes::ENGINE_FAILED, e.to_string()))),
             }
         } else {
             Vec::new()

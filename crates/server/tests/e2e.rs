@@ -61,7 +61,17 @@ fn open_and_run(c: &mut Client, session: &str) {
             services: vec![("tc".to_string(), TC.to_string())],
         })
         .unwrap();
-    assert!(matches!(resp, Response::OpenOk { docs: 1, services: 1, .. }), "{resp:?}");
+    assert!(
+        matches!(
+            resp,
+            Response::OpenOk {
+                docs: 1,
+                services: 1,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
     let resp = c
         .call(&Request::Run {
             id: 2,
@@ -70,7 +80,10 @@ fn open_and_run(c: &mut Client, session: &str) {
             max_invocations: None,
         })
         .unwrap();
-    let Response::RunOk { status, version, .. } = resp else {
+    let Response::RunOk {
+        status, version, ..
+    } = resp
+    else {
         panic!("expected run_ok, got {resp:?}")
     };
     assert_eq!(status, "terminated");
@@ -96,7 +109,10 @@ fn batched_queries_match_direct_evaluation_bit_for_bit() {
         let Response::Answers { trees, .. } = resp else {
             panic!("expected answers")
         };
-        assert_eq!(&trees, want, "query {q} answers differ from direct snapshot");
+        assert_eq!(
+            &trees, want,
+            "query {q} answers differ from direct snapshot"
+        );
     }
 
     // An explicit `batch` frame: same answers, same order.
@@ -121,7 +137,10 @@ fn batched_queries_match_direct_evaluation_bit_for_bit() {
             max_invocations: None,
         })
         .unwrap();
-    let Response::RunOk { version, rounds, .. } = resp else {
+    let Response::RunOk {
+        version, rounds, ..
+    } = resp
+    else {
         panic!("expected run_ok")
     };
     assert_eq!(version, want_version, "server fixpoint version differs");
@@ -316,12 +335,18 @@ fn subscription_reconstructs_fixpoint_delta_by_delta() {
     assert_eq!(pushes, deltas);
     // With reachability growing one hop per round, the closure from
     // node 1 over a 3-hop chain needs more than one push.
-    assert!(deltas >= 2, "expected an actual stream, got {deltas} delta(s)");
+    assert!(
+        deltas >= 2,
+        "expected an actual stream, got {deltas} delta(s)"
+    );
 
     // Delta-by-delta reconstruction: the union of pushes is exactly
     // the direct fixpoint answer set, and the final stamp matches.
     let got_set: std::collections::BTreeSet<&String> = pushed.iter().collect();
-    assert_eq!(got_set, want_set, "pushed union differs from direct snapshot");
+    assert_eq!(
+        got_set, want_set,
+        "pushed union differs from direct snapshot"
+    );
     assert_eq!(last_version, want_version, "final version stamp differs");
 
     handle.shutdown();
@@ -392,7 +417,10 @@ fn concurrent_sessions_are_isolated_and_shared_by_name() {
 
     // Stats sees both sessions; per-session metrics rows exist.
     let resp = c.call(&Request::Stats { id: 5 }).unwrap();
-    let Response::StatsOk { sessions, errors, .. } = resp else {
+    let Response::StatsOk {
+        sessions, errors, ..
+    } = resp
+    else {
         panic!("expected stats_ok")
     };
     assert_eq!(sessions, 2);
@@ -473,7 +501,9 @@ fn error_frames_and_version_negotiation() {
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
     writeln!(raw, "{{not json").unwrap();
     let mut line = String::new();
-    BufReader::new(raw.try_clone().unwrap()).read_line(&mut line).unwrap();
+    BufReader::new(raw.try_clone().unwrap())
+        .read_line(&mut line)
+        .unwrap();
     let Response::Error { code, .. } = Response::parse(&line).unwrap() else {
         panic!("expected error frame, got {line}")
     };
@@ -504,9 +534,15 @@ fn chrome_trace_has_validated_server_lane() {
     let json = handle.sink().chrome_trace();
     let n = validate_chrome_trace(&json).expect("server trace must validate");
     assert!(n > 0);
-    assert!(json.contains(r#""name":"server""#), "server lane metadata missing");
+    assert!(
+        json.contains(r#""name":"server""#),
+        "server lane metadata missing"
+    );
     assert!(json.contains("serve query"), "request slices missing");
-    assert!(json.contains(r#""cat":"server""#), "server category missing");
+    assert!(
+        json.contains(r#""cat":"server""#),
+        "server category missing"
+    );
 }
 
 #[test]
@@ -585,7 +621,10 @@ fn stats_frame_exposes_counters_and_latency_summaries() {
     assert!(counter("requests_served") >= 6);
     assert!(counter("rounds") >= 1, "trace_engine feeds engine counters");
     assert_eq!(counter("request_errors"), 0);
-    assert!(latency.count >= 6, "request latency aggregates every request");
+    assert!(
+        latency.count >= 6,
+        "request latency aggregates every request"
+    );
     assert!(latency.max_ns >= latency.p50_ns);
     assert!(
         services.iter().any(|(n, s)| n == "tc" && s.count >= 1),
@@ -639,7 +678,10 @@ fn trace_tail_streams_live_filtered_events() {
             limit: Some(4),
         })
         .unwrap();
-    assert!(matches!(observer.recv().unwrap(), Response::TailOk { id: 70 }));
+    assert!(matches!(
+        observer.recv().unwrap(),
+        Response::TailOk { id: 70 }
+    ));
 
     // Traffic on the watched session — and on another one, which the
     // session filter must suppress.
@@ -661,7 +703,10 @@ fn trace_tail_streams_live_filtered_events() {
             } => {
                 assert_eq!(id, 70);
                 assert_eq!(cat, "server");
-                assert_eq!(session, "watched", "session filter leaked {name:?} (seq {seq})");
+                assert_eq!(
+                    session, "watched",
+                    "session filter leaked {name:?} (seq {seq})"
+                );
                 assert!(trace > 0, "server events are request-attributed");
                 seen += 1;
             }
@@ -705,15 +750,17 @@ fn trace_ids_tie_a_request_to_its_rounds_and_invocations() {
         .find(|e| {
             matches!(
                 e.kind,
-                EventKind::RequestRecv { kind: ReqKind::Run, .. }
+                EventKind::RequestRecv {
+                    kind: ReqKind::Run,
+                    ..
+                }
             )
         })
         .expect("the run request was journaled");
     let id = run_recv.trace;
     assert!(id > 0, "requests get nonzero trace ids");
-    let with_id = |pred: &dyn Fn(&EventKind) -> bool| {
-        events.iter().any(|e| e.trace == id && pred(&e.kind))
-    };
+    let with_id =
+        |pred: &dyn Fn(&EventKind) -> bool| events.iter().any(|e| e.trace == id && pred(&e.kind));
     assert!(
         with_id(&|k| matches!(k, EventKind::RoundStart { .. })),
         "rounds driven by the run carry its trace id"
@@ -725,14 +772,26 @@ fn trace_ids_tie_a_request_to_its_rounds_and_invocations() {
     assert!(
         with_id(&|k| matches!(
             k,
-            EventKind::RequestServed { kind: ReqKind::Run, ok: true, .. }
+            EventKind::RequestServed {
+                kind: ReqKind::Run,
+                ok: true,
+                ..
+            }
         )),
         "the serve event closes the same trace"
     );
     // Other requests (hello, open) have their own, different ids.
     let open_recv = events
         .iter()
-        .find(|e| matches!(e.kind, EventKind::RequestRecv { kind: ReqKind::Open, .. }))
+        .find(|e| {
+            matches!(
+                e.kind,
+                EventKind::RequestRecv {
+                    kind: ReqKind::Open,
+                    ..
+                }
+            )
+        })
         .expect("the open request was journaled");
     assert_ne!(open_recv.trace, id);
     assert_ne!(open_recv.trace, 0);
@@ -768,7 +827,10 @@ fn metrics_listener_serves_valid_prometheus_text() {
     );
     let samples =
         axml_server::metrics::validate_prometheus_text(body).expect("valid exposition format");
-    assert!(samples > 30, "expected a full metrics page, got {samples} samples");
+    assert!(
+        samples > 30,
+        "expected a full metrics page, got {samples} samples"
+    );
     assert!(body.contains("axml_requests_served_total"));
     assert!(body.contains("axml_sessions 1"));
     assert!(body.contains("axml_journal_events"));
@@ -915,15 +977,19 @@ fn queries_answered_while_subscription_fixpoint_is_mid_round() {
     };
     let rounds_start = seq_of(&|k| matches!(k, EventKind::RoundStart { .. }));
     let rounds_end = seq_of(&|k| matches!(k, EventKind::RoundEnd { .. }));
-    let first_round = *rounds_start.iter().min().expect("fixpoint journaled rounds");
+    let first_round = *rounds_start
+        .iter()
+        .min()
+        .expect("fixpoint journaled rounds");
     let last_round = *rounds_end.iter().max().unwrap();
     for kind in [ReqKind::Query, ReqKind::Stats] {
-        let served = seq_of(&|k| {
-            matches!(k, EventKind::RequestServed { kind: k2, ok: true, .. } if *k2 == kind)
-        });
-        let seq = *served.iter().max().unwrap_or_else(|| {
-            panic!("{kind:?} serve event missing from the journal")
-        });
+        let served = seq_of(
+            &|k| matches!(k, EventKind::RequestServed { kind: k2, ok: true, .. } if *k2 == kind),
+        );
+        let seq = *served
+            .iter()
+            .max()
+            .unwrap_or_else(|| panic!("{kind:?} serve event missing from the journal"));
         assert!(
             first_round < seq && seq < last_round,
             "{kind:?} served at seq {seq}, outside the fixpoint window \

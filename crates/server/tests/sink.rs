@@ -95,8 +95,7 @@ fn bounded_ring_under_concurrency_counts_every_drop() {
 fn live_tails_see_filtered_events_under_concurrency() {
     let sink = Arc::new(SharedSink::with_config(JournalConfig::unbounded()));
     let session = Sym::intern("s3");
-    let (id, rx, dropped) =
-        sink.subscribe_tail(Some(EventCategory::Server), Some(session));
+    let (id, rx, dropped) = sink.subscribe_tail(Some(EventCategory::Server), Some(session));
     hammer(&sink);
     sink.unsubscribe_tail(id);
 

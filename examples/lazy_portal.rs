@@ -71,7 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut eager = portal();
     let (status, estats) = run(&mut eager, &EngineConfig::with_budget(500))?;
     assert_eq!(status, RunStatus::InvocationBudget);
-    println!("eager:  budget exhausted after {} invocations", estats.invocations);
+    println!(
+        "eager:  budget exhausted after {} invocations",
+        estats.invocations
+    );
 
     // Lazy evaluation invokes only the relevant call and stabilizes.
     let mut lazy = portal();

@@ -34,7 +34,8 @@ fn build(mode: Mode, seed: Option<u64>) -> Network {
     // A reviews hub whose ANSWERS are intensional: they contain calls
     // back to the store rather than materialized ratings.
     let hub = net.add_peer("hub");
-    hub.add_document_text("feed", "feed{@store.titles}").unwrap();
+    hub.add_document_text("feed", "feed{@store.titles}")
+        .unwrap();
     hub.add_service_text(
         "reviews",
         r#"review{title{$x}, @store.rating-of{$x}} :- feed/feed{t{$x}}"#,
@@ -53,10 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pull mode: rounds of polling until global quiescence.
     let mut pull = build(Mode::Pull, None);
     assert!(pull.run(100)?);
-    println!("pull page : {}", pull.peer("portal").unwrap().doc("page").unwrap());
+    println!(
+        "pull page : {}",
+        pull.peer("portal").unwrap().doc("page").unwrap()
+    );
     println!(
         "pull stats: {} rounds, {} calls, {} responses ({} productive)",
-        pull.stats.rounds, pull.stats.calls_sent, pull.stats.responses,
+        pull.stats.rounds,
+        pull.stats.calls_sent,
+        pull.stats.responses,
         pull.stats.productive_responses
     );
 
@@ -66,7 +72,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(pull.canonical_key(), push.canonical_key());
     println!(
         "push stats: {} rounds, {} calls, {} responses ({} productive)",
-        push.stats.rounds, push.stats.calls_sent, push.stats.responses,
+        push.stats.rounds,
+        push.stats.calls_sent,
+        push.stats.responses,
         push.stats.productive_responses
     );
 

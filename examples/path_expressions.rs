@@ -35,7 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let direct = snapshot_reg(&q, &env)?;
     println!(
         "direct : {}",
-        direct.trees().iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+        direct
+            .trees()
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
     );
 
     // ψ translation: plain positive system + query.
@@ -55,7 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let via_psi = via_psi.reduce();
     println!(
         "via ψ  : {}",
-        via_psi.trees().iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+        via_psi
+            .trees()
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     assert!(direct.reduce().equivalent(&via_psi));
 
@@ -68,12 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     nest.add_document_text("dn", "r{@f}")?;
     nest.add_service_text("f", "t{a{$x}, @g} :- d/r{t{a{$x}}}")?;
-    nest.add_service_text(
-        "g",
-        "b{$y} :- context/t{a{$x}}, d/r{t{a{$x}, b{$y}}}",
-    )?;
+    nest.add_service_text("g", "b{$y} :- context/t{a{$x}}, d/r{t{a{$x}, b{$y}}}")?;
     run(&mut nest, &EngineConfig::default())?;
-    println!("\nnesting (simple system!): {}", nest.doc("dn".into()).unwrap());
+    println!(
+        "\nnesting (simple system!): {}",
+        nest.doc("dn".into()).unwrap()
+    );
     assert!(nest.is_simple());
     Ok(())
 }

@@ -16,7 +16,11 @@ use positive_axml::tm::samples;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a^n b^n recognition, natively and via AXML.
     let tm = samples::anbn();
-    for input in [vec!["a", "b"], vec!["a", "a", "b", "b"], vec!["a", "b", "b"]] {
+    for input in [
+        vec!["a", "b"],
+        vec!["a", "a", "b", "b"],
+        vec!["a", "b", "b"],
+    ] {
         let (native, steps) = run(&tm, &input, 10_000);
         let (axml, stats) = run_axml_tm(&tm, &input, 100_000)?;
         let native_acc = matches!(native, Outcome::Accept(_));

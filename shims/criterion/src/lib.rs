@@ -257,8 +257,7 @@ mod tests {
     fn bench_runs_and_samples() {
         let mut c = Criterion { test_mode: false };
         let mut g = c.benchmark_group("shim");
-        g.sample_size(3)
-            .measurement_time(Duration::from_millis(50));
+        g.sample_size(3).measurement_time(Duration::from_millis(50));
         let mut runs = 0usize;
         g.bench_with_input(BenchmarkId::new("noop", 1), &7u32, |b, &x| {
             b.iter(|| {

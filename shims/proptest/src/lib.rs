@@ -318,7 +318,12 @@ pub mod collection {
 
         fn gen_value(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.hi_inclusive - self.size.lo) as u64;
-            let len = self.size.lo + if span == 0 { 0 } else { rng.below(span + 1) as usize };
+            let len = self.size.lo
+                + if span == 0 {
+                    0
+                } else {
+                    rng.below(span + 1) as usize
+                };
             (0..len).map(|_| self.element.gen_value(rng)).collect()
         }
     }
@@ -368,12 +373,7 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($lhs:expr, $rhs:expr $(,)?) => {{
         let (lhs, rhs) = (&$lhs, &$rhs);
-        $crate::prop_assert!(
-            lhs == rhs,
-            "assertion failed: `{:?}` == `{:?}`",
-            lhs,
-            rhs
-        );
+        $crate::prop_assert!(lhs == rhs, "assertion failed: `{:?}` == `{:?}`", lhs, rhs);
     }};
 }
 
@@ -382,12 +382,7 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assert_ne {
     ($lhs:expr, $rhs:expr $(,)?) => {{
         let (lhs, rhs) = (&$lhs, &$rhs);
-        $crate::prop_assert!(
-            lhs != rhs,
-            "assertion failed: `{:?}` != `{:?}`",
-            lhs,
-            rhs
-        );
+        $crate::prop_assert!(lhs != rhs, "assertion failed: `{:?}` != `{:?}`", lhs, rhs);
     }};
 }
 
@@ -477,9 +472,11 @@ mod tests {
                 T::Node(cs) => 1 + cs.iter().map(depth).max().unwrap_or(0),
             }
         }
-        let strat = (0u8..1).prop_map(|_| T::Leaf).prop_recursive(3, 8, 2, |inner| {
-            prop::collection::vec(inner, 1..3).prop_map(T::Node)
-        });
+        let strat = (0u8..1)
+            .prop_map(|_| T::Leaf)
+            .prop_recursive(3, 8, 2, |inner| {
+                prop::collection::vec(inner, 1..3).prop_map(T::Node)
+            });
         let mut rng = TestRng::deterministic();
         for _ in 0..200 {
             assert!(depth(&strat.gen_value(&mut rng)) <= 3);

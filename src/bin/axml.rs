@@ -79,7 +79,9 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     };
     match cmd.as_str() {
         "run" => {
-            let Some(path) = args.get(1) else { return Ok(usage()) };
+            let Some(path) = args.get(1) else {
+                return Ok(usage());
+            };
             let mut budget = 100_000usize;
             let mut strategy = Strategy::RoundRobin;
             let mut i = 2;
@@ -148,7 +150,9 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "decide" => {
-            let Some(path) = args.get(1) else { return Ok(usage()) };
+            let Some(path) = args.get(1) else {
+                return Ok(usage());
+            };
             let sys = load(path)?;
             match decide_termination(&sys).map_err(|e| e.to_string())? {
                 Termination::Terminates => {
@@ -180,7 +184,9 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "fire-once" => {
-            let Some(path) = args.get(1) else { return Ok(usage()) };
+            let Some(path) = args.get(1) else {
+                return Ok(usage());
+            };
             let mut sys = load(path)?;
             let stats = run_fire_once(&mut sys, 100_000).map_err(|e| e.to_string())?;
             print_docs(&sys);
@@ -191,7 +197,9 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "reduce" => {
-            let Some(tree) = args.get(1) else { return Ok(usage()) };
+            let Some(tree) = args.get(1) else {
+                return Ok(usage());
+            };
             let t = parse_tree(tree).map_err(|e| e.to_string())?;
             println!("{}", reduce(&t));
             Ok(ExitCode::SUCCESS)

@@ -18,19 +18,18 @@ fn workload() -> System {
              p{name{"cyd"}, dept{"ee"}}}"#,
     )
     .unwrap();
-    sys.add_document_text("cs", "list{@cs-members, @pairs}").unwrap();
+    sys.add_document_text("cs", "list{@cs-members, @pairs}")
+        .unwrap();
     sys.add_document_text("pairs", "out{@mirror}").unwrap();
     sys.add_service_text(
         "cs-members",
         r#"m{$n} :- people/db{p{name{$n}, dept{"cs"}}}"#,
     )
     .unwrap();
-    sys.add_service_text(
-        "pairs",
-        "pair{$a,$b} :- cs/list{m{$a}, m{$b}}, $a != $b",
-    )
-    .unwrap();
-    sys.add_service_text("mirror", "copy{$a,$b} :- cs/list{pair{$a,$b}}").unwrap();
+    sys.add_service_text("pairs", "pair{$a,$b} :- cs/list{m{$a}, m{$b}}, $a != $b")
+        .unwrap();
+    sys.add_service_text("mirror", "copy{$a,$b} :- cs/list{pair{$a,$b}}")
+        .unwrap();
     sys
 }
 
@@ -41,8 +40,11 @@ fn many_random_schedules_agree() {
     assert_eq!(status, RunStatus::Terminated);
     for seed in 0..20u64 {
         let mut sys = workload();
-        let (status, _) =
-            run(&mut sys, &EngineConfig::with_strategy(Strategy::Random(seed))).unwrap();
+        let (status, _) = run(
+            &mut sys,
+            &EngineConfig::with_strategy(Strategy::Random(seed)),
+        )
+        .unwrap();
         assert_eq!(status, RunStatus::Terminated);
         assert_eq!(
             sys.canonical_key(),
@@ -74,7 +76,8 @@ fn black_box_monotone_services_are_confluent_too() {
     // ⇒ more trees).
     let build = || {
         let mut sys = System::new();
-        sys.add_document_text("src", r#"r{v{"1"}, v{"2"}, @feed}"#).unwrap();
+        sys.add_document_text("src", r#"r{v{"1"}, v{"2"}, @feed}"#)
+            .unwrap();
         sys.add_document_text("dst", "out{@collect}").unwrap();
         sys.add_service_text("feed", r#"v{"3"} :-"#).unwrap();
         sys.add_black_box(
@@ -85,10 +88,7 @@ fn black_box_monotone_services_are_confluent_too() {
                     for n in t.iter_live(t.root()) {
                         if t.marking(n) == positive_axml::core::Marking::label("v") {
                             if let Some(&c) = t.children(n).first() {
-                                let item = format!(
-                                    "got{{{}}}",
-                                    t.marking(c)
-                                );
+                                let item = format!("got{{{}}}", t.marking(c));
                                 out.push(parse_tree(&item).unwrap());
                             }
                         }
@@ -121,14 +121,16 @@ fn restricted_runs_are_confluent_and_smaller() {
             .into_iter()
             .find(|&(d, n)| {
                 d == "cs".into()
-                    && sys.doc(d).unwrap().marking(n)
-                        == positive_axml::core::Marking::func("pairs")
+                    && sys.doc(d).unwrap().marking(n) == positive_axml::core::Marking::func("pairs")
             })
             .unwrap()
     };
     let mut ref_sys = workload();
     let excl = excluded_fn(&ref_sys);
-    run_restricted(&mut ref_sys, &EngineConfig::default(), |d, n| (d, n) != excl).unwrap();
+    run_restricted(&mut ref_sys, &EngineConfig::default(), |d, n| {
+        (d, n) != excl
+    })
+    .unwrap();
     for seed in [5u64, 6] {
         let mut sys = workload();
         let excl = excluded_fn(&sys);

@@ -76,7 +76,9 @@ fn verdict_matches_engine_on_random_systems() {
 fn random_systems_are_confluent() {
     for (seed, sys) in cases().take(25) {
         // Only check confluence-to-fixpoint on terminating systems.
-        let Ok(repr) = GraphRepr::build(&sys) else { continue };
+        let Ok(repr) = GraphRepr::build(&sys) else {
+            continue;
+        };
         if !repr.terminates() {
             continue;
         }
@@ -101,8 +103,12 @@ fn full_query_results_match_fixpoint_snapshots() {
         .or_else(|_| parse_query("probe{$v} :- d0/l0{l0{$v}}"))
         .unwrap();
     for (seed, sys) in cases() {
-        let Ok(res) = full_query_result(&sys, &q) else { continue };
-        let Ok(repr) = GraphRepr::build(&sys) else { continue };
+        let Ok(res) = full_query_result(&sys, &q) else {
+            continue;
+        };
+        let Ok(repr) = GraphRepr::build(&sys) else {
+            continue;
+        };
         if !repr.terminates() {
             // Simple queries still have finite results (§3.3).
             assert!(res.is_finite(), "seed {seed}: simple query infinite result");
@@ -118,10 +124,8 @@ fn full_query_results_match_fixpoint_snapshots() {
         let via_graph = res
             .materialize()
             .unwrap_or_else(|| panic!("seed {seed}: finite result failed to materialize"));
-        let via_graph: positive_axml::core::Forest = via_graph
-            .iter()
-            .map(positive_axml::core::reduce)
-            .collect();
+        let via_graph: positive_axml::core::Forest =
+            via_graph.iter().map(positive_axml::core::reduce).collect();
         assert!(
             direct.equivalent(&via_graph.reduce()),
             "seed {seed}: graph query result != fixpoint snapshot"

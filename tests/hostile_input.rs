@@ -11,8 +11,8 @@
 use positive_axml::core::compile::compile_query;
 use positive_axml::core::matcher::{match_pattern_with, MatchStrategy};
 use positive_axml::core::parse::MAX_NESTING;
-use positive_axml::core::{parse_query, Marking, NodeId};
 use positive_axml::core::trace::MAX_JSON_DEPTH;
+use positive_axml::core::{parse_query, Marking, NodeId};
 use positive_axml::server::load::Client;
 use positive_axml::server::protocol::{codes, Request, Response};
 use positive_axml::server::{Server, ServerConfig, ServerHandle};
@@ -213,8 +213,14 @@ fn a_selective_site_query_probes_per_answer_not_per_item() {
     let q = parse_query(&format!("h :- d/{p}")).unwrap();
     let (compiled, cstats) = compile_query(&q, None, MatchStrategy::Indexed).run_atom(0, &doc);
     assert_eq!(compiled, bindings);
-    assert!(cstats.probes <= 4 * answers + SITE_ANCHOR_DEPTH, "{cstats:?}");
-    assert_eq!(bindings, match_pattern_with(&p, &doc, MatchStrategy::Scan).0);
+    assert!(
+        cstats.probes <= 4 * answers + SITE_ANCHOR_DEPTH,
+        "{cstats:?}"
+    );
+    assert_eq!(
+        bindings,
+        match_pattern_with(&p, &doc, MatchStrategy::Scan).0
+    );
 }
 
 /// The anchor constant `"c001"` thousands of times off the pattern's
@@ -227,8 +233,14 @@ fn decoys_of_the_anchor_constant_cost_bounded_parent_steps() {
     let (items, regions): (Vec<NodeId>, Vec<NodeId>) = {
         let all: Vec<NodeId> = doc.iter_live(doc.root()).collect();
         (
-            all.iter().copied().filter(|&n| doc.marking(n) == Marking::label("item")).collect(),
-            all.iter().copied().filter(|&n| doc.marking(n) == Marking::label("region")).collect(),
+            all.iter()
+                .copied()
+                .filter(|&n| doc.marking(n) == Marking::label("item"))
+                .collect(),
+            all.iter()
+                .copied()
+                .filter(|&n| doc.marking(n) == Marking::label("region"))
+                .collect(),
         )
     };
     let mut decoy = |parent: NodeId, label: &str| {
@@ -242,7 +254,10 @@ fn decoys_of_the_anchor_constant_cost_bounded_parent_steps() {
         decoy(regions[i % regions.len()], "cat");
     }
     doc.build_index();
-    let bucket = doc.indexed_nodes_with(Marking::value("c001")).unwrap().len() as u64;
+    let bucket = doc
+        .indexed_nodes_with(Marking::value("c001"))
+        .unwrap()
+        .len() as u64;
     assert!(bucket > 2_000, "{bucket} decoys and hits");
     let p = axml_bench::site_pattern(1);
     let (bindings, stats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
@@ -253,7 +268,10 @@ fn decoys_of_the_anchor_constant_cost_bounded_parent_steps() {
         "{} parent steps from a bucket of {bucket}",
         stats.parent_steps
     );
-    assert_eq!(bindings, match_pattern_with(&p, &doc, MatchStrategy::Scan).0);
+    assert_eq!(
+        bindings,
+        match_pattern_with(&p, &doc, MatchStrategy::Scan).0
+    );
 }
 
 /// A query naming a document the session does not hold is `bad-query`
@@ -274,12 +292,21 @@ fn unknown_documents_are_bad_queries_whatever_the_data() {
     assert!(matches!(resp, Response::OpenOk { .. }), "{resp:?}");
     let unknown = |resp: &Response| {
         assert_eq!(error_code(resp), Some(codes::BAD_QUERY), "{resp:?}");
-        let Response::Error { message, .. } = resp else { unreachable!() };
+        let Response::Error { message, .. } = resp else {
+            unreachable!()
+        };
         assert!(message.contains("nosuch"), "{message}");
     };
-    for query in [r#"hit{$x} :- nosuch/a{$x}"#, r#"hit{$x} :- db/a{zzz{$x}}, nosuch/a{$x}"#] {
+    for query in [
+        r#"hit{$x} :- nosuch/a{$x}"#,
+        r#"hit{$x} :- db/a{zzz{$x}}, nosuch/a{$x}"#,
+    ] {
         let resp = c
-            .call(&Request::Query { id: 2, session: "s".into(), query: query.into() })
+            .call(&Request::Query {
+                id: 2,
+                session: "s".into(),
+                query: query.into(),
+            })
             .unwrap();
         unknown(&resp);
         let resp = c

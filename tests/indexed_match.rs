@@ -6,12 +6,12 @@
 //! every run. Anchored descents (a rooted match entering at its rarest
 //! constant) are held to the same standard on decoy-laden documents.
 
+use positive_axml::core::compile::compile_query;
 use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::{
     match_pattern, match_pattern_anywhere_with, match_pattern_with, MatchStrategy,
 };
-use positive_axml::core::compile::compile_query;
 use positive_axml::core::{parse_pattern, parse_query, Marking, NodeId, Tree};
 use proptest::prelude::*;
 
@@ -156,7 +156,10 @@ fn explain_answer_dags_identical_across_strategies() {
         dots.push(rendered);
     }
     assert_eq!(dots[0].len(), dots[1].len());
-    assert_eq!(dots[0], dots[1], "derivation DAGs diverged between strategies");
+    assert_eq!(
+        dots[0], dots[1],
+        "derivation DAGs diverged between strategies"
+    );
 }
 
 /// An XMark-style site with decoys around the constant `"c003"`: under
@@ -192,7 +195,12 @@ fn decoy_site() -> Tree {
         }
     }
     for k in 0..80 {
-        leaf(&mut t, root, "cat", &format!("c{:03}", if k % 20 == 0 { 3 } else { k % 8 + 16 }));
+        leaf(
+            &mut t,
+            root,
+            "cat",
+            &format!("c{:03}", if k % 20 == 0 { 3 } else { k % 8 + 16 }),
+        );
     }
     for &zone in &zones[..2] {
         let item = t.add_child(zone, Marking::label("item")).unwrap();
@@ -250,7 +258,10 @@ fn anchored_descent_equals_scan_and_fires_past_decoys() {
         assert_eq!(anchored, scan, "{pat}: anchored indexed diverged");
         assert_eq!(plain.parent_steps, 0, "{pat}: no index yet, so no anchor");
         assert!(stats.parent_steps > 0, "{pat}: the anchor did not fire");
-        assert!(stats.probes <= plain.probes, "{pat}: the anchor added probes");
+        assert!(
+            stats.probes <= plain.probes,
+            "{pat}: the anchor added probes"
+        );
         if i < 4 {
             assert!(
                 stats.probes * 2 < plain.probes,
@@ -265,12 +276,20 @@ fn anchored_descent_equals_scan_and_fires_past_decoys() {
         let (anchored, stats) = program.run_atom(0, &doc);
         assert_eq!(first, scan, "{pat}: unanchored program diverged");
         assert_eq!(anchored, scan, "{pat}: anchored program diverged");
-        assert!(stats.parent_steps > 0, "{pat}: the program's anchor did not fire");
-        assert!(stats.probes <= plain.probes, "{pat}: the program's anchor added probes");
+        assert!(
+            stats.parent_steps > 0,
+            "{pat}: the program's anchor did not fire"
+        );
+        assert!(
+            stats.probes <= plain.probes,
+            "{pat}: the program's anchor added probes"
+        );
         compiled = (compiled.0 + stats.probes, compiled.1 + plain.probes);
         assert_eq!(
             anchored,
-            compile_query(&q, None, MatchStrategy::Scan).run_atom(0, &doc).0,
+            compile_query(&q, None, MatchStrategy::Scan)
+                .run_atom(0, &doc)
+                .0,
             "{pat}: scan program diverged"
         );
     }

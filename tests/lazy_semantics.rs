@@ -5,8 +5,8 @@
 use positive_axml::core::engine::{run, EngineConfig};
 use positive_axml::core::eval::{snapshot, Env};
 use positive_axml::core::lazy::{
-    is_possible_answer, is_q_stable, is_unneeded, lazy_query_eval, weak_relevance,
-    weakly_stable, LazyConfig,
+    is_possible_answer, is_q_stable, is_unneeded, lazy_query_eval, weak_relevance, weakly_stable,
+    LazyConfig,
 };
 use positive_axml::core::query::parse_query;
 use positive_axml::core::{NodeId, Query, Sym, System};
@@ -29,7 +29,8 @@ fn zoo() -> Vec<(&'static str, System, Query)> {
         "rating{$s} :- input/input{$n}, ratings/db{entry{name{$n}, stars{$s}}}",
     )
     .unwrap();
-    s.add_service_text("Feed", r#"cd{title{"new"}} :-"#).unwrap();
+    s.add_service_text("Feed", r#"cd{title{"new"}} :-"#)
+        .unwrap();
     let q = parse_query("r{$x} :- dir/directory{cd{title{$x}, rating{$s}}}").unwrap();
     out.push(("portal", s, q));
 
@@ -50,7 +51,8 @@ fn zoo() -> Vec<(&'static str, System, Query)> {
 
     // Query about a static document: stable from the start.
     let mut s = System::new();
-    s.add_document_text("fixed", r#"store{item{"cd"}}"#).unwrap();
+    s.add_document_text("fixed", r#"store{item{"cd"}}"#)
+        .unwrap();
     s.add_document_text("live", "feed{@tick}").unwrap();
     s.add_service_text("tick", r#"beat{"1"} :-"#).unwrap();
     let q = parse_query("ans{$i} :- fixed/store{item{$i}}").unwrap();

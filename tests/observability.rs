@@ -4,12 +4,9 @@
 //! a validated Chrome trace, and cross-peer lineage on both p2p
 //! backends.
 
-use positive_axml::core::engine::{
-    run_traced, EngineConfig, EngineMode, RunStatus, Strategy,
-};
+use positive_axml::core::engine::{run_traced, EngineConfig, EngineMode, RunStatus, Strategy};
 use positive_axml::core::trace::{
-    chrome_trace, validate_chrome_trace, EventKind, Fanout, Journal,
-    MetricsRegistry, Tracer,
+    chrome_trace, validate_chrome_trace, EventKind, Fanout, Journal, MetricsRegistry, Tracer,
 };
 use positive_axml::core::Sym;
 
@@ -43,9 +40,9 @@ fn confluent_schedules_journal_different_orders_same_fixpoint() {
         events
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::Invoke { doc, node, service, .. } => {
-                    Some((doc, node, service))
-                }
+                EventKind::Invoke {
+                    doc, node, service, ..
+                } => Some((doc, node, service)),
                 _ => None,
             })
             .collect::<Vec<_>>()
@@ -88,9 +85,7 @@ fn x14_chrome_trace_is_produced_and_validates() {
 
     // Journal and RunStats agree on the work done.
     let events = journal.snapshot();
-    let count = |pred: fn(&EventKind) -> bool| {
-        events.iter().filter(|e| pred(&e.kind)).count()
-    };
+    let count = |pred: fn(&EventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
     assert_eq!(
         count(|k| matches!(k, EventKind::Invoke { .. })),
         stats.invocations
@@ -184,7 +179,13 @@ fn simulator_stamps_cross_peer_lineage() {
         })
         .next()
         .expect("a delivered node is stamped Origin::Remote");
-    let Origin::Remote { provider, service, seq, .. } = origin else {
+    let Origin::Remote {
+        provider,
+        service,
+        seq,
+        ..
+    } = origin
+    else {
         unreachable!()
     };
     assert_eq!(provider.as_str(), "store");
@@ -241,7 +242,13 @@ fn threaded_run_ships_cross_peer_lineage() {
         })
         .next()
         .expect("a delivered node is stamped Origin::Remote");
-    let Origin::Remote { provider, service, seq, round } = origin else {
+    let Origin::Remote {
+        provider,
+        service,
+        seq,
+        round,
+    } = origin
+    else {
         unreachable!()
     };
     assert_eq!(provider.as_str(), "store");
@@ -289,10 +296,19 @@ fn indexed_runs_journal_probe_and_maintenance_events() {
     let globals = metrics.globals();
     assert!(globals.index_probes > 0);
     assert_eq!(globals.index_maintains as usize, maintains);
-    assert!(globals.index_bytes_peak > 0, "peak footprint must be estimated");
+    assert!(
+        globals.index_bytes_peak > 0,
+        "peak footprint must be estimated"
+    );
     let report = metrics.render_report("x16");
-    assert!(report.contains("index: probes"), "report must show the index section");
-    assert!(report.contains("hit rate"), "report must show the probe hit rate");
+    assert!(
+        report.contains("index: probes"),
+        "report must show the index section"
+    );
+    assert!(
+        report.contains("hit rate"),
+        "report must show the probe hit rate"
+    );
 
     let json = chrome_trace(&events);
     assert_eq!(validate_chrome_trace(&json).unwrap(), events.len());

@@ -6,8 +6,7 @@
 //! reached quiescence, and the announced state is final.
 
 use positive_axml::p2p::{
-    detect_termination, run_threaded, standalone_peer, Mode, Network, Peer, ThreadedConfig,
-    Verdict,
+    detect_termination, run_threaded, standalone_peer, Mode, Network, Peer, ThreadedConfig, Verdict,
 };
 use proptest::prelude::*;
 

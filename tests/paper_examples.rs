@@ -107,10 +107,7 @@ fn example_3_1_queries() {
         .map(ToString::to_string)
         .collect();
     trees.sort();
-    assert_eq!(
-        trees,
-        [r#"c{"2"}"#, r#"c{"3"}"#, r#"d{"3"}"#, r#"e{"3"}"#]
-    );
+    assert_eq!(trees, [r#"c{"2"}"#, r#"c{"3"}"#, r#"d{"3"}"#, r#"e{"3"}"#]);
 }
 
 /// Example 3.2: the transitive closure converges, under every strategy,
@@ -140,7 +137,11 @@ fn example_3_2_closure_confluent() {
     );
     let mut reference = build();
     run(&mut reference, &EngineConfig::default()).unwrap();
-    for s in [Strategy::Reverse, Strategy::Random(11), Strategy::Random(99)] {
+    for s in [
+        Strategy::Reverse,
+        Strategy::Random(11),
+        Strategy::Random(99),
+    ] {
         let mut sys = build();
         run(&mut sys, &EngineConfig::with_strategy(s)).unwrap();
         assert!(sys.equivalent_to(&reference));
@@ -216,7 +217,8 @@ fn reserved_documents_built_only_when_read() {
 fn example_3_3_displayed_rewriting() {
     let mut sys = System::new();
     sys.add_document_text("d", "a{a{b},@g}").unwrap();
-    sys.add_service_text("g", "a{a{#X}} :- context/a{a{#X}}").unwrap();
+    sys.add_service_text("g", "a{a{#X}} :- context/a{a{#X}}")
+        .unwrap();
     let (d, n) = sys.function_nodes()[0];
     let expect = [
         "a{a{b}, a{a{b}}, @g}",
@@ -246,16 +248,15 @@ fn section_5_nesting() {
     )
     .unwrap();
     sys.add_document_text("dn", "r{@f}").unwrap();
-    sys.add_service_text("f", "t{a{$x}, @g} :- d/r{t{a{$x}}}").unwrap();
+    sys.add_service_text("f", "t{a{$x}, @g} :- d/r{t{a{$x}}}")
+        .unwrap();
     sys.add_service_text("g", "b{$y} :- context/t{a{$x}}, d/r{t{a{$x}, b{$y}}}")
         .unwrap();
     assert!(sys.is_simple());
     let (status, _) = run(&mut sys, &EngineConfig::default()).unwrap();
     assert_eq!(status, RunStatus::Terminated);
-    let expected = parse_tree(
-        r#"r{@f, t{a{"1"}, @g, b{"2"}, b{"3"}}, t{a{"2"}, @g, b{"2"}}}"#,
-    )
-    .unwrap();
+    let expected =
+        parse_tree(r#"r{@f, t{a{"1"}, @g, b{"2"}, b{"3"}}, t{a{"2"}, @g, b{"2"}}}"#).unwrap();
     assert!(
         equivalent(sys.doc("dn".into()).unwrap(), &expected),
         "got {}",
@@ -285,10 +286,8 @@ fn section_4_possible_answers() {
         r#"rating{$s} :- input/input{$n}, ratings/db{entry{name{$n}, stars{$s}}}"#,
     )
     .unwrap();
-    let q = parse_query(
-        r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#,
-    )
-    .unwrap();
+    let q = parse_query(r#"rating{$s} :- dir/directory{cd{title{"Body and Soul"}, rating{$s}}}"#)
+        .unwrap();
     let materialized = Forest::from_trees(vec![parse_tree(r#"rating{"****"}"#).unwrap()]);
     assert!(is_possible_answer(&sys, &q, &materialized).unwrap());
     let wrong = Forest::from_trees(vec![parse_tree(r#"rating{"*"}"#).unwrap()]);

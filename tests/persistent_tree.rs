@@ -194,7 +194,11 @@ fn journals_identical_across_cow_clones() {
     let (j1, k1) = journal_of();
     let (j2, k2) = journal_of();
     assert_eq!(k1, k2);
-    assert_eq!(strip(&j1), strip(&j2), "two clones of one system journaled differently");
+    assert_eq!(
+        strip(&j1),
+        strip(&j2),
+        "two clones of one system journaled differently"
+    );
 }
 
 /// Explain DAGs are unchanged by COW cloning: lineage recorded while
@@ -242,7 +246,11 @@ fn system_snapshot_survives_a_full_fixpoint() {
     let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     assert!(stats.invocations > 0);
-    assert_ne!(sys.canonical_key(), before_key, "the run must actually change the system");
+    assert_ne!(
+        sys.canonical_key(),
+        before_key,
+        "the run must actually change the system"
+    );
     assert_eq!(snap.canonical_key(), before_key);
     assert_eq!(snap.version(), before_version);
 }

@@ -2,9 +2,7 @@
 //! tc-digraph closure workload, per-answer explanations, and the delta
 //! engine's skip evidence.
 
-use positive_axml::core::engine::{
-    run_with_provenance, EngineConfig, EngineMode, RunStatus,
-};
+use positive_axml::core::engine::{run_with_provenance, EngineConfig, EngineMode, RunStatus};
 use positive_axml::core::matcher::match_pattern;
 use positive_axml::core::provenance::{Origin, Provenance, ProvenanceStore};
 use positive_axml::core::trace::Tracer;
@@ -61,9 +59,7 @@ fn explain_answer_chains_closure_tuples_to_seed_edges() {
         }
     }
     assert!(witnessed > 0, "no answer binding had witness nodes");
-    let ex = deep.expect(
-        "no derived path tuple chains ≥2 invocations back to seed edge nodes",
-    );
+    let ex = deep.expect("no derived path tuple chains ≥2 invocations back to seed edge nodes");
     // The chain names its invocations: some witness node was grafted by
     // the closure rule or a loader, with a full InvocationRecord.
     let services: Vec<String> = ex
@@ -104,7 +100,10 @@ fn explain_node_identifies_the_grafting_invocation() {
     assert_eq!(rec.doc, d1);
     assert!(!rec.inputs.is_empty(), "invocations record their witnesses");
     let svc = rec.service.as_str();
-    assert!(svc == "f" || svc.starts_with("load"), "unexpected service {svc}");
+    assert!(
+        svc == "f" || svc.starts_with("load"),
+        "unexpected service {svc}"
+    );
 }
 
 /// The weak q-unneededness verdicts from `lazy/` surface per answer:

@@ -40,7 +40,8 @@ fn family() -> Vec<(&'static str, System, bool)> {
     s.add_document_text("base", r#"r{v{"1"},v{"2"}}"#).unwrap();
     s.add_document_text("mid", "m{@copy}").unwrap();
     s.add_document_text("top", "t{@wrap}").unwrap();
-    s.add_service_text("copy", "v{$x} :- base/r{v{$x}}").unwrap();
+    s.add_service_text("copy", "v{$x} :- base/r{v{$x}}")
+        .unwrap();
     s.add_service_text("wrap", "w{$x} :- mid/m{v{$x}}").unwrap();
     out.push(("pipeline", s, true));
 
@@ -63,7 +64,8 @@ fn family() -> Vec<(&'static str, System, bool)> {
     //    terminates immediately.
     let mut s = System::new();
     s.add_document_text("d", "a{@f}").unwrap();
-    s.add_service_text("f", "a{@f} :- d/a{never{matches}}").unwrap();
+    s.add_service_text("f", "a{@f} :- d/a{never{matches}}")
+        .unwrap();
     out.push(("dead-guard", s, true));
 
     // 7. A guarded self-call whose guard data is produced by another
@@ -72,7 +74,8 @@ fn family() -> Vec<(&'static str, System, bool)> {
     let mut s = System::new();
     s.add_document_text("d", "a{@enable, @f}").unwrap();
     s.add_service_text("enable", "go :-").unwrap();
-    s.add_service_text("f", "a{go, @f} :- context/a{go}").unwrap();
+    s.add_service_text("f", "a{go, @f} :- context/a{go}")
+        .unwrap();
     out.push(("enabled-growth", s, false));
 
     // 7b. The same guard, but the head does not re-create it: the inner
@@ -85,8 +88,10 @@ fn family() -> Vec<(&'static str, System, bool)> {
 
     // 8. Context-sensitive copying with a bounded alphabet — terminates.
     let mut s = System::new();
-    s.add_document_text("d", r#"root{x{"1"}, x{"2"}, @f}"#).unwrap();
-    s.add_service_text("f", "y{$v} :- context/root{x{$v}}").unwrap();
+    s.add_document_text("d", r#"root{x{"1"}, x{"2"}, @f}"#)
+        .unwrap();
+    s.add_service_text("f", "y{$v} :- context/root{x{$v}}")
+        .unwrap();
     out.push(("context-copy", s, true));
 
     out
@@ -106,9 +111,15 @@ fn decision_matches_bounded_execution() {
         let (status, _) = run(&mut runner, &EngineConfig::with_budget(3_000)).unwrap();
         match status {
             RunStatus::Terminated => {
-                assert!(expect_terminates, "{name}: engine terminated, verdict said diverge")
+                assert!(
+                    expect_terminates,
+                    "{name}: engine terminated, verdict said diverge"
+                )
             }
-            _ => assert!(!expect_terminates, "{name}: engine ran out, verdict said terminate"),
+            _ => assert!(
+                !expect_terminates,
+                "{name}: engine ran out, verdict said terminate"
+            ),
         }
     }
 }
