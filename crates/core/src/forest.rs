@@ -116,13 +116,19 @@ impl Forest {
     /// pairwise distinct (the identity rule) and none is mutated during
     /// the pass.
     pub fn reduce(&self) -> Forest {
+        self.reduce_with(structural_hash).0
+    }
+
+    /// [`Forest::reduce`], also returning each survivor's root signature
+    /// (in the survivors' order), which the pass computes anyway.
+    pub(crate) fn reduce_with_sigs(&self) -> (Forest, Vec<Sig>) {
         self.reduce_with(structural_hash)
     }
 
-    /// [`Forest::reduce`] under the structural hash `hash`, which must give
-    /// isomorphic reduced trees equal values; any collision is resolved by
-    /// the exact check.
-    fn reduce_with(&self, hash: fn(&Tree, NodeId) -> u64) -> Forest {
+    /// [`Forest::reduce_with_sigs`] under the structural hash `hash`,
+    /// which must give isomorphic reduced trees equal values; any
+    /// collision is resolved by the exact check.
+    fn reduce_with(&self, hash: fn(&Tree, NodeId) -> u64) -> (Forest, Vec<Sig>) {
         let mut scratch: Vec<Marking> = Vec::new();
         // First representative of each hash; later ones with the same
         // hash (collisions) follow it in `reps`.
@@ -164,7 +170,7 @@ impl Forest {
             "kept trees share a Tree::id"
         );
         let mut memo = SubMemo::new();
-        let trees = reps
+        let (trees, sigs) = reps
             .iter()
             .enumerate()
             .filter(|&(i, (t, _, st))| {
@@ -172,9 +178,9 @@ impl Forest {
                     i != j && st.may_embed_in(*su) && memo.subsumed_at(t, t.root(), u, u.root())
                 })
             })
-            .map(|(_, (t, ..))| t.clone())
-            .collect();
-        Forest { trees }
+            .map(|(_, (t, _, s))| (t.clone(), *s))
+            .unzip();
+        (Forest { trees }, sigs)
     }
 
     /// Canonical key of the reduced forest: sorted tree keys. Two forests
@@ -353,7 +359,7 @@ mod tests {
             }
             let forest = Forest::from_trees(trees);
             let real = forest.reduce();
-            let constant = forest.reduce_with(|_, _| 0);
+            let constant = forest.reduce_with(|_, _| 0).0;
             assert_eq!(keys(&constant), keys(&real), "round {round}");
             dropped += forest.len() - real.len();
         }
