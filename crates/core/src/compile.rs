@@ -40,7 +40,23 @@
 //! product. The join of two duplicate-free relations is duplicate-free,
 //! so the union is the only place that deduplicates. Relations live in
 //! buffers reused for the whole [`MatchProgram::run_atom`]; a run
-//! allocates about one [`Binding`] per output binding, for the result.
+//! allocates one flat, sorted relation for the result, which
+//! [`MatchProgram::run_atom`] turns into one [`Binding`] per row.
+//!
+//! # Births
+//!
+//! Every row carries a *birth*: the largest node id of one embedding
+//! that derives it. A leaf's or an op's own item is born with its node,
+//! a tree variable with the newest node of the bound subtree (an old
+//! node whose subtree grew binds a new value); a join step's row is born
+//! when the later of its two rows is, a row the union deduplicates when
+//! the earliest of its copies is, and a ground child contributes the
+//! birth of the witness its existence test found. Overestimating a birth
+//! only costs work; underestimating one would lose answers. Node ids are
+//! never reused and a node's marking and parent never change, so a row
+//! born before a document's arena length at some earlier moment has an
+//! embedding that existed then — what lets a semi-naive call
+//! ([`crate::eval`]) skip the rows its previous evaluation saw.
 //!
 //! # Equivalence with the interpreter
 //!
@@ -115,7 +131,7 @@ use crate::matcher::{
 use crate::pathexpr::{CompiledRegQuery, RegQuery};
 use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::Query;
-use crate::relation::{hash_join, hash_key, RowIndex, Rows};
+use crate::relation::{hash_join, hash_key, Relation, RowIndex, Rows};
 use crate::sym::{FxHashMap, Sym};
 use crate::system::{context_sym, input_sym, System};
 use crate::trace::{EventKind, Tracer};
@@ -330,6 +346,14 @@ impl MatchProgram {
     /// index-usage counters (compiled probe counts are ≤ interpreted —
     /// each `(op, node)` pair is probed once, not once per seed).
     pub fn run_atom(&self, pos: usize, t: &Tree) -> (Vec<Binding>, MatchStats) {
+        let (rel, stats) = self.run_atom_flat(pos, t);
+        (rel.into_bindings(), stats)
+    }
+
+    /// [`MatchProgram::run_atom`] as the executor hands it to snapshot
+    /// evaluation: one flat relation, its rows sorted as the bindings
+    /// are, each with its birth (see the module doc, "Births").
+    pub(crate) fn run_atom_flat(&self, pos: usize, t: &Tree) -> (Relation, MatchStats) {
         let root = self.atoms[pos].root;
         let mut stats = MatchStats::default();
         let anchor = Anchor::choose(self.ops.as_slice(), root, t, self.strategy, &mut stats);
@@ -649,6 +673,26 @@ fn emit(plan: &QueryPlan, strategy: MatchStrategy) -> MatchProgram {
 /// not yet bound (its child not joined yet).
 type Cell = Option<Bound>;
 
+/// Rows of one relation in an executor buffer: `births.len()` rows of a
+/// fixed number of cells each, and the birth of each row.
+#[derive(Default)]
+struct RowBuf {
+    cells: Vec<Cell>,
+    births: Vec<u32>,
+}
+
+impl RowBuf {
+    /// The rows, `width` cells each, as [`hash_join`] reads them.
+    fn view(&self, width: usize) -> Buf<'_> {
+        Buf::new(&self.cells, width, self.births.len())
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.births.clear();
+    }
+}
+
 /// `len` rows of `width` cells of an executor buffer, as [`hash_join`]
 /// and deduplication read them: set columns only.
 #[derive(Clone, Copy)]
@@ -694,17 +738,17 @@ struct Exec<'p, 't> {
     /// level of the descent: `(child position, set)`.
     cands: Vec<(usize, CandSet<'t>)>,
     /// Cleared row buffers, handed from level to level.
-    pool: Vec<Vec<Cell>>,
+    pool: Vec<RowBuf>,
     /// The `(op column, child column)` pairs of the current join step.
     shared: Vec<(usize, usize)>,
     /// The hash index of joins and deduplication.
     index: RowIndex,
     /// Which rows deduplication keeps.
     keep: Vec<bool>,
-    /// Relations of shared ops per `(op, node)`: `(first cell, rows)`
-    /// in `memo_cells`.
-    memo: FxHashMap<(OpId, NodeId), (usize, usize)>,
-    memo_cells: Vec<Cell>,
+    /// Relations of shared ops per `(op, node)`: `(first cell, first
+    /// row, rows)` in `memo_rows`.
+    memo: FxHashMap<(OpId, NodeId), (usize, usize, usize)>,
+    memo_rows: RowBuf,
 }
 
 impl<'p, 't> Exec<'p, 't> {
@@ -725,38 +769,38 @@ impl<'p, 't> Exec<'p, 't> {
             index: RowIndex::default(),
             keep: Vec::new(),
             memo: FxHashMap::default(),
-            memo_cells: Vec::new(),
+            memo_rows: RowBuf::default(),
         }
     }
 
-    /// The relation of `root` at the document root, as the sorted
-    /// bindings [`MatchProgram::run_atom`] returns.
-    fn run(&mut self, root: OpId) -> Vec<Binding> {
-        let mut cells = Vec::new();
-        let rows = self.eval(root, self.t.root(), &mut cells);
+    /// The relation of `root` at the document root, its rows sorted, as
+    /// [`MatchProgram::run_atom_flat`] returns it.
+    fn run(&mut self, root: OpId) -> Relation {
+        let mut buf = RowBuf::default();
+        let rows = self.eval(root, self.t.root(), &mut buf);
         let vars = &self.prog.layouts[root as usize].vars;
         let w = vars.len();
+        let cells = &mut buf.cells;
         let mut order: Vec<usize> = (0..rows).collect();
         order.sort_unstable_by(|&a, &b| cells[a * w..(a + 1) * w].cmp(&cells[b * w..(b + 1) * w]));
-        order
-            .into_iter()
-            .map(|r| {
-                let row = &mut cells[r * w..(r + 1) * w];
-                Binding::from_sorted(
-                    vars.iter()
-                        .zip(row)
-                        .map(|(&v, c)| (v, c.take().expect("a root row binds every column")))
-                        .collect(),
-                )
-            })
-            .collect()
+        let mut sorted = Vec::with_capacity(rows * w);
+        let mut births = Vec::with_capacity(rows);
+        for r in order {
+            sorted.extend(
+                cells[r * w..(r + 1) * w]
+                    .iter_mut()
+                    .map(|c| c.take().expect("a root row binds every column")),
+            );
+            births.push(buf.births[r]);
+        }
+        Relation::with_births(vars.clone(), sorted, births)
     }
 
-    fn buf(&mut self) -> Vec<Cell> {
+    fn buf(&mut self) -> RowBuf {
         self.pool.pop().unwrap_or_default()
     }
 
-    fn give(&mut self, mut buf: Vec<Cell>) {
+    fn give(&mut self, mut buf: RowBuf) {
         buf.clear();
         self.pool.push(buf);
     }
@@ -788,14 +832,16 @@ impl<'p, 't> Exec<'p, 't> {
 
     /// Append to `out` the relation of op `op` at document node `tn` —
     /// one row per embedding of the op's subtree at `tn`, in the op's
-    /// layout, all distinct — and return its row count.
-    fn eval(&mut self, op: OpId, tn: NodeId, out: &mut Vec<Cell>) -> usize {
+    /// layout, all distinct, each with its birth — and return its row
+    /// count.
+    fn eval(&mut self, op: OpId, tn: NodeId, out: &mut RowBuf) -> usize {
         let o = &self.prog.ops[op as usize];
-        let Some(own) = item_bound(&o.item, self.t, tn) else {
+        let Some((own, born)) = item_bound(&o.item, self.t, tn) else {
             return 0;
         };
         if o.leaf {
-            out.extend(own.map(Some));
+            out.cells.extend(own.map(Some));
+            out.births.push(born);
             return 1;
         }
         let (base, all) = self.push_candidates(op, tn);
@@ -803,7 +849,7 @@ impl<'p, 't> Exec<'p, 't> {
             // Rarest candidate set first; stable, so the static order
             // from the reorder pass breaks ties.
             self.cands[base..].sort_by_key(|(_, s)| s.len());
-            self.join_children(op, base, own, out)
+            self.join_children(op, base, own, born, out)
         } else {
             0
         };
@@ -812,94 +858,99 @@ impl<'p, 't> Exec<'p, 't> {
     }
 
     /// Join the children of `op`, whose candidate sets are the frame at
-    /// `base`, into the one row binding the op's own variable to `own`;
-    /// append the result to `out` and return its row count.
+    /// `base`, into the one row binding the op's own variable to `own`,
+    /// born `born`; append the result to `out` and return its row count.
     fn join_children(
         &mut self,
         op: OpId,
         base: usize,
         own: Option<Bound>,
-        out: &mut Vec<Cell>,
+        born: u32,
+        out: &mut RowBuf,
     ) -> usize {
         let (prog, t) = (self.prog, self.t);
         let o = &prog.ops[op as usize];
         let layout = &prog.layouts[op as usize];
         let width = layout.vars.len();
         let mut cur = self.buf();
-        cur.resize(width, None);
+        cur.cells.resize(width, None);
         if let Some(col) = layout.own {
-            cur[col] = own;
+            cur.cells[col] = own;
         }
-        let mut rows = 1;
+        cur.births.push(born);
         for j in 0..o.children.len() {
             let (k, set) = self.cands[base + j];
             let c = o.children[k];
             let co = &prog.ops[c as usize];
             if co.ground {
                 // A ground child's relation is {∅} or ∅: an existence
-                // test with early exit, never a row.
-                if !set.nodes(&co.item, t).any(|tc| self.exists(c, tc)) {
-                    rows = 0;
-                    break;
+                // test with early exit, never a row. The witness found
+                // is part of every row's embedding.
+                match set.nodes(&co.item, t).find_map(|tc| self.exists(c, tc)) {
+                    Some(witness) => {
+                        for b in &mut cur.births {
+                            *b = (*b).max(witness);
+                        }
+                        continue;
+                    }
+                    None => {
+                        cur.clear();
+                        break;
+                    }
                 }
-                continue;
             }
             let mut crel = self.buf();
             let crows = self.child_relation(c, set, &mut crel);
             let mut next = self.buf();
-            rows = if crows > 0 {
-                let map = &layout.kids[k];
-                let left = Buf::new(&cur, width, rows);
-                let right = Buf::new(&crel, map.len(), crows);
-                self.join_step(left, right, map, &mut next)
-            } else {
-                0
-            };
+            if crows > 0 {
+                self.join_step(&cur, width, &crel, &layout.kids[k], &mut next);
+            }
             self.give(crel);
             self.give(std::mem::replace(&mut cur, next));
-            if rows == 0 {
+            if cur.births.is_empty() {
                 break;
             }
         }
-        if rows > 0 {
-            out.append(&mut cur);
-        }
+        let rows = cur.births.len();
+        out.cells.append(&mut cur.cells);
+        out.births.append(&mut cur.births);
         self.give(cur);
         rows
     }
 
-    /// Join `left` (rows in the op's layout) with a child's relation
-    /// `right` (rows in the child's layout, whose column `j` is op column
-    /// `map[j]`), appending to `out`; returns the row count. Whether a
-    /// column is set is the same in every row, so the first left row
-    /// tells which child columns are shared.
+    /// Join `left` (rows of `width` cells in the op's layout) with a
+    /// child's relation `right` (rows in the child's layout, whose column
+    /// `j` is op column `map[j]`), appending to `out`; an output row is
+    /// born when the later of its two rows is. Whether a column is set is
+    /// the same in every row, so the first left row tells which child
+    /// columns are shared.
     fn join_step(
         &mut self,
-        left: Buf<'_>,
-        right: Buf<'_>,
+        left: &RowBuf,
+        width: usize,
+        right: &RowBuf,
         map: &[usize],
-        out: &mut Vec<Cell>,
-    ) -> usize {
+        out: &mut RowBuf,
+    ) {
+        let (lv, rv) = (left.view(width), right.view(map.len()));
         self.shared.clear();
         self.shared.extend(
             map.iter()
                 .enumerate()
-                .filter(|&(_, &col)| left.cells[col].is_some())
+                .filter(|&(_, &col)| lv.cells[col].is_some())
                 .map(|(j, &col)| (col, j)),
         );
-        let mut rows = 0;
-        hash_join(&mut self.index, &left, &right, &self.shared, |l, r| {
-            let start = out.len();
-            out.extend_from_slice(left.row(l));
-            for (&col, cell) in map.iter().zip(right.row(r)) {
-                let slot = &mut out[start + col];
+        hash_join(&mut self.index, &lv, &rv, &self.shared, |l, r| {
+            let start = out.cells.len();
+            out.cells.extend_from_slice(lv.row(l));
+            for (&col, cell) in map.iter().zip(rv.row(r)) {
+                let slot = &mut out.cells[start + col];
                 if slot.is_none() {
                     slot.clone_from(cell);
                 }
             }
-            rows += 1;
+            out.births.push(left.births[l].max(right.births[r]));
         });
-        rows
     }
 
     /// Append to `out` the union of child op `c`'s relations over its
@@ -907,56 +958,73 @@ impl<'p, 't> Exec<'p, 't> {
     /// decorrelation: the interpreter re-embeds per seed binding ×
     /// candidate), deduplicated; return its row count. `out` starts
     /// empty.
-    fn child_relation(&mut self, c: OpId, set: CandSet<'t>, out: &mut Vec<Cell>) -> usize {
+    fn child_relation(&mut self, c: OpId, set: CandSet<'t>, out: &mut RowBuf) -> usize {
         let (prog, t) = (self.prog, self.t);
         let co = &prog.ops[c as usize];
-        let mut rows = 0;
         for tc in set.nodes(&co.item, t) {
-            rows += if co.leaf {
-                out.push(item_bound(&co.item, t, tc).expect("a candidate passes the marking test"));
-                1
+            if co.leaf {
+                let (own, born) =
+                    item_bound(&co.item, t, tc).expect("a candidate passes the marking test");
+                out.cells.push(own);
+                out.births.push(born);
             } else if co.shared {
-                self.eval_memo(c, tc, out)
+                self.eval_memo(c, tc, out);
             } else {
-                self.eval(c, tc, out)
-            };
+                self.eval(c, tc, out);
+            }
         }
-        self.dedup(out, prog.layouts[c as usize].vars.len(), rows)
+        self.dedup(out, prog.layouts[c as usize].vars.len())
     }
 
     /// [`Exec::eval`] of a shared op, memoized per `(op, node)`.
-    fn eval_memo(&mut self, op: OpId, tn: NodeId, out: &mut Vec<Cell>) -> usize {
-        if let Some(&(start, rows)) = self.memo.get(&(op, tn)) {
+    fn eval_memo(&mut self, op: OpId, tn: NodeId, out: &mut RowBuf) -> usize {
+        if let Some(&(cell, row, rows)) = self.memo.get(&(op, tn)) {
             let width = self.prog.layouts[op as usize].vars.len();
-            out.extend_from_slice(&self.memo_cells[start..start + rows * width]);
+            out.cells
+                .extend_from_slice(&self.memo_rows.cells[cell..cell + rows * width]);
+            out.births
+                .extend_from_slice(&self.memo_rows.births[row..row + rows]);
             return rows;
         }
-        let from = out.len();
+        let (from_cell, from_row) = (out.cells.len(), out.births.len());
         let rows = self.eval(op, tn, out);
-        let start = self.memo_cells.len();
-        self.memo_cells.extend_from_slice(&out[from..]);
-        self.memo.insert((op, tn), (start, rows));
+        let (cell, row) = (self.memo_rows.cells.len(), self.memo_rows.births.len());
+        self.memo_rows
+            .cells
+            .extend_from_slice(&out.cells[from_cell..]);
+        self.memo_rows
+            .births
+            .extend_from_slice(&out.births[from_row..]);
+        self.memo.insert((op, tn), (cell, row, rows));
         rows
     }
 
-    /// Drop the repeated rows of `cells` (`rows` rows of `width` cells,
-    /// every column set), keeping first occurrences in order; return the
-    /// number kept.
-    fn dedup(&mut self, cells: &mut Vec<Cell>, width: usize, rows: usize) -> usize {
+    /// Drop the repeated rows of `rel` (rows of `width` cells, every
+    /// column set), keeping first occurrences in order, each born when
+    /// the earliest of its copies is; return the number kept.
+    fn dedup(&mut self, rel: &mut RowBuf, width: usize) -> usize {
+        let rows = rel.births.len();
         if rows < 2 {
             return rows;
         }
-        let view = Buf::new(cells, width, rows);
+        let view = Buf::new(&rel.cells, width, rows);
         self.index.reset(rows);
         self.keep.clear();
         for r in 0..rows {
             let h = hash_key(&view, r, 0..width);
-            let seen = self.index.chain(h).any(|s| view.row(s) == view.row(r));
-            if !seen {
-                self.index.insert(r, h);
+            let first = self.index.chain(h).find(|&s| view.row(s) == view.row(r));
+            match first {
+                Some(s) => {
+                    rel.births[s] = rel.births[s].min(rel.births[r]);
+                    self.keep.push(false);
+                }
+                None => {
+                    self.index.insert(r, h);
+                    self.keep.push(true);
+                }
             }
-            self.keep.push(!seen);
         }
+        let cells = &mut rel.cells;
         let mut kept = 0;
         for r in 0..rows {
             if self.keep[r] {
@@ -964,36 +1032,45 @@ impl<'p, 't> Exec<'p, 't> {
                     for c in 0..width {
                         cells.swap(kept * width + c, r * width + c);
                     }
+                    rel.births[kept] = rel.births[r];
                 }
                 kept += 1;
             }
         }
         cells.truncate(kept * width);
+        rel.births.truncate(kept);
         kept
     }
 
-    /// Does the (ground) op's subtree embed at `tn`? Children of a
-    /// ground subtree share no variables, so each just needs *some*
-    /// embedding among its candidates — checked with early exit.
-    fn exists(&mut self, op: OpId, tn: NodeId) -> bool {
+    /// If the (ground) op's subtree embeds at `tn`, the birth of one such
+    /// embedding. Children of a ground subtree share no variables, so
+    /// each just needs *some* embedding among its candidates — the first
+    /// found, with early exit.
+    fn exists(&mut self, op: OpId, tn: NodeId) -> Option<u32> {
         let (prog, t) = (self.prog, self.t);
         let o = &prog.ops[op as usize];
-        if item_bound(&o.item, t, tn).is_none() {
-            return false;
-        }
+        let (_, mut born) = item_bound(&o.item, t, tn)?;
         if o.leaf {
-            return true;
+            return Some(born);
         }
         let (base, all) = self.push_candidates(op, tn);
         let found = all
             && (0..o.children.len()).all(|j| {
                 let (k, set) = self.cands[base + j];
                 let c = o.children[k];
-                set.nodes(&prog.ops[c as usize].item, t)
-                    .any(|tc| self.exists(c, tc))
+                match set
+                    .nodes(&prog.ops[c as usize].item, t)
+                    .find_map(|tc| self.exists(c, tc))
+                {
+                    Some(b) => {
+                        born = born.max(b);
+                        true
+                    }
+                    None => false,
+                }
             });
         self.cands.truncate(base);
-        found
+        found.then_some(born)
     }
 }
 

@@ -59,7 +59,10 @@ pub enum EngineMode {
     /// output. A skipped call re-fires as soon as any read document's
     /// version changes, so runs stay fair and Theorem 2.1's confluence
     /// is preserved. Also evaluates positive services through the
-    /// per-atom [`MatchCache`].
+    /// per-atom [`MatchCache`], and, with compiled programs, semi-naively:
+    /// a call that does run builds heads only for rows new since its last
+    /// applied evaluation (see [`crate::eval`]), and grafts exactly what
+    /// a full evaluation would.
     Delta,
 }
 
@@ -84,8 +87,10 @@ pub struct EngineConfig {
     /// interpreter. On by default; setting `AXML_FORCE_INTERPRET=1` in
     /// the environment flips the default off — the hook the
     /// forced-interpreter CI job uses. Observationally equivalent either
-    /// way (bit-for-bit identical bindings, fixpoints, and event
-    /// streams apart from the `compile:`-category events themselves).
+    /// way (bit-for-bit identical bindings, fixpoints, and document
+    /// changes; the event streams differ in the `compile:`-category
+    /// events and, under [`EngineMode::Delta`], in the result trees a
+    /// semi-naive call builds and checks).
     pub compile: bool,
 }
 
@@ -393,6 +398,8 @@ pub struct RoundRunner {
     stamp: u64,
     doc_changed_at: FxHashMap<Sym, u64>,
     invoked_at: FxHashMap<(Sym, NodeId), u64>,
+    /// Delta-mode match cache: per-atom matches, and per call the marks
+    /// of its last applied semi-naive evaluation.
     cache: MatchCache,
     /// Program cache: compiled match programs per service, kept for the
     /// whole run (unlike the delta-only match cache it pays off in
@@ -672,7 +679,9 @@ impl RoundRunner {
             if delta {
                 // The invocation read state at time `stamp`; its own
                 // change (if any) is stamped strictly later so calls
-                // reading their host document re-fire.
+                // reading their host document re-fire. (The call's
+                // semi-naive marks, the arena lengths it read, went into
+                // the match cache when its graft was applied.)
                 invoked_at.insert((d, n), self.stamp);
                 if outcome.changed {
                     self.stamp += 1;

@@ -5,6 +5,18 @@
 //! reduced forest of instantiated heads. Snapshot semantics is monotone
 //! (Prop 3.1 (1)) and polynomial in the data (Prop 3.1 (3)); both facts
 //! are exercised by the test suites and the X3 experiment.
+//!
+//! Positive service calls evaluate *semi-naively* under the Delta engine
+//! with compiled programs: the [`MatchCache`] holds each atom's matches
+//! as a flat relation whose rows carry their births (the newest node of
+//! an embedding deriving them, see [`crate::compile`]), and remembers
+//! per call the arena length of each stored document at the call's last
+//! applied evaluation (`Marks`). A call then builds a head only for a
+//! projection that some *new* row derives — a row with an atom row born
+//! at or after that mark. Documents only grow, node ids are never
+//! reused and a node's marking and parent never change, so an all-old
+//! embedding is one the earlier evaluation saw, and its head was grafted
+//! next to the call then or was already subsumed there.
 
 use crate::compile::{CompiledQuery, ProgramCache};
 use crate::error::{AxmlError, Result};
@@ -12,7 +24,7 @@ use crate::forest::Forest;
 use crate::matcher::{match_pattern_with, Binding, Bound, MatchStats, MatchStrategy};
 use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::{Operand, Query};
-use crate::relation::{hash_key, row_binding, BodyJoin, Named, RowIndex};
+use crate::relation::{hash_key, row_binding, BodyJoin, Fresh, Matches, Named, RowIndex};
 use crate::sym::{FxHashMap, Sym};
 use crate::system::{context_sym, input_sym, System};
 use crate::trace::{EventKind, Tracer};
@@ -110,22 +122,65 @@ pub struct EvalStats {
 }
 
 /// A cache of per-atom pattern matches, keyed by `(service, atom index)`
-/// and validated against the matched document's `(id, version)` pair.
+/// and validated against the matched document's `(id, version)` pair,
+/// plus the marks of every call evaluated semi-naively (`Marks`).
 ///
 /// Stored documents only mutate monotonically under the engine, and
 /// [`crate::tree::Tree::version`] changes on every mutation, so an entry
 /// whose id and version still match is exact — not merely sound. The
 /// reserved `input`/`context` documents are never cached: they are fresh
-/// trees on every invocation.
+/// trees on every invocation. An entry from the compiled executor is a
+/// flat relation with the birth of each row; one from the interpreter is
+/// its bindings, which carry no births.
 #[derive(Default)]
 pub struct MatchCache {
     entries: FxHashMap<(Sym, usize), CacheEntry>,
+    marks: FxHashMap<(Sym, NodeId), Marks>,
     hits: usize,
     misses: usize,
 }
 
-/// `(doc id, doc version, bindings)` — exact while id+version match.
-type CacheEntry = (u64, u64, Arc<Vec<Binding>>);
+/// `(doc id, doc version, matches)` — exact while id+version match.
+type CacheEntry = (u64, u64, Arc<Matches>);
+
+/// The marks of one call's last applied evaluation: per stored document
+/// its query reads, `(document, Tree::id, arena length)`, taken before
+/// anything the evaluation derived was grafted. A node with an id below
+/// the length existed then; a document whose id moved is a different
+/// tree, and every row over it is new.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Marks(Vec<(Sym, u64, u32)>);
+
+impl Marks {
+    /// Overwrite with the current arena length of each stored document
+    /// that `q` reads in `env`.
+    pub(crate) fn take(&mut self, q: &Query, env: &Env<'_>) {
+        self.0.clear();
+        for atom in &q.body {
+            let d = atom.doc;
+            if d == input_sym() || d == context_sym() || self.0.iter().any(|m| m.0 == d) {
+                continue;
+            }
+            if let Some(t) = env.get(d) {
+                self.0.push((d, t.id(), t.arena_len() as u32));
+            }
+        }
+    }
+
+    /// No mark at all: the call was never evaluated.
+    #[cfg(debug_assertions)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The mark on document `d`, if it is still the tree `t`.
+    fn on(&self, d: Sym, t: &Tree) -> Option<u32> {
+        self.0
+            .iter()
+            .find(|m| m.0 == d && m.1 == t.id())
+            .map(|m| m.2)
+    }
+}
 
 impl MatchCache {
     /// Fresh, empty cache.
@@ -151,6 +206,16 @@ impl MatchCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Remove and return the marks of the call at `call`.
+    pub(crate) fn take_marks(&mut self, call: (Sym, NodeId)) -> Option<Marks> {
+        self.marks.remove(&call)
+    }
+
+    /// Record the marks of the call at `call`'s applied evaluation.
+    pub(crate) fn set_marks(&mut self, call: (Sym, NodeId), marks: Marks) {
+        self.marks.insert(call, marks);
     }
 }
 
@@ -248,6 +313,11 @@ pub fn snapshot_with_cache_traced(
 /// The head trees of `q` over `env`, before reduction: the engine of
 /// every snapshot entry point, and of positive service calls, which
 /// reduce the result themselves.
+///
+/// With `marks`, the marks of the call's previous evaluation, a head is
+/// built only for a projection that some new row derives (see the
+/// module doc); the heads keep the order of the full forest's, which
+/// builds each projection's at its first row.
 pub(crate) fn snapshot_heads(
     q: &Query,
     env: &Env<'_>,
@@ -255,6 +325,7 @@ pub(crate) fn snapshot_heads(
     programs: Option<(Sym, &mut ProgramCache)>,
     tracer: Tracer<'_>,
     strategy: MatchStrategy,
+    marks: Option<&Marks>,
 ) -> Result<(Forest, EvalStats)> {
     // Compiled path: fetch (or compile) the service's program once, then
     // drive the same per-atom cache/join loop below — only the
@@ -276,10 +347,16 @@ pub(crate) fn snapshot_heads(
             .collect(),
         None => (0..q.body.len()).map(|i| (i, None)).collect(),
     };
-    let run_match = |i: usize, pos: Option<usize>, doc: &Tree| -> (Vec<Binding>, MatchStats) {
+    let run_match = |i: usize, pos: Option<usize>, doc: &Tree| -> (Matches, MatchStats) {
         match (&compiled, pos) {
-            (Some(c), Some(pos)) => c.run_atom(pos, doc),
-            _ => match_pattern_with(&q.body[i].pattern, doc, strategy),
+            (Some(c), Some(pos)) => {
+                let (rel, stats) = c.program().run_atom_flat(pos, doc);
+                (Matches::Flat(rel), stats)
+            }
+            _ => {
+                let (bindings, stats) = match_pattern_with(&q.body[i].pattern, doc, strategy);
+                (Matches::Bindings(bindings), stats)
+            }
         }
     };
     let mut stats = EvalStats::default();
@@ -291,7 +368,7 @@ pub(crate) fn snapshot_heads(
             .get(atom.doc)
             .ok_or(AxmlError::UnknownDocument(atom.doc))?;
         let cacheable = atom.doc != input_sym() && atom.doc != context_sym();
-        let matches: Arc<Vec<Binding>> = match cache.as_mut() {
+        let matches: Arc<Matches> = match cache.as_mut() {
             Some((svc, c)) if cacheable => {
                 let key = (*svc, i);
                 match c.entries.get(&key) {
@@ -309,9 +386,9 @@ pub(crate) fn snapshot_heads(
                             service: *svc,
                             atom: i as u32,
                         });
-                        let (bindings, mstats) = run_match(i, pos, doc);
+                        let (found, mstats) = run_match(i, pos, doc);
                         emit_index_lookup(tracer, *svc, i, mstats);
-                        let m = Arc::new(bindings);
+                        let m = Arc::new(found);
                         c.entries
                             .insert(key, (doc.id(), doc.version(), Arc::clone(&m)));
                         m
@@ -319,9 +396,9 @@ pub(crate) fn snapshot_heads(
                 }
             }
             Some((svc, _)) => {
-                let (bindings, mstats) = run_match(i, pos, doc);
+                let (found, mstats) = run_match(i, pos, doc);
                 emit_index_lookup(tracer, *svc, i, mstats);
-                Arc::new(bindings)
+                Arc::new(found)
             }
             None => Arc::new(run_match(i, pos, doc).0),
         };
@@ -329,12 +406,16 @@ pub(crate) fn snapshot_heads(
         if matches.is_empty() {
             return Ok((Forest::new(), stats));
         }
-        body = body.join(matches, &mut index);
+        let mark = match marks {
+            Some(m) if cacheable => m.on(atom.doc, doc),
+            _ => None,
+        };
+        body = body.join(matches, mark, &mut index);
         if body.is_empty() {
             return Ok((Forest::new(), stats));
         }
     }
-    let forest = body.with_rows(|rows| heads(q, rows, &mut index, &mut stats))?;
+    let forest = body.with_rows(|rows, fresh| heads(q, rows, fresh, &mut index, &mut stats))?;
     Ok((forest, stats))
 }
 
@@ -347,7 +428,7 @@ fn snapshot_inner(
     tracer: Tracer<'_>,
     strategy: MatchStrategy,
 ) -> Result<(Forest, EvalStats)> {
-    let (heads, stats) = snapshot_heads(q, env, cache, programs, tracer, strategy)?;
+    let (heads, stats) = snapshot_heads(q, env, cache, programs, tracer, strategy, None)?;
     Ok((heads.reduce(), stats))
 }
 
@@ -355,10 +436,13 @@ fn snapshot_inner(
 /// the inequalities onto the head's variables, in first-appearance
 /// order. A head reads only its own variables, so rows that agree on
 /// them instantiate identical trees; building one per projection leaves
-/// the reduced forest unchanged.
+/// the reduced forest unchanged. Unless every row is new, a projection
+/// no new row derives gets no head, and the others are built after the
+/// pass, still in first-appearance order.
 fn heads(
     q: &Query,
     rows: &dyn Named,
+    fresh: Fresh<'_>,
     index: &mut RowIndex,
     stats: &mut EvalStats,
 ) -> Result<Forest> {
@@ -375,22 +459,43 @@ fn heads(
     index.reset(rows.len());
     let mut forest = Forest::new();
     let mut p = Binding::new();
+    // The first rows of the projections some new row derives.
+    let mut wanted = if fresh.all() {
+        Vec::new()
+    } else {
+        vec![false; rows.len()]
+    };
     for row in 0..rows.len() {
         if !ineqs.iter().all(|(l, r)| ineq_holds(*l, *r, rows, row)) {
             continue;
         }
         stats.joined_bindings += 1;
         let h = hash_key(rows, row, head_cols.iter().copied());
-        let built = index.chain(h).any(|k| {
+        let first = index.chain(h).find(|&k| {
             head_cols
                 .iter()
                 .all(|&c| rows.cell(k, c) == rows.cell(row, c))
         });
-        if !built {
-            index.insert(row, h);
-            row_binding(rows, row, &head_cols, &mut p);
-            forest.push(instantiate_head(&q.head, &p)?);
+        match first {
+            None => {
+                index.insert(row, h);
+                if fresh.all() {
+                    row_binding(rows, row, &head_cols, &mut p);
+                    forest.push(instantiate_head(&q.head, &p)?);
+                } else {
+                    wanted[row] = fresh.row(row);
+                }
+            }
+            Some(k) => {
+                if !fresh.all() && fresh.row(row) {
+                    wanted[k] = true;
+                }
+            }
         }
+    }
+    for row in (0..wanted.len()).filter(|&r| wanted[r]) {
+        row_binding(rows, row, &head_cols, &mut p);
+        forest.push(instantiate_head(&q.head, &p)?);
     }
     stats.raw_results = forest.len();
     Ok(forest)

@@ -32,7 +32,7 @@
 //! ([`mod@crate::reduce`]'s height and Bloom filter) allow it, under one
 //! memo shared by the whole pass.
 
-use crate::reduce::{canon_of_reduced, reduce, subtree_sig, CanonKey, Sig};
+use crate::reduce::{canon_of_reduced, reduce, siblings_distinct, subtree_sig, CanonKey, Sig};
 use crate::subsume::{subsumed, SubMemo};
 use crate::sym::{FxHashMap, FxHashSet, FxHasher};
 use crate::tree::{Marking, NodeId, Tree};
@@ -222,22 +222,6 @@ impl IntoIterator for Forest {
     fn into_iter(self) -> Self::IntoIter {
         self.trees.into_iter()
     }
-}
-
-/// Does no node of the subtree at `n` have two children with the same
-/// marking? Such a subtree is reduced: a child can only be subsumed by a
-/// sibling with its own marking. `scratch` is reused across calls.
-fn siblings_distinct(t: &Tree, n: NodeId, scratch: &mut Vec<Marking>) -> bool {
-    let kids = t.children(n);
-    if kids.len() > 1 {
-        scratch.clear();
-        scratch.extend(kids.iter().map(|&c| t.marking(c)));
-        scratch.sort_unstable();
-        if scratch.windows(2).any(|w| w[0] == w[1]) {
-            return false;
-        }
-    }
-    kids.iter().all(|&c| siblings_distinct(t, c, scratch))
 }
 
 /// Order-independent structural hash of the subtree at `n`: the marking,

@@ -20,10 +20,20 @@
 //! [`InvokeOutcome::changed`], determined *before* grafting by checking
 //! whether some result tree is not already subsumed by an existing
 //! sibling subtree.
+//!
+//! With a match cache and compiled programs (the Delta engine's compiled
+//! path), a positive service call evaluates semi-naively: it builds heads
+//! only for rows new since its last applied evaluation (see
+//! [`crate::eval`]). Its marks are taken at evaluation, before the graft,
+//! so its own results count as new next time, and are kept only once
+//! the graft is applied. The grafts are exactly those of a full
+//! evaluation, in the same order: a result the full forest adds and the
+//! filtered one lacks is derived by old rows only, so it was grafted
+//! next to the call, or already subsumed there, at the last evaluation.
 
 use crate::compile::ProgramCache;
 use crate::error::{AxmlError, Result};
-use crate::eval::{snapshot_heads, Env, MatchCache};
+use crate::eval::{snapshot_heads, Env, Marks, MatchCache};
 use crate::forest::Forest;
 use crate::matcher::MatchStrategy;
 use crate::provenance::{query_witnesses, InvocationRecord, Origin, Provenance};
@@ -33,6 +43,8 @@ use crate::sym::{FxHashMap, Sym};
 use crate::system::{context_sym, input_sym, System};
 use crate::trace::{EventKind, Tracer};
 use crate::tree::{Marking, NodeId, Tree};
+#[cfg(debug_assertions)]
+use crate::{query::Query, subsume::subsumed};
 
 /// What one invocation did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -75,6 +87,8 @@ struct GraftPlan {
     /// Provenance witnesses matched before evaluation (empty unless
     /// requested via `collect_witnesses`).
     witnesses: Vec<(Sym, NodeId)>,
+    /// The call's marks at this evaluation, when it is semi-naive.
+    marks: Option<Marks>,
 }
 
 /// Evaluate the service call at `node` of `doc_name` against the
@@ -84,6 +98,11 @@ struct GraftPlan {
 /// `collect_witnesses` asks for the provenance witness set (the nodes
 /// the evaluation read); pass `prov.enabled()` when a store is
 /// attached, `false` otherwise to skip the extra matching work.
+///
+/// `marks`, when given, makes a positive service's evaluation
+/// semi-naive: it holds the marks of the call's last applied evaluation
+/// (empty if there was none) and is overwritten with this evaluation's,
+/// which the plan carries.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_node(
     sys: &System,
@@ -94,6 +113,7 @@ fn evaluate_node(
     tracer: Tracer<'_>,
     collect_witnesses: bool,
     strategy: MatchStrategy,
+    mut marks: Option<Marks>,
 ) -> Result<GraftPlan> {
     let doc = sys
         .doc(doc_name)
@@ -149,20 +169,31 @@ fn evaluate_node(
     // applies; black boxes always run their closure.
     let raw = match svc.query() {
         Some(q) => {
-            snapshot_heads(
+            let (raw, _) = snapshot_heads(
                 q,
                 &env,
                 cache.map(|c| (fname, c)),
                 programs.map(|p| (fname, p)),
                 tracer,
                 strategy,
-            )?
-            .0
+                marks.as_ref(),
+            )?;
+            if let Some(m) = &mut marks {
+                #[cfg(debug_assertions)]
+                if !m.is_empty() {
+                    check_semi_naive(fname, q, &env, doc, parent, &raw);
+                }
+                m.take(q, &env);
+            }
+            raw
         }
         // Reduced below like a snapshot answer: a black box may return
         // clones that share a `Tree::id`, and `apply_plan`'s memo keys
         // by it.
-        None => svc.invoke(&env)?,
+        None => {
+            marks = None;
+            svc.invoke(&env)?
+        }
     };
     let (forest, sigs) = raw.reduce_with_sigs();
     Ok(GraftPlan {
@@ -173,7 +204,60 @@ fn evaluate_node(
         forest,
         sigs,
         witnesses,
+        marks,
     })
+}
+
+/// The semi-naive self-check, under debug assertions and on documents of
+/// at most [`ANCHOR_SELF_CHECK_NODES`](crate::matcher::ANCHOR_SELF_CHECK_NODES)
+/// slots: every tree of the full evaluation of service `svc`'s query `q`
+/// that no child of the call's parent already subsumes is subsumed by
+/// one of `heads`, the semi-naive evaluation's. It suffices to check the
+/// maximal trees. The full evaluation compiles a program of its own and
+/// runs it under [`MatchStrategy::Scan`], so it never builds an index
+/// the run has not built and leaves the run's caches and counters alone.
+#[cfg(debug_assertions)]
+fn check_semi_naive(
+    svc: Sym,
+    q: &Query,
+    env: &Env<'_>,
+    doc: &Tree,
+    parent: NodeId,
+    heads: &Forest,
+) {
+    let small = q.body.iter().all(|a| {
+        env.get(a.doc)
+            .is_none_or(|t| t.arena_len() <= crate::matcher::ANCHOR_SELF_CHECK_NODES)
+    });
+    if !small {
+        return;
+    }
+    let (full, _) = snapshot_heads(
+        q,
+        env,
+        None,
+        Some((svc, &mut ProgramCache::new())),
+        Tracer::disabled(),
+        MatchStrategy::Scan,
+        None,
+    )
+    .expect("the semi-naive evaluation succeeded");
+    let (full, sigs) = full.reduce_with_sigs();
+    let kids: Vec<(NodeId, Sig)> = doc
+        .children(parent)
+        .iter()
+        .map(|&c| (c, subtree_sig(doc, c)))
+        .collect();
+    let mut memo = SubMemo::new();
+    for (f, fsig) in full.trees().iter().zip(sigs) {
+        let present = kids
+            .iter()
+            .any(|&(c, csig)| fsig.may_embed_in(csig) && memo.subsumed_at(f, f.root(), doc, c));
+        assert!(
+            present || heads.trees().iter().any(|h| subsumed(f, h)),
+            "semi-naive evaluation lost the answer {f}"
+        );
+    }
 }
 
 /// Apply a [`GraftPlan`]: the mutating phase 2 of
@@ -347,7 +431,7 @@ pub fn invoke_node_with_provenance(
     sys: &mut System,
     doc_name: Sym,
     node: NodeId,
-    cache: Option<&mut MatchCache>,
+    mut cache: Option<&mut MatchCache>,
     programs: Option<&mut ProgramCache>,
     tracer: Tracer<'_>,
     prov: Provenance<'_>,
@@ -356,17 +440,30 @@ pub fn invoke_node_with_provenance(
 ) -> Result<InvokeOutcome> {
     // Phase 1 — evaluate the service against the current (immutable)
     // system state; phase 2 — graft the new information and reduce.
+    // Semi-naive evaluation needs births, which only compiled programs
+    // compute, and a cache to keep the call's marks in; marks that an
+    // error leaves behind are dropped, and the next evaluation is full.
+    let call = (doc_name, node);
+    let marks = match (&mut cache, &programs) {
+        (Some(c), Some(_)) => Some(c.take_marks(call).unwrap_or_default()),
+        _ => None,
+    };
     let plan = evaluate_node(
         sys,
         doc_name,
         node,
-        cache,
+        cache.as_deref_mut(),
         programs,
         tracer,
         prov.enabled(),
         strategy,
+        marks,
     )?;
-    apply_plan(sys, &plan, tracer, prov, round)
+    let outcome = apply_plan(sys, &plan, tracer, prov, round)?;
+    if let (Some(c), Some(m)) = (cache, plan.marks) {
+        c.set_marks(call, m);
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -15,8 +15,7 @@
 //! `docs/indexing.md`, "Anchored descent").
 
 use crate::pattern::{PItem, PNodeId, Pattern};
-use crate::reduce::canonical_key;
-use crate::reduce::CanonKey;
+use crate::reduce::{canon_shared, reduce_unless_reduced};
 use crate::sym::Sym;
 use crate::tree::{Marking, NodeId, Tree};
 use std::borrow::Cow;
@@ -74,17 +73,29 @@ pub enum Bound {
     Func(Sym),
     /// An atomic value, bound to a value variable.
     Value(Sym),
-    /// A whole subtree, bound to a tree variable. The canonical key makes
-    /// bindings hashable and deduplicable.
-    Tree(Arc<Tree>, CanonKey),
+    /// A whole subtree, bound to a tree variable: a reduced copy and its
+    /// canonical key ([`crate::reduce::canon_of_reduced`]), which makes
+    /// bindings hashable and deduplicable. Both are shared, so cloning a
+    /// binding copies neither.
+    Tree(Arc<Tree>, Arc<str>),
 }
 
 impl Bound {
     /// Bind a copy of the subtree of `t` at `n` to a tree variable.
     pub fn tree_at(t: &Tree, n: NodeId) -> Bound {
-        let sub = t.subtree(n);
-        let key = canonical_key(&sub);
-        Bound::Tree(Arc::new(sub), key)
+        Bound::tree_born(t, n).0
+    }
+
+    /// [`Bound::tree_at`], and the newest node of the bound subtree: the
+    /// birth of the binding (see [`crate::compile`], "Births"). The
+    /// subtree is copied once, its newest node found in the same walk;
+    /// the copy is reduced in place, and its key rendered into one
+    /// buffer.
+    pub(crate) fn tree_born(t: &Tree, n: NodeId) -> (Bound, u32) {
+        let (mut sub, newest) = t.subtree_with_newest(n);
+        reduce_unless_reduced(&mut sub);
+        let key = canon_shared(&sub, sub.root());
+        (Bound::Tree(Arc::new(sub), key), newest.0)
     }
 
     /// The marking this binding denotes, for non-tree bindings.
@@ -413,22 +424,27 @@ pub(crate) fn bind_item(item: &PItem, t: &Tree, tn: NodeId, b: &Binding) -> Opti
     }
 }
 
-/// The value item `item` binds at node `tn`: `None` if the node fails
-/// the item's marking test, `Some(None)` for a constant that passes it,
-/// and `Some(Some(value))` for a variable. [`bind_item`] without the
-/// binding.
-pub(crate) fn item_bound(item: &PItem, t: &Tree, tn: NodeId) -> Option<Option<Bound>> {
+/// The value item `item` binds at node `tn`, with its birth: `None` if
+/// the node fails the item's marking test, `Some((None, tn))` for a
+/// constant that passes it, and `Some((Some(value), birth))` for a
+/// variable. The birth is `tn` itself, or for a tree variable the newest
+/// node of the bound subtree. [`bind_item`] without the binding.
+pub(crate) fn item_bound(item: &PItem, t: &Tree, tn: NodeId) -> Option<(Option<Bound>, u32)> {
     let m = t.marking(tn);
     if !admits(item, m) {
         return None;
     }
-    Some(match (item, m) {
-        (PItem::TreeVar(_), _) => Some(Bound::tree_at(t, tn)),
+    let own = match (item, m) {
+        (PItem::TreeVar(_), _) => {
+            let (b, birth) = Bound::tree_born(t, tn);
+            return Some((Some(b), birth));
+        }
         (PItem::LabelVar(_), Marking::Label(s)) => Some(Bound::Label(s)),
         (PItem::FuncVar(_), Marking::Func(s)) => Some(Bound::Func(s)),
         (PItem::ValueVar(_), Marking::Value(s)) => Some(Bound::Value(s)),
         _ => None,
-    })
+    };
+    Some((own, tn.0))
 }
 
 /// A candidate set borrowed from the document: every node of a slice,

@@ -23,7 +23,7 @@ use crate::forest::Forest;
 use crate::matcher::Binding;
 use crate::pattern::{PItem, Pattern};
 use crate::query::{parse_query, Operand, Query};
-use crate::relation::{row_binding, BodyJoin, RowIndex};
+use crate::relation::{row_binding, BodyJoin, Matches, RowIndex};
 use crate::sym::{FxHashMap, FxHashSet, Sym};
 use crate::tree::{Marking, NodeId, Tree};
 use axml_automata::{parse_regex, Nfa, Regex, StateId};
@@ -599,13 +599,13 @@ fn snapshot_reg_with(q: &RegQuery, tables: &[NfaTable], env: &Env<'_>) -> Result
         if matches.is_empty() {
             return Ok(Forest::new());
         }
-        body = body.join(Arc::new(matches), &mut index);
+        body = body.join(Arc::new(Matches::Bindings(matches)), None, &mut index);
         if body.is_empty() {
             return Ok(Forest::new());
         }
     }
     let mut forest = Forest::new();
-    body.with_rows(|rows| {
+    body.with_rows(|rows, _| {
         let cols: Vec<usize> = (0..rows.vars().len()).collect();
         let mut b = Binding::new();
         for row in 0..rows.len() {

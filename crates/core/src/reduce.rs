@@ -32,8 +32,10 @@ use crate::error::{AxmlError, Result};
 use crate::subsume::{subsumed_within, SubMemo};
 use crate::sym::FxHasher;
 use crate::tree::{Marking, NodeId, Tree};
-use std::fmt::Write;
+use std::cell::RefCell;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::io::Write;
+use std::sync::Arc;
 
 /// Reduce `t` in place: prune every child subtree subsumed by a sibling,
 /// bottom-up. Keeps the *oldest* (lowest node id) representative of each
@@ -196,6 +198,30 @@ pub(crate) fn subtree_sig(t: &Tree, n: NodeId) -> Sig {
     }
 }
 
+/// Does no node of the subtree at `n` have two children with the same
+/// marking? Such a subtree is reduced: a child can only be subsumed by a
+/// sibling with its own marking. `scratch` is reused across calls.
+pub(crate) fn siblings_distinct(t: &Tree, n: NodeId, scratch: &mut Vec<Marking>) -> bool {
+    let kids = t.children(n);
+    if kids.len() > 1 {
+        scratch.clear();
+        scratch.extend(kids.iter().map(|&c| t.marking(c)));
+        scratch.sort_unstable();
+        if scratch.windows(2).any(|w| w[0] == w[1]) {
+            return false;
+        }
+    }
+    kids.iter().all(|&c| siblings_distinct(t, c, scratch))
+}
+
+/// Reduce `t` in place unless it is already reduced: the one reduction
+/// of a tree-variable binding's own copy.
+pub(crate) fn reduce_unless_reduced(t: &mut Tree) {
+    if !siblings_distinct(t, t.root(), &mut Vec::new()) {
+        reduce_in_place(t);
+    }
+}
+
 /// Live nodes of `t` in postorder (children before parents).
 fn postorder(t: &Tree) -> Vec<NodeId> {
     let mut pre: Vec<NodeId> = t.iter_live(t.root()).collect();
@@ -236,17 +262,19 @@ impl std::fmt::Display for CanonKey {
     }
 }
 
-fn marking_tag(m: Marking, out: &mut String) {
+/// Append the tag of marking `m` to `out`: its kind, the byte length of
+/// its name, a colon and the name.
+fn marking_tag(m: Marking, out: &mut Vec<u8>) {
     let (tag, s) = match m {
-        Marking::Label(s) => ('L', s),
-        Marking::Func(s) => ('F', s),
-        Marking::Value(s) => ('V', s),
+        Marking::Label(s) => (b'L', s),
+        Marking::Func(s) => (b'F', s),
+        Marking::Value(s) => (b'V', s),
     };
     let name = s.as_str();
     out.push(tag);
-    // Writing to a `String` cannot fail.
+    // Writing to a `Vec` cannot fail.
     let _ = write!(out, "{}:", name.len());
-    out.push_str(name);
+    out.extend_from_slice(name.as_bytes());
 }
 
 /// Canonical encoding of the subtree of `t` at `n`.
@@ -255,30 +283,83 @@ fn marking_tag(m: Marking, out: &mut String) {
 /// versions are unique up to isomorphism, and this encoding is
 /// isomorphism-invariant (children encodings are sorted). For arbitrary
 /// trees use [`canonical_key`], which reduces first.
+///
+/// The encoding is a node's tag, then, if it has children, their
+/// encodings in byte order between braces. It is rendered into one
+/// buffer reused by every encoding on the thread, the way
+/// [`crate::display::compact_at`] renders: a node encodes its children
+/// one after another, then orders them through ranges into the buffer,
+/// rewriting the block only when the two orders differ. The returned
+/// key is the only allocation.
 pub fn canon_of_reduced(t: &Tree, n: NodeId) -> CanonKey {
-    fn go(t: &Tree, n: NodeId, out: &mut String) {
-        marking_tag(t.marking(n), out);
-        let kids = t.children(n);
-        if !kids.is_empty() {
-            let mut encs: Vec<String> = kids
-                .iter()
-                .map(|&c| {
-                    let mut s = String::new();
-                    go(t, c, &mut s);
-                    s
-                })
-                .collect();
-            encs.sort_unstable();
-            out.push('{');
-            for e in encs {
-                out.push_str(&e);
-            }
-            out.push('}');
-        }
+    CanonKey(with_canon(t, n, str::to_owned))
+}
+
+/// [`canon_of_reduced`] as a shared string: the key a tree-variable
+/// binding carries ([`crate::matcher::Bound::Tree`]), so cloning a
+/// binding never copies it.
+pub(crate) fn canon_shared(t: &Tree, n: NodeId) -> Arc<str> {
+    with_canon(t, n, |s| Arc::from(s))
+}
+
+/// The text buffer and span stack of [`encode`].
+struct Scratch {
+    text: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    /// [`encode`]'s scratch, reused by every encoding on the thread.
+    static CANON: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            text: Vec::new(),
+            spans: Vec::new(),
+        })
+    };
+}
+
+/// Encode the subtree of `t` at `n` and hand the text to `f`.
+fn with_canon<R>(t: &Tree, n: NodeId, f: impl FnOnce(&str) -> R) -> R {
+    CANON.with(|c| {
+        let Scratch { text, spans } = &mut *c.borrow_mut();
+        text.clear();
+        encode(t, n, text, spans);
+        f(std::str::from_utf8(text).expect("markings encode as UTF-8"))
+    })
+}
+
+/// Append the encoding of the subtree at `n` to `out`. `spans` is
+/// scratch: each node pushes the ranges of its children's encodings
+/// above the frames of its ancestors and pops them when done.
+fn encode(t: &Tree, n: NodeId, out: &mut Vec<u8>, spans: &mut Vec<(usize, usize)>) {
+    marking_tag(t.marking(n), out);
+    let kids = t.children(n);
+    if kids.is_empty() {
+        return;
     }
-    let mut s = String::new();
-    go(t, n, &mut s);
-    CanonKey(s)
+    out.push(b'{');
+    let start = out.len();
+    let base = spans.len();
+    for &c in kids {
+        let from = out.len();
+        encode(t, c, out, spans);
+        spans.push((from, out.len()));
+    }
+    let text = |&(s, e): &(usize, usize)| s..e;
+    let frame = &mut spans[base..];
+    if !frame
+        .windows(2)
+        .all(|w| out[text(&w[0])] <= out[text(&w[1])])
+    {
+        frame.sort_unstable_by(|a, b| out[text(a)].cmp(&out[text(b)]));
+        let end = out.len();
+        for span in frame.iter() {
+            out.extend_from_within(text(span));
+        }
+        out.drain(start..end);
+    }
+    spans.truncate(base);
+    out.push(b'}');
 }
 
 /// Canonical key of an arbitrary tree: reduce a copy, then encode.

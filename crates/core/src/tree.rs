@@ -542,6 +542,26 @@ impl Tree {
         out
     }
 
+    /// [`Tree::subtree`], also returning the newest (highest-id) node of
+    /// the copied subtree, found in the same walk. Each node's children
+    /// keep their order in the copy.
+    pub(crate) fn subtree_with_newest(&self, n: NodeId) -> (Tree, NodeId) {
+        fn copy(src: &Tree, s: NodeId, dst: &mut Tree, d: NodeId, newest: &mut NodeId) {
+            for &c in src.children(s) {
+                *newest = (*newest).max(c);
+                let dc = dst
+                    .add_child(d, src.marking(c))
+                    .expect("copy target must accept children");
+                copy(src, c, dst, dc, newest);
+            }
+        }
+        let mut out = Tree::new(self.marking(n));
+        let mut newest = n;
+        let root = out.root;
+        copy(self, n, &mut out, root, &mut newest);
+        (out, newest)
+    }
+
     /// Copy the children subtrees of `src_node` (in `self`) as children of
     /// `dst_node` in `dst`.
     pub fn copy_children_into(&self, src_node: NodeId, dst: &mut Tree, dst_node: NodeId) {

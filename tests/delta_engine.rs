@@ -1,12 +1,26 @@
-//! Property-based differential test for the delta-driven engine mode:
-//! on randomized simple positive systems, whenever the naive engine
+//! Property-based differential tests for the delta-driven engine mode.
+//!
+//! On randomized simple positive systems, whenever the naive engine
 //! reaches a fixpoint, the delta engine must reach an *equivalent*
 //! fixpoint under every visit strategy — skipping calls whose read set
 //! is unchanged may reorder and drop invocations but never changes the
 //! limit (Theorem 2.1 confluence plus monotonicity of services).
+//!
+//! Under the round-robin order (and its reverse) the two engines must
+//! moreover agree node for node after every round: a skipped call and a semi-naive one (which
+//! builds heads only for rows new since its last evaluation) graft
+//! exactly what the naive call grafts, in the same order. Naive is the
+//! oracle; hand-built systems pin the cases where a row's birth is easy
+//! to get wrong.
 
-use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus, Strategy};
+use positive_axml::core::engine::{
+    run, EngineConfig, EngineMode, RoundRunner, RunStatus, Strategy,
+};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
+use positive_axml::core::subsume::equivalent;
+use positive_axml::core::trace::Tracer;
+use positive_axml::core::tree::NodeId;
+use positive_axml::core::{parse_tree, Sym, System};
 use proptest::prelude::*;
 
 const BUDGET: usize = 5_000;
@@ -63,5 +77,198 @@ proptest! {
         // may be reached along a different path, so only check the
         // invariant that skips are real work not done.
         prop_assert!(dstats.invocations <= nstats.invocations + dstats.skipped);
+    }
+}
+
+/// Rounds compared before a run that has not stopped is cut off.
+const MAX_ROUNDS: usize = 24;
+
+/// Do `naive` and `delta` hold the same documents node for node: the
+/// same arena length and, for every slot, the same marking, parent and
+/// liveness?
+fn assert_same_nodes(naive: &System, delta: &System, what: &str) {
+    assert_eq!(naive.doc_names(), delta.doc_names(), "{what}");
+    for &d in naive.doc_names() {
+        let (n, m) = (naive.doc(d).unwrap(), delta.doc(d).unwrap());
+        assert_eq!(n.arena_len(), m.arena_len(), "{what}: arena of {d}");
+        for i in 0..n.arena_len() {
+            let x = NodeId(i as u32);
+            assert_eq!(
+                (n.is_alive(x), n.marking(x), n.parent(x)),
+                (m.is_alive(x), m.marking(x), m.parent(x)),
+                "{what}: node {i} of {d}"
+            );
+        }
+    }
+}
+
+/// Step a naive and a delta runner over copies of `sys` side by side,
+/// visiting calls in the order of `strategy` with compiled programs, and
+/// compare the documents after every round. Returns the delta system at
+/// the end and the number of rounds run.
+fn rounds_agree(sys: &System, strategy: Strategy, what: &str) -> (System, usize) {
+    let cfg = |mode| EngineConfig {
+        mode,
+        strategy,
+        compile: true,
+        max_nodes: 4_000,
+        ..EngineConfig::default()
+    };
+    let (mut naive, mut delta) = (sys.clone(), sys.clone());
+    let mut rn = RoundRunner::new(&cfg(EngineMode::Naive));
+    let mut rd = RoundRunner::new(&cfg(EngineMode::Delta));
+    for round in 1..=MAX_ROUNDS {
+        let sn = rn.step(&mut naive, Tracer::disabled()).unwrap();
+        let sd = rd.step(&mut delta, Tracer::disabled()).unwrap();
+        assert_same_nodes(&naive, &delta, &format!("{what}, round {round}"));
+        assert_eq!(sn, sd, "{what}, round {round}");
+        if sn.is_some() {
+            return (delta, round);
+        }
+    }
+    (delta, MAX_ROUNDS)
+}
+
+/// Run `docs` and `services` through [`rounds_agree`], round-robin and
+/// reversed (a round visits the documents in order and each document's
+/// calls last child first; reversed, the other way round); the
+/// fixpoint's document `doc` must be equivalent to `expect`. In at least
+/// one of the two orders, each case reads data before it grows.
+fn case(docs: &[(&str, &str)], services: &[(&str, &str)], doc: &str, expect: &str) {
+    let mut sys = System::new();
+    for (name, text) in docs {
+        sys.add_document_text(name, text).unwrap();
+    }
+    for (name, query) in services {
+        sys.add_service_text(name, query).unwrap();
+    }
+    for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
+        let what = format!("{doc}, {strategy:?}");
+        let (fixpoint, rounds) = rounds_agree(&sys, strategy, &what);
+        assert!(rounds < MAX_ROUNDS, "{what}: no fixpoint");
+        let got = fixpoint.doc(Sym::intern(doc)).unwrap();
+        assert!(
+            equivalent(got, &parse_tree(expect).unwrap()),
+            "{what}: {got} is not {expect}"
+        );
+    }
+}
+
+/// `#T` binds `a`, whose subtree grows below it after `g` first ran: the
+/// row's birth is the newest node of the bound subtree, not `a`'s.
+/// (Reversed, `g` reads `a` before `m` arrives, and reads it again
+/// before the copy of `@tv_grow` it grafted grows an `m` of its own.)
+#[test]
+fn tree_variable_bound_above_new_data() {
+    case(
+        &[
+            ("tv_src", r#"tv_src{a{k{"1"}, @tv_grow}}"#),
+            ("tv_out", "tv_out{@tv_g}"),
+        ],
+        &[
+            ("tv_g", "got{#T} :- tv_src/tv_src{#T}"),
+            ("tv_grow", "m :-"),
+        ],
+        "tv_out",
+        r#"tv_out{@tv_g, got{a{k{"1"}, @tv_grow, m}}}"#,
+    );
+}
+
+/// The ground child `flag` has no witness when `g` first runs; its only
+/// witness is grafted after, so the row is new through the witness
+/// alone.
+#[test]
+fn ground_child_witnessed_only_by_a_new_node() {
+    case(
+        &[("gw", r#"gw{a{"1"}, @gw_flag, @gw_g}"#)],
+        &[
+            ("gw_g", "out{$x} :- gw/gw{a{$x}, flag}"),
+            ("gw_flag", "flag :-"),
+        ],
+        "gw",
+        r#"gw{a{"1"}, @gw_flag, @gw_g, flag, out{"1"}}"#,
+    );
+}
+
+/// The row `$x = "1"` is derived through the old `a` and through a new
+/// one: it is old, and its head was grafted at the first evaluation.
+#[test]
+fn row_derived_through_an_old_and_a_new_node() {
+    case(
+        &[("od", r#"od{a{"1", p}, @od_more, @od_g}"#)],
+        &[
+            ("od_g", "out{$x} :- od/od{a{$x}}"),
+            ("od_more", r#"a{"1", q} :-"#),
+        ],
+        "od",
+        r#"od{a{"1", p}, a{"1", q}, @od_more, @od_g, out{"1"}}"#,
+    );
+}
+
+/// Two atoms over two documents, and only the second document grows: a
+/// joined row is new when its second atom's row is.
+#[test]
+fn two_documents_where_only_the_second_grows() {
+    case(
+        &[
+            ("tw1", r#"tw1{a{"1"}, @tw_g}"#),
+            ("tw2", r#"tw2{b{"1"}, @tw_more}"#),
+        ],
+        &[
+            ("tw_g", "pair{$x,$y} :- tw1/tw1{a{$x}}, tw2/tw2{b{$y}}"),
+            ("tw_more", r#"b{"2"} :-"#),
+        ],
+        "tw1",
+        r#"tw1{a{"1"}, @tw_g, pair{"1","2"}}"#,
+    );
+}
+
+/// The doubling closure (Example 3.2) reads back what it grafted: its
+/// marks are taken before its graft, so its own results are new the
+/// next time it runs.
+#[test]
+fn call_reading_back_its_own_results() {
+    let path: Vec<String> = (1..5)
+        .map(|i| format!(r#"t{{from{{"{i}"}},to{{"{}"}}}}"#, i + 1))
+        .collect();
+    let closure: Vec<String> = (1..5)
+        .flat_map(|i| (i + 1..6).map(move |j| format!(r#"t{{from{{"{i}"}},to{{"{j}"}}}}"#)))
+        .collect();
+    case(
+        &[("own", &format!("own{{{}, @own_tc}}", path.join(",")))],
+        &[(
+            "own_tc",
+            "t{from{$x},to{$y}} :- own/own{t{from{$x},to{$z}}, t{from{$z},to{$y}}}",
+        )],
+        "own",
+        &format!("own{{{}, @own_tc}}", closure.join(",")),
+    );
+}
+
+/// A service reading `context`, a fresh tree on every call: all its rows
+/// are new, joined with old rows of a stored document.
+#[test]
+fn context_reader_joined_with_a_stored_document() {
+    case(
+        &[("cx", r#"cx{x{@cx_addv, @cx_c}, w{"9"}}"#)],
+        &[
+            ("cx_c", "seen{$v,$w} :- context/x{v{$v}}, cx/cx{w{$w}}"),
+            ("cx_addv", r#"v{"1"} :-"#),
+        ],
+        "cx",
+        r#"cx{x{@cx_addv, @cx_c, v{"1"}, seen{"1","9"}}, w{"9"}}"#,
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn delta_equals_naive_node_for_node_after_every_round(
+        seed in 0u64..1_000_000,
+        knob in 0u64..24,
+    ) {
+        let sys = random_simple_system(&gen_cfg(knob), seed);
+        rounds_agree(&sys, Strategy::RoundRobin, &format!("seed {seed} knob {knob}"));
     }
 }
