@@ -6,10 +6,6 @@
 //! it per parent binding — plus the wide-fanout anchored probe as the
 //! cheap-pattern control (compiled overhead must stay negligible).
 //!
-//! Engine level: the X12 closure digraph under the delta scheduler with
-//! `compile: true` vs `compile: false`; the program cache compiles each
-//! service once and every later round hits.
-//!
 //! Regular paths: the X10 catalog walk through a prebuilt
 //! [`CompiledRegQuery`] (NFAs constructed once) vs `snapshot_reg`
 //! rebuilding the automata per call.
@@ -98,25 +94,6 @@ fn bench_wide_fanout(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("x18/engine");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-    for compile in [false, true] {
-        let label = if compile { "compiled" } else { "interpreted" };
-        g.bench_with_input(BenchmarkId::new(label, 48), &(), |b, _| {
-            b.iter(|| {
-                let mut sys = tc_random_digraph(48, 4, 12);
-                let cfg = EngineConfig {
-                    compile,
-                    ..EngineConfig::with_mode(EngineMode::Delta)
-                };
-                run(&mut sys, &cfg).unwrap().1.invocations
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_reg_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("x18/reg-path");
     g.sample_size(10).measurement_time(Duration::from_secs(2));
@@ -138,11 +115,5 @@ fn bench_reg_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_tc_join,
-    bench_wide_fanout,
-    bench_engine,
-    bench_reg_path
-);
+criterion_group!(benches, bench_tc_join, bench_wide_fanout, bench_reg_path);
 criterion_main!(benches);

@@ -908,63 +908,9 @@ fn x16() {
         "wide-fanout probe must be ≥3x faster than the scan (got {widest_speedup:.1}x)"
     );
 
-    // Engine level: the X12 closure workload, delta mode, scan vs index;
-    // then the graft-heavy TM workload where the index is pure
-    // maintenance overhead and must stay within ~10% of the scan.
-    println!(
-        "\n{:>20} {:>9} {:>12} {:>11} {:>9}",
-        "workload", "strategy", "invocations", "time(ms)", "agree"
-    );
-    for &(name, graft_heavy) in &[("tc-digraph-64", false), ("pipeline-8x48", true)] {
-        let build = || -> System {
-            if graft_heavy {
-                pipeline_system(8, 48)
-            } else {
-                tc_random_digraph(64, 6, 12)
-            }
-        };
-        let mut keys = Vec::new();
-        let mut times = Vec::new();
-        for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-            let mut sys = build();
-            let cfg = EngineConfig {
-                mode: EngineMode::Delta,
-                match_strategy: strategy,
-                ..EngineConfig::with_budget(20_000)
-            };
-            let t0 = Instant::now();
-            let (status, stats) = run(&mut sys, &cfg).unwrap();
-            let t = ms(t0);
-            assert_eq!(status, RunStatus::Terminated);
-            keys.push(sys.canonical_key());
-            times.push(t);
-            let agree = keys.first() == keys.last();
-            assert!(agree);
-            println!(
-                "{name:>20} {:>9} {:>12} {t:>11.2} {agree:>9}",
-                if strategy == MatchStrategy::Scan {
-                    "scan"
-                } else {
-                    "indexed"
-                },
-                stats.invocations
-            );
-        }
-        let overhead = times[1] / times[0];
-        if graft_heavy {
-            println!(
-                "graft-heavy maintenance overhead: {:.2}x the scan time",
-                overhead
-            );
-            assert!(
-                overhead <= 1.5,
-                "index maintenance cost exploded on the graft-heavy workload ({overhead:.2}x)"
-            );
-        }
-    }
-
-    // Observability: the same run with metrics attached surfaces the
-    // index hit rate and maintenance counters in the report.
+    // Observability: the closure workload's delta run with metrics
+    // attached surfaces the index hit rate and maintenance counters in
+    // the report.
     let journal = Journal::new();
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
@@ -1128,52 +1074,6 @@ fn x18() {
             interp_ms / comp_ms
         );
     }
-
-    // Engine level: the closure digraph under the delta scheduler with
-    // compilation off vs on — identical fixpoint and counts; the
-    // program cache compiles once per service and hits thereafter.
-    println!(
-        "\n{:>20} {:>11} {:>12} {:>11} {:>14} {:>7}",
-        "workload", "compile", "invocations", "time(ms)", "programs", "agree"
-    );
-    let mut keys = Vec::new();
-    let mut times = Vec::new();
-    for compile in [false, true] {
-        let mut sys = tc_random_digraph(64, 6, 12);
-        let cfg = EngineConfig {
-            mode: EngineMode::Delta,
-            compile,
-            ..EngineConfig::with_budget(20_000)
-        };
-        let t0 = Instant::now();
-        let (status, stats) = run(&mut sys, &cfg).unwrap();
-        let t = ms(t0);
-        assert_eq!(status, RunStatus::Terminated);
-        keys.push(sys.canonical_key());
-        times.push(t);
-        let agree = keys.first() == keys.last();
-        assert!(agree);
-        let programs = if compile {
-            assert!(
-                stats.program_cache_hits > 0,
-                "later rounds must hit the cache"
-            );
-            format!(
-                "{} ({}h/{}m)",
-                stats.programs_compiled, stats.program_cache_hits, stats.program_cache_misses
-            )
-        } else {
-            assert_eq!(stats.programs_compiled, 0);
-            "-".into()
-        };
-        println!(
-            "{:>20} {:>11} {:>12} {t:>11.2} {programs:>14} {agree:>7}",
-            "tc-digraph-64",
-            if compile { "on" } else { "off" },
-            stats.invocations
-        );
-    }
-    println!("engine-level speedup: {:.2}x", times[0] / times[1]);
 
     // Regular paths: the X10 catalog walk with prebuilt NFAs (the
     // per-service memo behind ProgramCache::reg) vs rebuilding the

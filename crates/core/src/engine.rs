@@ -59,14 +59,19 @@ pub enum EngineMode {
     /// output. A skipped call re-fires as soon as any read document's
     /// version changes, so runs stay fair and Theorem 2.1's confluence
     /// is preserved. Also evaluates positive services through the
-    /// per-atom [`MatchCache`], and, with compiled programs, semi-naively:
-    /// a call that does run builds heads only for rows new since its last
-    /// applied evaluation (see [`crate::eval`]), and grafts exactly what
-    /// a full evaluation would.
+    /// per-atom [`MatchCache`], semi-naively: a call that does run builds
+    /// heads only for rows new since its last applied evaluation (see
+    /// [`crate::eval`]), and grafts exactly what a full evaluation would.
     Delta,
 }
 
 /// Engine budgets, strategy, and evaluation mode.
+///
+/// In both modes positive services evaluate through compiled match
+/// programs ([`crate::compile`]) under [`MatchStrategy::Indexed`], which
+/// scans wherever a document is too small to carry an index. The pattern
+/// interpreter over [`MatchStrategy::Scan`] is the reference the engine
+/// is tested against (`tests/reference/mod.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Maximum number of invocations (productive or not).
@@ -77,21 +82,6 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// Evaluation mode (naive or delta-driven).
     pub mode: EngineMode,
-    /// How positive services' bodies are matched
-    /// ([`MatchStrategy::Indexed`] by default; [`MatchStrategy::Scan`]
-    /// is the baseline of the X16 experiment). Observationally
-    /// equivalent either way.
-    pub match_strategy: MatchStrategy,
-    /// Whether positive services evaluate through compiled, cached match
-    /// programs ([`crate::compile`]) instead of the recursive pattern
-    /// interpreter. On by default; setting `AXML_FORCE_INTERPRET=1` in
-    /// the environment flips the default off — the hook the
-    /// forced-interpreter CI job uses. Observationally equivalent either
-    /// way (bit-for-bit identical bindings, fixpoints, and document
-    /// changes; the event streams differ in the `compile:`-category
-    /// events and, under [`EngineMode::Delta`], in the result trees a
-    /// semi-naive call builds and checks).
-    pub compile: bool,
 }
 
 impl Default for EngineConfig {
@@ -101,8 +91,6 @@ impl Default for EngineConfig {
             max_nodes: 1_000_000,
             strategy: Strategy::RoundRobin,
             mode: EngineMode::Naive,
-            match_strategy: MatchStrategy::default(),
-            compile: !crate::compile::force_interpret(),
         }
     }
 }
@@ -128,25 +116,6 @@ impl EngineConfig {
     pub fn with_mode(mode: EngineMode) -> EngineConfig {
         EngineConfig {
             mode,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// A config with the given match strategy, default elsewhere.
-    pub fn with_match_strategy(match_strategy: MatchStrategy) -> EngineConfig {
-        EngineConfig {
-            match_strategy,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// A config with compilation forced on or off, default elsewhere.
-    /// Unlike the `AXML_FORCE_INTERPRET` environment hook (which only
-    /// moves the *default*), an explicit setting always wins — the
-    /// differential tests toggle both paths programmatically with it.
-    pub fn with_compile(compile: bool) -> EngineConfig {
-        EngineConfig {
-            compile,
             ..EngineConfig::default()
         }
     }
@@ -184,9 +153,8 @@ pub struct RunStats {
     pub cache_hits: usize,
     /// Per-atom match-cache misses ([`EngineMode::Delta`] only).
     pub cache_misses: usize,
-    /// Match programs compiled ([`EngineConfig::compile`] only) — one
-    /// per `(service, strategy)` pair plus one per index-generation
-    /// invalidation.
+    /// Match programs compiled: one per positive service invoked, plus
+    /// one per index-generation invalidation (see [`crate::compile`]).
     pub programs_compiled: usize,
     /// Program-cache hits: invocations that reused a compiled program.
     pub program_cache_hits: usize,
@@ -401,9 +369,9 @@ pub struct RoundRunner {
     /// Delta-mode match cache: per-atom matches, and per call the marks
     /// of its last applied semi-naive evaluation.
     cache: MatchCache,
-    /// Program cache: compiled match programs per service, kept for the
-    /// whole run (unlike the delta-only match cache it pays off in
-    /// every mode — a service's pattern never changes mid-run).
+    /// Program cache: the compiled match program of every positive
+    /// service, kept for the whole run in both modes (a service's
+    /// pattern never changes mid-run).
     pcache: ProgramCache,
     seeded: bool,
     status: Option<RunStatus>,
@@ -658,11 +626,11 @@ impl RoundRunner {
                 d,
                 n,
                 delta.then_some(&mut self.cache),
-                cfg.compile.then_some(&mut self.pcache),
+                Some(&mut self.pcache),
                 tracer,
                 prov,
                 round,
-                cfg.match_strategy,
+                MatchStrategy::Indexed,
             )?;
             tracer.emit(|| EventKind::Invoke {
                 doc: d,

@@ -129,9 +129,8 @@ pub struct EvalStats {
 /// [`crate::tree::Tree::version`] changes on every mutation, so an entry
 /// whose id and version still match is exact — not merely sound. The
 /// reserved `input`/`context` documents are never cached: they are fresh
-/// trees on every invocation. An entry from the compiled executor is a
-/// flat relation with the birth of each row; one from the interpreter is
-/// its bindings, which carry no births.
+/// trees on every invocation. An entry is the compiled executor's flat
+/// relation, with the birth of each row.
 #[derive(Default)]
 pub struct MatchCache {
     entries: FxHashMap<(Sym, usize), CacheEntry>,
@@ -237,9 +236,9 @@ pub fn snapshot_with_stats(q: &Query, env: &Env<'_>) -> Result<(Forest, EvalStat
     )
 }
 
-/// [`snapshot`] under an explicit [`MatchStrategy`] — the scan baseline
-/// of the X16 experiment; engine runs set the strategy via
-/// [`crate::engine::EngineConfig`] instead.
+/// [`snapshot`] under an explicit [`MatchStrategy`]: the interpreter over
+/// a scan, or over the index as [`snapshot`] does. Engine runs always
+/// match compiled programs under [`MatchStrategy::Indexed`].
 pub fn snapshot_with_strategy(
     q: &Query,
     env: &Env<'_>,
@@ -266,47 +265,6 @@ pub fn snapshot_compiled(
         Some((svc, programs)),
         Tracer::disabled(),
         strategy,
-    )
-}
-
-/// [`snapshot_with_stats`] with per-atom match caching for the service
-/// named `svc`: body atoms over stored documents reuse the bindings of
-/// the previous evaluation whenever the document is unchanged (same
-/// tree id and version).
-pub fn snapshot_with_cache(
-    q: &Query,
-    env: &Env<'_>,
-    svc: Sym,
-    cache: &mut MatchCache,
-) -> Result<(Forest, EvalStats)> {
-    snapshot_inner(
-        q,
-        env,
-        Some((svc, cache)),
-        None,
-        Tracer::disabled(),
-        MatchStrategy::default(),
-    )
-}
-
-/// [`snapshot_with_cache`], emitting a [`EventKind::CacheHit`] /
-/// [`EventKind::CacheMiss`] event per cacheable body atom and an
-/// [`EventKind::IndexLookup`] event per atom that ran the matcher (see
-/// [`crate::trace`]).
-pub fn snapshot_with_cache_traced(
-    q: &Query,
-    env: &Env<'_>,
-    svc: Sym,
-    cache: &mut MatchCache,
-    tracer: Tracer<'_>,
-) -> Result<(Forest, EvalStats)> {
-    snapshot_inner(
-        q,
-        env,
-        Some((svc, cache)),
-        None,
-        tracer,
-        MatchStrategy::default(),
     )
 }
 
@@ -801,13 +759,27 @@ mod tests {
         let q = parse_query("r{$x} :- d/r{t{$x}}").unwrap();
         let svc = Sym::intern("f");
         let mut cache = MatchCache::new();
+        let mut programs = ProgramCache::new();
+        let mut cached = |env: &Env<'_>, cache: &mut MatchCache| {
+            let (heads, _) = snapshot_heads(
+                &q,
+                env,
+                Some((svc, cache)),
+                Some((svc, &mut programs)),
+                Tracer::disabled(),
+                MatchStrategy::default(),
+                None,
+            )
+            .unwrap();
+            heads.reduce()
+        };
 
         let input = parse_tree("input").unwrap();
         let context = parse_tree("c").unwrap();
         let env = Env::for_invocation(&sys, Some(&input), Some(&context));
-        let (f1, _) = snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
+        let f1 = cached(&env, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let (f2, _) = snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
+        let f2 = cached(&env, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(f1.subsumed_by(&f2) && f2.subsumed_by(&f1));
         drop(env);
@@ -818,7 +790,7 @@ mod tests {
         let root = doc.root();
         doc.graft(root, &extra).unwrap();
         let env = Env::for_invocation(&sys, Some(&input), Some(&context));
-        let (f3, _) = snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
+        let f3 = cached(&env, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
         assert_eq!(f3.len(), 3);
     }
@@ -833,8 +805,19 @@ mod tests {
         let context = parse_tree("c").unwrap();
         let input = parse_tree(r#"input{p{"1"}}"#).unwrap();
         let env = Env::for_invocation(&sys, Some(&input), Some(&context));
-        snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
-        snapshot_with_cache(&q, &env, svc, &mut cache).unwrap();
+        let mut programs = ProgramCache::new();
+        for _ in 0..2 {
+            snapshot_heads(
+                &q,
+                &env,
+                Some((svc, &mut cache)),
+                Some((svc, &mut programs)),
+                Tracer::disabled(),
+                MatchStrategy::default(),
+                None,
+            )
+            .unwrap();
+        }
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
         assert!(cache.is_empty());
     }

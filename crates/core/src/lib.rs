@@ -102,10 +102,10 @@ pub use engine::{
     run, run_traced, EngineConfig, EngineMode, RoundRunner, RunStats, RunStatus, Strategy,
 };
 pub use error::{AxmlError, Result};
-pub use eval::{snapshot, snapshot_with_cache, Env, MatchCache, QueryCursor};
+pub use eval::{snapshot, Env, MatchCache, QueryCursor};
 pub use forest::Forest;
 pub use index::{DocIndex, IndexStats};
-pub use invoke::{invoke_node, invoke_node_cached};
+pub use invoke::invoke_node;
 pub use matcher::MatchStrategy;
 pub use parse::{parse_document, parse_pattern, parse_tree};
 pub use provenance::{

@@ -20,10 +20,10 @@
 //!   counters and log-scale [`Histogram`]s, no event storage), and
 //!   [`Fanout`] (both at once).
 //! * [`Tracer`] — the cheap handle threaded through
-//!   [`crate::engine::run_traced`], [`crate::invoke::invoke_node_traced`]
-//!   and the p2p backends. A disabled tracer is a `None` check per event
-//!   site; event construction closures never run, so tracing costs
-//!   nothing when off.
+//!   [`crate::engine::run_traced`],
+//!   [`crate::invoke::invoke_node_with_provenance`] and the p2p backends.
+//!   A disabled tracer is a `None` check per event site; event
+//!   construction closures never run, so tracing costs nothing when off.
 //! * [`chrome_trace`] — export a journal as Chrome `trace_event` JSON,
 //!   loadable in `chrome://tracing` or <https://ui.perfetto.dev>;
 //!   [`validate_chrome_trace`] checks an export without a browser.

@@ -123,11 +123,7 @@ fn chain_system(chain: usize) -> System {
 /// One Delta run to the fixpoint plus the closure query: the engine
 /// work of one `fixpoint_write` operation, without the server.
 fn run_and_query(mut sys: System) -> usize {
-    let cfg = EngineConfig {
-        mode: EngineMode::Delta,
-        ..EngineConfig::with_compile(true)
-    };
-    let (status, _) = run(&mut sys, &cfg).unwrap();
+    let (status, _) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     let q = parse_query(CLOSURE_QUERY).unwrap();
     snapshot(&q, &Env::for_system(&sys)).unwrap().len()
@@ -167,7 +163,7 @@ fn chain16_delta_run_and_closure_query_stay_under_budget() {
 /// closure edges.
 fn closure_system() -> System {
     let mut sys = chain_system(16);
-    let (status, _) = run(&mut sys, &EngineConfig::with_compile(true)).unwrap();
+    let (status, _) = run(&mut sys, &EngineConfig::default()).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     sys
 }
@@ -230,10 +226,7 @@ fn rendering_an_answer_takes_at_most_three_allocations() {
 fn chain16_subsume_checks(mode: EngineMode) -> usize {
     let mut sys = chain_system(16);
     let journal = Journal::new();
-    let cfg = EngineConfig {
-        mode,
-        ..EngineConfig::with_compile(true)
-    };
+    let cfg = EngineConfig::with_mode(mode);
     let (status, _) = run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     journal

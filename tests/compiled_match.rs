@@ -1,9 +1,10 @@
 //! Differential coverage for compiled pattern matching: the compiled
-//! path (`EngineConfig { compile: true }`) must be bit-for-bit
-//! equivalent to the recursive interpreter across the full
-//! {Naive,Delta} × {Scan,Indexed} matrix — identical fixpoints,
-//! invocation/productive/skip/round counts, final node counts,
-//! snapshot-level bindings, and explain/provenance DAGs.
+//! executor must be bit-for-bit equivalent to the recursive interpreter,
+//! atom by atom on generated patterns and forest by forest on the
+//! snapshots of every service, under both match strategies. Engine runs
+//! always use compiled programs; they are checked against the
+//! interpreted reference round by round (`reference/mod.rs`, driven by
+//! `delta_engine.rs` and by the redundant-conjunct case here).
 //!
 //! Soundness background (see `docs/compilation.md`): the optimization
 //! passes only remove work the interpreter would have proved redundant
@@ -13,15 +14,17 @@
 //! still orders child joins by actual candidate size exactly like the
 //! interpreter does.
 
+mod reference;
+
 use positive_axml::core::compile::ProgramCache;
-use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
+use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus, Strategy};
 use positive_axml::core::eval::{snapshot_compiled, snapshot_with_strategy, Env};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::MatchStrategy;
-use positive_axml::core::{parse_query, Sym};
+use positive_axml::core::subsume::equivalent;
+use positive_axml::core::{parse_query, parse_tree, Sym};
 use proptest::prelude::*;
-
-const BUDGET: usize = 5_000;
+use reference::{rounds_agree, MAX_ROUNDS};
 
 fn gen_cfg(knob: u64) -> GenConfig {
     GenConfig {
@@ -29,121 +32,6 @@ fn gen_cfg(knob: u64) -> GenConfig {
         docs: 1 + (knob % 2) as usize,
         head_call_prob: 0.15 + 0.2 * ((knob % 4) as f64),
         ..GenConfig::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The full matrix on random simple positive systems: every
-    /// (mode, strategy) cell computes the identical fixpoint and the
-    /// identical run statistics with compilation on and off. The compiled run additionally reports program-cache
-    /// traffic; the interpreted run never compiles anything.
-    #[test]
-    fn compiled_runs_reproduce_interpreted_runs(
-        seed in 0u64..1_000_000,
-        knob in 0u64..24,
-    ) {
-        let sys = random_simple_system(&gen_cfg(knob), seed);
-        for mode in [EngineMode::Naive, EngineMode::Delta] {
-            for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-                let base = EngineConfig {
-                    mode,
-                    match_strategy: strategy,
-                    ..EngineConfig::with_budget(BUDGET)
-                };
-                let mut interp = sys.clone();
-                let (i_status, i_stats) = run(
-                    &mut interp,
-                    &EngineConfig { compile: false, ..base },
-                )
-                .unwrap();
-                if i_status != RunStatus::Terminated {
-                    // Budget-exhausted prefixes are compared by the
-                    // small-budget test below; their documents can
-                    // be too deep for recursive canonicalization.
-                    continue;
-                }
-                let mut comp = sys.clone();
-                let (c_status, c_stats) = run(
-                    &mut comp,
-                    &EngineConfig { compile: true, ..base },
-                )
-                .unwrap();
-                prop_assert!(
-                    c_status == i_status,
-                    "seed {} knob {} {:?}/{:?}: status {:?} vs {:?}",
-                    seed, knob, mode, strategy,
-                    c_status, i_status
-                );
-                prop_assert!(
-                    comp.canonical_key() == interp.canonical_key(),
-                    "seed {} knob {} {:?}/{:?}: fixpoint diverged",
-                    seed, knob, mode, strategy
-                );
-                prop_assert!(c_stats.invocations == i_stats.invocations);
-                prop_assert!(c_stats.productive == i_stats.productive);
-                prop_assert!(c_stats.skipped == i_stats.skipped);
-                prop_assert!(c_stats.rounds == i_stats.rounds);
-                prop_assert!(c_stats.final_nodes == i_stats.final_nodes);
-                prop_assert!(c_stats.cache_hits == i_stats.cache_hits);
-                prop_assert!(c_stats.cache_misses == i_stats.cache_misses);
-                // Program-cache traffic is the only divergence.
-                prop_assert!(
-                    i_stats.programs_compiled == 0
-                        && i_stats.program_cache_hits == 0
-                        && i_stats.program_cache_misses == 0
-                );
-                if c_stats.invocations > 0 {
-                    prop_assert!(
-                        c_stats.program_cache_hits
-                            + c_stats.program_cache_misses
-                            > 0,
-                        "seed {} knob {}: compiled run never consulted \
-                         the program cache",
-                        seed, knob
-                    );
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Budget-bounded prefixes: even when a random system does *not*
-    /// terminate inside the budget, the compiled run's prefix must be
-    /// identical to the interpreter's (same status, stats, and final
-    /// canonical state).
-    #[test]
-    fn nonterminating_prefixes_identical_with_and_without_compilation(
-        seed in 0u64..1_000_000,
-    ) {
-        let sys = random_simple_system(
-            &GenConfig { head_call_prob: 0.9, ..GenConfig::default() },
-            seed,
-        );
-        let mut outcomes = Vec::new();
-        for compile in [false, true] {
-            let mut runner = sys.clone();
-            let cfg = EngineConfig {
-                mode: EngineMode::Delta,
-                compile,
-                ..EngineConfig::with_budget(200)
-            };
-            let (status, stats) = run(&mut runner, &cfg).unwrap();
-            outcomes.push((status, stats, runner.canonical_key()));
-        }
-        prop_assert!(outcomes[0].0 == outcomes[1].0);
-        prop_assert!(outcomes[0].1.invocations == outcomes[1].1.invocations);
-        prop_assert!(outcomes[0].1.rounds == outcomes[1].1.rounds);
-        prop_assert!(outcomes[0].1.skipped == outcomes[1].1.skipped);
-        prop_assert!(
-            outcomes[0].2 == outcomes[1].2,
-            "seed {}: prefix state diverged",
-            seed
-        );
     }
 }
 
@@ -202,49 +90,10 @@ proptest! {
     }
 }
 
-/// Provenance differential on the deterministic closure workload: the
-/// compiled engine grafts the same nodes through the same invocation
-/// records, so every answer's derivation DAG renders to the identical
-/// DOT text as the interpreter's.
-#[test]
-fn explain_answer_dags_identical_with_and_without_compilation() {
-    use positive_axml::core::engine::run_with_provenance;
-    use positive_axml::core::matcher::match_pattern;
-    use positive_axml::core::provenance::{Provenance, ProvenanceStore};
-    use positive_axml::core::trace::Tracer;
-
-    let mut dots: Vec<Vec<String>> = Vec::new();
-    for compile in [false, true] {
-        let mut sys = axml_bench::tc_random_digraph(32, 3, 12);
-        let store = ProvenanceStore::new();
-        let cfg = EngineConfig {
-            compile,
-            ..EngineConfig::with_mode(EngineMode::Delta)
-        };
-        let (status, _) =
-            run_with_provenance(&mut sys, &cfg, Tracer::disabled(), Provenance::new(&store))
-                .unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-
-        let q = parse_query("path{$x,$y} :- d1/r{t{from{$x},to{$y}}}").unwrap();
-        let t = sys.doc(Sym::intern("d1")).unwrap();
-        let bindings = match_pattern(&q.body[0].pattern, t);
-        assert!(!bindings.is_empty());
-        let rendered: Vec<String> = bindings
-            .iter()
-            .map(|b| store.explain_answer(&sys, &q, b).lineage.to_dot())
-            .collect();
-        dots.push(rendered);
-    }
-    assert_eq!(
-        dots[0], dots[1],
-        "derivation DAGs diverged between interpreter and compiled engine"
-    );
-}
-
 /// Redundant conjuncts: a service body with a literal duplicate atom
 /// and a ground atom implied by it compiles to a one-atom program, and
-/// the compiled fixpoint still matches the interpreter's exactly.
+/// the engines running that program still agree, round by round, with
+/// the interpreted reference, which matches all three atoms.
 #[test]
 fn redundant_conjuncts_are_eliminated_without_observable_effect() {
     let build = || {
@@ -267,124 +116,97 @@ fn redundant_conjuncts_are_eliminated_without_observable_effect() {
     let compiled = positive_axml::core::compile::compile_query(q, None, MatchStrategy::Indexed);
     assert_eq!(compiled.plan().atoms.len(), 1);
     assert_eq!(compiled.plan().eliminated.len(), 2);
-    // ...and both engines agree on the closure.
-    let mut interp = build();
-    let (s1, st1) = run(&mut interp, &EngineConfig::with_compile(false)).unwrap();
-    let mut comp = build();
-    let (s2, st2) = run(&mut comp, &EngineConfig::with_compile(true)).unwrap();
-    assert_eq!(s1, RunStatus::Terminated);
-    assert_eq!(s2, RunStatus::Terminated);
-    assert_eq!(interp.canonical_key(), comp.canonical_key());
-    assert_eq!(st1.invocations, st2.invocations);
-    assert_eq!(st1.productive, st2.productive);
-    assert!(st2.programs_compiled > 0);
+    // ...and the engines agree with the reference on the closure.
+    for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
+        let what = format!("redundant conjuncts, {strategy:?}");
+        let (fixpoint, rounds) = rounds_agree(&sys, strategy, &what);
+        assert!(rounds < MAX_ROUNDS, "{what}: no fixpoint");
+        let d0 = fixpoint.doc(Sym::intern("d0")).unwrap();
+        let closure = r#"r{t{from{"1"},to{"2"}}, t{from{"2"},to{"3"}}, @f, t{from{"1"},to{"3"}}}"#;
+        assert!(
+            equivalent(d0, &parse_tree(closure).unwrap()),
+            "{what}: {d0}"
+        );
+    }
+    let (status, stats) = run(&mut build(), &EngineConfig::default()).unwrap();
+    assert_eq!(status, RunStatus::Terminated);
+    assert!(stats.programs_compiled > 0);
 }
 
-/// The compiled run emits its compile-category trace events, and the two
-/// engines' journals agree on everything the run does to the documents.
-/// The compiled Delta run evaluates semi-naively: a call builds a head
-/// only for rows new since its last evaluation, so it hands fewer result
-/// trees to the graft and checks fewer for subsumption, but it grafts
-/// exactly the same trees in the same order.
+/// Both engine modes evaluate through the program cache and journal it,
+/// one `PlanCompiled` event per program compiled and one
+/// `ProgramCacheHit` per program reused, as `RunStats` counts them. And
+/// the two journals agree on every change to a document: the delta
+/// engine skips calls and, evaluating semi-naively, hands fewer result
+/// trees to the graft, but it grafts and reduces event for event as the
+/// naive engine does.
 #[test]
 fn trace_streams_agree_on_every_document_change() {
-    use positive_axml::core::trace::{EventKind, Journal, Tracer};
+    use positive_axml::core::trace::{EventKind, Journal, TraceEvent, Tracer};
 
-    let journal_of = |compile: bool| {
+    let journal_of = |mode| {
         let mut sys = axml_bench::tc_system(10);
         let journal = Journal::new();
-        let cfg = EngineConfig {
-            compile,
-            ..EngineConfig::with_mode(EngineMode::Delta)
-        };
-        positive_axml::core::engine::run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
-        journal.snapshot()
+        let cfg = EngineConfig::with_mode(mode);
+        let (status, stats) =
+            positive_axml::core::engine::run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
+        assert_eq!(status, RunStatus::Terminated);
+        let events = journal.snapshot();
+        let count = |want: fn(&EventKind) -> bool| events.iter().filter(|e| want(&e.kind)).count();
+        let compiled = count(|k| matches!(k, EventKind::PlanCompiled { .. }));
+        let hits = count(|k| matches!(k, EventKind::ProgramCacheHit { .. }));
+        assert!(
+            compiled > 0 && hits > 0,
+            "{mode:?}: {compiled} compiled, {hits} hits"
+        );
+        assert_eq!(compiled, stats.programs_compiled, "{mode:?}");
+        assert_eq!(hits, stats.program_cache_hits, "{mode:?}");
+        events
     };
-    let is_compile_event = |k: &EventKind| {
-        matches!(
-            k,
-            EventKind::PlanCompiled { .. }
-                | EventKind::ProgramCacheHit { .. }
-                | EventKind::ProgramCacheMiss { .. }
-        )
-    };
-    let interp = journal_of(false);
-    let comp = journal_of(true);
-    assert!(!interp.iter().any(|e| is_compile_event(&e.kind)));
-    assert!(comp
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::PlanCompiled { .. })));
-    assert!(comp
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::ProgramCacheHit { .. })));
-    // The rounds, the calls selected, and every change to a document:
-    // identical, event for event.
-    let changes = |evs: &[positive_axml::core::trace::TraceEvent]| -> Vec<String> {
+    let naive = journal_of(EngineMode::Naive);
+    let delta = journal_of(EngineMode::Delta);
+    // The rounds, every change to a document, and every invocation that
+    // changed one: identical, event for event.
+    let changes = |evs: &[TraceEvent]| -> Vec<String> {
         evs.iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::RoundStart { .. }
-                        | EventKind::RoundEnd { .. }
-                        | EventKind::CallSelected { .. }
-                        | EventKind::Graft { .. }
-                        | EventKind::Reduce { .. }
-                        | EventKind::IndexMaintain { .. }
-                )
+            .filter(|e| match e.kind {
+                EventKind::RoundStart { .. }
+                | EventKind::RoundEnd { .. }
+                | EventKind::Graft { .. }
+                | EventKind::Reduce { .. } => true,
+                EventKind::Invoke { changed, .. } => changed,
+                _ => false,
             })
-            .map(|e| format!("{:?}", e.kind))
-            .collect()
-    };
-    assert_eq!(
-        changes(&interp),
-        changes(&comp),
-        "document changes diverged"
-    );
-    // Every invocation changes its document the same way.
-    let invokes = |evs: &[positive_axml::core::trace::TraceEvent]| -> Vec<(bool, u32, u64)> {
-        evs.iter()
-            .filter_map(|e| match e.kind {
+            .map(|e| match e.kind {
                 EventKind::Invoke {
-                    changed,
+                    doc,
+                    node,
                     grafted,
                     doc_version,
                     ..
-                } => Some((changed, grafted, doc_version)),
-                _ => None,
+                } => format!("Invoke {doc:?} {node:?} {grafted} {doc_version}"),
+                ref k => format!("{k:?}"),
             })
             .collect()
     };
-    assert_eq!(invokes(&interp), invokes(&comp), "invocations diverged");
-    assert!(!invokes(&comp).is_empty());
+    assert!(changes(&naive).iter().any(|c| c.starts_with("Graft")));
+    assert_eq!(
+        changes(&naive),
+        changes(&delta),
+        "document changes diverged"
+    );
     // Fewer result trees to check, strictly fewer on this system.
-    let checks = |evs: &[positive_axml::core::trace::TraceEvent]| {
+    let checks = |evs: &[TraceEvent]| {
         evs.iter()
             .filter(|e| matches!(e.kind, EventKind::SubsumeCheck { .. }))
             .count()
     };
     assert!(
-        checks(&comp) < checks(&interp),
+        checks(&delta) < checks(&naive),
         "semi-naive evaluation checked {} result trees, full evaluation {}",
-        checks(&comp),
-        checks(&interp)
+        checks(&delta),
+        checks(&naive)
     );
-}
-
-/// The forced-interpreter escape hatch: `AXML_FORCE_INTERPRET` only
-/// flips the *default*; an explicit `compile` in the config always
-/// wins, which is what this suite sweeps.
-#[test]
-fn explicit_compile_overrides_are_independent() {
-    let build = || axml_bench::tc_system(12);
-    let mut interp = build();
-    let (s1, st1) = run(&mut interp, &EngineConfig::with_compile(false)).unwrap();
-    let mut comp = build();
-    let (s2, st2) = run(&mut comp, &EngineConfig::with_compile(true)).unwrap();
-    assert_eq!(s1, RunStatus::Terminated);
-    assert_eq!(s2, RunStatus::Terminated);
-    assert_eq!(interp.canonical_key(), comp.canonical_key());
-    assert_eq!(st1.programs_compiled, 0);
-    assert!(st2.programs_compiled > 0);
 }
 
 /// A deterministic generator (SplitMix64) for the pattern-level

@@ -1,30 +1,19 @@
 //! Differential coverage for indexed pattern matching: the `Indexed`
-//! and `Scan` strategies must be *observationally identical* — same
-//! binding lists in the same order at the matcher level, same fixpoints,
-//! invocation counts, and explanation DAGs at the engine level — with
-//! the index itself validating against a rebuild-from-scratch after
-//! every run. Anchored descents (a rooted match entering at its rarest
-//! constant) are held to the same standard on decoy-laden documents.
+//! and `Scan` strategies must enumerate the same binding lists in the
+//! same order, with the index itself validating against a
+//! rebuild-from-scratch. Anchored descents (a rooted match entering at
+//! its rarest constant) are held to the same standard on decoy-laden
+//! documents. Engine runs, which always match under `Indexed`, are
+//! checked round by round against a reference that scans
+//! (`reference/mod.rs`, driven by `delta_engine.rs`), with every index
+//! validated after every round.
 
 use positive_axml::core::compile::compile_query;
-use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
-use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::{
-    match_pattern, match_pattern_anywhere_with, match_pattern_with, MatchStrategy,
+    match_pattern_anywhere_with, match_pattern_with, MatchStrategy,
 };
 use positive_axml::core::{parse_pattern, parse_query, Marking, NodeId, Tree};
 use proptest::prelude::*;
-
-const BUDGET: usize = 5_000;
-
-fn gen_cfg(knob: u64) -> GenConfig {
-    GenConfig {
-        services: 2 + (knob % 3) as usize,
-        docs: 1 + (knob % 2) as usize,
-        head_call_prob: 0.15 + 0.2 * ((knob % 4) as f64),
-        ..GenConfig::default()
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -63,103 +52,6 @@ proptest! {
         prop_assert_eq!(scan, indexed);
         prop_assert!(doc.validate_index().is_ok());
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Engine-level differential: on random simple positive systems the
-    /// two strategies produce equal invocation counts and *identical*
-    /// canonical fixpoints in both engine modes, and every incrementally
-    /// maintained index still matches a rebuild afterwards.
-    #[test]
-    fn strategies_are_observationally_equivalent(
-        seed in 0u64..1_000_000,
-        knob in 0u64..24,
-    ) {
-        let sys = random_simple_system(&gen_cfg(knob), seed);
-        let mut outcomes = Vec::new();
-        for mode in [EngineMode::Naive, EngineMode::Delta] {
-            for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-                let mut runner = sys.clone();
-                let cfg = EngineConfig {
-                    mode,
-                    match_strategy: strategy,
-                    ..EngineConfig::with_budget(BUDGET)
-                };
-                let (status, stats) = run(&mut runner, &cfg).unwrap();
-                for d in runner.doc_names() {
-                    let t = runner.doc(*d).unwrap();
-                    prop_assert!(
-                        t.validate_index().is_ok(),
-                        "seed {} knob {}: index invalid after {:?}/{:?}",
-                        seed, knob, mode, strategy
-                    );
-                }
-                outcomes.push((mode, strategy, status, stats, runner));
-            }
-        }
-        if outcomes[0].2 != RunStatus::Terminated {
-            return Ok(());
-        }
-        // Within one mode the strategies must be indistinguishable:
-        // same status, same invocation count, same canonical fixpoint.
-        for pair in outcomes.chunks(2) {
-            let (m, _, s0, st0, r0) = &pair[0];
-            let (_, _, s1, st1, r1) = &pair[1];
-            prop_assert!(s0 == s1, "seed {} knob {} mode {:?}: status diverged", seed, knob, m);
-            prop_assert!(
-                st0.invocations == st1.invocations,
-                "seed {} knob {} mode {:?}: invocation counts diverged", seed, knob, m
-            );
-            prop_assert!(
-                r0.canonical_key() == r1.canonical_key(),
-                "seed {} knob {} mode {:?}: fixpoints diverged", seed, knob, m
-            );
-        }
-        // And across modes the limit agrees (Theorem 2.1 confluence).
-        prop_assert_eq!(outcomes[0].4.canonical_key(), outcomes[2].4.canonical_key());
-    }
-}
-
-/// Provenance differential on the deterministic closure workload: the
-/// strategies graft the same nodes in the same order, so every answer's
-/// derivation DAG renders to the identical DOT text.
-#[test]
-fn explain_answer_dags_identical_across_strategies() {
-    use positive_axml::core::engine::run_with_provenance;
-    use positive_axml::core::provenance::{Provenance, ProvenanceStore};
-    use positive_axml::core::trace::Tracer;
-    use positive_axml::core::{parse_query, Sym};
-
-    let mut dots = Vec::new();
-    for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-        let mut sys = axml_bench::tc_random_digraph(32, 3, 12);
-        let store = ProvenanceStore::new();
-        let cfg = EngineConfig {
-            match_strategy: strategy,
-            ..EngineConfig::with_mode(EngineMode::Delta)
-        };
-        let (status, _) =
-            run_with_provenance(&mut sys, &cfg, Tracer::disabled(), Provenance::new(&store))
-                .unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-
-        let q = parse_query("path{$x,$y} :- d1/r{t{from{$x},to{$y}}}").unwrap();
-        let t = sys.doc(Sym::intern("d1")).unwrap();
-        let bindings = match_pattern(&q.body[0].pattern, t);
-        assert!(!bindings.is_empty());
-        let rendered: Vec<String> = bindings
-            .iter()
-            .map(|b| store.explain_answer(&sys, &q, b).lineage.to_dot())
-            .collect();
-        dots.push(rendered);
-    }
-    assert_eq!(dots[0].len(), dots[1].len());
-    assert_eq!(
-        dots[0], dots[1],
-        "derivation DAGs diverged between strategies"
-    );
 }
 
 /// An XMark-style site with decoys around the constant `"c003"`: under
