@@ -81,9 +81,7 @@ fn bench_wide_fanout(c: &mut Criterion) {
         let q =
             axml_core::query::parse_query(&format!("hit{{$x}} :- d/root{{l{}{{$x}}}}", labels - 1))
                 .unwrap();
-        let mut env = Env::new();
-        env.insert(Sym::intern("d"), &doc);
-        let compiled = compile_query(&q, Some(&env), MatchStrategy::Indexed);
+        let compiled = compile_query(&q, MatchStrategy::Indexed);
         g.bench_with_input(BenchmarkId::new("interpreted", fanout), &doc, |b, d| {
             b.iter(|| match_pattern_with(&pat, d, MatchStrategy::Indexed).0.len())
         });

@@ -1,26 +1,22 @@
-//! Query compilation: lower positive patterns to cached, optimized
-//! match programs.
+//! Query compilation: lower positive patterns to cached match programs.
 //!
 //! Every service's positive query is fixed for the lifetime of the
 //! system, yet the interpreter ([`crate::matcher::match_pattern_with`])
-//! re-walks the same pattern AST and re-derives the same join order on
-//! every invocation. This module compiles each query once:
+//! re-walks the same pattern AST on every invocation. This module
+//! compiles each query once:
 //!
-//! 1. **Lower** the conjunctive tree patterns into a plan IR
-//!    ([`QueryPlan`] of [`PlanNode`]s), annotated with selectivity
-//!    estimates read from the live [`crate::index::DocIndex`] statistics
-//!    (without ever *building* an index — see
-//!    [`crate::tree::Tree::indexed_nodes_if_built`]).
-//! 2. **Optimize** the IR: duplicate-conjunct elimination, dead
-//!    ground-conjunct elimination ([`eliminate_conjuncts`]), and static
-//!    join reordering by estimated selectivity ([`reorder_children`]).
-//! 3. **Emit** a flat [`MatchProgram`] — a bytecode-like op vector where
-//!    structurally identical subpatterns are hash-consed into shared ops
-//!    ([common-subpattern factoring]), each with its column layout —
-//!    executed by a decorrelated evaluator over flat relations instead
-//!    of the recursive AST interpretation.
+//! 1. **Eliminate** duplicate conjuncts and dead ground conjuncts
+//!    ([`eliminate_conjuncts`]).
+//! 2. **Lower** the retained tree patterns into a plan IR
+//!    ([`QueryPlan`] of [`PlanNode`]s), marking ground subtrees.
+//! 3. **Emit** a flat [`MatchProgram`] — a bytecode-like op vector, one
+//!    op per plan node, each with its column layout — executed by a
+//!    decorrelated evaluator over flat relations instead of the
+//!    recursive AST interpretation.
 //!
-//! [common-subpattern factoring]: MatchProgram::shared_count
+//! A program depends on the query and the match strategy only, never on
+//! the documents: join order is decided at run time from the actual
+//! candidate sets (see "The executor").
 //!
 //! # The executor
 //!
@@ -31,17 +27,18 @@
 //! layout fixed at emit time together with the map from each child's
 //! columns to the op's. The executor evaluates an op at a node by
 //! starting from one row that binds only the op's own variable, then
-//! joining in its children rarest candidate set first; a column whose
-//! child is not joined yet is unset, in every row alike, so each join
-//! step reads its shared columns off the relation. A step hashes the
-//! child's relation — the union of its relations over the candidate
-//! nodes, deduplicated — on the shared columns and probes it in row
-//! order (`relation.rs`); without shared columns it is a cross
-//! product. The join of two duplicate-free relations is duplicate-free,
-//! so the union is the only place that deduplicates. Relations live in
-//! buffers reused for the whole [`MatchProgram::run_atom`]; a run
-//! allocates one flat, sorted relation for the result, which
-//! [`MatchProgram::run_atom`] turns into one [`Binding`] per row.
+//! joining in its children rarest candidate set first, ties in pattern
+//! order, as the interpreter does; a column whose child is not joined
+//! yet is unset, in every row alike, so each join step reads its shared
+//! columns off the relation. A step hashes the child's relation — the
+//! union of its relations over the candidate nodes, deduplicated — on
+//! the shared columns and probes it in row order (`relation.rs`);
+//! without shared columns it is a cross product. The join of two
+//! duplicate-free relations is duplicate-free, so the union is the only
+//! place that deduplicates. Relations live in buffers reused for the
+//! whole [`MatchProgram::run_atom`]; a run allocates one flat, sorted
+//! relation for the result, which [`MatchProgram::run_atom`] turns into
+//! one [`Binding`] per row.
 //!
 //! # Births
 //!
@@ -80,37 +77,33 @@
 //!   self-join is idempotent, an eliminated ground atom is implied by a
 //!   surviving *earlier* same-document atom (so error order and
 //!   empty-result short-circuits are also preserved), and join order
-//!   does not change the joined set (the runtime joins children in the
-//!   interpreter's order, a stable sort by actual candidate-set size —
-//!   the static reorder only changes tie-breaks among equal sizes).
+//!   does not change the joined set (the executor joins children in the
+//!   interpreter's order anyway: a stable sort of pattern order by
+//!   actual candidate-set size).
 //! * Under `Indexed`, both executors take their candidate sets through
-//!   the same anchor ([`crate::matcher`], "rarest constant"): it drops
-//!   only candidates through which no embedding passes, and its records
-//!   do not depend on an op's position, so shared ops' memoized
-//!   relations are the unrestricted ones.
+//!   the same anchor ([`crate::matcher`], "rarest constant"): the ops of
+//!   an atom mirror its pattern node for node and child for child, so
+//!   both choose the same anchor, and it drops only candidates through
+//!   which no embedding passes.
 //!
 //! What *may* differ: per-atom match statistics (the decorrelated
 //! executor probes each `(op, node)` pair once where the interpreter
-//! probes per seed binding, so compiled probe counts are ≤ interpreted
-//! when both enter at the same anchor — equally rare constants are
-//! ordered by each executor's own child order) and
-//! [`crate::eval::EvalStats::atom_bindings`] for eliminated atoms.
+//! probes per seed binding, so compiled probe counts are ≤ interpreted)
+//! and [`crate::eval::EvalStats::atom_bindings`] for eliminated atoms.
 //!
-//! # Caching and invalidation
+//! # Caching
 //!
-//! Compiled programs live in a [`ProgramCache`] keyed by service and
-//! validated against an *index generation*:
-//! the vector of `(document id, index built?)` pairs over the query's
-//! stored documents. A document index crossing its lazy build threshold
-//! (or a document being replaced wholesale, which allocates a fresh
-//! tree id) flips the generation and forces a recompile with fresh
-//! selectivity statistics. The reserved `input`/`context` documents are
-//! fresh trees on every invocation and are excluded from the
-//! generation. The cache also memoizes the per-service artifacts of the
-//! regular-path machinery: prebuilt path NFAs
-//! ([`crate::pathexpr::CompiledRegQuery`]) and ψ translations
-//! ([`crate::translate::Translation`]), so path services stop paying
-//! automaton construction and translation cost per run.
+//! Compiled programs live in a [`ProgramCache`] keyed by service: a
+//! service is compiled once per run, and its program is replaced only
+//! when it was emitted for another strategy. Documents growing, their
+//! indexes being built, or their being replaced never invalidate a
+//! program, because a program reads no document. The cache also
+//! memoizes the per-service artifacts of the regular-path machinery:
+//! prebuilt path NFAs ([`crate::pathexpr::CompiledRegQuery`]) and ψ
+//! translations ([`crate::translate::Translation`]), so path services
+//! stop paying automaton construction and translation cost per run; a
+//! ψ translation does read the documents, and is validated against
+//! their versions.
 //!
 //! # The reference
 //!
@@ -125,7 +118,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::Result;
-use crate::eval::Env;
 use crate::matcher::{
     anchored_candidate_set, item_bound, Anchor, Binding, Bound, CandSet, MatchStats, MatchStrategy,
     Shape,
@@ -135,48 +127,22 @@ use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::Query;
 use crate::relation::{hash_join, hash_key, Relation, RowIndex, Rows};
 use crate::sym::{FxHashMap, Sym};
-use crate::system::{context_sym, input_sym, System};
+use crate::system::System;
 use crate::trace::{EventKind, Tracer};
 use crate::translate::{translate, Translation};
 use crate::tree::{NodeId, Tree};
 
-/// Estimated selectivity of one match op, used by the static join
-/// reorder pass. The derived order *is* the pass's preference order:
-/// smaller sorts earlier, i.e. is expanded first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Selectivity {
-    /// A constant whose marking-index bucket size is known (the
-    /// document's index was already built at compile time).
-    Bucket(u64),
-    /// A constant without live statistics (index not built yet, scan
-    /// strategy, or unknown document).
-    ConstUnknown,
-    /// A label/function/value variable: matches one node kind.
-    KindVar,
-    /// A tree variable: matches every child.
-    Any,
-}
-
-/// One node of the plan IR: a pattern item plus its (statically
-/// ordered) children, annotated for the optimization passes.
+/// One node of the plan IR: a pattern item plus its children, in
+/// pattern order.
 #[derive(Clone, Debug)]
 pub struct PlanNode {
     /// The match test this node performs.
     pub item: PItem,
-    /// Estimated selectivity of the test (see [`Selectivity`]).
-    pub sel: Selectivity,
     /// No variables anywhere in this subtree — the emitted op becomes a
     /// pure existence test (no binding is ever cloned for it).
     pub ground: bool,
-    /// Children, in the order the reorder pass chose.
+    /// Children, in pattern order.
     pub children: Vec<PlanNode>,
-}
-
-impl PlanNode {
-    /// Node count of this plan subtree (itself included).
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(PlanNode::size).sum::<usize>()
-    }
 }
 
 /// One retained body atom of a [`QueryPlan`].
@@ -231,20 +197,17 @@ pub type OpId = u32;
 pub struct MatchOp {
     /// The match test this op performs.
     pub item: PItem,
-    /// Child ops, in statically optimized order. At runtime the
-    /// executor joins them in the interpreter's order — a stable sort by
-    /// live candidate-set size — so it probes and bails where the
-    /// interpreter does; the rows in between are not sorted, and only
-    /// the sorted output equals the interpreter's vector.
+    /// Child ops, in pattern order. At run time the executor joins them
+    /// in the interpreter's order — a stable sort of this order by live
+    /// candidate-set size — so it probes and bails where the interpreter
+    /// does; the rows in between are not sorted, and only the sorted
+    /// output equals the interpreter's vector.
     pub children: Vec<OpId>,
     /// This subtree binds no variables: executed as an existence test.
     pub ground: bool,
     /// No children: binding against a pre-filtered candidate is all
     /// that is left to do.
     pub leaf: bool,
-    /// Referenced more than once after hash-consing (common-subpattern
-    /// factoring); the executor memoizes its relation per document node.
-    pub shared: bool,
 }
 
 /// Entry point of one retained atom inside a [`MatchProgram`].
@@ -322,11 +285,6 @@ impl MatchProgram {
         &self.atoms
     }
 
-    /// Ops referenced more than once (factored common subpatterns).
-    pub fn shared_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.shared).count()
-    }
-
     /// Execute the atom at position `pos` (of [`MatchProgram::atoms`])
     /// against document `t`. Returns exactly what
     /// [`crate::matcher::match_pattern_with`] returns for the original
@@ -401,16 +359,10 @@ impl CompiledQuery {
         for atom in &self.plan.atoms {
             let _ = writeln!(out, "  atom #{} doc {}", atom.index, atom.doc);
             fn node(out: &mut String, n: &PlanNode, depth: usize) {
-                let sel = match n.sel {
-                    Selectivity::Bucket(k) => format!("bucket {k}"),
-                    Selectivity::ConstUnknown => "const".into(),
-                    Selectivity::KindVar => "kind-var".into(),
-                    Selectivity::Any => "any".into(),
-                };
                 let ground = if n.ground { "  ground" } else { "" };
                 let _ = writeln!(
                     out,
-                    "    {:indent$}{}  ~{sel}{ground}",
+                    "    {:indent$}{}{ground}",
                     "",
                     n.item,
                     indent = depth * 2
@@ -432,10 +384,9 @@ impl CompiledQuery {
         }
         let _ = writeln!(
             out,
-            "program: strategy {:?}, {} ops ({} shared)",
+            "program: strategy {:?}, {} ops",
             self.program.strategy,
-            self.program.ops.len(),
-            self.program.shared_count()
+            self.program.ops.len()
         );
         for (i, op) in self.program.ops.iter().enumerate() {
             let kids = op
@@ -445,14 +396,8 @@ impl CompiledQuery {
                 .collect::<Vec<_>>()
                 .join(",");
             let kind = if op.leaf { "leaf" } else { "join" };
-            let mut flags = String::new();
-            if op.ground {
-                flags.push_str("  ground");
-            }
-            if op.shared {
-                flags.push_str("  shared");
-            }
-            let _ = writeln!(out, "  [{i}] {kind}  {}  {{{kids}}}{flags}", op.item);
+            let ground = if op.ground { "  ground" } else { "" };
+            let _ = writeln!(out, "  [{i}] {kind}  {}  {{{kids}}}{ground}", op.item);
         }
         for atom in &self.program.atoms {
             let _ = writeln!(
@@ -526,48 +471,11 @@ pub fn eliminate_conjuncts(q: &Query) -> (Vec<usize>, Vec<(usize, ElimReason)>) 
     (kept, eliminated)
 }
 
-/// Estimate the selectivity of one item against an (optional) live
-/// document. Reads the marking index only if it is *already built* —
-/// estimation must never perturb the lazy build timing the matcher's
-/// own probes control.
-pub fn estimate(item: &PItem, doc: Option<&Tree>, strategy: MatchStrategy) -> Selectivity {
-    match item {
-        PItem::Const(m) => {
-            if strategy == MatchStrategy::Indexed {
-                if let Some(bucket) = doc.and_then(|t| t.indexed_nodes_if_built(*m)) {
-                    return Selectivity::Bucket(bucket.len() as u64);
-                }
-            }
-            Selectivity::ConstUnknown
-        }
-        PItem::LabelVar(_) | PItem::FuncVar(_) | PItem::ValueVar(_) => Selectivity::KindVar,
-        PItem::TreeVar(_) => Selectivity::Any,
-    }
-}
-
-/// The static join-reorder pass: stable-sort every node's children by
-/// estimated selectivity, recursively. Purely a performance heuristic —
-/// the executor re-sorts by *actual* candidate-set size at runtime
-/// (stably, like the interpreter), so the final binding set is
-/// independent of this order; the pass only improves tie-breaks and
-/// bails earlier on empty candidate sets.
-pub fn reorder_children(n: &mut PlanNode) {
-    for c in &mut n.children {
-        reorder_children(c);
-    }
-    n.children.sort_by_key(|c| c.sel);
-}
-
-fn lower_node(p: &Pattern, pn: PNodeId, doc: Option<&Tree>, strategy: MatchStrategy) -> PlanNode {
-    let children: Vec<PlanNode> = p
-        .children(pn)
-        .iter()
-        .map(|&c| lower_node(p, c, doc, strategy))
-        .collect();
+fn lower_node(p: &Pattern, pn: PNodeId) -> PlanNode {
+    let children: Vec<PlanNode> = p.children(pn).iter().map(|&c| lower_node(p, c)).collect();
     let item = p.item(pn).clone();
     let ground = matches!(item, PItem::Const(_)) && children.iter().all(|c| c.ground);
     PlanNode {
-        sel: estimate(&item, doc, strategy),
         item,
         ground,
         children,
@@ -575,80 +483,54 @@ fn lower_node(p: &Pattern, pn: PNodeId, doc: Option<&Tree>, strategy: MatchStrat
 }
 
 /// Compile a query end to end: eliminate conjuncts, lower the retained
-/// atoms (resolving selectivity statistics against `env`'s documents
-/// when given), reorder, and emit the hash-consed program.
-pub fn compile_query(q: &Query, env: Option<&Env<'_>>, strategy: MatchStrategy) -> CompiledQuery {
+/// atoms and emit the program.
+pub fn compile_query(q: &Query, strategy: MatchStrategy) -> CompiledQuery {
     let (kept, eliminated) = eliminate_conjuncts(q);
-    let mut atoms = Vec::with_capacity(kept.len());
-    for i in kept {
-        let atom = &q.body[i];
-        let doc = env.and_then(|e| e.get(atom.doc));
-        let mut root = lower_node(&atom.pattern, atom.pattern.root(), doc, strategy);
-        reorder_children(&mut root);
-        atoms.push(PlanAtom {
-            index: i,
-            doc: atom.doc,
-            root,
-        });
-    }
+    let atoms = kept
+        .into_iter()
+        .map(|i| {
+            let atom = &q.body[i];
+            PlanAtom {
+                index: i,
+                doc: atom.doc,
+                root: lower_node(&atom.pattern, atom.pattern.root()),
+            }
+        })
+        .collect();
     let plan = QueryPlan { atoms, eliminated };
     let program = emit(&plan, strategy);
     CompiledQuery { plan, program }
 }
 
-/// Emit the flat program from an optimized plan, hash-consing
-/// structurally identical subtrees (common-subpattern factoring): the
-/// cons key is `(item, child op ids)`, so two occurrences of the same
-/// subpattern — within one atom or across a service's conjuncts — share
-/// one op, which the executor then memoizes per document node.
+/// Emit the flat program from an optimized plan: one op per plan node,
+/// children before their parent.
 fn emit(plan: &QueryPlan, strategy: MatchStrategy) -> MatchProgram {
-    #[derive(Default)]
-    struct Emit {
-        ops: Vec<MatchOp>,
-        layouts: Vec<Layout>,
-        refs: Vec<u32>,
-        cons: FxHashMap<(PItem, Vec<OpId>), OpId>,
-    }
-    fn go(n: &PlanNode, e: &mut Emit) -> OpId {
-        let children: Vec<OpId> = n.children.iter().map(|c| go(c, e)).collect();
-        let key = (n.item.clone(), children.clone());
-        if let Some(&id) = e.cons.get(&key) {
-            e.refs[id as usize] += 1;
-            return id;
-        }
-        let id = e.ops.len() as OpId;
-        let layout = Layout::of(&n.item, children.iter().map(|&c| &e.layouts[c as usize]));
-        e.layouts.push(layout);
-        e.ops.push(MatchOp {
+    fn go(n: &PlanNode, ops: &mut Vec<MatchOp>, layouts: &mut Vec<Layout>) -> OpId {
+        let children: Vec<OpId> = n.children.iter().map(|c| go(c, ops, layouts)).collect();
+        let layout = Layout::of(&n.item, children.iter().map(|&c| &layouts[c as usize]));
+        layouts.push(layout);
+        ops.push(MatchOp {
             item: n.item.clone(),
             leaf: children.is_empty(),
             children,
             ground: n.ground,
-            shared: false,
         });
-        e.refs.push(1);
-        e.cons.insert(key, id);
-        id
+        (ops.len() - 1) as OpId
     }
-    let mut e = Emit::default();
+    let (mut ops, mut layouts) = (Vec::new(), Vec::new());
     let atoms = plan
         .atoms
         .iter()
         .map(|a| AtomCode {
             index: a.index,
             doc: a.doc,
-            root: go(&a.root, &mut e),
+            root: go(&a.root, &mut ops, &mut layouts),
         })
         .collect();
-    for (op, refs) in e.ops.iter_mut().zip(&e.refs) {
-        // Memoizing a leaf costs more than re-binding it; only join ops
-        // are worth a table entry.
-        op.shared = *refs > 1 && !op.leaf;
-    }
     MatchProgram {
         strategy,
-        ops: e.ops,
-        layouts: e.layouts,
+        ops,
+        layouts,
         atoms,
     }
 }
@@ -714,9 +596,7 @@ impl Rows for Buf<'_> {
 
 /// The execution frame of one [`MatchProgram::run_atom`]: the program,
 /// the document, the atom's anchor (if it has one), running index-usage
-/// counters, the buffers reused for the whole run, and the per-run memo
-/// of shared ops. The anchor's restriction does not depend on an op's
-/// position, so memoized relations of shared ops stay exact.
+/// counters, and the buffers reused for the whole run.
 struct Exec<'p, 't> {
     prog: &'p MatchProgram,
     t: &'t Tree,
@@ -733,10 +613,6 @@ struct Exec<'p, 't> {
     index: RowIndex,
     /// Which rows deduplication keeps.
     keep: Vec<bool>,
-    /// Relations of shared ops per `(op, node)`: `(first cell, first
-    /// row, rows)` in `memo_rows`.
-    memo: FxHashMap<(OpId, NodeId), (usize, usize, usize)>,
-    memo_rows: RowBuf,
 }
 
 impl<'p, 't> Exec<'p, 't> {
@@ -756,8 +632,6 @@ impl<'p, 't> Exec<'p, 't> {
             shared: Vec::new(),
             index: RowIndex::default(),
             keep: Vec::new(),
-            memo: FxHashMap::default(),
-            memo_rows: RowBuf::default(),
         }
     }
 
@@ -834,8 +708,8 @@ impl<'p, 't> Exec<'p, 't> {
         }
         let (base, all) = self.push_candidates(op, tn);
         let rows = if all {
-            // Rarest candidate set first; stable, so the static order
-            // from the reorder pass breaks ties.
+            // Rarest candidate set first; stable, so pattern order breaks
+            // ties, as in the interpreter.
             self.cands[base..].sort_by_key(|(_, s)| s.len());
             self.join_children(op, base, own, born, out)
         } else {
@@ -955,36 +829,11 @@ impl<'p, 't> Exec<'p, 't> {
                     item_bound(&co.item, t, tc).expect("a candidate passes the marking test");
                 out.cells.push(own);
                 out.births.push(born);
-            } else if co.shared {
-                self.eval_memo(c, tc, out);
             } else {
                 self.eval(c, tc, out);
             }
         }
         self.dedup(out, prog.layouts[c as usize].vars.len())
-    }
-
-    /// [`Exec::eval`] of a shared op, memoized per `(op, node)`.
-    fn eval_memo(&mut self, op: OpId, tn: NodeId, out: &mut RowBuf) -> usize {
-        if let Some(&(cell, row, rows)) = self.memo.get(&(op, tn)) {
-            let width = self.prog.layouts[op as usize].vars.len();
-            out.cells
-                .extend_from_slice(&self.memo_rows.cells[cell..cell + rows * width]);
-            out.births
-                .extend_from_slice(&self.memo_rows.births[row..row + rows]);
-            return rows;
-        }
-        let (from_cell, from_row) = (out.cells.len(), out.births.len());
-        let rows = self.eval(op, tn, out);
-        let (cell, row) = (self.memo_rows.cells.len(), self.memo_rows.births.len());
-        self.memo_rows
-            .cells
-            .extend_from_slice(&out.cells[from_cell..]);
-        self.memo_rows
-            .births
-            .extend_from_slice(&out.births[from_row..]);
-        self.memo.insert((op, tn), (cell, row, rows));
-        rows
     }
 
     /// Drop the repeated rows of `rel` (rows of `width` cells, every
@@ -1066,41 +915,17 @@ impl<'p, 't> Exec<'p, 't> {
 // The program cache
 // ---------------------------------------------------------------------
 
-/// Index generation of a query against an environment: `(document id,
-/// index built?)` per stored document the body mentions, in
-/// [`Query::doc_names`] order. The reserved `input`/`context` documents
-/// are fresh per invocation and excluded; unknown documents contribute
-/// a sentinel (resolution errors stay a *runtime* concern so the
-/// compiled path errors in exactly the interpreter's order).
-fn generation(q: &Query, env: &Env<'_>) -> Vec<(u64, bool)> {
-    q.doc_names()
-        .into_iter()
-        .filter(|&d| d != input_sym() && d != context_sym())
-        .map(|d| {
-            env.get(d)
-                .map_or((u64::MAX, false), |t| (t.id(), t.index_is_built()))
-        })
-        .collect()
-}
-
-struct ProgramEntry {
-    generation: Vec<(u64, bool)>,
-    compiled: Arc<CompiledQuery>,
-}
-
 struct PsiEntry {
     generation: Vec<(u64, u64)>,
     translation: Arc<Translation>,
 }
 
 /// The per-engine cache of compiled artifacts: match programs keyed by
-/// service and validated against the index generation,
-/// plus the regular-path machinery's per-service memos (prebuilt path
-/// NFAs, ψ translations). See the module docs for the invalidation
-/// story.
+/// service, plus the regular-path machinery's per-service memos
+/// (prebuilt path NFAs, ψ translations). See the module docs, "Caching".
 #[derive(Default)]
 pub struct ProgramCache {
-    programs: FxHashMap<Sym, ProgramEntry>,
+    programs: FxHashMap<Sym, Arc<CompiledQuery>>,
     reg: FxHashMap<Sym, Arc<CompiledRegQuery>>,
     psi: FxHashMap<Sym, PsiEntry>,
     hits: u64,
@@ -1145,32 +970,29 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// The compiled program for service `svc`'s query under `strategy`,
-    /// compiling on miss, when the index generation moved (a document
-    /// index crossed its build threshold, or a document was replaced),
-    /// or when the held program was emitted for another strategy.
-    /// Emits [`EventKind::ProgramCacheHit`] / [`EventKind::ProgramCacheMiss`]
-    /// and, on compilation, [`EventKind::PlanCompiled`].
+    /// The compiled program for service `svc`'s query `q` under
+    /// `strategy`, compiling on miss or when the held program was emitted
+    /// for another strategy. Emits [`EventKind::ProgramCacheHit`] /
+    /// [`EventKind::ProgramCacheMiss`] and, on compilation,
+    /// [`EventKind::PlanCompiled`].
     pub fn lookup(
         &mut self,
         svc: Sym,
         q: &Query,
-        env: &Env<'_>,
         strategy: MatchStrategy,
         tracer: Tracer<'_>,
     ) -> Arc<CompiledQuery> {
-        let generation = generation(q, env);
-        if let Some(e) = self.programs.get(&svc) {
-            if e.generation == generation && e.compiled.program.strategy == strategy {
+        if let Some(held) = self.programs.get(&svc) {
+            if held.program.strategy == strategy {
                 self.hits += 1;
                 tracer.emit(|| EventKind::ProgramCacheHit { service: svc });
-                return Arc::clone(&e.compiled);
+                return Arc::clone(held);
             }
         }
         self.misses += 1;
         tracer.emit(|| EventKind::ProgramCacheMiss { service: svc });
         let t0 = Instant::now();
-        let compiled = Arc::new(compile_query(q, Some(env), strategy));
+        let compiled = Arc::new(compile_query(q, strategy));
         let dur_ns = t0.elapsed().as_nanos() as u64;
         self.compiles += 1;
         self.compile_ns += dur_ns;
@@ -1178,16 +1000,9 @@ impl ProgramCache {
             service: svc,
             atoms: compiled.program.atoms.len() as u32,
             ops: compiled.program.ops.len() as u32,
-            shared: compiled.program.shared_count() as u32,
             dur_ns,
         });
-        self.programs.insert(
-            svc,
-            ProgramEntry {
-                generation,
-                compiled: Arc::clone(&compiled),
-            },
-        );
+        self.programs.insert(svc, Arc::clone(&compiled));
         compiled
     }
 
@@ -1300,97 +1115,13 @@ mod tests {
     }
 
     #[test]
-    fn reorder_sorts_children_by_selectivity_stably() {
-        let leaf = |item: PItem, sel: Selectivity| PlanNode {
-            item,
-            sel,
-            ground: false,
-            children: Vec::new(),
-        };
-        let mut n = PlanNode {
-            item: PItem::Const(crate::tree::Marking::label("r")),
-            sel: Selectivity::ConstUnknown,
-            ground: false,
-            children: vec![
-                leaf(PItem::TreeVar(Sym::intern("t1")), Selectivity::Any),
-                leaf(
-                    PItem::Const(crate::tree::Marking::label("x")),
-                    Selectivity::Bucket(9),
-                ),
-                leaf(PItem::ValueVar(Sym::intern("v")), Selectivity::KindVar),
-                leaf(
-                    PItem::Const(crate::tree::Marking::label("y")),
-                    Selectivity::Bucket(2),
-                ),
-                // Equal key to the first Bucket(9): stable order keeps
-                // source order among ties.
-                leaf(
-                    PItem::Const(crate::tree::Marking::label("z")),
-                    Selectivity::Bucket(9),
-                ),
-            ],
-        };
-        reorder_children(&mut n);
-        let sels: Vec<Selectivity> = n.children.iter().map(|c| c.sel).collect();
-        assert_eq!(
-            sels,
-            vec![
-                Selectivity::Bucket(2),
-                Selectivity::Bucket(9),
-                Selectivity::Bucket(9),
-                Selectivity::KindVar,
-                Selectivity::Any,
-            ]
-        );
-        let names: Vec<String> = n.children.iter().map(|c| c.item.to_string()).collect();
-        assert_eq!(names[1], "x");
-        assert_eq!(names[2], "z");
-    }
-
-    #[test]
-    fn selectivity_estimates_read_only_built_indexes() {
-        let t = tree(r#"r{a{b},a{c},a{b}}"#);
-        let item = PItem::Const(crate::tree::Marking::label("a"));
-        // Below threshold, nothing built: no statistics, and crucially
-        // no index build got triggered by estimating.
-        assert_eq!(
-            estimate(&item, Some(&t), MatchStrategy::Indexed),
-            Selectivity::ConstUnknown
-        );
-        assert!(!t.index_is_built());
-        t.build_index();
-        assert_eq!(
-            estimate(&item, Some(&t), MatchStrategy::Indexed),
-            Selectivity::Bucket(3)
-        );
-        // Scan mode never consults statistics.
-        assert_eq!(
-            estimate(&item, Some(&t), MatchStrategy::Scan),
-            Selectivity::ConstUnknown
-        );
-    }
-
-    #[test]
-    fn factoring_shares_common_subpatterns_across_conjuncts() {
-        let q =
-            parse_query("h{$x,$y} :- d/a{t{from{$x},to{$y}}}, d/b{t{from{$x},to{$y}}}").unwrap();
-        let c = compile_query(&q, None, MatchStrategy::Indexed);
-        let plan_nodes: usize = c.plan().atoms.iter().map(|a| a.root.size()).sum();
-        assert!(c.program().ops().len() < plan_nodes, "no sharing happened");
-        assert!(c.program().shared_count() >= 1);
-        // The shared op is the t{from{$x},to{$y]} join node.
-        let shared: Vec<&MatchOp> = c.program().ops().iter().filter(|o| o.shared).collect();
-        assert!(shared.iter().any(|o| o.item.to_string() == "t"));
-    }
-
-    #[test]
     fn compiled_execution_matches_the_interpreter() {
         let q =
             parse_query("h{$x,$y} :- d/r{t{from{$x},to{$y}}, t{from{$y},to{$x}}, marker}").unwrap();
         let t =
             tree(r#"r{t{from{"1"},to{"2"}}, t{from{"2"},to{"1"}}, t{from{"2"},to{"3"}}, marker}"#);
         for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-            let c = compile_query(&q, None, strategy);
+            let c = compile_query(&q, strategy);
             for (pos, atom) in c.program().atoms().iter().enumerate() {
                 let (compiled, _) = c.run_atom(pos, &t);
                 let (interp, _) = match_pattern_with(&q.body[atom.index].pattern, &t, strategy);
@@ -1404,7 +1135,7 @@ mod tests {
         let q = parse_query("h{$x} :- d/r{a{b{c},d}, e{$x}}").unwrap();
         let yes = tree(r#"r{a{b{c},d,z}, e{"v"}, e{"w"}}"#);
         let no = tree(r#"r{a{b,d}, e{"v"}}"#);
-        let c = compile_query(&q, None, MatchStrategy::Indexed);
+        let c = compile_query(&q, MatchStrategy::Indexed);
         for t in [&yes, &no] {
             let (compiled, _) = c.run_atom(0, t);
             let (interp, _) = match_pattern_with(&q.body[0].pattern, t, MatchStrategy::Indexed);
@@ -1413,32 +1144,29 @@ mod tests {
     }
 
     #[test]
-    fn program_cache_hits_and_invalidates_on_index_generation() {
+    fn program_cache_compiles_once_and_replaces_on_strategy() {
         let q = parse_query("h{$x} :- d/r{a{$x}}").unwrap();
         let t = tree(r#"r{a{"1"},a{"2"}}"#);
-        let mut env = Env::new();
-        let d = Sym::intern("d");
-        env.insert(d, &t);
         let svc = Sym::intern("svc");
         let mut pc = ProgramCache::new();
         let tracer = Tracer::disabled();
-        let p1 = pc.lookup(svc, &q, &env, MatchStrategy::Indexed, tracer);
+        let p1 = pc.lookup(svc, &q, MatchStrategy::Indexed, tracer);
         assert_eq!((pc.hits(), pc.misses()), (0, 1));
-        let p2 = pc.lookup(svc, &q, &env, MatchStrategy::Indexed, tracer);
+        let p2 = pc.lookup(svc, &q, MatchStrategy::Indexed, tracer);
         assert_eq!((pc.hits(), pc.misses()), (1, 1));
         assert!(Arc::ptr_eq(&p1, &p2));
-        // Index crosses its build threshold: generation moves, the
-        // program recompiles with fresh selectivity statistics.
+        // A program reads no document: the index being built between
+        // two lookups is still a hit on the same program.
         t.build_index();
-        let p3 = pc.lookup(svc, &q, &env, MatchStrategy::Indexed, tracer);
-        assert_eq!((pc.hits(), pc.misses()), (1, 2));
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert!(pc.compiles() == 2 && pc.compile_ns() > 0);
+        let p3 = pc.lookup(svc, &q, MatchStrategy::Indexed, tracer);
+        assert_eq!((pc.hits(), pc.misses()), (2, 1));
+        assert!(Arc::ptr_eq(&p1, &p3));
+        assert!(pc.compiles() == 1 && pc.compile_ns() > 0);
         // A program emitted for another strategy is replaced, not reused.
-        let p4 = pc.lookup(svc, &q, &env, MatchStrategy::Scan, tracer);
+        let p4 = pc.lookup(svc, &q, MatchStrategy::Scan, tracer);
         assert_eq!(
             (pc.misses(), p4.program().strategy()),
-            (3, MatchStrategy::Scan)
+            (2, MatchStrategy::Scan)
         );
         assert_eq!(pc.len(), 1);
     }
@@ -1446,7 +1174,7 @@ mod tests {
     #[test]
     fn eliminated_atoms_keep_original_indices_in_the_program() {
         let q = parse_query("h{$x} :- d/a{b{$x}}, d/a{b{$x}}, e/c{$x}").unwrap();
-        let c = compile_query(&q, None, MatchStrategy::Indexed);
+        let c = compile_query(&q, MatchStrategy::Indexed);
         let indices: Vec<usize> = c.program().atoms().iter().map(|a| a.index).collect();
         assert_eq!(indices, vec![0, 2]);
         assert!(c.dump().contains("eliminated #1: duplicate of #0"));

@@ -153,8 +153,8 @@ pub struct RunStats {
     pub cache_hits: usize,
     /// Per-atom match-cache misses ([`EngineMode::Delta`] only).
     pub cache_misses: usize,
-    /// Match programs compiled: one per positive service invoked, plus
-    /// one per index-generation invalidation (see [`crate::compile`]).
+    /// Match programs compiled: one per positive service invoked (see
+    /// [`crate::compile`], "Caching").
     pub programs_compiled: usize,
     /// Program-cache hits: invocations that reused a compiled program.
     pub program_cache_hits: usize,

@@ -294,7 +294,7 @@ pub(crate) fn snapshot_heads(
     // interpreter (eliminated atoms always have an earlier surviving
     // same-document witness — see `crate::compile`).
     let compiled: Option<Arc<CompiledQuery>> =
-        programs.map(|(svc, pc)| pc.lookup(svc, q, env, strategy, tracer));
+        programs.map(|(svc, pc)| pc.lookup(svc, q, strategy, tracer));
     let atom_plan: Vec<(usize, Option<usize>)> = match &compiled {
         Some(c) => c
             .program()

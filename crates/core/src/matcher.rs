@@ -575,8 +575,8 @@ fn admits(item: &PItem, m: Marking) -> bool {
 pub(crate) const ANCHOR_SELF_CHECK_NODES: usize = 4096;
 
 /// The tree a rooted match descends: the interpreter's [`Pattern`]
-/// nodes, or a compiled program's ops ([`crate::compile`]), whose
-/// hash-consing may share one op between several positions.
+/// nodes, or a compiled program's ops ([`crate::compile`]), one op per
+/// pattern node.
 pub(crate) trait Shape {
     /// A node (or op) of the shape.
     type Id: Copy + Eq;
@@ -736,10 +736,8 @@ fn rarest_constant<S: Shape + ?Sized>(s: &S, root: S::Id, t: &Tree) -> Option<Ch
     best
 }
 
-/// Push onto `path` a root-to-anchor path of `depth` edges from `n`
-/// that ends in the edge `end = (parent, anchor)`. With hash-consed ops
-/// the anchor may occur at several positions; any one of this depth
-/// below this parent admits the same restriction.
+/// Push onto `path` the root-to-anchor path of `depth` edges from `n`
+/// that ends in the edge `end = (parent, anchor)`.
 fn path_to<S: Shape + ?Sized>(
     s: &S,
     n: S::Id,

@@ -289,10 +289,8 @@ pub enum EventKind {
         service: Sym,
         /// Body atoms retained after conjunct elimination.
         atoms: u32,
-        /// Ops in the emitted program (after hash-consing).
+        /// Ops in the emitted program, one per retained pattern node.
         ops: u32,
-        /// Ops shared between subpattern occurrences (factoring).
-        shared: u32,
         /// Wall-clock compile time, nanoseconds.
         dur_ns: u64,
     },
@@ -303,8 +301,8 @@ pub enum EventKind {
         service: Sym,
     },
     /// A [`crate::compile::ProgramCache`] lookup missed (first
-    /// compilation, or the index generation moved); a
-    /// [`EventKind::PlanCompiled`] follows.
+    /// compilation, or the held program was emitted for another
+    /// strategy); a [`EventKind::PlanCompiled`] follows.
     ProgramCacheMiss {
         /// The service whose program was (re)compiled.
         service: Sym,
@@ -365,8 +363,8 @@ pub enum EventKind {
 }
 
 /// The coarse category of an [`EventKind`] — the same taxonomy the
-/// Chrome-trace exporter stamps as `cat` on every row, reused by
-/// [`JournalConfig`] sampling rates and the `trace_tail` wire filter.
+/// Chrome-trace exporter stamps as `cat` on every row, reused by the
+/// [`Journal`]'s drop counters and the `trace_tail` wire filter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventCategory {
     /// Round start/end markers.
@@ -392,8 +390,8 @@ pub enum EventCategory {
 }
 
 impl EventCategory {
-    /// Every category, in stable order — the index into
-    /// [`JournalConfig`] sampling-rate and drop-counter arrays.
+    /// Every category, in stable order — the index into the
+    /// [`Journal`]'s drop-counter array.
     pub const ALL: [EventCategory; 10] = [
         EventCategory::Engine,
         EventCategory::Schedule,
@@ -600,10 +598,9 @@ impl<'a> Tracer<'a> {
     }
 }
 
-/// Retention policy of a [`Journal`]: an optional ring capacity and
-/// per-[`EventCategory`] sampling rates, for always-on production
-/// tracing with bounded memory. The [`Default`] is the production
-/// profile (a ~64k-event ring, every event kept); use
+/// Retention policy of a [`Journal`]: an optional ring capacity, for
+/// always-on production tracing with bounded memory. The [`Default`] is
+/// the production profile (a ~64k-event ring); use
 /// [`JournalConfig::unbounded`] — what [`Journal::new`] does — to keep
 /// everything, as tests and offline experiments want.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -611,12 +608,6 @@ pub struct JournalConfig {
     /// Most events retained at once; when full, the *oldest* event is
     /// evicted (and counted per category). `None` = unbounded.
     pub capacity: Option<usize>,
-    /// Per-category keep-one-in-`n` sampling rates, indexed by the
-    /// category's position in [`EventCategory::ALL`]. `0` and `1` both
-    /// mean "keep every event". Sampled-out events still consume a
-    /// sequence number, so seq gaps reveal sampling while the stored
-    /// order stays strictly monotone.
-    pub sample: [u32; EventCategory::ALL.len()],
 }
 
 /// The production default ring capacity (events).
@@ -626,7 +617,6 @@ impl Default for JournalConfig {
     fn default() -> JournalConfig {
         JournalConfig {
             capacity: Some(DEFAULT_JOURNAL_CAPACITY),
-            sample: [1; EventCategory::ALL.len()],
         }
     }
 }
@@ -634,31 +624,13 @@ impl Default for JournalConfig {
 impl JournalConfig {
     /// Keep every event forever — the test/experiment profile.
     pub fn unbounded() -> JournalConfig {
-        JournalConfig {
-            capacity: None,
-            sample: [1; EventCategory::ALL.len()],
-        }
-    }
-
-    /// This config with a keep-one-in-`n` sampling rate for `cat`.
-    pub fn with_sample(mut self, cat: EventCategory, n: u32) -> JournalConfig {
-        self.sample[cat as usize] = n;
-        self
-    }
-
-    /// The effective keep-one-in-`n` rate for `cat` (never 0).
-    pub fn rate(&self, cat: EventCategory) -> u64 {
-        u64::from(self.sample[cat as usize].max(1))
+        JournalConfig { capacity: None }
     }
 }
 
 struct JournalInner {
     seq: u64,
     events: std::collections::VecDeque<TraceEvent>,
-    /// Events observed per category (kept or not) — the sampling phase.
-    seen: [u64; EventCategory::ALL.len()],
-    /// Events dropped by sampling, per category.
-    sampled_out: [u64; EventCategory::ALL.len()],
     /// Events evicted by the ring capacity, per category.
     evicted: [u64; EventCategory::ALL.len()],
 }
@@ -667,10 +639,9 @@ struct JournalInner {
 /// each event with a sequence number and a monotone timestamp and feeds
 /// the exporters ([`chrome_trace`]) and the event-stream assertions in
 /// tests. [`Journal::new`] keeps everything; [`Journal::with_config`]
-/// bounds retention with a ring capacity and per-category sampling
-/// (dropped events are counted, and sequence numbers stay strictly
-/// monotone over whatever is retained, so exports and replay stay
-/// sound).
+/// bounds retention with a ring capacity (evicted events are counted,
+/// and sequence numbers stay strictly monotone over whatever is
+/// retained, so exports and replay stay sound).
 pub struct Journal {
     epoch: Instant,
     cfg: JournalConfig,
@@ -694,8 +665,6 @@ impl Journal {
             inner: RefCell::new(JournalInner {
                 seq: 0,
                 events: std::collections::VecDeque::new(),
-                seen: [0; EventCategory::ALL.len()],
-                sampled_out: [0; EventCategory::ALL.len()],
                 evicted: [0; EventCategory::ALL.len()],
             }),
         }
@@ -711,11 +680,10 @@ impl Journal {
     }
 
     /// An empty ring journal holding at most `capacity` events (oldest
-    /// evicted first), no sampling.
+    /// evicted first).
     pub fn bounded(capacity: usize) -> Journal {
         Journal::with_config(JournalConfig {
             capacity: Some(capacity),
-            ..JournalConfig::unbounded()
         })
     }
 
@@ -734,30 +702,19 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Total events dropped (ring evictions + sampled out).
+    /// Total events evicted by the ring capacity.
     pub fn dropped(&self) -> u64 {
-        let inner = self.inner.borrow();
-        inner.evicted.iter().sum::<u64>() + inner.sampled_out.iter().sum::<u64>()
-    }
-
-    /// Events evicted by the ring capacity.
-    pub fn dropped_evicted(&self) -> u64 {
         self.inner.borrow().evicted.iter().sum()
     }
 
-    /// Events dropped by sampling.
-    pub fn dropped_sampled(&self) -> u64 {
-        self.inner.borrow().sampled_out.iter().sum()
-    }
-
-    /// Per-category drop counters: `(category, evicted, sampled_out)`,
-    /// in [`EventCategory::ALL`] order, categories with no drops
+    /// Per-category eviction counters: `(category, evicted)`, in
+    /// [`EventCategory::ALL`] order, categories with no evictions
     /// included.
-    pub fn dropped_by_category(&self) -> Vec<(EventCategory, u64, u64)> {
+    pub fn dropped_by_category(&self) -> Vec<(EventCategory, u64)> {
         let inner = self.inner.borrow();
         EventCategory::ALL
             .iter()
-            .map(|&c| (c, inner.evicted[c as usize], inner.sampled_out[c as usize]))
+            .map(|&c| (c, inner.evicted[c as usize]))
             .collect()
     }
 
@@ -772,8 +729,8 @@ impl Journal {
     }
 
     /// Stamp `kind` with the next sequence number, the monotone
-    /// timestamp and `trace`, then retain it subject to the sampling and
-    /// capacity policy. Returns the stamped
+    /// timestamp and `trace`, then retain it subject to the capacity
+    /// policy. Returns the stamped
     /// event whether or not it was retained — the server's tail
     /// subscriptions forward it to live observers either way.
     pub fn record_event(&self, kind: EventKind, trace: u64) -> TraceEvent {
@@ -791,19 +748,12 @@ impl Journal {
         ev
     }
 
-    /// The sampling + ring phase. The caller already consumed a
-    /// sequence number for `ev`.
+    /// The ring phase. The caller already consumed a sequence number
+    /// for `ev`.
     fn store(&self, inner: &mut JournalInner, ev: TraceEvent) {
-        let cat = ev.kind.category() as usize;
-        let nth = inner.seen[cat];
-        inner.seen[cat] += 1;
-        if !nth.is_multiple_of(self.cfg.rate(ev.kind.category())) {
-            inner.sampled_out[cat] += 1;
-            return;
-        }
         if let Some(capacity) = self.cfg.capacity {
             if capacity == 0 {
-                inner.evicted[cat] += 1;
+                inner.evicted[ev.kind.category() as usize] += 1;
                 return;
             }
             while inner.events.len() >= capacity {
@@ -1054,8 +1004,6 @@ pub struct GlobalMetrics {
     pub program_cache_misses: u64,
     /// Ops across all compiled programs.
     pub program_ops: u64,
-    /// Shared (factored) ops across all compiled programs.
-    pub program_shared_ops: u64,
     /// Total wall-clock time spent compiling programs, ns.
     pub compile_ns: u64,
     /// Server request frames received ([`EventKind::RequestRecv`]).
@@ -1218,11 +1166,10 @@ impl MetricsRegistry {
             };
             let _ = writeln!(
                 out,
-                "compile: programs {}  ops {} ({} shared)  cache hits {} / {} (hit rate {:.1}%)  \
+                "compile: programs {}  ops {}  cache hits {} / {} (hit rate {:.1}%)  \
                  compile time {} us",
                 g.programs_compiled,
                 g.program_ops,
-                g.program_shared_ops,
                 g.program_cache_hits,
                 lookups,
                 hit_rate,
@@ -1378,15 +1325,9 @@ impl TraceSink for MetricsRegistry {
                 m.invocations += 1;
                 m.latency_ns.record(dur_ns);
             }
-            EventKind::PlanCompiled {
-                ops,
-                shared,
-                dur_ns,
-                ..
-            } => {
+            EventKind::PlanCompiled { ops, dur_ns, .. } => {
                 inner.globals.programs_compiled += 1;
                 inner.globals.program_ops += u64::from(ops);
-                inner.globals.program_shared_ops += u64::from(shared);
                 inner.globals.compile_ns = inner.globals.compile_ns.saturating_add(dur_ns);
             }
             EventKind::ProgramCacheHit { .. } => {
@@ -1766,13 +1707,11 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
             service,
             atoms,
             ops,
-            shared,
             dur_ns,
         } => {
             let start = us(ev.ts_ns.saturating_sub(dur_ns));
             format!(
-                "{},\"dur\":{:.3},\"args\":{{\"atoms\":{atoms},\"ops\":{ops},\
-                 \"shared\":{shared}}}}}",
+                "{},\"dur\":{:.3},\"args\":{{\"atoms\":{atoms},\"ops\":{ops}}}}}",
                 common(&format!("compile {service}"), "X", "compile", start),
                 us(dur_ns),
             )
@@ -2526,14 +2465,12 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (15..25).collect::<Vec<u64>>());
         assert_eq!(j.dropped(), 15);
-        assert_eq!(j.dropped_evicted(), 15);
-        assert_eq!(j.dropped_sampled(), 0);
         let by_cat = j.dropped_by_category();
         let engine = by_cat
             .iter()
-            .find(|(c, _, _)| *c == EventCategory::Engine)
+            .find(|(c, _)| *c == EventCategory::Engine)
             .unwrap();
-        assert_eq!((engine.1, engine.2), (15, 0));
+        assert_eq!(engine.1, 15);
         // Seq numbers keep advancing past evictions.
         let ev = j.record_event(EventKind::RoundStart { round: 99 }, 7);
         assert_eq!(ev.seq, 25);
@@ -2541,55 +2478,15 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_one_in_n_per_category_and_preserves_seq() {
-        let cfg = JournalConfig::unbounded().with_sample(EventCategory::Cache, 4);
-        let j = Journal::with_config(cfg);
-        for i in 0..12u64 {
-            j.record(EventKind::CacheHit {
-                service: sym("f"),
-                atom: i as u32,
-            });
-            // An unsampled category is untouched by the cache rate.
-            j.record(EventKind::RoundStart { round: i });
-        }
-        let events = j.snapshot();
-        // 3 of 12 cache events kept (every 4th, starting with the
-        // first), all 12 engine events kept.
-        let cache: Vec<&TraceEvent> = events
-            .iter()
-            .filter(|e| e.kind.category() == EventCategory::Cache)
-            .collect();
-        assert_eq!(cache.len(), 3);
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.kind.category() == EventCategory::Engine)
-                .count(),
-            12
-        );
-        // Sampled-out events still consumed a seq: the kept cache
-        // events sit 8 seq apart (4 cache slots × 2 interleaved kinds).
-        assert_eq!(cache[1].seq - cache[0].seq, 8);
-        assert_eq!(j.dropped(), 9);
-        assert_eq!(j.dropped_sampled(), 9);
-        assert_eq!(j.dropped_evicted(), 0);
-        // Strict global seq order over whatever is retained.
-        for w in events.windows(2) {
-            assert!(w[0].seq < w[1].seq);
-        }
-    }
-
-    #[test]
     fn default_journal_config_is_a_bounded_ring() {
         let cfg = JournalConfig::default();
         assert_eq!(cfg.capacity, Some(DEFAULT_JOURNAL_CAPACITY));
-        assert!(cfg.sample.iter().all(|&r| r == 1));
         let j = Journal::bounded(2);
         for round in 0..5u64 {
             j.record(EventKind::RoundStart { round });
         }
         assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped_evicted(), 3);
+        assert_eq!(j.dropped(), 3);
     }
 
     #[test]

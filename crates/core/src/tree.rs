@@ -667,9 +667,9 @@ impl Tree {
     }
 
     /// Like [`Tree::indexed_nodes_with`] but never *builds* the index —
-    /// for compile-time selectivity probes ([`crate::compile`]) which
-    /// must not perturb the lazy build timing the matcher's own probes
-    /// control.
+    /// for the anchor choice's bucket-size reads ([`crate::matcher`]),
+    /// which must not perturb the lazy build timing the matcher's own
+    /// probes control.
     pub fn indexed_nodes_if_built(&self, m: Marking) -> Option<&[NodeId]> {
         self.index.get().map(|ix| {
             ix.assert_fresh(self.version);

@@ -28,7 +28,6 @@ use std::fmt::Write as _;
 
 use axml_core::compile::compile_query;
 use axml_core::engine::{run_with_provenance, EngineConfig, EngineMode};
-use axml_core::eval::Env;
 use axml_core::matcher::{match_pattern, MatchStrategy};
 use axml_core::provenance::{Provenance, ProvenanceStore};
 use axml_core::trace::{
@@ -272,11 +271,10 @@ pub fn deepest_provenance_dot(n: usize, shards: usize, seed: u64) -> (String, St
     (ex.lineage.to_dot(), summary)
 }
 
-/// Compile and pretty-print match programs against the tc-digraph
-/// workload: run the closure to fixpoint first (so the marking indexes
-/// carry live selectivity statistics), then compile either the ad-hoc
-/// `query` rule or every positive service of the system, and render
-/// each [`axml_core::compile::CompiledQuery`]'s plan + program dump.
+/// Compile and pretty-print match programs for the tc-digraph workload:
+/// either the ad-hoc `query` rule or every positive service of the
+/// system, each [`axml_core::compile::CompiledQuery`]'s plan + program
+/// dump. A program reads no document, so nothing is run first.
 pub fn render_plan(
     n: usize,
     shards: usize,
@@ -284,13 +282,7 @@ pub fn render_plan(
     query: Option<&str>,
     strategy: MatchStrategy,
 ) -> Result<String, String> {
-    let mut sys = axml_bench::tc_random_digraph(n, shards, seed);
-    axml_core::engine::run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta))
-        .map_err(|e| e.to_string())?;
-    let mut env = Env::new();
-    for &d in sys.doc_names() {
-        env.insert(d, sys.doc(d).expect("doc_names lists stored documents"));
-    }
+    let sys = axml_bench::tc_random_digraph(n, shards, seed);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -301,7 +293,7 @@ pub fn render_plan(
         Some(src) => {
             let q = parse_query(src).map_err(|e| e.to_string())?;
             let _ = writeln!(out, "\nquery: {src}");
-            out.push_str(&compile_query(&q, Some(&env), strategy).dump());
+            out.push_str(&compile_query(&q, strategy).dump());
         }
         None => {
             let mut any = false;
@@ -311,7 +303,7 @@ pub fn render_plan(
                 };
                 any = true;
                 let _ = writeln!(out, "\nservice {}:", svc.as_str());
-                out.push_str(&compile_query(q, Some(&env), strategy).dump());
+                out.push_str(&compile_query(q, strategy).dump());
             }
             if !any {
                 let _ = writeln!(out, "\n(no positive services)");
@@ -392,9 +384,7 @@ mod tests {
         assert!(out.contains("service "));
         assert!(out.contains("plan: "));
         assert!(out.contains("program: "));
-        // The workload ran to fixpoint first, so constant items carry
-        // live index-bucket estimates.
-        assert!(out.contains("~bucket"));
+        assert!(out.contains("] join "));
         let adhoc = render_plan(
             24,
             2,

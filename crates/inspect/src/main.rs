@@ -21,8 +21,8 @@
 //!   prints (or writes) the DOT derivation DAG of the deepest
 //!   explainable `path` answer — pipe it to `dot -Tsvg`.
 //! * `plan` compiles every positive service of the closure workload (or
-//!   the ad-hoc `--query` rule) after running it to fixpoint, and prints
-//!   the optimized plan IR and match program of each.
+//!   the ad-hoc `--query` rule) and prints the optimized plan IR and
+//!   match program of each.
 //! * `serve` spawns an in-process `axml-server` on an ephemeral port,
 //!   drives it closed-loop with the `axml-load` generator, and prints
 //!   the load line plus the server's metrics report (the `server:`

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! axml-load [--addr HOST:PORT] [--conns N] [--requests N] [--batch N]
-//!           [--entries N] [--subscribe] [--readers N] [--tenants N]
+//!           [--entries N] [--subscribe] [--readers N]
 //!           [--shutdown] [--json PATH] [--version]
 //! ```
 //!
@@ -13,12 +13,9 @@
 //! streams a transitive-closure fixpoint per connection; `--readers N`
 //! appends a mixed phase racing `N` closed-loop `query`/`stats`
 //! readers against a writer driving back-to-back fixpoints on one
-//! shared session (reader p50/p99 in extra columns); `--tenants N`
-//! appends a multi-tenant phase — `N` concurrent single-session
-//! tenants, each its own small system — reporting aggregate and
-//! worst-tenant p99 (`tn-*` columns, `tenant_*` JSON fields);
-//! `--shutdown` stops the server
-//! afterwards (the CI smoke job uses all three); `--json PATH` also
+//! shared session (reader p50/p99 in extra columns); `--shutdown`
+//! stops the server afterwards (the CI smoke job uses all three);
+//! `--json PATH` also
 //! writes the machine-readable summary ([`LoadReport::to_json`]) to
 //! `PATH` for benchmark trajectory files.
 
@@ -27,7 +24,7 @@ use axml_server::load::{run, LoadConfig, LoadReport};
 fn usage() -> ! {
     eprintln!(
         "usage: axml-load [--addr HOST:PORT] [--conns N] [--requests N] [--batch N]\n\
-         \x20                [--entries N] [--subscribe] [--readers N] [--tenants N]\n\
+         \x20                [--entries N] [--subscribe] [--readers N]\n\
          \x20                [--shutdown] [--json PATH] [--version]"
     );
     std::process::exit(2)
@@ -52,7 +49,6 @@ fn main() {
             "--entries" => cfg.entries = parse(&val("--entries")).max(1),
             "--subscribe" => cfg.subscribe = true,
             "--readers" => cfg.readers = parse(&val("--readers")),
-            "--tenants" => cfg.tenants = parse(&val("--tenants")),
             "--shutdown" => cfg.shutdown = true,
             "--json" => json_path = Some(val("--json")),
             "--version" | "-V" => {

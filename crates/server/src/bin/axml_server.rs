@@ -4,8 +4,7 @@
 //! axml-server [--addr HOST:PORT] [--max-conns N] [--max-sessions N]
 //!             [--max-batch N] [--max-frame-bytes N] [--write-timeout SECS]
 //!             [--mode naive|delta] [--trace-engine] [--trace FILE] [--report]
-//!             [--metrics-addr HOST:PORT] [--journal-capacity N]
-//!             [--journal-sample CAT=N] [--version]
+//!             [--metrics-addr HOST:PORT] [--journal-capacity N] [--version]
 //! ```
 //!
 //! Speaks protocol v1 (`docs/protocol.md`); `docs/server.md` is the
@@ -13,12 +12,9 @@
 //! drains, optionally writes the Chrome trace (`--trace`) and prints
 //! the metrics report (`--report`). `--metrics-addr` opens a second
 //! listener serving Prometheus text exposition; `--journal-capacity`
-//! sizes the observability ring (0 = unbounded, the test mode);
-//! `--journal-sample CAT=N` keeps one event in `N` for a category
-//! (repeatable, e.g. `--journal-sample cache=16`).
+//! sizes the observability ring (0 = unbounded, the test mode).
 
 use axml_core::engine::EngineMode;
-use axml_core::trace::EventCategory;
 use axml_server::server::{Server, ServerConfig};
 use std::io::Write;
 
@@ -27,8 +23,7 @@ fn usage() -> ! {
         "usage: axml-server [--addr HOST:PORT] [--max-conns N] [--max-sessions N]\n\
          \x20                  [--max-batch N] [--max-frame-bytes N] [--write-timeout SECS]\n\
          \x20                  [--mode naive|delta] [--trace-engine] [--trace FILE] [--report]\n\
-         \x20                  [--metrics-addr HOST:PORT] [--journal-capacity N]\n\
-         \x20                  [--journal-sample CAT=N] [--version]"
+         \x20                  [--metrics-addr HOST:PORT] [--journal-capacity N] [--version]"
     );
     std::process::exit(2)
 }
@@ -81,18 +76,6 @@ fn main() {
                     0 => None,
                     n => Some(n),
                 }
-            }
-            "--journal-sample" => {
-                let spec = val("--journal-sample");
-                let Some((cat, n)) = spec.split_once('=') else {
-                    eprintln!("--journal-sample wants CAT=N, got {spec:?}");
-                    usage()
-                };
-                let Some(cat) = EventCategory::parse(cat) else {
-                    eprintln!("unknown event category {cat:?}");
-                    usage()
-                };
-                cfg.journal = cfg.journal.clone().with_sample(cat, parse(n) as u32);
             }
             "--version" | "-V" => {
                 println!("axml-server {}", env!("CARGO_PKG_VERSION"));

@@ -14,14 +14,6 @@
 //! while `N` closed-loop readers alternate `query` and `stats` frames
 //! against it, measuring reader p50/p99 under an actively-committing
 //! writer (the MVCC read-while-commit path; see `docs/mvcc.md`).
-//!
-//! `--tenants N` appends a multi-tenant phase: `N` concurrent
-//! connections, each owning its own small session (many small,
-//! independent systems colocated on one server), each
-//! driving its own fixpoint and then a closed query loop. Per-tenant
-//! latency lands in its own histogram; the report shows the aggregate
-//! p50/p99 plus the *worst tenant's* p99 — the isolation number
-//! (`tn-*` columns, `tenant_*` JSON fields).
 
 use crate::protocol::{ProtoError, Request, Response, PROTOCOL_VERSION};
 use axml_core::trace::Histogram;
@@ -56,12 +48,6 @@ pub struct LoadConfig {
     /// fields) — on an MVCC server the readers never wait for the
     /// writer's rounds. 0 disables the phase.
     pub readers: usize,
-    /// Multi-tenant workload: after the main loop, run this many
-    /// concurrent single-session tenants, each opening its own small
-    /// system, driving its fixpoint, then issuing `requests` queries
-    /// closed-loop. Aggregate and worst-tenant latency land in the
-    /// `tn-*` columns / `tenant_*` JSON fields. 0 disables the phase.
-    pub tenants: usize,
     /// Send a `shutdown` frame after the load (on a final extra
     /// connection), stopping the server.
     pub shutdown: bool,
@@ -77,7 +63,6 @@ impl Default for LoadConfig {
             entries: 64,
             subscribe: false,
             readers: 0,
-            tenants: 0,
             shutdown: false,
         }
     }
@@ -108,17 +93,6 @@ pub struct LoadReport {
     pub reader_elapsed: Duration,
     /// Mixed-workload phase: writer fixpoints committed during the race.
     pub writer_runs: usize,
-    /// Multi-tenant phase: query frames answered across all tenants.
-    pub tenant_requests: usize,
-    /// Multi-tenant phase: aggregate round-trip latency, nanoseconds.
-    pub tenant_latency: Histogram,
-    /// Multi-tenant phase: the worst single tenant's p99, nanoseconds
-    /// — the per-tenant isolation number.
-    pub tenant_worst_p99: u64,
-    /// Multi-tenant phase: wall-clock time (all tenants concurrent).
-    pub tenant_elapsed: Duration,
-    /// Multi-tenant phase: fixpoints driven (one per tenant).
-    pub tenant_runs: usize,
 }
 
 impl LoadReport {
@@ -138,14 +112,6 @@ impl LoadReport {
         self.reader_requests as f64 / self.reader_elapsed.as_secs_f64()
     }
 
-    /// Tenant requests per second over the multi-tenant phase.
-    pub fn tenant_throughput(&self) -> f64 {
-        if self.tenant_elapsed.is_zero() {
-            return 0.0;
-        }
-        self.tenant_requests as f64 / self.tenant_elapsed.as_secs_f64()
-    }
-
     /// Machine-readable run summary: one JSON object on one line, the
     /// `BENCH_*.json` trajectory format (`axml-load --json PATH`).
     /// Latencies are nanoseconds; `elapsed_ms` and `throughput_rps`
@@ -157,10 +123,7 @@ impl LoadReport {
              \"latency_max_ns\":{},\"answer_trees\":{},\"deltas\":{},\
              \"pushed_trees\":{},\"errors\":{},\"readers\":{},\
              \"reader_requests\":{},\"reader_rps\":{:.1},\
-             \"reader_p50_ns\":{},\"reader_p99_ns\":{},\"writer_runs\":{},\
-             \"tenants\":{},\"tenant_requests\":{},\"tenant_rps\":{:.1},\
-             \"tenant_p50_ns\":{},\"tenant_p99_ns\":{},\
-             \"tenant_worst_p99_ns\":{},\"tenant_runs\":{}}}",
+             \"reader_p50_ns\":{},\"reader_p99_ns\":{},\"writer_runs\":{}}}",
             cfg.conns,
             cfg.batch,
             self.requests,
@@ -179,13 +142,6 @@ impl LoadReport {
             self.reader_latency.quantile(0.50),
             self.reader_latency.quantile(0.99),
             self.writer_runs,
-            cfg.tenants,
-            self.tenant_requests,
-            self.tenant_throughput(),
-            self.tenant_latency.quantile(0.50),
-            self.tenant_latency.quantile(0.99),
-            self.tenant_worst_p99,
-            self.tenant_runs,
         )
     }
 
@@ -215,17 +171,6 @@ impl LoadReport {
                 self.reader_latency.quantile(0.50) / 1_000,
                 self.reader_latency.quantile(0.99) / 1_000,
                 self.writer_runs,
-            ));
-        }
-        if cfg.tenants > 0 {
-            line.push_str(&format!(
-                "  tenants {}  tn-thrpt {:.0} req/s  tn-p50 {} us  tn-p99 {} us  \
-                 tn-worst-p99 {} us",
-                cfg.tenants,
-                self.tenant_throughput(),
-                self.tenant_latency.quantile(0.50) / 1_000,
-                self.tenant_latency.quantile(0.99) / 1_000,
-                self.tenant_worst_p99 / 1_000,
             ));
         }
         line
@@ -564,99 +509,6 @@ fn mixed_workload(cfg: &LoadConfig) -> std::io::Result<MixedResult> {
     Ok(out)
 }
 
-struct TenantResult {
-    runs: usize,
-    requests: usize,
-    errors: usize,
-    /// Per-tenant latency sample vectors (one entry per tenant, so the
-    /// worst tenant's p99 can be computed separately from the merge).
-    samples: Vec<Vec<u64>>,
-    elapsed: Duration,
-}
-
-/// The `--tenants N` phase: `N` concurrent single-session tenants,
-/// each a small independent system — open, one fixpoint `run`, then a
-/// closed query loop, then close. The per-tenant sample vectors stay
-/// separate so the report can quote the worst tenant's p99 next to
-/// the aggregate: on a well-isolated server the two stay close.
-fn tenant_workload(cfg: &LoadConfig) -> std::io::Result<TenantResult> {
-    let started = Instant::now();
-    let mut results: Vec<std::io::Result<(usize, usize, Vec<u64>)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.tenants)
-            .map(|t| {
-                let cfg = &*cfg;
-                scope.spawn(move || -> std::io::Result<(usize, usize, Vec<u64>)> {
-                    let session = format!("tenant-{t}");
-                    let mut c = Client::connect(&cfg.addr)?;
-                    let (edges, rule) = tc_doc(6);
-                    match c.call(&Request::Open {
-                        id: 1,
-                        session: session.clone(),
-                        docs: vec![
-                            ("db".to_string(), kv_doc(cfg.entries)),
-                            ("edges".to_string(), edges),
-                        ],
-                        services: vec![("tc".to_string(), rule)],
-                    })? {
-                        Response::OpenOk { .. } => {}
-                        other => return Err(bad_frame(&other)),
-                    }
-                    let mut errors = 0usize;
-                    match c.call(&Request::Run {
-                        id: 2,
-                        session: session.clone(),
-                        mode: None,
-                        max_invocations: None,
-                    })? {
-                        Response::RunOk { .. } => {}
-                        Response::Error { .. } => errors += 1,
-                        other => return Err(bad_frame(&other)),
-                    }
-                    let mut samples = Vec::with_capacity(cfg.requests);
-                    for i in 0..cfg.requests {
-                        let t0 = Instant::now();
-                        match c.call(&Request::Query {
-                            id: 100 + i as u64,
-                            session: session.clone(),
-                            query: kv_query((i * 7 + t) % cfg.entries.max(1)),
-                        })? {
-                            Response::Answers { .. } => {}
-                            Response::Error { .. } => errors += 1,
-                            other => return Err(bad_frame(&other)),
-                        }
-                        samples.push(t0.elapsed().as_nanos() as u64);
-                    }
-                    match c.call(&Request::Close { id: 3, session })? {
-                        Response::Closed { .. } => {}
-                        Response::Error { .. } => errors += 1,
-                        other => return Err(bad_frame(&other)),
-                    }
-                    Ok((1, errors, samples))
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("tenant thread panicked"));
-        }
-    });
-    let mut out = TenantResult {
-        runs: 0,
-        requests: 0,
-        errors: 0,
-        samples: Vec::new(),
-        elapsed: started.elapsed(),
-    };
-    for r in results {
-        let (runs, errors, samples) = r?;
-        out.runs += runs;
-        out.errors += errors;
-        out.requests += samples.len();
-        out.samples.push(samples);
-    }
-    Ok(out)
-}
-
 /// Run the load against a listening server and aggregate the report.
 pub fn run(cfg: &LoadConfig) -> std::io::Result<LoadReport> {
     let started = Instant::now();
@@ -692,21 +544,6 @@ pub fn run(cfg: &LoadConfig) -> std::io::Result<LoadReport> {
         report.errors += mixed.errors;
         for s in mixed.samples {
             report.reader_latency.record(s);
-        }
-    }
-    if cfg.tenants > 0 {
-        let tenants = tenant_workload(cfg)?;
-        report.tenant_runs = tenants.runs;
-        report.tenant_requests = tenants.requests;
-        report.tenant_elapsed = tenants.elapsed;
-        report.errors += tenants.errors;
-        for per_tenant in tenants.samples {
-            let mut h = Histogram::new();
-            for s in per_tenant {
-                h.record(s);
-                report.tenant_latency.record(s);
-            }
-            report.tenant_worst_p99 = report.tenant_worst_p99.max(h.quantile(0.99));
         }
     }
     if cfg.shutdown {
@@ -762,13 +599,6 @@ mod tests {
             "reader_p50_ns",
             "reader_p99_ns",
             "writer_runs",
-            "tenants",
-            "tenant_requests",
-            "tenant_rps",
-            "tenant_p50_ns",
-            "tenant_p99_ns",
-            "tenant_worst_p99_ns",
-            "tenant_runs",
         ] {
             assert!(
                 fields.iter().any(|(k, _)| k == key),

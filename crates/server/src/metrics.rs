@@ -78,7 +78,6 @@ pub fn global_counters(g: &GlobalMetrics) -> Vec<(&'static str, u64)> {
         ("program_cache_hits", g.program_cache_hits),
         ("program_cache_misses", g.program_cache_misses),
         ("program_ops", g.program_ops),
-        ("program_shared_ops", g.program_shared_ops),
         ("compile_ns", g.compile_ns),
         ("requests_recv", g.requests_recv),
         ("requests_served", g.requests_served),

@@ -840,48 +840,6 @@ fn metrics_listener_serves_valid_prometheus_text() {
     handle.join();
 }
 
-/// `axml-load --tenants N` drives N concurrent single-session tenants
-/// and reports aggregate + worst-tenant latency; tenants close their
-/// sessions, so none is left open afterwards.
-#[test]
-fn load_tenants_phase_reports_per_tenant_latency() {
-    use axml_server::load::{run, LoadConfig};
-    let mut handle =
-        Server::spawn("127.0.0.1:0", ServerConfig::default()).expect("bind ephemeral port");
-    let load = LoadConfig {
-        addr: handle.addr().to_string(),
-        conns: 1,
-        requests: 8,
-        entries: 16,
-        tenants: 3,
-        ..LoadConfig::default()
-    };
-    let report = run(&load).expect("load run succeeds");
-    assert_eq!(report.errors, 0, "no error frames");
-    assert_eq!(report.tenant_runs, 3, "one fixpoint per tenant");
-    assert_eq!(report.tenant_requests, 3 * 8);
-    assert_eq!(report.tenant_latency.count(), 3 * 8);
-    assert!(report.tenant_worst_p99 >= report.tenant_latency.quantile(0.5));
-    let json = report.to_json(&load);
-    assert!(json.contains("\"tenants\":3"), "{json}");
-    assert!(json.contains("\"tenant_requests\":24"), "{json}");
-    let line = report.render(&load);
-    assert!(line.contains("tenants 3"), "{line}");
-    assert!(line.contains("tn-worst-p99"), "{line}");
-
-    // Every tenant closed its session.
-    let mut c = Client::connect(&handle.addr().to_string()).unwrap();
-    let resp = c.call(&Request::Stats { id: 1 }).unwrap();
-    assert!(
-        matches!(resp, Response::StatsOk { sessions: 0, .. }),
-        "{resp:?}"
-    );
-
-    handle.shutdown();
-    drop(c);
-    handle.join();
-}
-
 /// The MVCC acceptance path: while a `subscribe` drives a long fixpoint
 /// (holding the session's writer lock for the whole run), `query` and
 /// `stats` frames from another connection are answered from the latest

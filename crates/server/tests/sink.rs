@@ -72,7 +72,6 @@ fn bounded_ring_under_concurrency_counts_every_drop() {
     let capacity = 64;
     let sink = Arc::new(SharedSink::with_config(JournalConfig {
         capacity: Some(capacity),
-        ..JournalConfig::default()
     }));
     hammer(&sink);
 

@@ -131,8 +131,9 @@ fn run_and_query(mut sys: System) -> usize {
 
 /// Measured at 27 022–28 151 allocations with debug assertions on (their
 /// checks allocate too, the semi-naive self-check among them; the count
-/// moves with the order the tests run in) and 9 418 without; each bound
-/// leaves 10 % of headroom. When every call built a head for every
+/// moves with the order the tests run in) and 9 322 without; each bound
+/// leaves 10 % of headroom. When the index build mid-run recompiled the
+/// service, 9 418 without. When every call built a head for every
 /// embedding and each executor row was copied into a `Binding` before
 /// the body join read it, the same run took 22 535–22 734 and 12 495;
 /// with a `Vec<Binding>` per relation in the compiled executor and a
@@ -142,7 +143,7 @@ fn run_and_query(mut sys: System) -> usize {
 const CHAIN16_BUDGET: u64 = if cfg!(debug_assertions) {
     31_000
 } else {
-    10_360
+    10_255
 };
 
 #[test]
@@ -156,6 +157,21 @@ fn chain16_delta_run_and_closure_query_stay_under_budget() {
     assert!(
         allocs <= CHAIN16_BUDGET,
         "{allocs} allocations, budget {CHAIN16_BUDGET}"
+    );
+}
+
+/// A program reads no document, so the chain-16 Delta run compiles its
+/// one service once, although the `edges` index is built mid-run.
+#[test]
+fn chain16_delta_run_compiles_its_service_once() {
+    let mut sys = chain_system(16);
+    assert!(!sys.doc(Sym::intern("edges")).unwrap().index_is_built());
+    let (status, stats) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+    assert_eq!(status, RunStatus::Terminated);
+    assert!(sys.doc(Sym::intern("edges")).unwrap().index_is_built());
+    assert_eq!(
+        (stats.programs_compiled, stats.program_cache_misses),
+        (1, 1)
     );
 }
 
@@ -185,7 +201,7 @@ fn compiled_doubling_body_allocates_per_output_binding() {
     let sys = closure_system();
     let doc = sys.doc(Sym::intern("edges")).unwrap();
     let q = parse_query(DOUBLING_RULE).unwrap();
-    let c = compile_query(&q, None, MatchStrategy::Indexed);
+    let c = compile_query(&q, MatchStrategy::Indexed);
     let (warm, _) = c.run_atom(0, doc);
     let (allocs, (out, _)) = counted(|| c.run_atom(0, doc));
     assert_eq!(out, warm);
@@ -262,7 +278,7 @@ fn tree_variable_bindings_copy_their_subtree_once() {
     let children: Vec<String> = (0..100).map(|i| format!(r#"a{{k{{"{i}"}}}}"#)).collect();
     let doc = parse_tree(&format!("r{{{}}}", children.join(","))).unwrap();
     let q = parse_query("h{#T} :- d/r{a{#T}}").unwrap();
-    let c = compile_query(&q, None, MatchStrategy::Indexed);
+    let c = compile_query(&q, MatchStrategy::Indexed);
     let (warm, _) = c.run_atom(0, &doc);
     let (allocs, (out, _)) = counted(|| c.run_atom(0, &doc));
     assert_eq!(out, warm);

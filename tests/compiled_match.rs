@@ -113,7 +113,7 @@ fn redundant_conjuncts_are_eliminated_without_observable_effect() {
     // The pattern itself compiles down to one atom...
     let sys = build();
     let q = sys.service_query(Sym::intern("f")).unwrap();
-    let compiled = positive_axml::core::compile::compile_query(q, None, MatchStrategy::Indexed);
+    let compiled = positive_axml::core::compile::compile_query(q, MatchStrategy::Indexed);
     assert_eq!(compiled.plan().atoms.len(), 1);
     assert_eq!(compiled.plan().eliminated.len(), 2);
     // ...and the engines agree with the reference on the closure.
@@ -321,10 +321,9 @@ fn random_document(g: &mut Gen) -> Spec {
 }
 
 /// A pattern taken from document node `n`: up to three children per
-/// node (with repeats, and sometimes a repeated subpattern, which the
-/// compiler hash-conses), with items turned into variables of every
-/// kind. Variable names come from small pools, so a variable repeats
-/// across siblings and across levels.
+/// node (with repeats, and sometimes a repeated subpattern), with items
+/// turned into variables of every kind. Variable names come from small
+/// pools, so a variable repeats across siblings and across levels.
 fn pattern_from(g: &mut Gen, n: &Spec, depth: usize, ground: bool) -> Spec {
     let kind = if n.item.starts_with('"') {
         "$v"
@@ -442,7 +441,7 @@ proptest! {
                 doc.build_index();
             }
             for strategy in [MatchStrategy::Scan, MatchStrategy::Indexed] {
-                let c = compile_query(&q, None, strategy);
+                let c = compile_query(&q, strategy);
                 for (pos, atom) in c.program().atoms().iter().enumerate() {
                     let (compiled, _) = c.run_atom(pos, &doc);
                     let (interp, _) =

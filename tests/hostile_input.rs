@@ -211,7 +211,7 @@ fn a_selective_site_query_probes_per_answer_not_per_item() {
         stats.probes
     );
     let q = parse_query(&format!("h :- d/{p}")).unwrap();
-    let (compiled, cstats) = compile_query(&q, None, MatchStrategy::Indexed).run_atom(0, &doc);
+    let (compiled, cstats) = compile_query(&q, MatchStrategy::Indexed).run_atom(0, &doc);
     assert_eq!(compiled, bindings);
     assert!(
         cstats.probes <= 4 * answers + SITE_ANCHOR_DEPTH,

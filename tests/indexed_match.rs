@@ -125,8 +125,8 @@ fn anchored_descent_equals_scan_and_fires_past_decoys() {
         r#"site{?z{region{item{cat{"c003"},price{$p}}}}}"#,
         r#"site{zone{?r{item{cat{"c003"},name{$n}}, rid{#T}}}}"#,
         r#"site{zone{region{item{cat{"c003"},#T}}}}"#,
-        // repeated subpatterns: the compiled program hash-conses one op
-        // onto the anchor path, and the item op also occurs one level up
+        // repeated subpatterns: one occurrence lies on the anchor path,
+        // and the item subpattern also occurs one level up
         r#"site{zone{region{item{cat{"c003"},name{$n}}}}, zone{region{item{cat{"c003"},name{$n}}}}}"#,
         r#"site{zone{region{item{cat{"c003"},name{$n}}}, item{cat{"c003"},name{$n}}}}"#,
     ];
@@ -139,7 +139,7 @@ fn anchored_descent_equals_scan_and_fires_past_decoys() {
     for (i, pat) in patterns.into_iter().enumerate() {
         let p = parse_pattern(pat).unwrap();
         let q = parse_query(&format!("h :- d/{pat}")).unwrap();
-        let program = compile_query(&q, None, MatchStrategy::Indexed);
+        let program = compile_query(&q, MatchStrategy::Indexed);
         let scan = match_pattern_with(&p, &decoy_site(), MatchStrategy::Scan).0;
         assert!(!scan.is_empty(), "{pat} must match something");
 
@@ -179,9 +179,7 @@ fn anchored_descent_equals_scan_and_fires_past_decoys() {
         compiled = (compiled.0 + stats.probes, compiled.1 + plain.probes);
         assert_eq!(
             anchored,
-            compile_query(&q, None, MatchStrategy::Scan)
-                .run_atom(0, &doc)
-                .0,
+            compile_query(&q, MatchStrategy::Scan).run_atom(0, &doc).0,
             "{pat}: scan program diverged"
         );
     }
