@@ -1,27 +1,26 @@
-//! X12 bench (experiment X14 in EXPERIMENTS.md) — naive vs delta-driven
-//! engine mode on the X4-style transitive-closure workload and the X6
+//! X12 bench (experiment X14 in EXPERIMENTS.md) — the semi-naive
+//! engine on the X4-style transitive-closure workload and the X6
 //! Turing-machine workload.
 //!
-//! The shape to observe: on the sharded TC digraph the delta scheduler
-//! skips every static loader after its first firing (≥5× fewer snapshot
-//! evaluations, same fixpoint); on the TM workload nearly every call
-//! reads its own growing document, so delta degenerates gracefully to
-//! naive cost plus bookkeeping.
+//! The shape to observe: on the sharded TC digraph the engine skips
+//! every static loader after its first firing (≥5× fewer evaluations
+//! than call visits, same fixpoint); on the TM workload nearly every
+//! call reads its own growing document, so few visits are skipped.
 //!
-//! The `delta-traced` entries run the same delta workload with an
-//! unbounded [`Journal`] attached, quantifying the observability
-//! overhead against the plain `delta` rows (the disabled-tracer rows
-//! must stay within noise of PR 1's numbers — events cost nothing
-//! unless a sink is on). The `delta-ring` entries attach the
-//! *production* journal instead ([`JournalConfig::default`]: a bounded
-//! ring with default sampling) — the always-on configuration, which
-//! must stay within 5% of the detached `delta` rows.
-//! The `delta-provenance` entries attach a [`ProvenanceStore`] instead:
-//! the plain `delta` rows exercise the disabled [`Provenance`] handle
-//! on every graft, so they must likewise stay within run-to-run noise.
+//! The `delta-traced` entries run the same workload with an unbounded
+//! [`Journal`] attached, quantifying the observability overhead against
+//! the plain `delta` rows (the disabled-tracer rows must stay within
+//! noise — events cost nothing unless a sink is on). The `delta-ring`
+//! entries attach the *production* journal instead
+//! ([`JournalConfig::default`]: a bounded ring) —
+//! the always-on configuration, which must stay within 5% of the
+//! detached `delta` rows. The `delta-provenance` entries attach a
+//! [`ProvenanceStore`] instead: the plain `delta` rows exercise the
+//! disabled [`Provenance`] handle on every graft, so they must likewise
+//! stay within run-to-run noise.
 
 use axml_bench::tc_random_digraph;
-use axml_core::engine::{run, run_traced, run_with_provenance, EngineConfig, EngineMode};
+use axml_core::engine::{run, run_traced, run_with_provenance, EngineConfig};
 use axml_core::provenance::{Provenance, ProvenanceStore};
 use axml_core::trace::{Journal, JournalConfig, Tracer};
 use axml_tm::encode::encode_tm;
@@ -34,28 +33,18 @@ fn bench_tc(c: &mut Criterion) {
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     for &n in &[32usize, 64] {
         let sys = tc_random_digraph(n, 6, 12);
-        g.bench_with_input(BenchmarkId::new("naive", n), &sys, |b, s| {
-            b.iter(|| {
-                let mut runner = s.clone();
-                run(&mut runner, &EngineConfig::default()).unwrap()
-            })
-        });
         g.bench_with_input(BenchmarkId::new("delta", n), &sys, |b, s| {
             b.iter(|| {
                 let mut runner = s.clone();
-                run(&mut runner, &EngineConfig::with_mode(EngineMode::Delta)).unwrap()
+                run(&mut runner, &EngineConfig::default()).unwrap()
             })
         });
         g.bench_with_input(BenchmarkId::new("delta-traced", n), &sys, |b, s| {
             b.iter(|| {
                 let mut runner = s.clone();
                 let journal = Journal::new();
-                let out = run_traced(
-                    &mut runner,
-                    &EngineConfig::with_mode(EngineMode::Delta),
-                    Tracer::new(&journal),
-                )
-                .unwrap();
+                let out = run_traced(&mut runner, &EngineConfig::default(), Tracer::new(&journal))
+                    .unwrap();
                 (out, journal.len())
             })
         });
@@ -63,12 +52,8 @@ fn bench_tc(c: &mut Criterion) {
             b.iter(|| {
                 let mut runner = s.clone();
                 let journal = Journal::with_config(JournalConfig::default());
-                let out = run_traced(
-                    &mut runner,
-                    &EngineConfig::with_mode(EngineMode::Delta),
-                    Tracer::new(&journal),
-                )
-                .unwrap();
+                let out = run_traced(&mut runner, &EngineConfig::default(), Tracer::new(&journal))
+                    .unwrap();
                 (out, journal.len())
             })
         });
@@ -78,7 +63,7 @@ fn bench_tc(c: &mut Criterion) {
                 let store = ProvenanceStore::new();
                 let out = run_with_provenance(
                     &mut runner,
-                    &EngineConfig::with_mode(EngineMode::Delta),
+                    &EngineConfig::default(),
                     Tracer::disabled(),
                     Provenance::new(&store),
                 )
@@ -104,20 +89,10 @@ fn bench_tm(c: &mut Criterion) {
         ),
     ];
     for (name, sys) in &cases {
-        g.bench_with_input(BenchmarkId::new("naive", name), sys, |b, s| {
-            b.iter(|| {
-                let mut runner = s.clone();
-                run(&mut runner, &EngineConfig::with_budget(5_000)).unwrap()
-            })
-        });
         g.bench_with_input(BenchmarkId::new("delta", name), sys, |b, s| {
             b.iter(|| {
                 let mut runner = s.clone();
-                let cfg = EngineConfig {
-                    mode: EngineMode::Delta,
-                    ..EngineConfig::with_budget(5_000)
-                };
-                run(&mut runner, &cfg).unwrap()
+                run(&mut runner, &EngineConfig::with_budget(5_000)).unwrap()
             })
         });
     }

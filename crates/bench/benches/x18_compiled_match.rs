@@ -12,7 +12,7 @@
 
 use axml_bench::{catalog, tc_random_digraph, wide_fanout_doc, wide_fanout_pattern};
 use axml_core::compile::{compile_query, ProgramCache};
-use axml_core::engine::{run, EngineConfig, EngineMode};
+use axml_core::engine::{run, EngineConfig};
 use axml_core::eval::{snapshot_compiled, snapshot_with_strategy, Env};
 use axml_core::matcher::{match_pattern_with, MatchStrategy};
 use axml_core::pathexpr::{parse_reg_query, snapshot_reg, CompiledRegQuery};
@@ -26,7 +26,7 @@ use std::time::Duration;
 /// expensive shape the compiler pays off on).
 fn tc_fixpoint(n: usize, shards: usize, seed: u64) -> (System, Sym) {
     let mut sys = tc_random_digraph(n, shards, seed);
-    run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+    run(&mut sys, &EngineConfig::default()).unwrap();
     (sys, Sym::intern("f"))
 }
 

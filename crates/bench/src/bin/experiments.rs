@@ -12,7 +12,7 @@ use axml_bench::{
     tc_random_digraph, tc_system,
 };
 use axml_core::engine::run_with_provenance;
-use axml_core::engine::{run, run_traced, EngineConfig, EngineMode, RunStatus, Strategy};
+use axml_core::engine::{run, run_traced, EngineConfig, RunStatus, Strategy};
 use axml_core::eval::{snapshot, snapshot_with_stats, Env};
 use axml_core::fireonce::run_fire_once;
 use axml_core::forest::Forest;
@@ -201,7 +201,7 @@ fn x4() {
     );
     println!(
         "{:>14} {:>8} {:>14} {:>12} {:>12} {:>7}",
-        "workload", "tuples", "seminaive(ms)", "axml(ms)", "axml calls", "agree"
+        "workload", "tuples", "seminaive(ms)", "axml(ms)", "axml visits", "agree"
     );
     for (name, prog) in [
         ("chain-8", chain_tc(8)),
@@ -214,12 +214,12 @@ fn x4() {
         let (dl, _) = seminaive_eval(&prog);
         let dl_ms = ms(t0);
         let t1 = Instant::now();
-        let (ax, calls) = axml_eval(&prog).unwrap();
+        let (ax, visits) = axml_eval(&prog).unwrap();
         let ax_ms = ms(t1);
         let agree = dl == ax;
         assert!(agree);
         println!(
-            "{name:>14} {:>8} {dl_ms:>14.2} {ax_ms:>12.2} {calls:>12} {agree:>7}",
+            "{name:>14} {:>8} {dl_ms:>14.2} {ax_ms:>12.2} {visits:>12} {agree:>7}",
             dl["path"].len()
         );
     }
@@ -420,7 +420,7 @@ fn x9() {
     );
     println!(
         "{:>8} {:>14} {:>14} {:>12} {:>12}",
-        "junk", "eager status", "eager calls", "lazy calls", "lazy stable"
+        "junk", "eager status", "eager visits", "lazy calls", "lazy stable"
     );
     let q = rating_query();
     for &junk in &[1usize, 4, 16] {
@@ -431,7 +431,7 @@ fn x9() {
         println!(
             "{junk:>8} {:>14} {:>14} {:>12} {:>12}",
             format!("{estatus:?}"),
-            estats.invocations,
+            estats.invocations + estats.skipped,
             lstats.invocations,
             lstats.stable
         );
@@ -625,53 +625,52 @@ fn x13() {
     }
 }
 
-/// X14 — delta-driven engine mode (bench `x12_delta_engine`).
+/// X14 — the semi-naive engine's skip rule (bench `x12_delta_engine`).
 fn x14() {
     header(
         "X14",
-        "delta engine — skip calls whose read set is unchanged (bench x12_delta_engine)",
+        "semi-naive engine — skip calls whose read set is unchanged (bench x12_delta_engine)",
     );
     println!(
-        "{:>16} {:>7} {:>12} {:>12} {:>9} {:>11} {:>7} {:>7}",
-        "workload", "mode", "evals", "skipped", "hits", "misses", "ratio", "agree"
+        "{:>16} {:>8} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7}",
+        "workload", "visits", "evals", "skipped", "hits", "misses", "ratio", "agree"
     );
     for &(name, n) in &[("tc-digraph-32", 32usize), ("tc-digraph-64", 64)] {
-        let mut naive = tc_random_digraph(n, 6, 12);
-        let (ns, nstats) = run(&mut naive, &EngineConfig::default()).unwrap();
-        let mut delta = tc_random_digraph(n, 6, 12);
-        let (ds, dstats) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
-        assert_eq!(ns, RunStatus::Terminated);
-        assert_eq!(ds, RunStatus::Terminated);
-        let agree = naive.canonical_key() == delta.canonical_key();
+        let mut sys = tc_random_digraph(n, 6, 12);
+        let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
+        let mut reverse = tc_random_digraph(n, 6, 12);
+        let (rstatus, _) = run(
+            &mut reverse,
+            &EngineConfig::with_strategy(Strategy::Reverse),
+        )
+        .unwrap();
+        assert_eq!(status, RunStatus::Terminated);
+        assert_eq!(rstatus, RunStatus::Terminated);
+        let agree = sys.canonical_key() == reverse.canonical_key();
         assert!(agree);
-        let ratio = nstats.invocations as f64 / dstats.invocations as f64;
+        // Every visit is an invocation of the paper's fair rewriting;
+        // only the evaluated ones cost a snapshot.
+        let visits = stats.invocations + stats.skipped;
+        let ratio = visits as f64 / stats.invocations as f64;
         println!(
-            "{name:>16} {:>7} {:>12} {:>12} {:>9} {:>11} {:>7} {:>7}",
-            "naive", nstats.invocations, nstats.skipped, "-", "-", "", ""
+            "{name:>16} {visits:>8} {:>8} {:>9} {:>7} {:>8} {ratio:>6.1}x {agree:>7}",
+            stats.invocations, stats.skipped, stats.cache_hits, stats.cache_misses
         );
-        println!(
-            "{name:>16} {:>7} {:>12} {:>12} {:>9} {:>11} {ratio:>6.1}x {agree:>7}",
-            "delta", dstats.invocations, dstats.skipped, dstats.cache_hits, dstats.cache_misses
-        );
-        assert!(nstats.invocations >= 5 * dstats.invocations);
+        assert!(visits >= 5 * stats.invocations);
     }
-    println!("(claim: ≥5x fewer snapshot evaluations on tc-digraph-64, same fixpoint;");
-    println!(" soundness: monotone services re-fed unchanged read sets produce only");
-    println!(" already-subsumed output, so skipping preserves Thm 2.1 confluence)");
+    println!("(claim: ≥5x fewer evaluations than visits on tc-digraph-64, and the");
+    println!(" fixpoint of the reverse visit order; soundness: monotone services");
+    println!(" re-fed unchanged read sets produce only already-subsumed output, so");
+    println!(" a skipped visit is a no-op invocation and Thm 2.1 confluence holds)");
 
-    // Observability pass: re-run the delta engine on the large workload
+    // Observability pass: re-run the engine on the large workload
     // with a journal + metrics attached, print the run report, and
     // export a Chrome trace (docs/observability.md walks through it).
     let journal = Journal::new();
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
     let mut traced = tc_random_digraph(64, 6, 12);
-    let (status, _) = run_traced(
-        &mut traced,
-        &EngineConfig::with_mode(EngineMode::Delta),
-        Tracer::new(&fan),
-    )
-    .unwrap();
+    let (status, _) = run_traced(&mut traced, &EngineConfig::default(), Tracer::new(&fan)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     let events = journal.snapshot();
     print!("\n{}", metrics.render_report("x14 tc-digraph-64 (delta)"));
@@ -699,7 +698,7 @@ fn x15() {
         "provenance — lineage to seed data, explainable skips, cross-peer origins",
     );
 
-    // Overhead: the same delta run with the provenance handle disabled
+    // Overhead: the same run with the provenance handle disabled
     // vs. attached (the disabled side is the default everywhere else).
     println!(
         "{:>16} {:>12} {:>11} {:>9} {:>9} {:>9}",
@@ -708,8 +707,7 @@ fn x15() {
     for &(name, n) in &[("tc-digraph-32", 32usize), ("tc-digraph-64", 64)] {
         let mut off = tc_random_digraph(n, 6, 12);
         let t0 = Instant::now();
-        let (s_off, stats_off) =
-            run(&mut off, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (s_off, stats_off) = run(&mut off, &EngineConfig::default()).unwrap();
         let off_ms = ms(t0);
         assert_eq!(s_off, RunStatus::Terminated);
         println!(
@@ -722,7 +720,7 @@ fn x15() {
         let t0 = Instant::now();
         let (s_on, stats_on) = run_with_provenance(
             &mut on,
-            &EngineConfig::with_mode(EngineMode::Delta),
+            &EngineConfig::default(),
             Tracer::disabled(),
             Provenance::new(&store),
         )
@@ -908,19 +906,14 @@ fn x16() {
         "wide-fanout probe must be ≥3x faster than the scan (got {widest_speedup:.1}x)"
     );
 
-    // Observability: the closure workload's delta run with metrics
+    // Observability: the closure workload's run with metrics
     // attached surfaces the index hit rate and maintenance counters in
     // the report.
     let journal = Journal::new();
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
     let mut traced = tc_random_digraph(64, 6, 12);
-    let (status, _) = run_traced(
-        &mut traced,
-        &EngineConfig::with_mode(EngineMode::Delta),
-        Tracer::new(&fan),
-    )
-    .unwrap();
+    let (status, _) = run_traced(&mut traced, &EngineConfig::default(), Tracer::new(&fan)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     print!(
         "\n{}",
@@ -959,7 +952,7 @@ fn x18() {
     let mut best_tc_speedup = 0.0f64;
     for &(name, n) in &[("tc-digraph-32", 32usize), ("tc-digraph-48", 48)] {
         let mut sys = tc_random_digraph(n, 4, 12);
-        let (status, _) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (status, _) = run(&mut sys, &EngineConfig::default()).unwrap();
         assert_eq!(status, RunStatus::Terminated);
         let svc = Sym::intern("f");
         let q = sys.service_query(svc).unwrap();
@@ -1110,12 +1103,7 @@ fn x18() {
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
     let mut traced = tc_random_digraph(64, 6, 12);
-    let (status, _) = run_traced(
-        &mut traced,
-        &EngineConfig::with_mode(EngineMode::Delta),
-        Tracer::new(&fan),
-    )
-    .unwrap();
+    let (status, _) = run_traced(&mut traced, &EngineConfig::default(), Tracer::new(&fan)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     let report = metrics.render_report("x18 tc-digraph-64 (delta, compiled)");
     assert!(

@@ -217,7 +217,7 @@ pub fn is_acyclic(sys: &System) -> bool {
 /// The documents a call to one service may *read* — the inputs its
 /// result forest can depend on. Derived from the same information as the
 /// dependency graph's `(f, d)` edges, but kept separate because the
-/// delta engine also needs to know whether the call's **own** document
+/// engine's skip rule also needs to know whether the call's **own** document
 /// matters (it does exactly when the query mentions the reserved
 /// `input`/`context` documents, which are built from the call's subtree
 /// and parent subtree).

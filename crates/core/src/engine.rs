@@ -12,6 +12,24 @@
 //! in which no invocation changed any document means no function node
 //! can bring new data.
 //!
+//! Rounds are semi-naive. A visit skips a call whose entire *read set* —
+//! the documents its service's body atoms name, plus its own document
+//! when the query mentions `input`/`context` — is unchanged since the
+//! call's previous invocation. That is sound because services are
+//! deterministic functions of their read set and systems are monotone
+//! (Theorem 2.1 with monotonicity): unchanged inputs reproduce the
+//! previous, already grafted and hence subsumed, output, so the skipped
+//! visit is a no-op invocation. A skipped call re-fires as soon as any
+//! read document changes, so runs stay fair. A call that does run is
+//! evaluated through the per-atom [`MatchCache`] and builds heads only
+//! for rows new since its last applied evaluation (see [`crate::eval`]),
+//! grafting exactly what a full evaluation would.
+//!
+//! Every visit, skipped or evaluated, is one invocation of §2.2's fair
+//! rewriting and is charged to [`EngineConfig::max_invocations`], so a
+//! budget cuts the run at the same visit, and on the same documents, as
+//! a rewriting that evaluates every live call every round.
+//!
 //! [`run_restricted`] implements the paper's `[I↓N]` (§4): a fair
 //! rewriting that never invokes the calls in a given exclusion set.
 
@@ -43,45 +61,22 @@ pub enum Strategy {
     Random(u64),
 }
 
-/// How the engine decides *which* pending calls to actually evaluate.
-/// Orthogonal to [`Strategy`] (which only orders the visits).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Invoke every live call every round (the paper's fair rewriting,
-    /// verbatim).
-    Naive,
-    /// Semi-naive: skip any call whose entire *read set* — the documents
-    /// its service's body atoms name, plus its own document when the
-    /// query mentions `input`/`context` — is unchanged since the call's
-    /// previous invocation. Sound because services are deterministic
-    /// functions of their read set and systems are monotone: unchanged
-    /// inputs reproduce the previous (already grafted, hence subsumed)
-    /// output. A skipped call re-fires as soon as any read document's
-    /// version changes, so runs stay fair and Theorem 2.1's confluence
-    /// is preserved. Also evaluates positive services through the
-    /// per-atom [`MatchCache`], semi-naively: a call that does run builds
-    /// heads only for rows new since its last applied evaluation (see
-    /// [`crate::eval`]), and grafts exactly what a full evaluation would.
-    Delta,
-}
-
-/// Engine budgets, strategy, and evaluation mode.
+/// Engine budgets and strategy.
 ///
-/// In both modes positive services evaluate through compiled match
+/// Positive services evaluate through compiled match
 /// programs ([`crate::compile`]) under [`MatchStrategy::Indexed`], which
 /// scans wherever a document is too small to carry an index. The pattern
 /// interpreter over [`MatchStrategy::Scan`] is the reference the engine
 /// is tested against (`tests/reference/mod.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Maximum number of invocations (productive or not).
+    /// Maximum number of call visits: the invocations of §2.2's fair
+    /// rewriting, whether evaluated or skipped as no-ops.
     pub max_invocations: usize,
     /// Abort when the system's total live node count exceeds this.
     pub max_nodes: usize,
     /// Visit order.
     pub strategy: Strategy,
-    /// Evaluation mode (naive or delta-driven).
-    pub mode: EngineMode,
 }
 
 impl Default for EngineConfig {
@@ -90,7 +85,6 @@ impl Default for EngineConfig {
             max_invocations: 100_000,
             max_nodes: 1_000_000,
             strategy: Strategy::RoundRobin,
-            mode: EngineMode::Naive,
         }
     }
 }
@@ -111,14 +105,6 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
-
-    /// A config with the given mode, default elsewhere.
-    pub fn with_mode(mode: EngineMode) -> EngineConfig {
-        EngineConfig {
-            mode,
-            ..EngineConfig::default()
-        }
-    }
 }
 
 /// Why the engine stopped.
@@ -127,8 +113,8 @@ pub enum RunStatus {
     /// Fixpoint: the system terminated (Definition 2.4). The final system
     /// is `[I]`.
     Terminated,
-    /// The invocation budget ran out first; the system state is a fair
-    /// finite prefix of the (possibly infinite) rewriting.
+    /// The invocation budget (call visits) ran out first; the system
+    /// state is a fair finite prefix of the (possibly infinite) rewriting.
     InvocationBudget,
     /// The node budget ran out first.
     NodeBudget,
@@ -139,19 +125,19 @@ pub enum RunStatus {
 pub struct RunStats {
     /// Complete rounds executed.
     pub rounds: usize,
-    /// Total invocations actually evaluated (including no-ops). In
-    /// [`EngineMode::Delta`] this is the number of snapshot/service
-    /// evaluations performed; skipped visits are counted separately.
+    /// Invocations evaluated: snapshot/service evaluations performed,
+    /// no-ops included.
     pub invocations: usize,
     /// Invocations that strictly grew a document.
     pub productive: usize,
-    /// Pending calls *not* evaluated because their read set was
-    /// unchanged since their previous invocation (always 0 in
-    /// [`EngineMode::Naive`]).
+    /// Visits proved to be no-ops and not evaluated, because the call's
+    /// read set was unchanged since its previous invocation.
+    /// `invocations + skipped` equals the invocations of the paper's
+    /// fair rewriting.
     pub skipped: usize,
-    /// Per-atom match-cache hits ([`EngineMode::Delta`] only).
+    /// Per-atom match-cache hits.
     pub cache_hits: usize,
-    /// Per-atom match-cache misses ([`EngineMode::Delta`] only).
+    /// Per-atom match-cache misses.
     pub cache_misses: usize,
     /// Match programs compiled: one per positive service invoked (see
     /// [`crate::compile`], "Caching").
@@ -196,7 +182,7 @@ pub fn run_restricted(
 /// [`run_traced`] additionally recording per-node lineage into `prov`
 /// (see [`crate::provenance`]): seed nodes are stamped up front, every
 /// grafting invocation logs an `InvocationRecord` and stamps its new
-/// nodes, and every delta-mode skip logs its read-set evidence for
+/// nodes, and every skipped visit logs its read-set evidence for
 /// `explain_skip`. With `Provenance::disabled()` this is exactly
 /// [`run_traced`].
 pub fn run_with_provenance(
@@ -360,18 +346,18 @@ pub struct RoundRunner {
     cfg: EngineConfig,
     stats: RunStats,
     rng: Option<StdRng>,
-    /// Delta-mode read sets, derived from the system on the first step
+    /// Read sets, derived from the system on the first step
     /// (name spaces are fixed for a run; only contents evolve).
     read_sets: Option<FxHashMap<Sym, ReadSet>>,
     stamp: u64,
     doc_changed_at: FxHashMap<Sym, u64>,
     invoked_at: FxHashMap<(Sym, NodeId), u64>,
-    /// Delta-mode match cache: per-atom matches, and per call the marks
-    /// of its last applied semi-naive evaluation.
+    /// Match cache: per-atom matches, and per call the marks of its
+    /// last applied semi-naive evaluation.
     cache: MatchCache,
     /// Program cache: the compiled match program of every positive
-    /// service, kept for the whole run in both modes (a service's
-    /// pattern never changes mid-run).
+    /// service, kept for the whole run (a service's pattern never
+    /// changes mid-run).
     pcache: ProgramCache,
     seeded: bool,
     status: Option<RunStatus>,
@@ -546,22 +532,17 @@ impl RoundRunner {
             self.seeded = true;
         }
         let cfg = &self.cfg;
-        let delta = cfg.mode == EngineMode::Delta;
-        // Delta-mode bookkeeping. Read sets are derivable once per run:
+        // Semi-naive bookkeeping. Read sets are derivable once per run:
         // the document and service name spaces of a system are fixed,
         // only document *contents* evolve. Logical time is a single
         // counter that ticks on every document change; a call may be
         // skipped iff no document of its read set changed after the
         // call's last invocation.
         let read_sets: &FxHashMap<Sym, ReadSet> = self.read_sets.get_or_insert_with(|| {
-            if delta {
-                sys.service_names()
-                    .iter()
-                    .map(|&f| (f, read_set(sys, f)))
-                    .collect()
-            } else {
-                FxHashMap::default()
-            }
+            sys.service_names()
+                .iter()
+                .map(|&f| (f, read_set(sys, f)))
+                .collect()
         });
         let doc_changed_at = &mut self.doc_changed_at;
         let invoked_at = &mut self.invoked_at;
@@ -594,26 +575,26 @@ impl RoundRunner {
                 Some(crate::tree::Marking::Func(f)) => f,
                 _ => continue,
             };
-            if delta
-                && delta_skip(
-                    sys,
-                    read_sets,
-                    doc_changed_at,
-                    invoked_at,
-                    d,
-                    n,
-                    fname,
-                    round,
-                    tracer,
-                    prov,
-                )
-            {
-                stats.skipped += 1;
-                continue;
-            }
-            if stats.invocations >= cfg.max_invocations {
+            // Every visit is an invocation of the fair rewriting, a
+            // skipped one included.
+            if stats.invocations + stats.skipped >= cfg.max_invocations {
                 self.status = Some(RunStatus::InvocationBudget);
                 return Ok(self.status);
+            }
+            if delta_skip(
+                sys,
+                read_sets,
+                doc_changed_at,
+                invoked_at,
+                d,
+                n,
+                fname,
+                round,
+                tracer,
+                prov,
+            ) {
+                stats.skipped += 1;
+                continue;
             }
             tracer.emit(|| EventKind::CallSelected {
                 doc: d,
@@ -625,7 +606,7 @@ impl RoundRunner {
                 sys,
                 d,
                 n,
-                delta.then_some(&mut self.cache),
+                Some(&mut self.cache),
                 Some(&mut self.pcache),
                 tracer,
                 prov,
@@ -644,19 +625,15 @@ impl RoundRunner {
             });
             stats.invocations += 1;
             *stats.per_function.entry(fname).or_insert(0) += 1;
-            if delta {
-                // The invocation read state at time `stamp`; its own
-                // change (if any) is stamped strictly later so calls
-                // reading their host document re-fire. (The call's
-                // semi-naive marks, the arena lengths it read, went into
-                // the match cache when its graft was applied.)
-                invoked_at.insert((d, n), self.stamp);
-                if outcome.changed {
-                    self.stamp += 1;
-                    doc_changed_at.insert(d, self.stamp);
-                }
-            }
+            // The invocation read state at time `stamp`; its own change
+            // (if any) is stamped strictly later so calls reading their
+            // host document re-fire. (The call's semi-naive marks, the
+            // arena lengths it read, went into the match cache when its
+            // graft was applied.)
+            invoked_at.insert((d, n), self.stamp);
             if outcome.changed {
+                self.stamp += 1;
+                doc_changed_at.insert(d, self.stamp);
                 stats.productive += 1;
                 any_change = true;
             }
@@ -852,40 +829,35 @@ mod tests {
     }
 
     #[test]
-    fn delta_mode_matches_naive_and_skips() {
-        let mut naive = tc_system();
-        let (ns, nstats) = run(&mut naive, &EngineConfig::default()).unwrap();
-        assert_eq!(ns, RunStatus::Terminated);
-
-        let mut delta = tc_system();
-        let (ds, dstats) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
-        assert_eq!(ds, RunStatus::Terminated);
-        assert_eq!(naive.canonical_key(), delta.canonical_key());
+    fn skipped_visits_are_charged_to_the_budget() {
+        let mut sys = tc_system();
+        let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
+        assert_eq!(status, RunStatus::Terminated);
         // g reads only d0 (static): after its first evaluation every
-        // later visit is skipped, so delta evaluates strictly less.
-        assert!(dstats.skipped > 0, "stats: {dstats:?}");
-        assert!(dstats.invocations < nstats.invocations);
-        assert_eq!(nstats.skipped, 0);
+        // later visit is skipped.
+        assert!(stats.skipped > 0, "stats: {stats:?}");
+        let mut reverse = tc_system();
+        run(
+            &mut reverse,
+            &EngineConfig::with_strategy(Strategy::Reverse),
+        )
+        .unwrap();
+        assert_eq!(sys.canonical_key(), reverse.canonical_key());
+        // The run's last visit is a skip of the quiet round; one visit
+        // less of budget cuts the run there.
+        let visits = stats.invocations + stats.skipped;
+        let mut cut = tc_system();
+        let (status, cstats) = run(&mut cut, &EngineConfig::with_budget(visits - 1)).unwrap();
+        assert_eq!(status, RunStatus::InvocationBudget);
+        assert_eq!(cstats.invocations + cstats.skipped, visits - 1);
+        assert_eq!(cut.canonical_key(), sys.canonical_key());
+        let mut whole = tc_system();
+        let (status, _) = run(&mut whole, &EngineConfig::with_budget(visits)).unwrap();
+        assert_eq!(status, RunStatus::Terminated);
     }
 
     #[test]
-    fn delta_mode_confluent_across_strategies() {
-        let mut reference = tc_system();
-        run(&mut reference, &EngineConfig::default()).unwrap();
-        for strategy in [Strategy::RoundRobin, Strategy::Reverse, Strategy::Random(9)] {
-            let mut sys = tc_system();
-            let cfg = EngineConfig {
-                mode: EngineMode::Delta,
-                ..EngineConfig::with_strategy(strategy)
-            };
-            let (status, _) = run(&mut sys, &cfg).unwrap();
-            assert_eq!(status, RunStatus::Terminated);
-            assert_eq!(sys.canonical_key(), reference.canonical_key());
-        }
-    }
-
-    #[test]
-    fn delta_mode_reports_cache_traffic() {
+    fn reports_cache_traffic() {
         // A cache hit needs a service that is *re*-evaluated (some read
         // doc changed) while another of its atoms' docs is unchanged:
         // `join` reads the static d0 and the growing d1.
@@ -899,53 +871,53 @@ mod tests {
             sys
         }
         let mut sys = mixed_reads();
-        let (status, stats) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
         assert_eq!(status, RunStatus::Terminated);
         assert!(stats.cache_misses > 0);
         assert!(stats.cache_hits > 0, "stats: {stats:?}");
-        // Same final system as the naive engine.
-        let mut naive = mixed_reads();
-        let (_, nstats) = run(&mut naive, &EngineConfig::default()).unwrap();
-        assert_eq!(naive.canonical_key(), sys.canonical_key());
-        // Naive mode leaves the cache untouched.
-        assert_eq!(nstats.cache_hits + nstats.cache_misses, 0);
+        // Same final system as the other visit order.
+        let mut reverse = mixed_reads();
+        run(
+            &mut reverse,
+            &EngineConfig::with_strategy(Strategy::Reverse),
+        )
+        .unwrap();
+        assert_eq!(reverse.canonical_key(), sys.canonical_key());
     }
 
     #[test]
-    fn delta_mode_context_readers_keep_firing() {
+    fn context_readers_keep_firing() {
         // Example 3.3: g reads its own document through `context`, so its
-        // read set changes after every productive call — delta must not
-        // starve it.
+        // read set changes after every productive call — the skip rule
+        // must not starve it.
         let mut sys = System::new();
         sys.add_document_text("d", "a{a{b},@g}").unwrap();
         sys.add_service_text("g", "a{a{#X}} :- context/a{a{#X}}")
             .unwrap();
-        let cfg = EngineConfig {
-            mode: EngineMode::Delta,
-            ..EngineConfig::with_budget(10)
-        };
-        let (status, stats) = run(&mut sys, &cfg).unwrap();
+        let (status, stats) = run(&mut sys, &EngineConfig::with_budget(10)).unwrap();
         assert_eq!(status, RunStatus::InvocationBudget);
+        assert_eq!((stats.invocations, stats.skipped), (10, 0));
         assert!(stats.productive >= 5);
         let d = sys.doc(Sym::intern("d")).unwrap();
         assert!(d.depth(d.root()) >= 5);
     }
 
     #[test]
-    fn delta_mode_black_boxes_are_conservative_but_terminate() {
+    fn black_boxes_are_conservative_but_terminate() {
         use crate::forest::Forest;
         use crate::service::BlackBoxService;
-        let mut naive = System::new();
-        naive.add_document_text("d", r#"a{@bb}"#).unwrap();
+        let mut sys = System::new();
+        sys.add_document_text("d", r#"a{@bb}"#).unwrap();
         let result = Forest::from_trees(vec![crate::parse::parse_tree("r{x}").unwrap()]);
-        naive
-            .add_black_box("bb", BlackBoxService::constant("c", result.clone()))
+        sys.add_black_box("bb", BlackBoxService::constant("c", result))
             .unwrap();
-        let mut delta = naive.clone();
-        run(&mut naive, &EngineConfig::default()).unwrap();
-        let (status, _) = run(&mut delta, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
         assert_eq!(status, RunStatus::Terminated);
-        assert_eq!(naive.canonical_key(), delta.canonical_key());
+        // A black box reads every document, and its own graft changed
+        // one, so it is evaluated again rather than skipped.
+        assert_eq!((stats.invocations, stats.skipped), (2, 0));
+        let d = sys.doc(Sym::intern("d")).unwrap();
+        assert!(equivalent(d, &parse_tree("a{@bb, r{x}}").unwrap()));
     }
 
     #[test]
@@ -955,12 +927,8 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let fan = Fanout::new(vec![&journal, &metrics]);
         let mut sys = tc_system();
-        let (status, stats) = run_traced(
-            &mut sys,
-            &EngineConfig::with_mode(EngineMode::Delta),
-            Tracer::new(&fan),
-        )
-        .unwrap();
+        let (status, stats) =
+            run_traced(&mut sys, &EngineConfig::default(), Tracer::new(&fan)).unwrap();
         assert_eq!(status, RunStatus::Terminated);
 
         let events = journal.snapshot();
@@ -979,7 +947,7 @@ mod tests {
         let g = metrics.globals();
         assert_eq!(g.rounds as usize, stats.rounds);
         assert_eq!(g.calls_selected as usize, stats.invocations);
-        // Delta mode routed evaluation through the cache.
+        // Evaluation went through the match cache.
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::CacheMiss { .. })));
@@ -995,7 +963,7 @@ mod tests {
         assert_eq!(validate_chrome_trace(&json).unwrap(), events.len());
         // Traced and untraced runs compute the same fixpoint.
         let mut plain = tc_system();
-        run(&mut plain, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+        run(&mut plain, &EngineConfig::default()).unwrap();
         assert_eq!(plain.canonical_key(), sys.canonical_key());
     }
 

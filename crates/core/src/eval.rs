@@ -6,7 +6,7 @@
 //! (Prop 3.1 (1)) and polynomial in the data (Prop 3.1 (3)); both facts
 //! are exercised by the test suites and the X3 experiment.
 //!
-//! Positive service calls evaluate *semi-naively* under the Delta engine
+//! Positive service calls evaluate *semi-naively* in the engine
 //! with compiled programs: the [`MatchCache`] holds each atom's matches
 //! as a flat relation whose rows carry their births (the newest node of
 //! an embedding deriving them, see [`crate::compile`]), and remembers

@@ -21,7 +21,7 @@
 //! whether some result tree is not already subsumed by an existing
 //! sibling subtree.
 //!
-//! With a match cache and compiled programs (the Delta engine's path), a
+//! With a match cache and compiled programs (the engine's path), a
 //! positive service call evaluates semi-naively: it builds heads only
 //! for rows new since its last applied evaluation (see
 //! [`crate::eval`]). Its marks are taken at evaluation, before the

@@ -146,7 +146,7 @@ mod tests {
         let mut eager = poisoned_portal();
         let (status, estats) = run(&mut eager, &EngineConfig::with_budget(200)).unwrap();
         assert_eq!(status, RunStatus::InvocationBudget);
-        assert_eq!(estats.invocations, 200);
+        assert_eq!(estats.invocations + estats.skipped, 200);
         // Lazy: terminates, one call invoked.
         let mut lazy = poisoned_portal();
         let (answer, lstats) = lazy_query_eval(&mut lazy, &q, &LazyConfig::default()).unwrap();

@@ -98,9 +98,7 @@ pub mod tree;
 
 pub use compile::{compile_query, CompiledQuery, MatchProgram, ProgramCache};
 pub use depgraph::{read_set, ReadSet};
-pub use engine::{
-    run, run_traced, EngineConfig, EngineMode, RoundRunner, RunStats, RunStatus, Strategy,
-};
+pub use engine::{run, run_traced, EngineConfig, RoundRunner, RunStats, RunStatus, Strategy};
 pub use error::{AxmlError, Result};
 pub use eval::{snapshot, Env, MatchCache, QueryCursor};
 pub use forest::Forest;

@@ -24,7 +24,7 @@
 //! * [`ProvenanceStore::explain_answer`] — for a query binding, the
 //!   per-atom witness nodes and their merged lineage, plus the calls
 //!   the weak analysis of `crate::lazy` proves q-unneeded;
-//! * [`ProvenanceStore::explain_skip`] — the delta engine's read-set
+//! * [`ProvenanceStore::explain_skip`] — the engine's read-set
 //!   evidence for a `CallSkipped` trace event.
 //!
 //! [`DerivationDag::to_dot`] renders a DAG for Graphviz; the
@@ -111,7 +111,7 @@ pub struct InvocationRecord {
     pub inputs: Vec<(Sym, NodeId)>,
 }
 
-/// Read-set evidence recorded when the delta engine skips a call.
+/// Read-set evidence recorded when the engine skips a call.
 #[derive(Clone, Debug)]
 pub struct SkipRecord {
     /// Host document of the skipped call.
@@ -155,7 +155,7 @@ struct Inner {
 }
 
 /// The provenance side table: origins keyed by `(document, node)`,
-/// the invocation log, and the delta engine's skip evidence. Interior
+/// the invocation log, and the engine's skip evidence. Interior
 /// mutability mirrors `trace::Journal` so recording sites take `&self`.
 #[derive(Debug, Default)]
 pub struct ProvenanceStore {
@@ -248,7 +248,7 @@ impl ProvenanceStore {
     }
 
     /// The read-set evidence for the *most recent* skip of a call —
-    /// why the delta engine proved re-invoking it would be a no-op.
+    /// why the engine proved re-invoking it would be a no-op.
     pub fn explain_skip(&self, doc: Sym, node: NodeId) -> Option<SkipRecord> {
         self.inner
             .borrow()

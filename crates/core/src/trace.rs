@@ -159,8 +159,8 @@ pub enum EventKind {
         /// The service the node calls.
         service: Sym,
     },
-    /// The delta scheduler skipped a call whose read set is unchanged
-    /// since its previous invocation ([`crate::engine::EngineMode::Delta`]).
+    /// The engine skipped a call whose read set is unchanged since its
+    /// previous invocation (see [`crate::engine`]).
     CallSkipped {
         /// Host document.
         doc: Sym,
@@ -943,7 +943,7 @@ pub struct ServiceMetrics {
     pub invocations: u64,
     /// Invocations that strictly grew a document.
     pub productive: u64,
-    /// Delta-scheduler skips ([`EventKind::CallSkipped`]).
+    /// Skipped no-op visits ([`EventKind::CallSkipped`]).
     pub skipped: u64,
     /// Match-cache hits while evaluating this service's body.
     pub cache_hits: u64,

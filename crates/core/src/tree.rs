@@ -294,7 +294,7 @@ impl Tree {
     /// process-wide counter. Equal `(id, version)` pairs guarantee
     /// identical content — even between a snapshot and the handle it was
     /// taken from, because the counter never re-issues a stamp — which
-    /// is what the delta engine's read-set skipping and the MVCC
+    /// is what the engine's read-set skipping and the MVCC
     /// snapshot handles rely on.
     #[inline]
     pub fn version(&self) -> u64 {

@@ -95,12 +95,16 @@ fn atom_pattern(atom: &crate::ast::Atom) -> String {
 }
 
 /// Run the AXML simulation to fixpoint and extract the database.
-/// Returns the database plus the engine's invocation count.
+/// Returns the database plus the invocations of the fair rewriting: the
+/// engine's call visits, evaluated or skipped as no-ops.
 pub fn axml_eval(prog: &Program) -> Result<(Database, usize)> {
     let mut sys = datalog_to_axml(prog)?;
     let (status, stats) = run(&mut sys, &EngineConfig::default())?;
     debug_assert_eq!(status, RunStatus::Terminated);
-    Ok((extract_database(&sys, prog), stats.invocations))
+    Ok((
+        extract_database(&sys, prog),
+        stats.invocations + stats.skipped,
+    ))
 }
 
 /// Read tuple subtrees back out of the `db` document.

@@ -27,7 +27,7 @@
 use std::fmt::Write as _;
 
 use axml_core::compile::compile_query;
-use axml_core::engine::{run_with_provenance, EngineConfig, EngineMode};
+use axml_core::engine::{run_with_provenance, EngineConfig};
 use axml_core::matcher::{match_pattern, MatchStrategy};
 use axml_core::provenance::{Provenance, ProvenanceStore};
 use axml_core::trace::{
@@ -149,19 +149,16 @@ pub fn matrix_from_events(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Run the tc-digraph closure workload (delta engine) live and return
+/// Run the tc-digraph closure workload through the engine live and return
 /// the rendered metrics report.
 pub fn run_metrics_report(n: usize, shards: usize, seed: u64) -> String {
     let journal = Journal::new();
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
     let mut sys = axml_bench::tc_random_digraph(n, shards, seed);
-    let (_, stats) = axml_core::engine::run_traced(
-        &mut sys,
-        &EngineConfig::with_mode(EngineMode::Delta),
-        Tracer::new(&fan),
-    )
-    .expect("the tc workload terminates");
+    let (_, stats) =
+        axml_core::engine::run_traced(&mut sys, &EngineConfig::default(), Tracer::new(&fan))
+            .expect("the tc workload terminates");
     let mut out = metrics.render_report(&format!(
         "tc_random_digraph(n={n}, shards={shards}, seed={seed})"
     ));
@@ -238,7 +235,7 @@ pub fn deepest_provenance_dot(n: usize, shards: usize, seed: u64) -> (String, St
     let store = ProvenanceStore::new();
     run_with_provenance(
         &mut sys,
-        &EngineConfig::with_mode(EngineMode::Delta),
+        &EngineConfig::default(),
         Tracer::disabled(),
         Provenance::new(&store),
     )

@@ -3,7 +3,7 @@
 //! ```text
 //! axml-server [--addr HOST:PORT] [--max-conns N] [--max-sessions N]
 //!             [--max-batch N] [--max-frame-bytes N] [--write-timeout SECS]
-//!             [--mode naive|delta] [--trace-engine] [--trace FILE] [--report]
+//!             [--trace-engine] [--trace FILE] [--report]
 //!             [--metrics-addr HOST:PORT] [--journal-capacity N] [--version]
 //! ```
 //!
@@ -14,7 +14,6 @@
 //! listener serving Prometheus text exposition; `--journal-capacity`
 //! sizes the observability ring (0 = unbounded, the test mode).
 
-use axml_core::engine::EngineMode;
 use axml_server::server::{Server, ServerConfig};
 use std::io::Write;
 
@@ -22,7 +21,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: axml-server [--addr HOST:PORT] [--max-conns N] [--max-sessions N]\n\
          \x20                  [--max-batch N] [--max-frame-bytes N] [--write-timeout SECS]\n\
-         \x20                  [--mode naive|delta] [--trace-engine] [--trace FILE] [--report]\n\
+         \x20                  [--trace-engine] [--trace FILE] [--report]\n\
          \x20                  [--metrics-addr HOST:PORT] [--journal-capacity N] [--version]"
     );
     std::process::exit(2)
@@ -54,16 +53,6 @@ fn main() {
                 cfg.write_timeout = match parse(&val("--write-timeout")) {
                     0 => None,
                     secs => Some(std::time::Duration::from_secs(secs as u64)),
-                }
-            }
-            "--mode" => {
-                cfg.engine.mode = match val("--mode").as_str() {
-                    "naive" => EngineMode::Naive,
-                    "delta" => EngineMode::Delta,
-                    other => {
-                        eprintln!("unknown mode {other:?}");
-                        usage()
-                    }
                 }
             }
             "--trace-engine" => cfg.trace_engine = true,

@@ -171,11 +171,11 @@ pub enum Request {
         id: u64,
         /// Target session.
         session: String,
-        /// Engine mode override: `"naive"` or `"delta"` (server default
-        /// when absent).
+        /// Accepted for v1 clients and ignored: `"naive"` or `"delta"`
+        /// (anything else fails `bad-field`). The engine has one mode.
         mode: Option<String>,
-        /// Invocation budget; at most the server's own (`too-large`
-        /// otherwise).
+        /// Invocation budget, in call visits; at most the server's own
+        /// (`too-large` otherwise).
         max_invocations: Option<u64>,
     },
     /// `query` — evaluate one snapshot query; batching-eligible.
@@ -277,7 +277,8 @@ pub enum Response {
         status: String,
         /// Complete rounds executed.
         rounds: u64,
-        /// Invocations evaluated.
+        /// Call visits, the invocations charged to `max_invocations`:
+        /// the calls evaluated plus those skipped as no-ops.
         invocations: u64,
         /// Session version stamp after the run (sum of document
         /// versions — the delta stamp).

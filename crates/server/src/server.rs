@@ -23,7 +23,7 @@
 //! fixpoint is mid-round.
 
 use crate::protocol::{codes, LatencySummary, ProtoError, Request, Response, PROTOCOL_VERSION};
-use axml_core::engine::{EngineConfig, EngineMode, RunStatus};
+use axml_core::engine::{EngineConfig, RunStatus};
 use axml_core::trace::{
     chrome_trace, chrome_trace_to, EventCategory, EventKind, Histogram, Journal, JournalConfig,
     MetricsRegistry, ReqKind, TraceEvent, TraceSink, Tracer,
@@ -58,8 +58,8 @@ pub struct ServerConfig {
     /// `too-large` and the connection is closed (the stream can no
     /// longer be framed).
     pub max_frame_bytes: usize,
-    /// Engine configuration sessions run with (`run` may override the
-    /// mode and lower, never raise, the invocation budget per request).
+    /// Engine configuration sessions run with (`run` may lower, never
+    /// raise, the invocation budget per request).
     pub engine: EngineConfig,
     /// Record engine-internal events (rounds, invocations, grafts …)
     /// in the server journal too, not only the server-lifecycle
@@ -90,10 +90,7 @@ impl Default for ServerConfig {
             max_sessions: 256,
             max_batch: 256,
             max_frame_bytes: 1 << 20,
-            engine: EngineConfig {
-                mode: EngineMode::Delta,
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::default(),
             trace_engine: false,
             write_timeout: Some(Duration::from_secs(30)),
             journal: JournalConfig::default(),
@@ -1015,10 +1012,11 @@ fn engine_cfg(
     max_invocations: Option<u64>,
 ) -> Result<EngineConfig, ProtoError> {
     let mut cfg = *base;
+    // The engine has one mode. A v1 client may still name either of the
+    // two it once had: with the budget counting call visits, both give
+    // the same documents at every budget.
     match mode {
-        None => {}
-        Some("naive") => cfg.mode = EngineMode::Naive,
-        Some("delta") => cfg.mode = EngineMode::Delta,
+        None | Some("naive") | Some("delta") => {}
         Some(other) => {
             return Err(ProtoError::new(
                 codes::BAD_FIELD,
@@ -1093,7 +1091,7 @@ fn run_session(
         session: session.to_string(),
         status: status_str(status).to_string(),
         rounds: stats.rounds as u64,
-        invocations: stats.invocations as u64,
+        invocations: (stats.invocations + stats.skipped) as u64,
         version: sys.version(),
     })
 }

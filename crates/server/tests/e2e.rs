@@ -8,7 +8,7 @@
 //! answer set delta-by-delta; and a Chrome trace with the server lane
 //! that the in-repo validator accepts.
 
-use axml_core::engine::{run_traced, EngineConfig, EngineMode, RunStatus};
+use axml_core::engine::{run_traced, EngineConfig, RunStatus};
 use axml_core::trace::{EventKind, ReqKind, Tracer};
 use axml_core::{snapshot, validate_chrome_trace, Env, System};
 use axml_server::load::Client;
@@ -26,11 +26,7 @@ fn reference_answers(queries: &[&str]) -> (Vec<Vec<String>>, u64) {
     let mut sys = System::new();
     sys.add_document_text("edges", EDGES).unwrap();
     sys.add_service_text("tc", TC).unwrap();
-    let cfg = EngineConfig {
-        mode: EngineMode::Delta,
-        ..EngineConfig::default()
-    };
-    let (status, _) = run_traced(&mut sys, &cfg, Tracer::disabled()).unwrap();
+    let (status, _) = run_traced(&mut sys, &EngineConfig::default(), Tracer::disabled()).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     let answers = queries
         .iter()

@@ -148,7 +148,9 @@ pub enum AxmlTmOutcome {
 /// Statistics of the AXML simulation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AxmlTmStats {
-    /// Service invocations performed.
+    /// Call visits of the fair rewriting, the invocations charged to
+    /// `max_invocations`: the evaluated calls plus those the engine
+    /// proved to be no-ops.
     pub invocations: usize,
     /// Configurations accumulated in the document.
     pub configs: usize,
@@ -203,7 +205,7 @@ pub fn run_axml_tm(
     let (status, rstats) = run(&mut sys, &cfg)?;
     let configs = decode_configs(&sys);
     let stats = AxmlTmStats {
-        invocations: rstats.invocations,
+        invocations: rstats.invocations + rstats.skipped,
         configs: configs.len(),
         nodes: sys.node_count(),
     };

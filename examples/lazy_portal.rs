@@ -71,8 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut eager = portal();
     let (status, estats) = run(&mut eager, &EngineConfig::with_budget(500))?;
     assert_eq!(status, RunStatus::InvocationBudget);
+    // The budget counts call visits, those skipped as no-ops included.
+    let visits = estats.invocations + estats.skipped;
+    assert_eq!(visits, 500);
     println!(
-        "eager:  budget exhausted after {} invocations",
+        "eager:  budget exhausted after {visits} invocations ({} evaluated)",
         estats.invocations
     );
 

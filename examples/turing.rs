@@ -61,5 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.invocations, stats.configs
     );
     assert_eq!(out, AxmlTmOutcome::Budget);
+    assert_eq!(stats.invocations, 400);
     Ok(())
 }

@@ -5,14 +5,17 @@
 //! Each bound is a count, not a time: it holds on any machine, and a
 //! change that adds a copy per answer tree or per binding breaks it.
 
+mod reference;
+
 use positive_axml::core::compile::compile_query;
-use positive_axml::core::engine::{run, run_traced, EngineConfig, EngineMode, RunStatus};
+use positive_axml::core::engine::{run, run_traced, EngineConfig, RunStatus};
 use positive_axml::core::eval::{snapshot, Env};
 use positive_axml::core::forest::Forest;
 use positive_axml::core::matcher::MatchStrategy;
 use positive_axml::core::query::parse_query;
 use positive_axml::core::trace::{EventKind, Journal, Tracer};
 use positive_axml::core::{parse_tree, Sym, System};
+use reference::reference_run;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, Once};
@@ -64,13 +67,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// this run's mutations are checked, and the count with it. The first
 /// caller also interns every symbol the tests use, in one order:
 /// symbols order by intern id, so the order the tests run in could
-/// otherwise reorder bindings, hence answers and grafts.
+/// otherwise reorder bindings, hence answers and grafts. The warm-up
+/// checks nothing and a panic in it is caught, so nothing is poisoned:
+/// a broken run fails the tests that check it, each on its own.
 fn alone() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     static SYMBOLS: Once = Once::new();
     SYMBOLS.call_once(|| {
-        assert_eq!(run_and_query(chain_system(16)), 136);
+        let _ = std::panic::catch_unwind(|| {
+            let mut sys = chain_system(16);
+            let _ = run(&mut sys, &EngineConfig::default());
+            let q = parse_query(CLOSURE_QUERY).unwrap();
+            let _ = snapshot(&q, &Env::for_system(&sys));
+        });
     });
     guard
 }
@@ -120,10 +130,10 @@ fn chain_system(chain: usize) -> System {
     sys
 }
 
-/// One Delta run to the fixpoint plus the closure query: the engine
+/// One engine run to the fixpoint plus the closure query: the engine
 /// work of one `fixpoint_write` operation, without the server.
 fn run_and_query(mut sys: System) -> usize {
-    let (status, _) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+    let (status, _) = run(&mut sys, &EngineConfig::default()).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     let q = parse_query(CLOSURE_QUERY).unwrap();
     snapshot(&q, &Env::for_system(&sys)).unwrap().len()
@@ -153,20 +163,20 @@ fn chain16_delta_run_and_closure_query_stay_under_budget() {
     let sys = chain_system(16);
     let (allocs, answers) = counted(|| run_and_query(sys));
     assert_eq!(answers, 136, "16 · 17 / 2 closure edges");
-    eprintln!("chain-16 Delta run + closure query: {allocs} allocations");
+    eprintln!("chain-16 run + closure query: {allocs} allocations");
     assert!(
         allocs <= CHAIN16_BUDGET,
         "{allocs} allocations, budget {CHAIN16_BUDGET}"
     );
 }
 
-/// A program reads no document, so the chain-16 Delta run compiles its
+/// A program reads no document, so the chain-16 run compiles its
 /// one service once, although the `edges` index is built mid-run.
 #[test]
 fn chain16_delta_run_compiles_its_service_once() {
     let mut sys = chain_system(16);
     assert!(!sys.doc(Sym::intern("edges")).unwrap().index_is_built());
-    let (status, stats) = run(&mut sys, &EngineConfig::with_mode(EngineMode::Delta)).unwrap();
+    let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
     assert_eq!(status, RunStatus::Terminated);
     assert!(sys.doc(Sym::intern("edges")).unwrap().index_is_built());
     assert_eq!(
@@ -237,14 +247,9 @@ fn rendering_an_answer_takes_at_most_three_allocations() {
     assert!(per_tree <= 3.0, "{per_tree:.2} allocations per tree");
 }
 
-/// Subsumption checks of one chain-16 run to the fixpoint, counted in
-/// its journal: one per result tree a call hands to the graft.
-fn chain16_subsume_checks(mode: EngineMode) -> usize {
-    let mut sys = chain_system(16);
-    let journal = Journal::new();
-    let cfg = EngineConfig::with_mode(mode);
-    let (status, _) = run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
-    assert_eq!(status, RunStatus::Terminated);
+/// Subsumption checks counted in a journal: one per result tree a call
+/// hands to the graft.
+fn subsume_checks(journal: &Journal) -> usize {
     journal
         .snapshot()
         .iter()
@@ -252,15 +257,27 @@ fn chain16_subsume_checks(mode: EngineMode) -> usize {
         .count()
 }
 
-/// Naive evaluation builds a head for every closure edge each round;
-/// semi-naive evaluation under Delta builds one only for the edges some
-/// embedding through an edge grafted since the call's last evaluation
-/// derives. Both counts are exact: the run is deterministic.
+/// The reference evaluates every call in full, building a head for
+/// every closure edge each round; the engine's semi-naive evaluation
+/// builds one only for the edges some embedding through an edge grafted
+/// since the call's last evaluation derives. Both counts of the chain-16
+/// run to its fixpoint are exact: the runs are deterministic.
 #[test]
 fn chain16_semi_naive_run_checks_half_the_result_trees() {
     let _alone = alone();
-    assert_eq!(chain16_subsume_checks(EngineMode::Naive), 381);
-    assert_eq!(chain16_subsume_checks(EngineMode::Delta), 191);
+    let journal = Journal::new();
+    let status = reference_run(&mut chain_system(16), usize::MAX, Tracer::new(&journal));
+    assert_eq!(status, RunStatus::Terminated);
+    let full = subsume_checks(&journal);
+    let journal = Journal::new();
+    let (status, _) = run_traced(
+        &mut chain_system(16),
+        &EngineConfig::default(),
+        Tracer::new(&journal),
+    )
+    .unwrap();
+    assert_eq!(status, RunStatus::Terminated);
+    assert_eq!((full, subsume_checks(&journal)), (381, 191));
 }
 
 /// Measured at 9.47 allocations per binding, with debug assertions on

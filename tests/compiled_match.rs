@@ -17,14 +17,14 @@
 mod reference;
 
 use positive_axml::core::compile::ProgramCache;
-use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus, Strategy};
+use positive_axml::core::engine::{run, EngineConfig, RunStatus, Strategy};
 use positive_axml::core::eval::{snapshot_compiled, snapshot_with_strategy, Env};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::matcher::MatchStrategy;
 use positive_axml::core::subsume::equivalent;
 use positive_axml::core::{parse_query, parse_tree, Sym};
 use proptest::prelude::*;
-use reference::{rounds_agree, MAX_ROUNDS};
+use reference::{reference_run, rounds_agree};
 
 fn gen_cfg(knob: u64) -> GenConfig {
     GenConfig {
@@ -119,8 +119,8 @@ fn redundant_conjuncts_are_eliminated_without_observable_effect() {
     // ...and the engines agree with the reference on the closure.
     for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
         let what = format!("redundant conjuncts, {strategy:?}");
-        let (fixpoint, rounds) = rounds_agree(&sys, strategy, &what);
-        assert!(rounds < MAX_ROUNDS, "{what}: no fixpoint");
+        let (fixpoint, status) = rounds_agree(&sys, strategy, usize::MAX, &what);
+        assert_eq!(status, Some(RunStatus::Terminated), "{what}");
         let d0 = fixpoint.doc(Sym::intern("d0")).unwrap();
         let closure = r#"r{t{from{"1"},to{"2"}}, t{from{"2"},to{"3"}}, @f, t{from{"1"},to{"3"}}}"#;
         assert!(
@@ -133,66 +133,52 @@ fn redundant_conjuncts_are_eliminated_without_observable_effect() {
     assert!(stats.programs_compiled > 0);
 }
 
-/// Both engine modes evaluate through the program cache and journal it,
-/// one `PlanCompiled` event per program compiled and one
-/// `ProgramCacheHit` per program reused, as `RunStats` counts them. And
-/// the two journals agree on every change to a document: the delta
-/// engine skips calls and, evaluating semi-naively, hands fewer result
-/// trees to the graft, but it grafts and reduces event for event as the
-/// naive engine does.
+/// The engine evaluates through the program cache and journals it, one
+/// `PlanCompiled` event per program compiled and one `ProgramCacheHit`
+/// per program reused, as `RunStats` counts them. And its journal agrees
+/// with the reference's on every change to a document: the engine skips
+/// calls and, evaluating semi-naively, hands fewer result trees to the
+/// graft, but it grafts and reduces event for event as the reference's
+/// full evaluations do.
 #[test]
 fn trace_streams_agree_on_every_document_change() {
     use positive_axml::core::trace::{EventKind, Journal, TraceEvent, Tracer};
 
-    let journal_of = |mode| {
-        let mut sys = axml_bench::tc_system(10);
-        let journal = Journal::new();
-        let cfg = EngineConfig::with_mode(mode);
-        let (status, stats) =
-            positive_axml::core::engine::run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
-        assert_eq!(status, RunStatus::Terminated);
-        let events = journal.snapshot();
-        let count = |want: fn(&EventKind) -> bool| events.iter().filter(|e| want(&e.kind)).count();
-        let compiled = count(|k| matches!(k, EventKind::PlanCompiled { .. }));
-        let hits = count(|k| matches!(k, EventKind::ProgramCacheHit { .. }));
-        assert!(
-            compiled > 0 && hits > 0,
-            "{mode:?}: {compiled} compiled, {hits} hits"
-        );
-        assert_eq!(compiled, stats.programs_compiled, "{mode:?}");
-        assert_eq!(hits, stats.program_cache_hits, "{mode:?}");
-        events
-    };
-    let naive = journal_of(EngineMode::Naive);
-    let delta = journal_of(EngineMode::Delta);
-    // The rounds, every change to a document, and every invocation that
-    // changed one: identical, event for event.
+    let journal = Journal::new();
+    let (status, stats) = positive_axml::core::engine::run_traced(
+        &mut axml_bench::tc_system(10),
+        &EngineConfig::default(),
+        Tracer::new(&journal),
+    )
+    .unwrap();
+    assert_eq!(status, RunStatus::Terminated);
+    let engine = journal.snapshot();
+    let count = |want: fn(&EventKind) -> bool| engine.iter().filter(|e| want(&e.kind)).count();
+    let compiled = count(|k| matches!(k, EventKind::PlanCompiled { .. }));
+    let hits = count(|k| matches!(k, EventKind::ProgramCacheHit { .. }));
+    assert!(compiled > 0 && hits > 0, "{compiled} compiled, {hits} hits");
+    assert_eq!(compiled, stats.programs_compiled);
+    assert_eq!(hits, stats.program_cache_hits);
+
+    let journal = Journal::new();
+    let status = reference_run(
+        &mut axml_bench::tc_system(10),
+        usize::MAX,
+        Tracer::new(&journal),
+    );
+    assert_eq!(status, RunStatus::Terminated);
+    let reference = journal.snapshot();
+    // Every change to a document: identical, event for event.
     let changes = |evs: &[TraceEvent]| -> Vec<String> {
         evs.iter()
-            .filter(|e| match e.kind {
-                EventKind::RoundStart { .. }
-                | EventKind::RoundEnd { .. }
-                | EventKind::Graft { .. }
-                | EventKind::Reduce { .. } => true,
-                EventKind::Invoke { changed, .. } => changed,
-                _ => false,
-            })
-            .map(|e| match e.kind {
-                EventKind::Invoke {
-                    doc,
-                    node,
-                    grafted,
-                    doc_version,
-                    ..
-                } => format!("Invoke {doc:?} {node:?} {grafted} {doc_version}"),
-                ref k => format!("{k:?}"),
-            })
+            .filter(|e| matches!(e.kind, EventKind::Graft { .. } | EventKind::Reduce { .. }))
+            .map(|e| format!("{:?}", e.kind))
             .collect()
     };
-    assert!(changes(&naive).iter().any(|c| c.starts_with("Graft")));
+    assert!(changes(&engine).iter().any(|c| c.starts_with("Graft")));
     assert_eq!(
-        changes(&naive),
-        changes(&delta),
+        changes(&engine),
+        changes(&reference),
         "document changes diverged"
     );
     // Fewer result trees to check, strictly fewer on this system.
@@ -202,10 +188,10 @@ fn trace_streams_agree_on_every_document_change() {
             .count()
     };
     assert!(
-        checks(&delta) < checks(&naive),
+        checks(&engine) < checks(&reference),
         "semi-naive evaluation checked {} result trees, full evaluation {}",
-        checks(&delta),
-        checks(&naive)
+        checks(&engine),
+        checks(&reference)
     );
 }
 

@@ -1,31 +1,36 @@
-//! Property-based differential tests for the delta-driven engine mode.
+//! Property-based differential tests for the semi-naive engine.
 //!
-//! On randomized simple positive systems, whenever the naive engine
-//! reaches a fixpoint, the delta engine must reach an *equivalent*
-//! fixpoint under every visit strategy — skipping calls whose read set
-//! is unchanged may reorder and drop invocations but never changes the
-//! limit (Theorem 2.1 confluence plus monotonicity of services).
+//! On randomized simple positive systems, whenever the reference below,
+//! the paper's fair rewriting evaluating every call in full, reaches a
+//! fixpoint, the engine must reach an *equivalent* fixpoint under every
+//! visit strategy: skipping calls whose read set is unchanged may
+//! reorder and drop evaluations but never changes the limit (Theorem
+//! 2.1 confluence plus monotonicity of services).
 //!
-//! Under the round-robin order (and its reverse) both engines must
+//! Under the round-robin order (and its reverse) the engine must
 //! moreover agree node for node, after every round, with a reference
 //! that applies the paper's §2.2 invocation step to every live call in
 //! the same order, evaluating each positive service in full with the
-//! pattern interpreter over scan matching. The engines share neither:
-//! they run compiled match programs over the document index, and the
-//! delta engine skips calls and evaluates the others semi-naively
-//! (building heads only for rows new since the call's last evaluation),
-//! yet each must graft exactly what the reference grafts, in the same
-//! order, and keep every document's index equal to a rebuild. Hand-built
-//! systems pin the cases where a row's birth is easy to get wrong.
+//! pattern interpreter over scan matching. The engine shares neither: it
+//! runs compiled match programs over the document index, skips calls
+//! and evaluates the others semi-naively (building heads only for rows
+//! new since the call's last evaluation), yet it must graft exactly what
+//! the reference grafts, in the same order, and keep every document's
+//! index equal to a rebuild. Every visit, skipped or not, is one
+//! invocation of the reference's rewriting, so a budget of call visits
+//! cuts both runs at the same documents, divergent systems included.
+//! Hand-built systems pin the cases where a row's birth is easy to get
+//! wrong.
 
 mod reference;
 
-use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus, Strategy};
+use positive_axml::core::engine::{run, EngineConfig, RunStatus, Strategy};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::subsume::equivalent;
+use positive_axml::core::trace::Tracer;
 use positive_axml::core::{parse_tree, Sym, System};
 use proptest::prelude::*;
-use reference::{rounds_agree, MAX_ROUNDS};
+use reference::{reference_run, rounds_agree};
 
 const BUDGET: usize = 5_000;
 
@@ -50,37 +55,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn delta_equals_naive_on_random_terminating_systems(
+    fn engine_fixpoint_equals_the_reference_on_random_terminating_systems(
         seed in 0u64..1_000_000,
         knob in 0u64..24,
         strat_ix in 0u8..3,
     ) {
         let sys = random_simple_system(&gen_cfg(knob), seed);
-        let mut naive = sys.clone();
-        let (nstatus, nstats) =
-            run(&mut naive, &EngineConfig::with_budget(BUDGET)).unwrap();
-        if nstatus != RunStatus::Terminated {
+        let mut reference = sys.clone();
+        if reference_run(&mut reference, BUDGET, Tracer::disabled()) != RunStatus::Terminated {
             // Divergent system: nothing to compare at the limit.
             return Ok(());
         }
-        let mut delta = sys.clone();
+        let mut engine = sys.clone();
         let cfg = EngineConfig {
-            mode: EngineMode::Delta,
             strategy: pick_strategy(strat_ix, seed),
             ..EngineConfig::with_budget(BUDGET)
         };
-        let (dstatus, dstats) = run(&mut delta, &cfg).unwrap();
-        prop_assert_eq!(dstatus, RunStatus::Terminated);
+        let (status, _) = run(&mut engine, &cfg).unwrap();
+        prop_assert_eq!(status, RunStatus::Terminated);
         prop_assert!(
-            naive.equivalent_to(&delta),
-            "seed {} knob {} strat {}: delta fixpoint differs from naive",
+            reference.equivalent_to(&engine),
+            "seed {} knob {} strat {}: the engine's fixpoint differs from the reference's",
             seed, knob, strat_ix
         );
-        // Delta never performs more evaluations than naive under the
-        // same round-robin order; under other strategies the fixpoint
-        // may be reached along a different path, so only check the
-        // invariant that skips are real work not done.
-        prop_assert!(dstats.invocations <= nstats.invocations + dstats.skipped);
     }
 }
 
@@ -99,8 +96,8 @@ fn case(docs: &[(&str, &str)], services: &[(&str, &str)], doc: &str, expect: &st
     }
     for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
         let what = format!("{doc}, {strategy:?}");
-        let (fixpoint, rounds) = rounds_agree(&sys, strategy, &what);
-        assert!(rounds < MAX_ROUNDS, "{what}: no fixpoint");
+        let (fixpoint, status) = rounds_agree(&sys, strategy, usize::MAX, &what);
+        assert_eq!(status, Some(RunStatus::Terminated), "{what}");
         let got = fixpoint.doc(Sym::intern(doc)).unwrap();
         assert!(
             equivalent(got, &parse_tree(expect).unwrap()),
@@ -219,13 +216,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn delta_equals_naive_node_for_node_after_every_round(
+    fn engine_equals_reference_node_for_node_after_every_round(
         seed in 0u64..1_000_000,
         knob in 0u64..24,
     ) {
         let sys = random_simple_system(&gen_cfg(knob), seed);
         for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
-            rounds_agree(&sys, strategy, &format!("seed {seed} knob {knob}, {strategy:?}"));
+            rounds_agree(&sys, strategy, usize::MAX, &format!("seed {seed} knob {knob}, {strategy:?}"));
         }
     }
+}
+
+/// A budget counts call visits, skipped ones included, so it cuts the
+/// engine's run where it cuts the reference's fair rewriting, on the
+/// same documents, divergent systems included.
+#[test]
+fn budget_cuts_agree_with_the_reference() {
+    let (mut budget_stops, mut divergent) = (0, 0);
+    for seed in 0..40u64 {
+        let sys = random_simple_system(&gen_cfg(seed), seed);
+        for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
+            for budget in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 400] {
+                let what = format!("seed {seed}, {strategy:?}, budget {budget}");
+                let (_, status) = rounds_agree(&sys, strategy, budget, &what);
+                budget_stops += usize::from(status == Some(RunStatus::InvocationBudget));
+            }
+        }
+        let what = format!("seed {seed}, unbounded");
+        let (_, status) = rounds_agree(&sys, Strategy::RoundRobin, usize::MAX, &what);
+        divergent += usize::from(status != Some(RunStatus::Terminated));
+    }
+    // 265 of the 1 040 cuts stop at the budget, and 5 of the 40 systems
+    // have no fixpoint within the compared rounds.
+    assert!(budget_stops >= 200, "{budget_stops} budget stops");
+    assert!(divergent > 0, "no divergent system among the seeds");
 }

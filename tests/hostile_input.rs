@@ -2,8 +2,10 @@
 //! depth limits is refused with the ordinary error codes instead of
 //! overflowing a connection thread's stack (which would abort the whole
 //! process), text exactly at the limits is still served, a client
-//! cannot raise the invocation budget past the server's own, and a
-//! query naming an unknown document is a bad query whatever the data.
+//! cannot raise the invocation budget past the server's own, a
+//! divergent run stops where its budget of call visits cuts the fair
+//! rewriting, and a query naming an unknown document is a bad query
+//! whatever the data.
 //! Below the server, a selective match costs what its answers cost,
 //! counted rather than timed, and decoys of its rarest constant cost
 //! bounded work.
@@ -184,6 +186,54 @@ fn run_budget_cannot_exceed_the_server_ceiling() {
         matches!(resp, Response::RunOk { ref status, .. } if status == "terminated"),
         "{resp:?}"
     );
+
+    handle.shutdown();
+    drop(c);
+    handle.join();
+}
+
+/// Example 2.1's divergent `Spam` under a 200-visit budget. Every call
+/// visit, a skipped one too, is an invocation of the fair rewriting, so
+/// the run stops after the 19 rounds the rewriting takes to make 200
+/// invocations; were skipped visits free, it would go on for 200 rounds,
+/// each evaluating only the newest `@Spam`. A v1 client's `mode` is
+/// accepted and has no effect; any other value is a bad field.
+#[test]
+fn a_divergent_run_stops_at_its_visit_budget() {
+    let mut handle = spawn();
+    let mut c = connect(&handle);
+    let mut run = |session: &str, mode: Option<&str>| {
+        let resp = c
+            .call(&Request::Open {
+                id: 1,
+                session: session.into(),
+                docs: vec![("d".into(), "r{@Spam}".into())],
+                services: vec![("Spam".into(), "junk{@Spam} :-".into())],
+            })
+            .unwrap();
+        assert!(matches!(resp, Response::OpenOk { .. }), "{resp:?}");
+        c.call(&Request::Run {
+            id: 2,
+            session: session.into(),
+            mode: mode.map(Into::into),
+            max_invocations: Some(200),
+        })
+        .unwrap()
+    };
+    let resp = run("eager", Some("eager"));
+    assert_eq!(error_code(&resp), Some(codes::BAD_FIELD), "{resp:?}");
+    for (session, mode) in [
+        ("spam", None),
+        ("spam-naive", Some("naive")),
+        ("spam-delta", Some("delta")),
+    ] {
+        let resp = run(session, mode);
+        assert!(
+            matches!(&resp, Response::RunOk { status, rounds: 19, invocations: 200, .. }
+                if status == "invocation-budget"),
+            "{session}: {resp:?}"
+        );
+    }
 
     handle.shutdown();
     drop(c);

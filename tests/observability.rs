@@ -4,7 +4,7 @@
 //! a validated Chrome trace, and cross-peer lineage on both p2p
 //! backends.
 
-use positive_axml::core::engine::{run_traced, EngineConfig, EngineMode, RunStatus, Strategy};
+use positive_axml::core::engine::{run_traced, EngineConfig, RunStatus, Strategy};
 use positive_axml::core::trace::{
     chrome_trace, validate_chrome_trace, EventKind, Fanout, Journal, MetricsRegistry, Tracer,
 };
@@ -75,12 +75,8 @@ fn x14_chrome_trace_is_produced_and_validates() {
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
     let mut sys = axml_bench::tc_random_digraph(32, 6, 12);
-    let (status, stats) = run_traced(
-        &mut sys,
-        &EngineConfig::with_mode(EngineMode::Delta),
-        Tracer::new(&fan),
-    )
-    .unwrap();
+    let (status, stats) =
+        run_traced(&mut sys, &EngineConfig::default(), Tracer::new(&fan)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
 
     // Journal and RunStats agree on the work done.
@@ -273,12 +269,7 @@ fn indexed_runs_journal_probe_and_maintenance_events() {
     let metrics = MetricsRegistry::new();
     let fan = Fanout::new(vec![&journal, &metrics]);
     let mut sys = axml_bench::tc_random_digraph(64, 6, 12);
-    let (status, _) = run_traced(
-        &mut sys,
-        &EngineConfig::with_mode(EngineMode::Delta),
-        Tracer::new(&fan),
-    )
-    .unwrap();
+    let (status, _) = run_traced(&mut sys, &EngineConfig::default(), Tracer::new(&fan)).unwrap();
     assert_eq!(status, RunStatus::Terminated);
 
     let events = journal.snapshot();

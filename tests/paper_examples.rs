@@ -153,10 +153,10 @@ fn example_3_2_closure_confluent() {
 /// fixpoint does not depend on that: four calls — one reading only
 /// `input`, one reading only `context` at a non-root call site, one
 /// reading neither, and a black box reading both — reach the same
-/// written-out fixpoint under Naive and Delta.
+/// written-out fixpoint in either visit order.
 #[test]
 fn reserved_documents_built_only_when_read() {
-    use positive_axml::core::engine::EngineMode;
+    use positive_axml::core::engine::Strategy;
     use positive_axml::core::service::BlackBoxService;
     use positive_axml::core::system::{context_sym, input_sym};
     use positive_axml::core::tree::{Marking, Tree};
@@ -200,12 +200,12 @@ fn reserved_documents_built_only_when_read() {
     .unwrap();
     let d = Sym::intern("d");
     let mut fixpoints = Vec::new();
-    for mode in [EngineMode::Naive, EngineMode::Delta] {
+    for strategy in [Strategy::RoundRobin, Strategy::Reverse] {
         let mut sys = build();
-        let (status, _) = run(&mut sys, &EngineConfig::with_mode(mode)).unwrap();
-        assert_eq!(status, RunStatus::Terminated, "{mode:?}");
+        let (status, _) = run(&mut sys, &EngineConfig::with_strategy(strategy)).unwrap();
+        assert_eq!(status, RunStatus::Terminated, "{strategy:?}");
         let doc = sys.doc(d).unwrap();
-        assert!(equivalent(doc, &expected), "{mode:?}: {doc}");
+        assert!(equivalent(doc, &expected), "{strategy:?}: {doc}");
         fixpoints.push(sys);
     }
     assert!(fixpoints[0].equivalent_to(&fixpoints[1]));

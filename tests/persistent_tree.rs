@@ -2,7 +2,7 @@
 //! `Tree::clone` / `System::snapshot` are O(1) frozen handles, and the
 //! engine run on a COW clone is bit-for-bit the engine run on the
 //! original — answers, fixpoint statistics, trace journals, and explain
-//! DAGs — in both engine modes.
+//! DAGs.
 //!
 //! Background (see `docs/mvcc.md`): nodes live in chunked `Arc`-shared
 //! spines, mutators path-copy only the touched chunk, and every commit
@@ -10,7 +10,7 @@
 //! mutation tally keeps everything observable (journals, stats, wire
 //! frames) deterministic run-to-run.
 
-use positive_axml::core::engine::{run, EngineConfig, EngineMode, RunStatus};
+use positive_axml::core::engine::{run, EngineConfig, RunStatus};
 use positive_axml::core::gensys::{random_simple_system, GenConfig};
 use positive_axml::core::tree::{Marking, Tree};
 use proptest::prelude::*;
@@ -90,10 +90,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The engine in both modes on COW clones of one random system:
-    /// each mode runs on its own O(1) clone, the two agree on the
-    /// canonical fixpoint, and a snapshot taken before any run is still
-    /// bit-for-bit the seed state after every run mutated its clone.
+    /// The engine on a COW clone of one random system: the run mutates
+    /// its O(1) clone only, and a snapshot taken before it is still
+    /// bit-for-bit the seed state after the run.
     #[test]
     fn engine_matrix_on_cow_clones_is_bit_for_bit(
         seed in 0u64..1_000_000,
@@ -103,27 +102,8 @@ proptest! {
         let pre_snap = sys.snapshot();
         let pre_key = sys.canonical_key();
         let pre_version = sys.version();
-        let mut keys = Vec::new();
-        for mode in [EngineMode::Naive, EngineMode::Delta] {
-            let mut clone = sys.clone();
-            let cfg = EngineConfig {
-                mode,
-                ..EngineConfig::with_budget(BUDGET)
-            };
-            let (status, _) = run(&mut clone, &cfg).unwrap();
-            // Every mode runs on every seed, so the pre-run snapshot is
-            // checked against each; budget-exhausted states can be
-            // enormous, and only fixpoints are compared.
-            keys.push((status == RunStatus::Terminated).then(|| clone.canonical_key()));
-        }
-        if let [Some(naive), Some(delta)] = &keys[..] {
-            prop_assert!(
-                naive == delta,
-                "seed {} knob {}: fixpoint diverged across the modes",
-                seed, knob
-            );
-        }
-        // The pre-run snapshot never moved, whatever the clones did.
+        run(&mut sys.clone(), &EngineConfig::with_budget(BUDGET)).unwrap();
+        // The pre-run snapshot never moved, whatever the clone did.
         prop_assert!(pre_snap.canonical_key() == pre_key);
         prop_assert!(pre_snap.version() == pre_version);
         prop_assert!(sys.canonical_key() == pre_key, "the source system itself must be untouched");
@@ -144,7 +124,7 @@ fn journals_identical_across_cow_clones() {
     let journal_of = || {
         let mut sys = base.clone();
         let journal = Journal::new();
-        let cfg = EngineConfig::with_mode(EngineMode::Delta);
+        let cfg = EngineConfig::default();
         positive_axml::core::engine::run_traced(&mut sys, &cfg, Tracer::new(&journal)).unwrap();
         (journal.snapshot(), sys.canonical_key())
     };
@@ -195,7 +175,7 @@ fn explain_dags_unchanged_by_cow_cloning() {
     let dags_of = || {
         let mut sys = base.clone();
         let store = ProvenanceStore::new();
-        let cfg = EngineConfig::with_mode(EngineMode::Delta);
+        let cfg = EngineConfig::default();
         let (status, _) =
             run_with_provenance(&mut sys, &cfg, Tracer::disabled(), Provenance::new(&store))
                 .unwrap();

@@ -1,8 +1,8 @@
 //! Integration coverage for the provenance layer: lineage of the
-//! tc-digraph closure workload, per-answer explanations, and the delta
+//! tc-digraph closure workload, per-answer explanations, and the
 //! engine's skip evidence.
 
-use positive_axml::core::engine::{run_with_provenance, EngineConfig, EngineMode, RunStatus};
+use positive_axml::core::engine::{run_with_provenance, EngineConfig, RunStatus};
 use positive_axml::core::matcher::match_pattern;
 use positive_axml::core::provenance::{Origin, Provenance, ProvenanceStore};
 use positive_axml::core::trace::Tracer;
@@ -13,7 +13,7 @@ fn run_tc_with_provenance() -> (positive_axml::core::System, ProvenanceStore) {
     let store = ProvenanceStore::new();
     let (status, stats) = run_with_provenance(
         &mut sys,
-        &EngineConfig::with_mode(EngineMode::Delta),
+        &EngineConfig::default(),
         Tracer::disabled(),
         Provenance::new(&store),
     )
@@ -127,7 +127,7 @@ fn explain_answer_reports_unneeded_calls() {
     assert_eq!(ex.lineage.invocation_depth(), 0);
 }
 
-/// The delta engine records read-set evidence for every skip, and
+/// The engine records read-set evidence for every skip, and
 /// `explain_skip` surfaces the most recent one per call site.
 #[test]
 fn explain_skip_carries_read_set_evidence() {

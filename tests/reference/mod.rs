@@ -3,11 +3,15 @@
 //! §2.2 invocation step to every live call in the engine's visit order,
 //! with no match cache and no compiled programs, so every positive
 //! service is evaluated in full by the pattern interpreter over scan
-//! matching. [`rounds_agree`] steps it beside a naive and a delta
-//! engine, which run compiled programs over the document index, and
-//! compares all three after every round.
+//! matching, and every visit is an invocation. [`rounds_agree`] steps it
+//! beside the engine, which runs compiled programs over the document
+//! index, skips the visits it proves to be no-ops and evaluates the
+//! others semi-naively, and compares the two after every round.
 
-use positive_axml::core::engine::{EngineConfig, EngineMode, RoundRunner, RunStatus, Strategy};
+// Each test target that includes this module uses part of it.
+#![allow(dead_code)]
+
+use positive_axml::core::engine::{EngineConfig, RoundRunner, RunStatus, Strategy};
 use positive_axml::core::invoke::invoke_node_with_provenance;
 use positive_axml::core::matcher::MatchStrategy;
 use positive_axml::core::provenance::Provenance;
@@ -16,7 +20,7 @@ use positive_axml::core::tree::NodeId;
 use positive_axml::core::System;
 
 /// Rounds compared before a run that has not stopped is cut off.
-pub const MAX_ROUNDS: usize = 24;
+const MAX_ROUNDS: usize = 24;
 
 /// The node budget of the compared runs.
 const MAX_NODES: usize = 4_000;
@@ -51,10 +55,17 @@ fn assert_indexes_valid(sys: &System, what: &str) {
 /// One round of the reference: every live call, in the order of
 /// `strategy` (round-robin or reversed), takes one §2.2 step with no
 /// match cache and no programs, so a positive service runs the pattern
-/// interpreter over a scan and is evaluated in full. Stops like the
-/// engine does: at a quiet round, or as soon as the system outgrows
-/// [`MAX_NODES`]. Returns `Some(status)` when the run is over.
-fn reference_round(sys: &mut System, strategy: Strategy) -> Option<RunStatus> {
+/// interpreter over a scan and is evaluated in full. Each step is a
+/// visit, counted in `visits`. Stops like the engine does: before a
+/// visit past `budget`, at a quiet round, or as soon as the system
+/// outgrows [`MAX_NODES`]. Returns `Some(status)` when the run is over.
+fn reference_round(
+    sys: &mut System,
+    strategy: Strategy,
+    visits: &mut usize,
+    budget: usize,
+    tracer: Tracer<'_>,
+) -> Option<RunStatus> {
     let mut pending = sys.function_nodes();
     match strategy {
         Strategy::RoundRobin => {}
@@ -71,13 +82,17 @@ fn reference_round(sys: &mut System, strategy: Strategy) -> Option<RunStatus> {
         if !t.is_alive(n) || !t.marking(n).is_func() {
             continue;
         }
+        if *visits >= budget {
+            return Some(RunStatus::InvocationBudget);
+        }
+        *visits += 1;
         let step = invoke_node_with_provenance(
             sys,
             d,
             n,
             None,
             None,
-            Tracer::disabled(),
+            tracer,
             Provenance::disabled(),
             0,
             MatchStrategy::Scan,
@@ -91,39 +106,56 @@ fn reference_round(sys: &mut System, strategy: Strategy) -> Option<RunStatus> {
     (!changed).then_some(RunStatus::Terminated)
 }
 
-/// Step the reference, a naive runner and a delta runner over copies of
-/// `sys` side by side, visiting calls in the order of `strategy`, and
-/// after every round check that all three hold the same documents node
-/// for node, stop together, and keep valid indexes. Returns the delta
-/// system at the end and the number of rounds run.
-pub fn rounds_agree(sys: &System, strategy: Strategy, what: &str) -> (System, usize) {
-    let cfg = |mode| EngineConfig {
-        mode,
-        strategy,
-        max_invocations: usize::MAX,
-        max_nodes: MAX_NODES,
-    };
-    let (mut reference, mut naive, mut delta) = (sys.clone(), sys.clone(), sys.clone());
-    let mut rn = RoundRunner::new(&cfg(EngineMode::Naive));
-    let mut rd = RoundRunner::new(&cfg(EngineMode::Delta));
-    for round in 1..=MAX_ROUNDS {
-        let what = format!("{what}, round {round}");
-        let sr = reference_round(&mut reference, strategy);
-        let sn = rn.step(&mut naive, Tracer::disabled()).unwrap();
-        let sd = rd.step(&mut delta, Tracer::disabled()).unwrap();
-        assert_same_nodes(&reference, &naive, &format!("{what}, naive"));
-        assert_same_nodes(&reference, &delta, &format!("{what}, delta"));
-        for sys in [&reference, &naive, &delta] {
-            assert_indexes_valid(sys, &what);
-        }
-        assert_eq!(
-            (sn, sd),
-            (sr, sr),
-            "{what}: (naive, delta) vs the reference"
-        );
-        if sr.is_some() {
-            return (delta, round);
+/// Run the reference round-robin, capped at `budget` call visits, until
+/// it stops, journaling its steps into `tracer`.
+pub fn reference_run(sys: &mut System, budget: usize, tracer: Tracer<'_>) -> RunStatus {
+    let mut visits = 0;
+    loop {
+        let stop = reference_round(sys, Strategy::RoundRobin, &mut visits, budget, tracer);
+        if let Some(status) = stop {
+            return status;
         }
     }
-    (delta, MAX_ROUNDS)
+}
+
+/// Step the reference and the engine over copies of `sys` side by side,
+/// visiting calls in the order of `strategy`, both capped at `budget`
+/// call visits, and after every round check that the two hold the same
+/// documents node for node, stop together, and keep valid indexes.
+/// Returns the engine's system at the end and how the run stopped
+/// (`None`: cut off after [`MAX_ROUNDS`] rounds).
+pub fn rounds_agree(
+    sys: &System,
+    strategy: Strategy,
+    budget: usize,
+    what: &str,
+) -> (System, Option<RunStatus>) {
+    let (mut reference, mut engine) = (sys.clone(), sys.clone());
+    let mut visits = 0;
+    let mut runner = RoundRunner::new(&EngineConfig {
+        strategy,
+        max_invocations: budget,
+        max_nodes: MAX_NODES,
+    });
+    for round in 1..=MAX_ROUNDS {
+        let what = format!("{what}, round {round}");
+        let sr = reference_round(
+            &mut reference,
+            strategy,
+            &mut visits,
+            budget,
+            Tracer::disabled(),
+        );
+        let se = runner.step(&mut engine, Tracer::disabled()).unwrap();
+        assert_same_nodes(&reference, &engine, &what);
+        assert_indexes_valid(&reference, &what);
+        assert_indexes_valid(&engine, &what);
+        assert_eq!(se, sr, "{what}: the engine vs the reference");
+        if sr.is_some() {
+            let stats = runner.stats(&engine);
+            assert_eq!(stats.invocations + stats.skipped, visits, "{what}: visits");
+            return (engine, sr);
+        }
+    }
+    (engine, None)
 }
