@@ -433,9 +433,9 @@ impl RoundRunner {
     /// The delta stamps of the last completed step: one [`DocDelta`]
     /// per document the round actually mutated, in document order.
     /// Empty before the first step *and* after any quiet round — a
-    /// consumer (e.g. the server's subscription loop) can skip
-    /// recomputing derived state entirely when this is empty, because
-    /// every observable answer is a function of the documents.
+    /// consumer can skip recomputing derived state entirely when this
+    /// is empty, because every observable answer is a function of the
+    /// documents.
     pub fn round_deltas(&self) -> &[DocDelta] {
         &self.last_deltas
     }

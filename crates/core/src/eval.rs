@@ -17,14 +17,22 @@
 //! reused and a node's marking and parent never change, so an all-old
 //! embedding is one the earlier evaluation saw, and its head was grafted
 //! next to the call then or was already subsumed there.
+//!
+//! A [`QueryCursor`] polls the same way: its marks are those of its last
+//! poll, and it returns a new head unless a tree it returned before
+//! subsumes it.
 
-use crate::compile::{CompiledQuery, ProgramCache};
+use crate::compile::{compile_query, CompiledQuery, ProgramCache};
 use crate::error::{AxmlError, Result};
 use crate::forest::Forest;
 use crate::matcher::{match_pattern_with, Binding, Bound, MatchStats, MatchStrategy};
 use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::{Operand, Query};
+use crate::reduce::Sig;
 use crate::relation::{hash_key, row_binding, BodyJoin, Fresh, Matches, Named, RowIndex};
+#[cfg(debug_assertions)]
+use crate::subsume::subsumed;
+use crate::subsume::SubMemo;
 use crate::sym::{FxHashMap, Sym};
 use crate::system::{context_sym, input_sym, System};
 use crate::trace::{EventKind, Tracer};
@@ -142,9 +150,10 @@ pub struct MatchCache {
 /// `(doc id, doc version, matches)` — exact while id+version match.
 type CacheEntry = (u64, u64, Arc<Matches>);
 
-/// The marks of one call's last applied evaluation: per stored document
-/// its query reads, `(document, Tree::id, arena length)`, taken before
-/// anything the evaluation derived was grafted. A node with an id below
+/// The marks of one evaluation — a call's last applied one, or a
+/// cursor's last poll: per stored document its query reads, `(document,
+/// Tree::id, arena length)`, taken before anything a call's evaluation
+/// derived was grafted. A node with an id below
 /// the length existed then; a document whose id moved is a different
 /// tree, and every row over it is new.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -226,14 +235,7 @@ pub fn snapshot(q: &Query, env: &Env<'_>) -> Result<Forest> {
 
 /// [`snapshot`], also reporting evaluation statistics.
 pub fn snapshot_with_stats(q: &Query, env: &Env<'_>) -> Result<(Forest, EvalStats)> {
-    snapshot_inner(
-        q,
-        env,
-        None,
-        None,
-        Tracer::disabled(),
-        MatchStrategy::default(),
-    )
+    snapshot_inner(q, env, None, MatchStrategy::default())
 }
 
 /// [`snapshot`] under an explicit [`MatchStrategy`]: the interpreter over
@@ -244,7 +246,7 @@ pub fn snapshot_with_strategy(
     env: &Env<'_>,
     strategy: MatchStrategy,
 ) -> Result<(Forest, EvalStats)> {
-    snapshot_inner(q, env, None, None, Tracer::disabled(), strategy)
+    snapshot_inner(q, env, None, strategy)
 }
 
 /// [`snapshot_with_strategy`] through the compiled path: the service's
@@ -258,14 +260,8 @@ pub fn snapshot_compiled(
     programs: &mut ProgramCache,
     strategy: MatchStrategy,
 ) -> Result<(Forest, EvalStats)> {
-    snapshot_inner(
-        q,
-        env,
-        None,
-        Some((svc, programs)),
-        Tracer::disabled(),
-        strategy,
-    )
+    let compiled = programs.lookup(svc, q, strategy, Tracer::disabled());
+    snapshot_inner(q, env, Some(&compiled), strategy)
 }
 
 /// The head trees of `q` over `env`, before reduction: the engine of
@@ -280,22 +276,20 @@ pub(crate) fn snapshot_heads(
     q: &Query,
     env: &Env<'_>,
     mut cache: Option<(Sym, &mut MatchCache)>,
-    programs: Option<(Sym, &mut ProgramCache)>,
+    compiled: Option<&CompiledQuery>,
     tracer: Tracer<'_>,
     strategy: MatchStrategy,
     marks: Option<&Marks>,
 ) -> Result<(Forest, EvalStats)> {
-    // Compiled path: fetch (or compile) the service's program once, then
-    // drive the same per-atom cache/join loop below — only the
-    // matcher call differs. The retained atoms keep their original body
-    // indices, so match-cache keys and trace events are stable, and the
-    // loop resolves documents in original order, so `UnknownDocument`
-    // errors and empty-result short-circuits fire exactly like the
-    // interpreter (eliminated atoms always have an earlier surviving
-    // same-document witness — see `crate::compile`).
-    let compiled: Option<Arc<CompiledQuery>> =
-        programs.map(|(svc, pc)| pc.lookup(svc, q, strategy, tracer));
-    let atom_plan: Vec<(usize, Option<usize>)> = match &compiled {
+    // Compiled path: the query's program drives the same per-atom
+    // cache/join loop below — only the matcher call differs. The
+    // retained atoms keep their original body indices, so match-cache
+    // keys and trace events are stable, and the loop resolves documents
+    // in original order, so `UnknownDocument` errors and empty-result
+    // short-circuits fire exactly like the interpreter (eliminated atoms
+    // always have an earlier surviving same-document witness — see
+    // `crate::compile`).
+    let atom_plan: Vec<(usize, Option<usize>)> = match compiled {
         Some(c) => c
             .program()
             .atoms()
@@ -306,7 +300,7 @@ pub(crate) fn snapshot_heads(
         None => (0..q.body.len()).map(|i| (i, None)).collect(),
     };
     let run_match = |i: usize, pos: Option<usize>, doc: &Tree| -> (Matches, MatchStats) {
-        match (&compiled, pos) {
+        match (compiled, pos) {
             (Some(c), Some(pos)) => {
                 let (rel, stats) = c.program().run_atom_flat(pos, doc);
                 (Matches::Flat(rel), stats)
@@ -381,12 +375,11 @@ pub(crate) fn snapshot_heads(
 fn snapshot_inner(
     q: &Query,
     env: &Env<'_>,
-    cache: Option<(Sym, &mut MatchCache)>,
-    programs: Option<(Sym, &mut ProgramCache)>,
-    tracer: Tracer<'_>,
+    compiled: Option<&CompiledQuery>,
     strategy: MatchStrategy,
 ) -> Result<(Forest, EvalStats)> {
-    let (heads, stats) = snapshot_heads(q, env, cache, programs, tracer, strategy, None)?;
+    let (heads, stats) =
+        snapshot_heads(q, env, None, compiled, Tracer::disabled(), strategy, None)?;
     Ok((heads.reduce(), stats))
 }
 
@@ -551,9 +544,8 @@ fn build_children(
 }
 
 /// A continuous-query delta extractor: repeated [`QueryCursor::poll`]s
-/// against a growing [`System`] return only the answer trees **not yet
-/// seen** by this cursor, keyed by canonical equivalence
-/// ([`crate::reduce::canon_of_reduced`], Definition 2.2).
+/// against a growing [`System`] return only the answer trees that no
+/// tree this cursor returned before subsumes (Definition 2.2).
 ///
 /// Snapshot evaluation is monotone (Proposition 3.1 (1)): as the system
 /// grows under fair rewriting, `q(I)` only gains answers (up to
@@ -562,6 +554,21 @@ fn build_children(
 /// subscription protocol, which polls a cursor between
 /// [`crate::engine::RoundRunner::step`]s and streams each non-empty
 /// delta as one wire frame.
+///
+/// A poll is semi-naive. The query is compiled once, and a poll builds
+/// a head only for a projection that some row born since the last poll
+/// derives (the marks of the module doc); the first poll evaluates in
+/// full. An answer of the reduced snapshot forest that no earlier delta
+/// returned an equivalent of cannot have been derivable at the last
+/// poll — it would have been maximal then, and returned — so only new
+/// rows derive it, and it is among the new heads. Conversely, a reduced
+/// new head that no returned tree subsumes is maximal in the whole
+/// answer set. The heads keep the full forest's order, so each delta is
+/// exactly the trees of the reduced snapshot forest not returned before
+/// up to equivalence, in the forest's order. The cursor keeps only the
+/// maximal trees it returned, each with its root signature; when
+/// nothing the query reads changed since the last poll, the delta is
+/// empty without evaluating.
 ///
 /// ```
 /// use axml_core::eval::QueryCursor;
@@ -581,15 +588,38 @@ fn build_children(
 /// ```
 pub struct QueryCursor {
     query: Query,
-    seen: crate::sym::FxHashSet<crate::reduce::CanonKey>,
+    /// The query's program, compiled under [`MatchStrategy::Indexed`].
+    program: CompiledQuery,
+    /// The documents the query reads, each once.
+    docs: Vec<Sym>,
+    /// Each of `docs`' `(Tree::id, Tree::version)` at the last poll that
+    /// evaluated (`None`: absent); `None` before the first poll.
+    handles: Option<Vec<Option<(u64, u64)>>>,
+    /// The arena lengths at the last poll that evaluated.
+    marks: Marks,
+    /// The maximal trees returned so far, with their root signatures.
+    kept: Vec<(Tree, Sig)>,
+    /// Trees returned so far.
+    returned: usize,
 }
 
 impl QueryCursor {
     /// A fresh cursor for `query`; nothing seen yet.
     pub fn new(query: Query) -> QueryCursor {
+        let mut docs: Vec<Sym> = Vec::new();
+        for atom in &query.body {
+            if !docs.contains(&atom.doc) {
+                docs.push(atom.doc);
+            }
+        }
         QueryCursor {
+            program: compile_query(&query, MatchStrategy::Indexed),
             query,
-            seen: crate::sym::FxHashSet::default(),
+            docs,
+            handles: None,
+            marks: Marks::default(),
+            kept: Vec::new(),
+            returned: 0,
         }
     }
 
@@ -600,30 +630,89 @@ impl QueryCursor {
 
     /// Distinct (up to equivalence) answer trees returned so far.
     pub fn seen(&self) -> usize {
-        self.seen.len()
+        self.returned
     }
 
     /// Evaluate the query against the system's current documents and
-    /// return the answer trees not seen by any earlier poll, in the
-    /// evaluation's (deterministic) result order. An unchanged system
-    /// yields an empty delta.
-    ///
-    /// Answers are keyed with [`crate::reduce::canon_of_reduced`]: the
-    /// snapshot forest comes out of [`Forest::reduce`], so every tree is
-    /// already reduced and needs no second reduction to be keyed.
+    /// return the answer trees that no tree returned by an earlier poll
+    /// subsumes, in the snapshot forest's (deterministic) order. An
+    /// unchanged system yields an empty delta, without evaluating.
     pub fn poll(&mut self, sys: &System) -> Result<Vec<Tree>> {
         let env = Env::for_system(sys);
-        let forest = snapshot(&self.query, &env)?;
-        let mut fresh = Vec::new();
-        for t in forest.trees() {
-            if self
-                .seen
-                .insert(crate::reduce::canon_of_reduced(t, t.root()))
-            {
-                fresh.push(t.clone());
+        let handles = || {
+            self.docs
+                .iter()
+                .map(|&d| env.get(d).map(Tree::snapshot_handle))
+        };
+        if let Some(last) = &self.handles {
+            if last.iter().copied().eq(handles()) {
+                return Ok(Vec::new());
             }
         }
+        let (heads, _) = snapshot_heads(
+            &self.query,
+            &env,
+            None,
+            Some(&self.program),
+            Tracer::disabled(),
+            MatchStrategy::Indexed,
+            Some(&self.marks),
+        )?;
+        let last = self.handles.get_or_insert_with(Vec::new);
+        last.clear();
+        last.extend(handles());
+        self.marks.take(&self.query, &env);
+        #[cfg(debug_assertions)]
+        let expected = self.full_delta(&env);
+        let (forest, sigs) = heads.reduce_with_sigs();
+        let mut memo = SubMemo::new();
+        let mut fresh = Vec::new();
+        for (t, sig) in forest.into_iter().zip(sigs) {
+            let mut below = |a: &Tree, sa: Sig, b: &Tree, sb: Sig| {
+                a.marking(a.root()) == b.marking(b.root())
+                    && sa.may_embed_in(sb)
+                    && memo.subsumed_at(a, a.root(), b, b.root())
+            };
+            if self.kept.iter().any(|(k, ks)| below(&t, sig, k, *ks)) {
+                continue;
+            }
+            self.kept.retain(|(k, ks)| !below(k, *ks, &t, sig));
+            self.kept.push((t.clone(), sig));
+            fresh.push(t);
+        }
+        self.returned += fresh.len();
+        #[cfg(debug_assertions)]
+        if let Some(expected) = expected {
+            let got: Vec<String> = fresh.iter().map(Tree::to_string).collect();
+            assert_eq!(got, expected, "the semi-naive delta is not the full one");
+        }
         Ok(fresh)
+    }
+
+    /// The cursor's self-check, under debug assertions and on documents
+    /// of at most [`ANCHOR_SELF_CHECK_NODES`](crate::matcher::ANCHOR_SELF_CHECK_NODES)
+    /// slots: the delta a full evaluation gives, the trees of the reduced
+    /// snapshot forest that no tree returned so far subsumes, rendered.
+    /// The pattern interpreter evaluates it over a scan, so it builds no
+    /// index.
+    #[cfg(debug_assertions)]
+    fn full_delta(&self, env: &Env<'_>) -> Option<Vec<String>> {
+        let small = self.docs.iter().all(|&d| {
+            env.get(d)
+                .is_none_or(|t| t.arena_len() <= crate::matcher::ANCHOR_SELF_CHECK_NODES)
+        });
+        if !small {
+            return None;
+        }
+        let (full, _) = snapshot_with_strategy(&self.query, env, MatchStrategy::Scan)
+            .expect("the semi-naive evaluation succeeded");
+        let delta = full
+            .trees()
+            .iter()
+            .filter(|t| !self.kept.iter().any(|(k, _)| subsumed(t, k)))
+            .map(Tree::to_string)
+            .collect();
+        Some(delta)
     }
 }
 
@@ -759,13 +848,13 @@ mod tests {
         let q = parse_query("r{$x} :- d/r{t{$x}}").unwrap();
         let svc = Sym::intern("f");
         let mut cache = MatchCache::new();
-        let mut programs = ProgramCache::new();
-        let mut cached = |env: &Env<'_>, cache: &mut MatchCache| {
+        let compiled = compile_query(&q, MatchStrategy::default());
+        let cached = |env: &Env<'_>, cache: &mut MatchCache| {
             let (heads, _) = snapshot_heads(
                 &q,
                 env,
                 Some((svc, cache)),
-                Some((svc, &mut programs)),
+                Some(&compiled),
                 Tracer::disabled(),
                 MatchStrategy::default(),
                 None,
@@ -805,13 +894,13 @@ mod tests {
         let context = parse_tree("c").unwrap();
         let input = parse_tree(r#"input{p{"1"}}"#).unwrap();
         let env = Env::for_invocation(&sys, Some(&input), Some(&context));
-        let mut programs = ProgramCache::new();
+        let compiled = compile_query(&q, MatchStrategy::default());
         for _ in 0..2 {
             snapshot_heads(
                 &q,
                 &env,
                 Some((svc, &mut cache)),
-                Some((svc, &mut programs)),
+                Some(&compiled),
                 Tracer::disabled(),
                 MatchStrategy::default(),
                 None,

@@ -44,7 +44,7 @@ use crate::system::{context_sym, input_sym, System};
 use crate::trace::{EventKind, Tracer};
 use crate::tree::{Marking, NodeId, Tree};
 #[cfg(debug_assertions)]
-use crate::{query::Query, subsume::subsumed};
+use crate::{compile::compile_query, query::Query, subsume::subsumed};
 
 /// What one invocation did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -169,11 +169,12 @@ fn evaluate_node(
     // applies; black boxes always run their closure.
     let raw = match svc.query() {
         Some(q) => {
+            let compiled = programs.map(|p| p.lookup(fname, q, strategy, tracer));
             let (raw, _) = snapshot_heads(
                 q,
                 &env,
                 cache.map(|c| (fname, c)),
-                programs.map(|p| (fname, p)),
+                compiled.as_deref(),
                 tracer,
                 strategy,
                 marks.as_ref(),
@@ -181,7 +182,7 @@ fn evaluate_node(
             if let Some(m) = &mut marks {
                 #[cfg(debug_assertions)]
                 if !m.is_empty() {
-                    check_semi_naive(fname, q, &env, doc, parent, &raw);
+                    check_semi_naive(q, &env, doc, parent, &raw);
                 }
                 m.take(q, &env);
             }
@@ -210,21 +211,14 @@ fn evaluate_node(
 
 /// The semi-naive self-check, under debug assertions and on documents of
 /// at most [`ANCHOR_SELF_CHECK_NODES`](crate::matcher::ANCHOR_SELF_CHECK_NODES)
-/// slots: every tree of the full evaluation of service `svc`'s query `q`
+/// slots: every tree of the full evaluation of the call's query `q`
 /// that no child of the call's parent already subsumes is subsumed by
 /// one of `heads`, the semi-naive evaluation's. It suffices to check the
 /// maximal trees. The full evaluation compiles a program of its own and
 /// runs it under [`MatchStrategy::Scan`], so it never builds an index
 /// the run has not built and leaves the run's caches and counters alone.
 #[cfg(debug_assertions)]
-fn check_semi_naive(
-    svc: Sym,
-    q: &Query,
-    env: &Env<'_>,
-    doc: &Tree,
-    parent: NodeId,
-    heads: &Forest,
-) {
+fn check_semi_naive(q: &Query, env: &Env<'_>, doc: &Tree, parent: NodeId, heads: &Forest) {
     let small = q.body.iter().all(|a| {
         env.get(a.doc)
             .is_none_or(|t| t.arena_len() <= crate::matcher::ANCHOR_SELF_CHECK_NODES)
@@ -236,7 +230,7 @@ fn check_semi_naive(
         q,
         env,
         None,
-        Some((svc, &mut ProgramCache::new())),
+        Some(&compile_query(q, MatchStrategy::Scan)),
         Tracer::disabled(),
         MatchStrategy::Scan,
         None,
@@ -349,13 +343,11 @@ fn apply_plan(
             doc_version: doc.mutation_count(),
             trees: grafted as u32,
         });
-        // Node counts are O(live nodes); only pay for them when a sink
-        // is attached.
-        let before = tracer.enabled().then(|| doc.node_count() as u32);
+        let before = doc.node_count() as u32;
         reduce_in_place(doc);
         tracer.emit(|| EventKind::Reduce {
             doc: doc_name,
-            nodes_before: before.unwrap_or(0),
+            nodes_before: before,
             nodes_after: doc.node_count() as u32,
         });
         if tracer.enabled() {

@@ -191,6 +191,9 @@ pub struct Tree {
     spine: Arc<Vec<Chunk>>,
     /// Arena slots in use (the last chunk may be partially filled).
     len: usize,
+    /// Live nodes: kept by [`Tree::add_child`] and
+    /// [`Tree::remove_subtree`], so [`Tree::node_count`] walks nothing.
+    live: usize,
     root: NodeId,
     id: u64,
     version: u64,
@@ -223,6 +226,7 @@ impl Clone for Tree {
         Tree {
             spine: Arc::clone(&self.spine),
             len: self.len,
+            live: self.live,
             root: self.root,
             id: self.id,
             version: self.version,
@@ -248,6 +252,7 @@ impl Tree {
         Tree {
             spine: Arc::new(vec![Arc::new(chunk)]),
             len: 1,
+            live: 1,
             root: NodeId(0),
             id: fresh_tree_id(),
             version: 0,
@@ -403,6 +408,7 @@ impl Tree {
             alive: true,
         });
         self.node_mut(parent).children.push(id);
+        self.live += 1;
         self.version = fresh_version();
         self.mutations += 1;
         let version = self.version;
@@ -435,6 +441,7 @@ impl Tree {
         // markings.
         let mut stack = vec![n];
         while let Some(x) = stack.pop() {
+            self.live -= 1;
             let node = self.node_mut(x);
             node.alive = false;
             let kids = std::mem::take(&mut node.children);
@@ -459,9 +466,10 @@ impl Tree {
         Ok(())
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes, in constant time.
     pub fn node_count(&self) -> usize {
-        self.iter_live(self.root).count()
+        debug_assert_eq!(self.live, self.iter_live(self.root).count());
+        self.live
     }
 
     /// Total arena slots ever allocated (live + dead).

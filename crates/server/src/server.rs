@@ -1269,22 +1269,16 @@ fn serve_subscribe(
     // state visible when the subscription opened and advances to each
     // committed round's published snapshot.
     let mut cur = sys.snapshot();
-    // Whether the upcoming poll can possibly see new answers. Starts
-    // true (round-0 answers) and is recomputed from the runner's
-    // per-round document deltas: a round that moved no document
-    // cannot grow any query's answer set, so its poll is skipped.
-    let mut must_poll = true;
     let status = loop {
         // Poll before the first round (answers already present in the
-        // opened system are the round-0 delta) and once more after the
-        // terminal round (it may still have derived answers).
-        let fresh = if must_poll {
-            match cursor.poll(cur.system()) {
-                Ok(fresh) => fresh,
-                Err(e) => return Ok(Err(ProtoError::new(codes::ENGINE_FAILED, e.to_string()))),
-            }
-        } else {
-            Vec::new()
+        // opened system are the round-0 delta) and after every round,
+        // the terminal one included (it may still have derived
+        // answers). A round that moved no document the query reads
+        // costs its poll nothing: the cursor answers it without
+        // evaluating.
+        let fresh = match cursor.poll(cur.system()) {
+            Ok(fresh) => fresh,
+            Err(e) => return Ok(Err(ProtoError::new(codes::ENGINE_FAILED, e.to_string()))),
         };
         if !fresh.is_empty() {
             let trees: Vec<String> = fresh.iter().map(|t| t.to_string()).collect();
@@ -1320,10 +1314,6 @@ fn serve_subscribe(
                     cur = snap;
                 }
                 done = step;
-                // The terminal poll always runs (the last round may
-                // still have derived answers); otherwise poll only
-                // when the round actually moved a document.
-                must_poll = done.is_some() || !runner.round_deltas().is_empty();
             }
             Err(e) => return Ok(Err(ProtoError::new(codes::ENGINE_FAILED, e.to_string()))),
         }

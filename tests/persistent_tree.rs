@@ -36,6 +36,40 @@ fn pick_live(t: &Tree, k: usize) -> positive_axml::core::tree::NodeId {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `Tree::node_count` is a counter kept by `add_child` and
+    /// `remove_subtree`; random scripts that mutate a tree and its COW
+    /// clones, each handle on its own, never move it away from a walk
+    /// over the live nodes.
+    #[test]
+    fn node_count_equals_the_live_walk_on_every_clone(
+        ops in prop::collection::vec((0u8..5, 0usize..8, 0usize..64), 1..80),
+    ) {
+        let mut handles = vec![Tree::with_label("root")];
+        for &(op, h, k) in &ops {
+            let h = h % handles.len();
+            let t = &mut handles[h];
+            match op {
+                0..=2 => {
+                    let parent = pick_live(t, k);
+                    t.add_child(parent, Marking::label(["a", "b"][k % 2])).unwrap();
+                }
+                3 => {
+                    let n = pick_live(t, k);
+                    if n != t.root() {
+                        t.remove_subtree(n).unwrap();
+                    }
+                }
+                _ => {
+                    let clone = t.clone();
+                    handles.push(clone);
+                }
+            }
+            for t in &handles {
+                prop_assert_eq!(t.node_count(), t.iter_live(t.root()).count());
+            }
+        }
+    }
+
     /// Random mutation scripts with interleaved clones: every clone is
     /// a frozen snapshot (its rendering and `snapshot_handle` never
     /// move while the writer keeps mutating), handles are injective

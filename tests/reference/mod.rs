@@ -7,17 +7,23 @@
 //! beside the engine, which runs compiled programs over the document
 //! index, skips the visits it proves to be no-ops and evaluates the
 //! others semi-naively, and compares the two after every round.
+//! [`reference_cursor`] is the subscription cursor the same way: every
+//! poll evaluates in full, and answers are told apart by canonical key.
 
 // Each test target that includes this module uses part of it.
 #![allow(dead_code)]
 
 use positive_axml::core::engine::{EngineConfig, RoundRunner, RunStatus, Strategy};
+use positive_axml::core::eval::{snapshot_with_strategy, Env};
 use positive_axml::core::invoke::invoke_node_with_provenance;
 use positive_axml::core::matcher::MatchStrategy;
 use positive_axml::core::provenance::Provenance;
+use positive_axml::core::query::Query;
+use positive_axml::core::reduce::canon_of_reduced;
 use positive_axml::core::trace::Tracer;
-use positive_axml::core::tree::NodeId;
+use positive_axml::core::tree::{NodeId, Tree};
 use positive_axml::core::System;
+use std::collections::HashSet;
 
 /// Rounds compared before a run that has not stopped is cut off.
 const MAX_ROUNDS: usize = 24;
@@ -158,4 +164,22 @@ pub fn rounds_agree(
         }
     }
     (engine, None)
+}
+
+/// The subscription cursor `QueryCursor` is checked against: each poll
+/// evaluates `query` over `sys` in full, with the pattern interpreter
+/// over a scan, and returns the trees of the reduced answer forest whose
+/// canonical key no earlier poll returned, in the forest's order.
+pub fn reference_cursor(query: Query) -> impl FnMut(&System) -> Vec<Tree> {
+    let mut seen = HashSet::new();
+    move |sys| {
+        let (forest, _) =
+            snapshot_with_strategy(&query, &Env::for_system(sys), MatchStrategy::Scan).unwrap();
+        forest
+            .trees()
+            .iter()
+            .filter(|t| seen.insert(canon_of_reduced(t, t.root())))
+            .cloned()
+            .collect()
+    }
 }
