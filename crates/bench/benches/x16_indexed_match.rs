@@ -1,9 +1,10 @@
 //! X16 bench — indexed pattern matching vs arena scans.
 //!
-//! Matcher level: an anchored single-label probe on a wide-fanout
-//! document (the index replaces an O(fanout) child scan with one bucket
-//! lookup) and a spine pattern on a deep chain padded with junk siblings
-//! (one probe per level instead of an O(junk) filter per level).
+//! Matcher level: a single-label selection on a wide-fanout document and
+//! a spine pattern on a deep chain padded with junk siblings. Neither
+//! pattern has a constant rare enough to anchor at, so both strategies
+//! filter the same child lists: the pair measures what `Indexed` costs
+//! where the marking index cannot help.
 
 use axml_bench::{deep_chain_doc, deep_chain_pattern, wide_fanout_doc, wide_fanout_pattern};
 use axml_core::matcher::{match_pattern_with, MatchStrategy};

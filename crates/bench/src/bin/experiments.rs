@@ -806,25 +806,26 @@ fn x15() {
     println!(" lineage from any derived node or answer back to extensional seeds)");
 }
 
-/// X16 — indexed pattern matching (bench `x16_indexed_match`): index
-/// probes replace arena scans with identical observable behavior.
+/// X16 — indexed pattern matching (bench `x16_indexed_match`): a
+/// marking-index anchor replaces the descent through every item with
+/// identical observable behavior.
 fn x16() {
     use axml_core::matcher::{match_pattern_with, MatchStrategy};
 
     header(
         "X16",
-        "indexed matching — bucket probes beat arena scans, same bindings (bench x16_indexed_match)",
+        "indexed matching — an anchored descent beats the scan, same bindings (bench x16_indexed_match)",
     );
 
-    // Matcher level: anchored single-label probe on a wide-fanout doc,
-    // the spine pattern on a junk-padded deep chain, and a category
-    // selection over an XMark-style site, which enters at its rarest
-    // constant instead of descending through every item.
+    // Matcher level: a single-label selection on a wide-fanout doc and
+    // the spine pattern on a junk-padded deep chain, where no constant
+    // is rare enough to anchor at, so both strategies do the same work;
+    // and a category selection over an XMark-style site, which enters
+    // at its rarest constant instead of descending through every item.
     println!(
-        "{:>20} {:>10} {:>12} {:>12} {:>8} {:>8}",
-        "workload", "matches", "scan(us)", "indexed(us)", "speedup", "probes"
+        "{:>20} {:>10} {:>12} {:>12} {:>8} {:>10} {:>10}",
+        "workload", "matches", "scan(us)", "indexed(us)", "speedup", "scanned", "(by scan)"
     );
-    let mut widest_speedup = 0.0f64;
     let rows = [
         (
             "wide-fanout-1024",
@@ -874,37 +875,43 @@ fn x16() {
         }
         let ix_us = ms(t0) * 1e3 / f64::from(reps);
         let (bindings, mstats) = match_pattern_with(&pat, &doc, MatchStrategy::Indexed);
+        let (scanned, sstats) = match_pattern_with(&pat, &doc, MatchStrategy::Scan);
         assert_eq!(
-            bindings,
-            match_pattern_with(&pat, &doc, MatchStrategy::Scan).0,
+            bindings, scanned,
             "strategies must enumerate identical bindings"
         );
         assert_eq!(scan_n, ix_n);
-        assert_eq!(mstats.fallbacks, 0, "built index must answer every probe");
+        assert_eq!(mstats.fallbacks, 0, "the built index serves every match");
         let speedup = scan_us / ix_us;
-        if name.starts_with("wide-fanout") {
-            widest_speedup = widest_speedup.max(speedup);
-        }
         if name == "xmark-selective-20k" {
-            // The anchor "c017" sits at depth 5 in a bucket of 100.
+            // The anchor "c017" sits at depth 5 in a bucket of 100, and
+            // each answer's item has four children.
             let (answers, depth, bucket) = (bindings.len() as u64, 5u64, 100u64);
             assert_eq!(answers, 100);
+            assert_eq!(mstats.probes, 1, "one anchor bucket read");
             assert!(
-                mstats.probes <= 4 * answers + depth,
-                "anchored selection took {} probes",
-                mstats.probes
+                mstats.scanned <= 10 * answers && mstats.scanned * 100 < sstats.scanned,
+                "anchored selection examined {} candidates, the scan {}",
+                mstats.scanned,
+                sstats.scanned
             );
             assert!(mstats.parent_steps > 0 && mstats.parent_steps <= bucket * depth);
+            assert!(
+                speedup >= 10.0,
+                "the anchored selection must be ≥10x faster than the scan (got {speedup:.1}x)"
+            );
+        } else {
+            assert_eq!(
+                (mstats.scanned, mstats.parent_steps),
+                (sstats.scanned, 0),
+                "{name}: no anchor, so the scan's work"
+            );
         }
         println!(
-            "{name:>20} {scan_n:>10} {scan_us:>12.1} {ix_us:>12.1} {speedup:>7.1}x {:>8}",
-            mstats.probes
+            "{name:>20} {scan_n:>10} {scan_us:>12.1} {ix_us:>12.1} {speedup:>7.1}x {:>10} {:>10}",
+            mstats.scanned, sstats.scanned
         );
     }
-    assert!(
-        widest_speedup >= 3.0,
-        "wide-fanout probe must be ≥3x faster than the scan (got {widest_speedup:.1}x)"
-    );
 
     // Observability: the closure workload's run with metrics
     // attached surfaces the index hit rate and maintenance counters in
@@ -919,8 +926,8 @@ fn x16() {
         "\n{}",
         metrics.render_report("x16 tc-digraph-64 (delta, indexed)")
     );
-    println!("(claim: candidate roots and child probes come from the incremental");
-    println!(" marking/child-label indexes; selectivity-ordered joins expand the");
+    println!("(claim: a rooted match enters at its rarest constant's bucket in the");
+    println!(" incremental marking index; selectivity-ordered joins expand the");
     println!(" rarest conjunct first; observable behavior is identical to scans)");
 }
 

@@ -201,9 +201,8 @@ pub fn tc_random_digraph(n: usize, shards: usize, seed: u64) -> System {
 
 /// X16's wide-fanout document: a root with `fanout` children spread
 /// round-robin over `labels` distinct labels, each child holding one
-/// value leaf. An anchored probe for a single label must consider all
-/// `fanout` children under a scan but only `fanout / labels` bucket
-/// entries under the child-label index.
+/// value leaf. A selection of one label filters all `fanout` children
+/// to find its `fanout / labels` matches.
 pub fn wide_fanout_doc(fanout: usize, labels: usize) -> Tree {
     assert!(labels >= 1);
     let mut t = Tree::with_label("root");
@@ -216,15 +215,14 @@ pub fn wide_fanout_doc(fanout: usize, labels: usize) -> Tree {
     t
 }
 
-/// The anchored pattern probing one label bucket of [`wide_fanout_doc`].
+/// The single-label selection of one label bucket of [`wide_fanout_doc`].
 pub fn wide_fanout_pattern(labels: usize) -> axml_core::pattern::Pattern {
     axml_core::parse::parse_pattern(&format!("root{{l{}{{$x}}}}", labels - 1)).unwrap()
 }
 
 /// X16's deep-chain document: a `depth`-long spine of `s`-labeled nodes,
 /// each spine node also carrying `junk` distinct-labeled junk children.
-/// Matching the spine pattern takes one child probe per level: O(1) per
-/// level with the index, O(junk) per level scanning.
+/// Matching the spine pattern filters O(junk) children per level.
 pub fn deep_chain_doc(depth: usize, junk: usize) -> Tree {
     let mut t = Tree::with_label("root");
     let mut cur = t.root();
@@ -239,7 +237,7 @@ pub fn deep_chain_doc(depth: usize, junk: usize) -> Tree {
     t
 }
 
-/// The anchored spine pattern for [`deep_chain_doc`], binding the value
+/// The spine pattern for [`deep_chain_doc`], binding the value
 /// leaf at the chain's tip.
 pub fn deep_chain_pattern(depth: usize) -> axml_core::pattern::Pattern {
     let mut s = String::from("root{");

@@ -87,8 +87,9 @@
 //!   which no embedding passes.
 //!
 //! What *may* differ: per-atom match statistics (the decorrelated
-//! executor probes each `(op, node)` pair once where the interpreter
-//! probes per seed binding, so compiled probe counts are ≤ interpreted)
+//! executor takes the candidate sets of each `(op, node)` pair once
+//! where the interpreter takes them per seed binding, so compiled
+//! `scanned` counts are ≤ interpreted)
 //! and [`crate::eval::EvalStats::atom_bindings`] for eliminated atoms.
 //!
 //! # Caching
@@ -289,8 +290,9 @@ impl MatchProgram {
     /// against document `t`. Returns exactly what
     /// [`crate::matcher::match_pattern_with`] returns for the original
     /// pattern: the sorted vector of all satisfying assignments, plus
-    /// index-usage counters (compiled probe counts are ≤ interpreted —
-    /// each `(op, node)` pair is probed once, not once per seed).
+    /// index-usage counters (compiled `scanned` counts are ≤
+    /// interpreted — each `(op, node)` pair's candidate sets are taken
+    /// once, not once per seed).
     pub fn run_atom(&self, pos: usize, t: &Tree) -> (Vec<Binding>, MatchStats) {
         let (rel, stats) = self.run_atom_flat(pos, t);
         (rel.into_bindings(), stats)
@@ -670,22 +672,13 @@ impl<'p, 't> Exec<'p, 't> {
     /// Push a frame with the candidate sets of `op`'s children below
     /// `tn` (see [`anchored_candidate_set`]). Returns the frame's start,
     /// and whether every set is non-empty: all sets are taken before the
-    /// bail, so index probes are accounted like the interpreter's.
+    /// bail, so scanned candidates are accounted like the interpreter's.
     fn push_candidates(&mut self, op: OpId, tn: NodeId) -> (usize, bool) {
         let (prog, t) = (self.prog, self.t);
         let base = self.cands.len();
         for (k, &c) in prog.ops[op as usize].children.iter().enumerate() {
             let item = &prog.ops[c as usize].item;
-            let set = anchored_candidate_set(
-                self.anchor,
-                op,
-                c,
-                item,
-                t,
-                tn,
-                prog.strategy,
-                &mut self.stats,
-            );
+            let set = anchored_candidate_set(self.anchor, (op, c), item, t, tn, &mut self.stats);
             self.cands.push((k, set));
         }
         let all = self.cands[base..].iter().all(|(_, s)| !s.is_empty());

@@ -460,6 +460,7 @@ fn emit_index_lookup(tracer: Tracer<'_>, svc: Sym, atom: usize, mstats: MatchSta
         probes: mstats.probes as u32,
         probe_hits: mstats.probe_hits as u32,
         fallbacks: mstats.fallbacks as u32,
+        scanned: mstats.scanned.min(u64::from(u32::MAX)) as u32,
     });
 }
 

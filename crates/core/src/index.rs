@@ -1,14 +1,14 @@
-//! Incremental per-document marking indexes.
+//! The incremental per-document marking index.
 //!
 //! Pattern matching (Section 3.1) is the engine's innermost loop. A
-//! [`DocIndex`] replaces its two scans with hash probes:
-//!
-//! * the **marking index** `Marking → [NodeId]` answers "which live nodes
-//!   carry this marking" — used to seed candidate roots instead of a full
-//!   `iter_live` walk;
-//! * the **child index** `(NodeId, Marking) → [NodeId]` answers "which
-//!   live children of this node carry this marking" — used to probe
-//!   pattern children by label instead of scanning every sibling.
+//! [`DocIndex`] keeps one hash map, the **marking index**
+//! `Marking → [NodeId]`, which answers "which live nodes carry this
+//! marking". The anchored descent reads it to enter a rooted match at
+//! its rarest constant, and unanchored matching seeds its candidate
+//! roots from it instead of walking every live node (see
+//! `docs/indexing.md`). A pattern child takes its candidates from its
+//! parent's child list under the marking test, so no per-parent index
+//! is kept.
 //!
 //! # Invariants
 //!
@@ -16,16 +16,14 @@
 //!
 //! 1. `nodes_with(m)` contains exactly the live nodes of `t` whose
 //!    marking is `m` (no order guarantee);
-//! 2. `children_with(p, m)` contains exactly the live children of `p`
-//!    whose marking is `m` (no order guarantee);
-//! 3. the index's mirrored version equals `t.version()`.
+//! 2. the index's mirrored version equals `t.version()`.
 //!
-//! Invariant 3 is a *hard error* on every probe: all tree mutations
+//! Invariant 2 is a *hard error* on every probe: all tree mutations
 //! funnel through [`crate::tree::Tree::add_child`] and
 //! [`crate::tree::Tree::remove_subtree`], which maintain the index
 //! incrementally and re-sync the version, so a mismatch means a
 //! maintenance hook was bypassed and the index can no longer be trusted.
-//! [`DocIndex::validate`] checks invariants 1–2 against a
+//! [`DocIndex::validate`] checks invariant 1 against a
 //! rebuild-from-scratch; debug builds sample it after mutations (see
 //! `docs/indexing.md`).
 
@@ -45,22 +43,21 @@ pub struct IndexStats {
     pub removes: u64,
     /// Distinct markings with a (possibly empty) bucket.
     pub marking_buckets: usize,
-    /// Distinct `(parent, marking)` child buckets.
-    pub child_buckets: usize,
     /// Live entries in the marking index (= live nodes of the tree).
     pub entries: usize,
-    /// Rough heap footprint of the index, in bytes.
+    /// Rough heap footprint of the index, in bytes: 40 per marking
+    /// bucket (map slot and bucket header) plus 4 per entry. This is
+    /// also about what the first write after a snapshot copies.
     pub bytes_estimate: u64,
 }
 
-/// The two hash indexes of one document, mirrored against a specific
-/// [`Tree::version`]. Obtained via [`Tree::indexed_nodes_with`] and
-/// friends; the tree builds it lazily and maintains it incrementally.
+/// The marking index of one document, mirrored against a specific
+/// [`Tree::version`]. Read through [`Tree::indexed_nodes_with`]; the tree
+/// builds it lazily and maintains it incrementally.
 #[derive(Clone, Debug)]
 pub struct DocIndex {
     version: u64,
     by_marking: FxHashMap<Marking, Vec<NodeId>>,
-    by_child: FxHashMap<(NodeId, Marking), Vec<NodeId>>,
     /// Live entries in `by_marking` (kept so stats need no bucket walk).
     entries: usize,
     adds: u64,
@@ -73,7 +70,6 @@ impl DocIndex {
         let mut ix = DocIndex {
             version: t.version(),
             by_marking: FxHashMap::default(),
-            by_child: FxHashMap::default(),
             entries: 0,
             adds: 0,
             removes: 0,
@@ -82,9 +78,6 @@ impl DocIndex {
             ix.by_marking.entry(t.marking(n)).or_default().push(n);
             ix.entries += 1;
             ix.adds += 1;
-            for &c in t.children(n) {
-                ix.by_child.entry((n, t.marking(c))).or_default().push(c);
-            }
         }
         ix
     }
@@ -99,24 +92,14 @@ impl DocIndex {
         self.by_marking.get(&m).map_or(EMPTY, Vec::as_slice)
     }
 
-    /// Live children of `parent` carrying marking `m` (invariant 2).
-    pub fn children_with(&self, parent: NodeId, m: Marking) -> &[NodeId] {
-        self.by_child.get(&(parent, m)).map_or(EMPTY, Vec::as_slice)
-    }
-
     /// Snapshot of the maintenance counters and footprint.
     pub fn stats(&self) -> IndexStats {
-        // Every live non-root node appears in exactly one child bucket,
-        // so child entries ≈ marking entries; the estimate charges map
-        // and bucket overhead per bucket plus 4 bytes per entry.
-        let entries = self.entries as u64;
-        let bytes_estimate =
-            self.by_marking.len() as u64 * 40 + self.by_child.len() as u64 * 48 + entries * 8;
+        // Every live node appears in exactly one bucket.
+        let bytes_estimate = self.by_marking.len() as u64 * 40 + self.entries as u64 * 4;
         IndexStats {
             adds: self.adds,
             removes: self.removes,
             marking_buckets: self.by_marking.len(),
-            child_buckets: self.by_child.len(),
             entries: self.entries,
             bytes_estimate,
         }
@@ -134,26 +117,12 @@ impl DocIndex {
     }
 
     /// Maintenance hook for [`Tree::add_child`]: `child` (marked `m`) was
-    /// appended under `parent`, bumping the tree to `version`.
-    pub(crate) fn record_add(&mut self, parent: NodeId, child: NodeId, m: Marking, version: u64) {
+    /// added, bumping the tree to `version`.
+    pub(crate) fn record_add(&mut self, child: NodeId, m: Marking, version: u64) {
         self.by_marking.entry(m).or_default().push(child);
-        self.by_child.entry((parent, m)).or_default().push(child);
         self.entries += 1;
         self.adds += 1;
         self.version = version;
-    }
-
-    /// Maintenance hook for [`Tree::remove_subtree`]: unlink the removed
-    /// subtree's root `n` (marked `m`) from its parent's child bucket.
-    pub(crate) fn unlink_child(&mut self, parent: NodeId, n: NodeId, m: Marking) {
-        if let Some(bucket) = self.by_child.get_mut(&(parent, m)) {
-            if let Some(pos) = bucket.iter().position(|&x| x == n) {
-                bucket.swap_remove(pos);
-            }
-            if bucket.is_empty() {
-                self.by_child.remove(&(parent, m));
-            }
-        }
     }
 
     /// Maintenance hook for [`Tree::remove_subtree`]: node `n` (marked
@@ -166,13 +135,6 @@ impl DocIndex {
                 self.removes += 1;
             }
         }
-    }
-
-    /// Maintenance hook for [`Tree::remove_subtree`]: drop the child
-    /// bucket `(parent, m)` wholesale (the parent itself died, so its
-    /// buckets are unreachable).
-    pub(crate) fn drop_child_bucket(&mut self, parent: NodeId, m: Marking) {
-        self.by_child.remove(&(parent, m));
     }
 
     /// Re-sync the mirrored version after a maintenance batch.
@@ -199,8 +161,8 @@ impl DocIndex {
                 self.entries
             ));
         }
-        fn norm<K: Copy + Ord>(m: &FxHashMap<K, Vec<NodeId>>) -> Vec<(K, Vec<NodeId>)> {
-            let mut v: Vec<(K, Vec<NodeId>)> = m
+        fn norm(m: &FxHashMap<Marking, Vec<NodeId>>) -> Vec<(Marking, Vec<NodeId>)> {
+            let mut v: Vec<(Marking, Vec<NodeId>)> = m
                 .iter()
                 .filter(|(_, b)| !b.is_empty())
                 .map(|(k, b)| {
@@ -214,9 +176,6 @@ impl DocIndex {
         }
         if norm(&self.by_marking) != norm(&fresh.by_marking) {
             return Err("marking index disagrees with rebuild-from-scratch".to_string());
-        }
-        if norm(&self.by_child) != norm(&fresh.by_child) {
-            return Err("child index disagrees with rebuild-from-scratch".to_string());
         }
         Ok(())
     }
@@ -234,7 +193,6 @@ mod tests {
         assert_eq!(ix.nodes_with(Marking::label("b")).len(), 2);
         assert_eq!(ix.nodes_with(Marking::func("f")).len(), 1);
         assert_eq!(ix.nodes_with(Marking::label("zzz")).len(), 0);
-        assert_eq!(ix.children_with(t.root(), Marking::label("b")).len(), 2);
         assert_eq!(ix.stats().entries, t.node_count());
         ix.validate(&t).unwrap();
     }

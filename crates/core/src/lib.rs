@@ -20,8 +20,8 @@
 //! * **regular path expressions and the ψ translation** (§5, Prop 5.1):
 //!   [`pathexpr`], [`translate`];
 //! * **indexed pattern matching** (implementation-level, not from the
-//!   paper): incremental per-document marking/child-label indexes backing
-//!   the matcher's candidate seeding and child probes — [`index`];
+//!   paper): an incremental per-document marking index backing the
+//!   matcher's anchored descent and candidate seeding — [`index`];
 //! * **query compilation** (implementation-level, not from the paper):
 //!   per-service lowering of positive patterns into cached, optimized
 //!   match programs executed by a decorrelated evaluator — [`compile`];

@@ -14,6 +14,7 @@
 //! along the root-to-anchor path to the ancestors it found (see
 //! `docs/indexing.md`, "Anchored descent").
 
+use crate::index::DocIndex;
 use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::reduce::{canon_shared, reduce_unless_reduced};
 use crate::sym::Sym;
@@ -28,26 +29,32 @@ use std::sync::Arc;
 pub enum MatchStrategy {
     /// Scan: iterate every live node / every child and test markings.
     Scan,
-    /// Probe the lazily built document index ([`mod@crate::index`]) for
-    /// constant pattern items, falling back to scans where the index
-    /// does not apply. Either way the binding *sets* are identical, and
-    /// both strategies sort their output, so they are observationally
-    /// equivalent.
+    /// Read the lazily built marking index ([`mod@crate::index`]): a
+    /// rooted match enters at its rarest constant (see the module doc),
+    /// and a constant root seeds unanchored matching from its bucket; every
+    /// other candidate set is scanned as under `Scan`. Either way the
+    /// binding *sets* are identical, and both strategies sort their
+    /// output, so they are observationally equivalent.
     #[default]
     Indexed,
 }
 
-/// Index-usage counters for one matcher call, surfaced through
-/// [`crate::trace::EventKind::IndexLookup`].
+/// Index-usage and work counters for one matcher call, surfaced
+/// through [`crate::trace::EventKind::IndexLookup`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Candidate sets served by an index probe.
+    /// Marking-index bucket reads: an anchored match's anchor bucket,
+    /// or an unanchored match's root seeds.
     pub probes: u64,
     /// Probes whose bucket was non-empty.
     pub probe_hits: u64,
-    /// Indexed-mode lookups that fell back to a scan (index below its
-    /// lazy-build threshold).
+    /// Indexed-mode matches that found no index (the document is below
+    /// the lazy-build threshold) and scanned instead.
     pub fallbacks: u64,
+    /// Candidate nodes examined by a marking test while taking
+    /// candidate sets: the work a descent does, and what an anchor
+    /// saves.
+    pub scanned: u64,
     /// Upward [`Tree::parent`] steps an anchored match took from its
     /// anchor's bucket (at most bucket × anchor depth). Not part of
     /// [`crate::trace::EventKind::IndexLookup`].
@@ -60,6 +67,7 @@ impl MatchStats {
         self.probes += other.probes;
         self.probe_hits += other.probe_hits;
         self.fallbacks += other.fallbacks;
+        self.scanned += other.scanned;
         self.parent_steps += other.parent_steps;
     }
 }
@@ -324,7 +332,7 @@ pub fn match_pattern_with(
     let anchor = Anchor::choose(p, p.root(), t, strategy, &mut stats);
     let seed = Binding::new();
     let descend = |anchor: Option<&Anchor<PNodeId>>, stats: &mut MatchStats| {
-        let mut out = match_at(p, p.root(), t, t.root(), &seed, strategy, anchor, stats);
+        let mut out = match_at(p, p.root(), t, t.root(), &seed, anchor, stats);
         out.sort_unstable();
         out
     };
@@ -375,16 +383,7 @@ pub fn match_pattern_anywhere_with(
     };
     let mut out = Vec::new();
     for &n in seeds.iter() {
-        for b in match_at(
-            p,
-            p.root(),
-            t,
-            n,
-            &Binding::new(),
-            strategy,
-            None,
-            &mut stats,
-        ) {
+        for b in match_at(p, p.root(), t, n, &Binding::new(), None, &mut stats) {
             out.push((n, b));
         }
     }
@@ -488,72 +487,19 @@ impl<'t> CandSet<'t> {
     }
 }
 
-/// Candidate document children of `tn` for one pattern child: the nodes
-/// that pass the child's marking test. Computed once per pattern child —
-/// *before* any per-binding work — so a failed label test never costs a
-/// [`Binding`] clone, and indexed mode can serve constants straight from
-/// the child index. The slice holds only candidates when the flag is
-/// set; otherwise its nodes still face the marking test. Index probes
-/// are accounted here for both executors.
-fn candidate_slice<'t>(
-    item: &PItem,
-    t: &'t Tree,
-    tn: NodeId,
-    strategy: MatchStrategy,
-    stats: &mut MatchStats,
-) -> (&'t [NodeId], bool) {
-    match item {
-        PItem::Const(m) if strategy == MatchStrategy::Indexed => {
-            if let Some(bucket) = t.indexed_children_with(tn, *m) {
-                stats.probes += 1;
-                if !bucket.is_empty() {
-                    stats.probe_hits += 1;
-                }
-                return (bucket, true);
-            }
-            stats.fallbacks += 1;
-        }
-        PItem::TreeVar(_) => return (t.children(tn), true),
-        _ => {}
+/// Candidate document children of `tn` for one pattern child: the
+/// children that pass the child's marking test, counted but not
+/// collected. Taken once per pattern child — *before* any per-binding
+/// work — so a failed label test never costs a [`Binding`] clone. Both
+/// executors take every unrestricted set from here.
+fn candidate_set<'t>(item: &PItem, t: &'t Tree, tn: NodeId, stats: &mut MatchStats) -> CandSet<'t> {
+    let kids = t.children(tn);
+    if let PItem::TreeVar(_) = item {
+        return CandSet::All(kids);
     }
-    (t.children(tn), false)
-}
-
-/// The interpreter's candidate set (see [`candidate_slice`]), collected.
-pub(crate) fn candidates<'t>(
-    item: &PItem,
-    t: &'t Tree,
-    tn: NodeId,
-    strategy: MatchStrategy,
-    stats: &mut MatchStats,
-) -> Cow<'t, [NodeId]> {
-    match candidate_slice(item, t, tn, strategy, stats) {
-        (s, true) => Cow::Borrowed(s),
-        (s, false) => Cow::Owned(
-            s.iter()
-                .copied()
-                .filter(|&c| admits(item, t.marking(c)))
-                .collect(),
-        ),
-    }
-}
-
-/// The compiled executor's candidate set (see [`candidate_slice`]),
-/// counted but not collected.
-fn candidate_set<'t>(
-    item: &PItem,
-    t: &'t Tree,
-    tn: NodeId,
-    strategy: MatchStrategy,
-    stats: &mut MatchStats,
-) -> CandSet<'t> {
-    match candidate_slice(item, t, tn, strategy, stats) {
-        (s, true) => CandSet::All(s),
-        (s, false) => {
-            let n = s.iter().filter(|&&c| admits(item, t.marking(c))).count();
-            CandSet::Admitted(s, n)
-        }
-    }
+    stats.scanned += kids.len() as u64;
+    let n = kids.iter().filter(|&&c| admits(item, t.marking(c))).count();
+    CandSet::Admitted(kids, n)
 }
 
 /// The marking test of one pattern item: equality for a constant, the
@@ -611,9 +557,9 @@ impl Shape for Pattern {
 ///
 /// Every embedding maps `p_0 … p_k` onto the ancestor chain of a bucket
 /// node, so the restricted sets keep every embedding and are subsets of
-/// [`candidates`]' sets. A record does not depend on where `d` sits in
-/// the document, only on the chain below it, so a shared compiled op
-/// may consult it wherever the op occurs.
+/// the unrestricted candidate sets. A record does not depend on where
+/// `d` sits in the document, only on the chain below it, so a shared
+/// compiled op may consult it wherever the op occurs.
 pub(crate) struct Anchor<Id> {
     /// `p_0 … p_k`: the pattern nodes (or ops) from the root to the
     /// anchor.
@@ -627,8 +573,9 @@ pub(crate) struct Anchor<Id> {
 impl<Id: Copy + Eq> Anchor<Id> {
     /// Choose the anchor of the match rooted at `root` and build its
     /// restriction, or decline (`None`: the descent runs unrestricted).
-    /// Bucket sizes come from [`Tree::indexed_nodes_if_built`], so the
-    /// choice never builds an index, and declining allocates nothing.
+    /// This is where an indexed match asks for the document index, so
+    /// the first one on a document past the lazy-build threshold builds
+    /// it ([`Tree::live_index`]). Declining allocates nothing.
     pub(crate) fn choose<S: Shape<Id = Id> + ?Sized>(
         s: &S,
         root: Id,
@@ -636,17 +583,19 @@ impl<Id: Copy + Eq> Anchor<Id> {
         strategy: MatchStrategy,
         stats: &mut MatchStats,
     ) -> Option<Anchor<Id>> {
-        if strategy != MatchStrategy::Indexed || !t.index_is_built() {
+        if strategy != MatchStrategy::Indexed {
             return None;
         }
-        let choice = rarest_constant(s, root, t)?;
+        let Some(ix) = t.live_index() else {
+            stats.fallbacks += 1;
+            return None;
+        };
+        let choice = rarest_constant(s, root, ix)?;
         let depth = choice.depth;
         let mut path = Vec::with_capacity(depth + 1);
         let found = path_to(s, root, depth, (choice.parent, choice.anchor), &mut path);
         debug_assert!(found, "the chosen anchor lies below the root");
-        let bucket = t
-            .indexed_nodes_if_built(choice.marking)
-            .expect("the index is built");
+        let bucket = ix.nodes_with(choice.marking);
         stats.probes += 1;
         if !bucket.is_empty() {
             stats.probe_hits += 1;
@@ -697,26 +646,24 @@ struct Choice<Id> {
 /// The anchor choice, read-only: the constant with the smallest bucket
 /// among those that pass the acceptance test (first in depth-first
 /// order on ties).
-fn rarest_constant<S: Shape + ?Sized>(s: &S, root: S::Id, t: &Tree) -> Option<Choice<S::Id>> {
+fn rarest_constant<S: Shape + ?Sized>(s: &S, root: S::Id, ix: &DocIndex) -> Option<Choice<S::Id>> {
     fn visit<S: Shape + ?Sized>(
         s: &S,
         n: S::Id,
         depth: usize,
-        t: &Tree,
+        ix: &DocIndex,
         best: &mut Option<Choice<S::Id>>,
     ) {
         let PItem::Const(pm) = *s.item(n) else {
             for &c in s.kids(n) {
-                visit(s, c, depth + 1, t, best);
+                visit(s, c, depth + 1, ix, best);
             }
             return;
         };
-        let parent_bucket = t.indexed_nodes_if_built(pm).map_or(0, <[NodeId]>::len);
+        let parent_bucket = ix.nodes_with(pm).len();
         for &c in s.kids(n) {
             if let PItem::Const(m) = *s.item(c) {
-                let bucket = t
-                    .indexed_nodes_if_built(m)
-                    .map_or(usize::MAX, <[NodeId]>::len);
+                let bucket = ix.nodes_with(m).len();
                 let accepted = bucket.saturating_mul(depth + 1) < parent_bucket;
                 if accepted && best.as_ref().is_none_or(|b| bucket < b.bucket) {
                     *best = Some(Choice {
@@ -728,11 +675,11 @@ fn rarest_constant<S: Shape + ?Sized>(s: &S, root: S::Id, t: &Tree) -> Option<Ch
                     });
                 }
             }
-            visit(s, c, depth + 1, t, best);
+            visit(s, c, depth + 1, ix, best);
         }
     }
     let mut best = None;
-    visit(s, root, 0, t, &mut best);
+    visit(s, root, 0, ix, &mut best);
     best
 }
 
@@ -772,13 +719,12 @@ impl<Id: Copy + Eq> Anchor<Id> {
         item: &PItem,
         t: &Tree,
         tn: NodeId,
-        strategy: MatchStrategy,
     ) -> Option<&[NodeId]> {
         let kids = self.restricted(parent, child, tn)?;
         if cfg!(debug_assertions) {
-            let all = candidates(item, t, tn, strategy, &mut MatchStats::default());
+            let all = candidate_set(item, t, tn, &mut MatchStats::default());
             assert!(
-                kids.iter().all(|k| all.contains(k)),
+                kids.iter().all(|&k| all.nodes(item, t).any(|c| c == k)),
                 "anchored candidates escape the unanchored candidate set"
             );
         }
@@ -787,53 +733,29 @@ impl<Id: Copy + Eq> Anchor<Id> {
 }
 
 /// The candidates of pattern child `child` of `parent` below `tn`: the
-/// anchor's restricted set on the anchor path, [`candidates`]
-/// elsewhere. The interpreter takes every candidate set from here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn anchored_candidates<'a, Id: Copy + Eq>(
-    anchor: Option<&'a Anchor<Id>>,
-    parent: Id,
-    child: Id,
-    item: &PItem,
-    t: &'a Tree,
-    tn: NodeId,
-    strategy: MatchStrategy,
-    stats: &mut MatchStats,
-) -> Cow<'a, [NodeId]> {
-    match anchor.and_then(|a| a.restricted_checked(parent, child, item, t, tn, strategy)) {
-        Some(kids) => Cow::Borrowed(kids),
-        None => candidates(item, t, tn, strategy, stats),
-    }
-}
-
-/// [`anchored_candidates`] for the compiled executor, which takes every
-/// candidate set from here: the same sets and the same probe accounting,
-/// iterated in place instead of collected.
-#[allow(clippy::too_many_arguments)]
+/// anchor's restricted set on the anchor path, the marking-tested
+/// children elsewhere. Both executors take every candidate set from
+/// here and iterate it in place.
 pub(crate) fn anchored_candidate_set<'a, Id: Copy + Eq>(
     anchor: Option<&'a Anchor<Id>>,
-    parent: Id,
-    child: Id,
+    (parent, child): (Id, Id),
     item: &PItem,
     t: &'a Tree,
     tn: NodeId,
-    strategy: MatchStrategy,
     stats: &mut MatchStats,
 ) -> CandSet<'a> {
-    match anchor.and_then(|a| a.restricted_checked(parent, child, item, t, tn, strategy)) {
+    match anchor.and_then(|a| a.restricted_checked(parent, child, item, t, tn)) {
         Some(kids) => CandSet::All(kids),
-        None => candidate_set(item, t, tn, strategy, stats),
+        None => candidate_set(item, t, tn, stats),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn match_at(
     p: &Pattern,
     pn: PNodeId,
     t: &Tree,
     tn: NodeId,
     b: &Binding,
-    strategy: MatchStrategy,
     anchor: Option<&Anchor<PNodeId>>,
     stats: &mut MatchStats,
 ) -> Vec<Binding> {
@@ -844,10 +766,10 @@ fn match_at(
     if pcs.is_empty() {
         return vec![b0];
     }
-    let mut cands: Vec<(PNodeId, Cow<'_, [NodeId]>)> = pcs
+    let mut cands: Vec<(PNodeId, CandSet<'_>)> = pcs
         .iter()
         .map(|&pc| {
-            let cs = anchored_candidates(anchor, pn, pc, p.item(pc), t, tn, strategy, stats);
+            let cs = anchored_candidate_set(anchor, (pn, pc), p.item(pc), t, tn, stats);
             (pc, cs)
         })
         .collect();
@@ -867,13 +789,13 @@ fn match_at(
         let leaf = p.children(pc).is_empty();
         let mut next: Vec<Binding> = Vec::new();
         for base in &current {
-            for &tc in tcs.iter() {
+            for tc in tcs.nodes(p.item(pc), t) {
                 if leaf {
                     if let Some(nb) = bind_item(p.item(pc), t, tc, base) {
                         next.push(nb);
                     }
                 } else {
-                    next.extend(match_at(p, pc, t, tc, base, strategy, anchor, stats));
+                    next.extend(match_at(p, pc, t, tc, base, anchor, stats));
                 }
             }
         }
@@ -1047,10 +969,16 @@ mod tests {
             let (indexed, istats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
             assert_eq!(scan, indexed, "strategies disagree on {pat}");
             assert_eq!(sstats.probes, 0, "scan mode must not probe");
-            assert!(istats.probes > 0, "indexed mode should probe for {pat}");
+            assert_eq!(
+                (istats.scanned, istats.parent_steps),
+                (sstats.scanned, 0),
+                "no constant of {pat} is rare enough to anchor at"
+            );
             let (scan_any, _) = match_pattern_anywhere_with(&p, &doc, MatchStrategy::Scan);
-            let (indexed_any, _) = match_pattern_anywhere_with(&p, &doc, MatchStrategy::Indexed);
+            let (indexed_any, astats) =
+                match_pattern_anywhere_with(&p, &doc, MatchStrategy::Indexed);
             assert_eq!(scan_any, indexed_any);
+            assert_eq!(astats.probes, 1, "the root's bucket seeds {pat}");
         }
     }
 

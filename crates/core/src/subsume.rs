@@ -48,19 +48,14 @@ impl SubMemo {
         } else {
             a.children(na).iter().all(|&ca| {
                 // A child can only embed below a sibling with the same
-                // marking, so narrow the candidate set first: probe the
-                // child-label index when `b` has one built, otherwise
-                // scan-filter by marking. Either way the recursion never
-                // visits a pair it would reject on markings alone.
+                // marking, so filter the siblings by marking first: the
+                // recursion never visits a pair it would reject on
+                // markings alone.
                 let m = a.marking(ca);
-                match b.indexed_children_if_built(nb, m) {
-                    Some(cbs) => cbs.iter().any(|&cb| self.subsumed_at(a, ca, b, cb)),
-                    None => b
-                        .children(nb)
-                        .iter()
-                        .filter(|&&cb| b.marking(cb) == m)
-                        .any(|&cb| self.subsumed_at(a, ca, b, cb)),
-                }
+                b.children(nb)
+                    .iter()
+                    .filter(|&&cb| b.marking(cb) == m)
+                    .any(|&cb| self.subsumed_at(a, ca, b, cb))
             })
         };
         self.memo.insert(key, result);

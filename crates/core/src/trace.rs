@@ -230,20 +230,22 @@ pub enum EventKind {
         /// Live nodes after reduction.
         nodes_after: u32,
     },
-    /// One matcher run's document-index usage during snapshot
-    /// evaluation: how many candidate sets were served by index probes
-    /// versus scan fallbacks (see [`mod@crate::index`]).
+    /// One matcher run's document-index usage and work during snapshot
+    /// evaluation (see [`crate::matcher::MatchStats`] and
+    /// [`mod@crate::index`]).
     IndexLookup {
         /// The service whose body is being evaluated.
         service: Sym,
         /// Index of the body atom the matcher ran for.
         atom: u32,
-        /// Candidate sets served by an index probe.
+        /// Marking-index bucket reads (an anchor's bucket).
         probes: u32,
         /// Probes whose bucket was non-empty.
         probe_hits: u32,
-        /// Indexed-mode lookups that fell back to a scan.
+        /// Indexed-mode runs that found the document unindexed.
         fallbacks: u32,
+        /// Candidate nodes examined by a marking test.
+        scanned: u32,
     },
     /// Incremental index maintenance performed on a host document over
     /// one invocation (graft + reduce), measured as counter deltas.
@@ -982,12 +984,14 @@ pub struct GlobalMetrics {
     pub msgs_sent: u64,
     /// P2p messages received/processed.
     pub msgs_recv: u64,
-    /// Matcher candidate sets served by document-index probes.
+    /// Marking-index bucket reads by the matcher (anchor buckets).
     pub index_probes: u64,
     /// Index probes that found a non-empty bucket.
     pub index_probe_hits: u64,
-    /// Indexed-mode lookups that fell back to scanning.
+    /// Indexed-mode matcher runs that found the document unindexed.
     pub index_fallbacks: u64,
+    /// Candidate nodes the matcher examined by a marking test.
+    pub index_scanned: u64,
     /// Index maintenance reports ([`EventKind::IndexMaintain`]).
     pub index_maintains: u64,
     /// Index entries added by incremental maintenance.
@@ -1148,10 +1152,11 @@ impl MetricsRegistry {
         };
         let _ = writeln!(
             out,
-            "index: probes {} (hit rate {:.1}%)  fallbacks {}  maintains {} (+{} -{})  peak {} B",
+            "index: probes {} (hit rate {:.1}%)  fallbacks {}  scanned {}  maintains {} (+{} -{})  peak {} B",
             g.index_probes,
             hit_rate,
             g.index_fallbacks,
+            g.index_scanned,
             g.index_maintains,
             g.index_adds,
             g.index_removes,
@@ -1299,11 +1304,13 @@ impl TraceSink for MetricsRegistry {
                 probes,
                 probe_hits,
                 fallbacks,
+                scanned,
                 ..
             } => {
                 inner.globals.index_probes += u64::from(probes);
                 inner.globals.index_probe_hits += u64::from(probe_hits);
                 inner.globals.index_fallbacks += u64::from(fallbacks);
+                inner.globals.index_scanned += u64::from(scanned);
             }
             EventKind::IndexMaintain {
                 adds,
@@ -1658,10 +1665,13 @@ fn chrome_row_inner(ev: &TraceEvent, tid: u64) -> String {
             probes,
             probe_hits,
             fallbacks,
+            scanned,
         } => instant(
             &format!("index {service}#{atom}"),
             "index",
-            format!("\"probes\":{probes},\"probe_hits\":{probe_hits},\"fallbacks\":{fallbacks}"),
+            format!(
+                "\"probes\":{probes},\"probe_hits\":{probe_hits},\"fallbacks\":{fallbacks},\"scanned\":{scanned}"
+            ),
         ),
         EventKind::IndexMaintain {
             doc,

@@ -50,7 +50,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Arena size at which a probe lazily builds the document index.
+/// Arena size at which an indexed match lazily builds the document index.
 /// Smaller trees (pattern instantiations, contexts, canonical-key
 /// scratch copies) answer scans faster than they could amortize a
 /// build, and skipping the build means they never pay maintenance.
@@ -201,11 +201,12 @@ pub struct Tree {
     /// [`Tree::mutation_count`]): what observability reports, while
     /// [`Tree::version`] carries the globally unique MVCC stamp.
     mutations: u64,
-    /// Lazily built marking/child index (see [`mod@crate::index`]).
+    /// Lazily built marking index (see [`mod@crate::index`]).
     /// The cell itself is `Arc`-shared by clones, so an index built on
     /// *either* side of a snapshot is published to every handle still
     /// at that version; the first divergence copies the cell (and, if
-    /// built, the index) for the mutating handle. All sharers of one
+    /// built, the index: one bucket per distinct marking, a few dozen
+    /// on a closure document) for the mutating handle. All sharers of one
     /// cell are at the same `(id, version)` — any mutation replaces the
     /// cell before restamping — so a published index can never be stale
     /// for a reader. `OnceLock` rather than a cell keeps `Tree: Sync`
@@ -361,9 +362,9 @@ impl Tree {
 
     /// Copy-on-write write access to the maintained index, if built: the
     /// shared cell is replaced with a private copy first (an `Arc` bump
-    /// when the index is absent, one index deep-copy on the first
-    /// divergence after a snapshot), so handles still at the old version
-    /// keep their published index untouched.
+    /// when the index is absent, one copy of the marking buckets on the
+    /// first divergence after a snapshot), so handles still at the old
+    /// version keep their published index untouched.
     fn index_mut(&mut self) -> Option<&mut DocIndex> {
         Arc::make_mut(&mut self.index).get_mut().map(Arc::make_mut)
     }
@@ -413,7 +414,7 @@ impl Tree {
         self.mutations += 1;
         let version = self.version;
         if let Some(ix) = self.index_mut() {
-            ix.record_add(parent, id, m, version);
+            ix.record_add(id, m, version);
         }
         #[cfg(debug_assertions)]
         self.debug_check_index();
@@ -427,18 +428,12 @@ impl Tree {
             return Err(AxmlError::DeadNode);
         }
         let parent = self.node(n).parent.ok_or(AxmlError::DeadNode)?;
-        let n_marking = self.node(n).marking;
         let siblings = &mut self.node_mut(parent).children;
         if let Some(pos) = siblings.iter().position(|&c| c == n) {
             siblings.swap_remove(pos);
         }
-        if let Some(ix) = self.index_mut() {
-            ix.unlink_child(parent, n, n_marking);
-        }
-        // Mark the whole subtree dead, iteratively. Each node's child
-        // list is detached in the same step that retires its index
-        // entries, so the index hooks always see the pre-removal
-        // markings.
+        // Mark the whole subtree dead, iteratively, retiring each node's
+        // index entry as it dies.
         let mut stack = vec![n];
         while let Some(x) = stack.pop() {
             self.live -= 1;
@@ -446,12 +441,8 @@ impl Tree {
             node.alive = false;
             let kids = std::mem::take(&mut node.children);
             let x_marking = node.marking;
-            let kid_markings: Vec<Marking> = kids.iter().map(|&c| self.node(c).marking).collect();
             if let Some(ix) = self.index_mut() {
                 ix.forget_node(x, x_marking);
-                for m in kid_markings {
-                    ix.drop_child_bucket(x, m);
-                }
             }
             stack.extend(kids);
         }
@@ -622,12 +613,14 @@ impl Tree {
 
     /// The document index, building it lazily once the arena is large
     /// enough to amortize the build. `None` means "keep scanning".
-    /// A build publishes into the `Arc`-shared cell, so every handle
-    /// still at this version — the writer a snapshot was taken from, or
-    /// other snapshots — sees it too. Probing a stale index is a hard
-    /// error (panic), never a silent wrong answer — see
-    /// [`mod@crate::index`].
-    fn live_index(&self) -> Option<&DocIndex> {
+    /// Every indexed match asks for it once, when it chooses its anchor
+    /// ([`crate::matcher`]), so the first indexed match on a large
+    /// document builds it. A build publishes into the `Arc`-shared
+    /// cell, so every handle still at this version — the writer a
+    /// snapshot was taken from, or other snapshots — sees it too.
+    /// Probing a stale index is a hard error (panic), never a silent
+    /// wrong answer — see [`mod@crate::index`].
+    pub(crate) fn live_index(&self) -> Option<&DocIndex> {
         if let Some(ix) = self.index.get() {
             ix.assert_fresh(self.version);
             return Some(ix);
@@ -641,7 +634,7 @@ impl Tree {
     }
 
     /// Force the index to exist regardless of the lazy-build threshold
-    /// (tests and benchmarks; the matcher goes through the lazy probes).
+    /// (tests and benchmarks; the matcher goes through the lazy build).
     pub fn build_index(&self) {
         let ix = self.index.get_or_init(|| Arc::new(DocIndex::build(self)));
         ix.assert_fresh(self.version);
@@ -656,33 +649,6 @@ impl Tree {
     /// tree. `None` when the tree is below the index threshold.
     pub fn indexed_nodes_with(&self, m: Marking) -> Option<&[NodeId]> {
         self.live_index().map(|ix| ix.nodes_with(m))
-    }
-
-    /// Index probe: live children of `n` carrying marking `m`. `None`
-    /// when the tree is below the index threshold.
-    pub fn indexed_children_with(&self, n: NodeId, m: Marking) -> Option<&[NodeId]> {
-        self.live_index().map(|ix| ix.children_with(n, m))
-    }
-
-    /// Like [`Tree::indexed_children_with`] but never *builds* the index
-    /// — for probe sites (subsumption over scratch trees) where paying a
-    /// build would not amortize.
-    pub fn indexed_children_if_built(&self, n: NodeId, m: Marking) -> Option<&[NodeId]> {
-        self.index.get().map(|ix| {
-            ix.assert_fresh(self.version);
-            ix.children_with(n, m)
-        })
-    }
-
-    /// Like [`Tree::indexed_nodes_with`] but never *builds* the index —
-    /// for the anchor choice's bucket-size reads ([`crate::matcher`]),
-    /// which must not perturb the lazy build timing the matcher's own
-    /// probes control.
-    pub fn indexed_nodes_if_built(&self, m: Marking) -> Option<&[NodeId]> {
-        self.index.get().map(|ix| {
-            ix.assert_fresh(self.version);
-            ix.nodes_with(m)
-        })
     }
 
     /// Maintenance counters and footprint of the index, if built.
@@ -912,18 +878,19 @@ mod tests {
         let b = Marking::label("b");
         assert_eq!(t.indexed_nodes_with(b).unwrap().len(), 1);
         let x = t.add_child(t.root(), b).unwrap();
-        assert_eq!(t.indexed_nodes_with(b).unwrap().len(), 2);
-        assert_eq!(t.indexed_children_with(t.root(), b).unwrap().len(), 2);
+        assert_eq!(t.indexed_nodes_with(b).unwrap(), &[NodeId(1), x]);
         t.validate_index().unwrap();
         t.remove_subtree(x).unwrap();
         assert_eq!(t.indexed_nodes_with(b).unwrap().len(), 1);
         let f = t.function_nodes()[0];
         t.remove_subtree(f).unwrap();
         assert!(t.indexed_nodes_with(Marking::func("f")).unwrap().is_empty());
-        assert!(t
-            .indexed_children_with(f, Marking::label("c"))
-            .unwrap()
-            .is_empty());
+        assert!(
+            t.indexed_nodes_with(Marking::label("c"))
+                .unwrap()
+                .is_empty(),
+            "the removed call's child leaves the index with it"
+        );
         t.validate_index().unwrap();
         let stats = t.index_stats().unwrap();
         assert_eq!(stats.entries, t.node_count());
@@ -951,9 +918,7 @@ mod tests {
             "a same-version clone shares the published index"
         );
         assert_eq!(
-            dup.indexed_children_with(dup.root(), Marking::label("odd"))
-                .unwrap()
-                .len(),
+            dup.indexed_nodes_with(Marking::label("odd")).unwrap().len(),
             INDEX_BUILD_THRESHOLD / 2
         );
         // A build on either side of the clone publishes to both.
@@ -993,11 +958,7 @@ mod tests {
         let extra = sample();
         let at = t.graft(t.root(), &extra).unwrap();
         t.validate_index().unwrap();
-        assert_eq!(
-            t.indexed_children_with(t.root(), Marking::label("a"))
-                .unwrap(),
-            &[at]
-        );
+        assert_eq!(t.indexed_nodes_with(Marking::label("a")).unwrap(), &[at]);
         t.remove_subtree(at).unwrap();
         t.validate_index().unwrap();
         assert_eq!(t.node_count(), 1);

@@ -70,6 +70,7 @@ pub fn global_counters(g: &GlobalMetrics) -> Vec<(&'static str, u64)> {
         ("index_probes", g.index_probes),
         ("index_probe_hits", g.index_probe_hits),
         ("index_fallbacks", g.index_fallbacks),
+        ("index_scanned", g.index_scanned),
         ("index_maintains", g.index_maintains),
         ("index_adds", g.index_adds),
         ("index_removes", g.index_removes),

@@ -14,7 +14,7 @@ use positive_axml::core::forest::Forest;
 use positive_axml::core::matcher::MatchStrategy;
 use positive_axml::core::query::parse_query;
 use positive_axml::core::trace::{EventKind, Journal, Tracer};
-use positive_axml::core::{parse_tree, QueryCursor, Sym, System};
+use positive_axml::core::{parse_tree, Marking, QueryCursor, Sym, System};
 use reference::reference_run;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -139,11 +139,14 @@ fn run_and_query(mut sys: System) -> usize {
     snapshot(&q, &Env::for_system(&sys)).unwrap().len()
 }
 
-/// Measured at 27 022–28 151 allocations with debug assertions on (their
+/// Measured at 16 352–16 383 allocations with debug assertions on (their
 /// checks allocate too, the semi-naive self-check among them; the count
-/// moves with the order the tests run in) and 9 322 without; each bound
-/// leaves 10 % of headroom. When the index build mid-run recompiled the
-/// service, 9 418 without. When every call built a head for every
+/// moves with the order the tests run in) and 7 639 without; each bound
+/// leaves 10 % of headroom. When the index also kept a bucket per
+/// (parent, marking) pair, copied whole by the first write after each
+/// round's snapshot and validated with the rest, 27 022–28 151 and
+/// 9 322; when the index build mid-run recompiled the service, 9 418
+/// without. When every call built a head for every
 /// embedding and each executor row was copied into a `Binding` before
 /// the body join read it, the same run took 22 535–22 734 and 12 495;
 /// with a `Vec<Binding>` per relation in the compiled executor and a
@@ -151,9 +154,9 @@ fn run_and_query(mut sys: System) -> usize {
 /// answers were kept uncopied, θ(context) was built only when read and
 /// unshared match relations were moved, about 67 800 and 57 900.
 const CHAIN16_BUDGET: u64 = if cfg!(debug_assertions) {
-    31_000
+    18_025
 } else {
-    10_255
+    8_405
 };
 
 #[test]
@@ -174,6 +177,7 @@ fn chain16_delta_run_and_closure_query_stay_under_budget() {
 /// one service once, although the `edges` index is built mid-run.
 #[test]
 fn chain16_delta_run_compiles_its_service_once() {
+    let _alone = alone();
     let mut sys = chain_system(16);
     assert!(!sys.doc(Sym::intern("edges")).unwrap().index_is_built());
     let (status, stats) = run(&mut sys, &EngineConfig::default()).unwrap();
@@ -183,6 +187,66 @@ fn chain16_delta_run_compiles_its_service_once() {
         (stats.programs_compiled, stats.program_cache_misses),
         (1, 1)
     );
+}
+
+/// Allocations of the first `add_child` on `edges` after each round of
+/// the chain-`chain` run, with the round's published snapshot held: the
+/// write diverges from the snapshot, so it copies the spine, the chunk
+/// it writes to and the index, whose buckets are one per distinct
+/// marking. The writer is a clone of the snapshot's document, so the
+/// run itself is not perturbed. Under debug assertions a document index
+/// validates itself (and allocates) on a write whose version stamp is a
+/// multiple of 61; two consecutive writes cannot both be, so each round
+/// counts two writers and keeps the smaller count.
+fn first_writes_after_snapshots(chain: usize) -> Vec<u64> {
+    let edges = Sym::intern("edges");
+    let mut sys = chain_system(chain);
+    let mut runner = RoundRunner::new(&EngineConfig::default());
+    let mut counts = Vec::new();
+    loop {
+        let done = runner.step(&mut sys, Tracer::disabled()).unwrap();
+        let snap = runner.snapshot().unwrap();
+        let doc = snap.system().doc(edges).unwrap();
+        assert!(doc.index_is_built(), "round {}", runner.rounds());
+        let first = [doc.clone(), doc.clone()].map(|mut writer| {
+            let root = writer.root();
+            counted(|| writer.add_child(root, Marking::label("w")).unwrap()).0
+        });
+        counts.push(first[0].min(first[1]));
+        if let Some(status) = done {
+            assert_eq!(status, RunStatus::Terminated);
+            return counts;
+        }
+    }
+}
+
+/// Measured at 92–105 allocations per round on chain-16 and 131–157 on
+/// chain-64, with debug assertions on and without; each bound leaves
+/// 10 % of headroom. When the index also kept a bucket per (parent,
+/// marking) pair, the same writes took 220–645 and 669–8 465, growing
+/// with the document.
+const FIRST_WRITE_BUDGET: [(usize, u64); 2] = [(16, 116), (64, 173)];
+
+/// The first write after a round's snapshot costs the write, not the
+/// document: its allocations stay under a constant, and the last round's
+/// count stays within 1.25× of the first round's although the document
+/// grows from `chain` to `chain · (chain + 1) / 2` edges.
+#[test]
+fn first_write_after_a_round_snapshot_is_flat_in_the_document() {
+    let _alone = alone();
+    for (chain, budget) in FIRST_WRITE_BUDGET {
+        let counts = first_writes_after_snapshots(chain);
+        eprintln!("chain-{chain} first writes after each round: {counts:?}");
+        let (first, last) = (counts[0], counts[counts.len() - 1]);
+        assert!(
+            counts.iter().all(|&a| a <= budget),
+            "chain-{chain}: {counts:?}, budget {budget}"
+        );
+        assert!(
+            last * 4 <= first * 5,
+            "chain-{chain}: the first write grows with the document: {counts:?}"
+        );
+    }
 }
 
 /// The chain-16 system run to its fixpoint: `edges` holds the 136
@@ -330,16 +394,17 @@ fn linear_system() -> System {
     sys
 }
 
-/// Measured at 2 085 allocations without debug assertions and 60 380
+/// Measured at 1 901 allocations without debug assertions and 57 202
 /// with them (their self-check evaluates each poll in full again with
 /// the interpreter and renders both deltas); each bound leaves 10 % of
-/// headroom. When every poll evaluated the query in full, rebuilt and
-/// reduced every head and keyed every answer with a string, the same
-/// polls took 23 101, and the quiet poll 3 182.
+/// headroom. When the index also kept a bucket per (parent, marking)
+/// pair, 2 085 and 60 380; when every poll evaluated the query in full,
+/// rebuilt and reduced every head and keyed every answer with a string,
+/// the same polls took 23 101, and the quiet poll 3 182.
 const LINEAR_POLLS_BUDGET: u64 = if cfg!(debug_assertions) {
-    66_400
+    62_925
 } else {
-    2_290
+    2_092
 };
 
 /// A subscription to the closure of [`linear_system`], polled as the
@@ -377,5 +442,40 @@ fn linear_closure_subscription_polls_stay_under_budget() {
     assert!(
         allocs <= LINEAR_POLLS_BUDGET,
         "{allocs} allocations, budget {LINEAR_POLLS_BUDGET}"
+    );
+}
+
+/// Measured at 28.7 allocations per answer, with debug assertions on and
+/// without; the bound leaves 10 % of headroom. Collecting each scanned
+/// candidate set into a vector adds four per answer (`name`, `price`
+/// and their values).
+const SITE_SELECTION_PER_ANSWER: f64 = 31.6;
+
+/// An interpreted snapshot of the category selection over a 20 000-item
+/// site, as a served `query` frame evaluates it: the anchor restricts
+/// the descent to the 100 answers' items, and the candidate sets below
+/// each item are iterated in place, so the snapshot allocates per
+/// answer, not per item.
+#[test]
+fn interpreted_site_selection_allocates_per_answer_not_per_item() {
+    let _alone = alone();
+    let doc = axml_bench::site_doc(2, 100, 100, 200);
+    doc.build_index();
+    let q = parse_query(&format!(
+        "hit{{$n,$p}} :- d/{}",
+        axml_bench::site_pattern(17)
+    ))
+    .unwrap();
+    let mut env = Env::new();
+    env.insert(Sym::intern("d"), &doc);
+    let warm = snapshot(&q, &env).unwrap();
+    let (allocs, forest) = counted(|| snapshot(&q, &env).unwrap());
+    assert_eq!(forest.len(), 100, "one answer per item of the category");
+    assert_eq!(forest.len(), warm.len());
+    let per_answer = allocs as f64 / forest.len() as f64;
+    eprintln!("interpreted site selection: {allocs} allocations, {per_answer:.2} per answer");
+    assert!(
+        per_answer <= SITE_SELECTION_PER_ANSWER,
+        "{per_answer:.2} allocations per answer, bound {SITE_SELECTION_PER_ANSWER}"
     );
 }

@@ -244,9 +244,15 @@ fn a_divergent_run_stops_at_its_visit_budget() {
 /// this pattern depth.
 const SITE_ANCHOR_DEPTH: u64 = 5;
 
-/// One category of 200 over 20 000 items: the matcher probes per answer,
-/// not per item, under both executors (an unanchored descent probes
-/// every item, 80 203 times).
+/// Candidate nodes an anchored descent of [`axml_bench::site_pattern`]
+/// examines per answer: the four children of each answer's `item`, once
+/// for `name` and once for `price`, and the one child of each of those.
+const SITE_SCANNED_PER_ANSWER: u64 = 10;
+
+/// One category of 200 over 20 000 items: the matcher reads the anchor's
+/// bucket once and examines candidates per answer, not per item, under
+/// both executors (an unanchored descent examines every item's children,
+/// 280 604 candidates).
 #[test]
 fn a_selective_site_query_probes_per_answer_not_per_item() {
     let doc = axml_bench::site_doc(2, 100, 100, 200);
@@ -255,22 +261,27 @@ fn a_selective_site_query_probes_per_answer_not_per_item() {
     let (bindings, stats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
     let answers = bindings.len() as u64;
     assert_eq!(answers, 100);
+    assert_eq!((stats.probes, stats.probe_hits), (1, 1), "{stats:?}");
     assert!(
-        stats.probes <= 4 * answers + SITE_ANCHOR_DEPTH,
-        "{} probes for {answers} answers",
-        stats.probes
+        stats.parent_steps <= answers * SITE_ANCHOR_DEPTH,
+        "{stats:?}"
+    );
+    assert!(
+        stats.scanned <= SITE_SCANNED_PER_ANSWER * answers,
+        "{} candidates examined for {answers} answers",
+        stats.scanned
     );
     let q = parse_query(&format!("h :- d/{p}")).unwrap();
     let (compiled, cstats) = compile_query(&q, MatchStrategy::Indexed).run_atom(0, &doc);
     assert_eq!(compiled, bindings);
+    assert_eq!(cstats.probes, 1, "{cstats:?}");
     assert!(
-        cstats.probes <= 4 * answers + SITE_ANCHOR_DEPTH,
+        cstats.scanned <= SITE_SCANNED_PER_ANSWER * answers,
         "{cstats:?}"
     );
-    assert_eq!(
-        bindings,
-        match_pattern_with(&p, &doc, MatchStrategy::Scan).0
-    );
+    let (scan, sstats) = match_pattern_with(&p, &doc, MatchStrategy::Scan);
+    assert_eq!(bindings, scan);
+    assert!(sstats.scanned > 100 * stats.scanned, "{sstats:?}");
 }
 
 /// The anchor constant `"c001"` thousands of times off the pattern's

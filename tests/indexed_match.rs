@@ -103,10 +103,10 @@ fn decoy_site() -> Tree {
 }
 
 /// Matcher- and program-level differential for anchored descents: the
-/// anchor fires at depths 2–5 (the second indexed call, once the first
-/// one built the index), the bindings equal `Scan`'s bit for bit under
-/// both executors, and the anchored probe count is far below the
-/// unanchored one the first call reports.
+/// anchor fires at depths 2–5 from the first indexed call on (its choice
+/// builds the index), the bindings equal `Scan`'s bit for bit under both
+/// executors, and the anchored descent examines far fewer candidate
+/// nodes than the unanchored one `Scan` takes.
 #[test]
 fn anchored_descent_equals_scan_and_fires_past_decoys() {
     let patterns = [
@@ -130,58 +130,58 @@ fn anchored_descent_equals_scan_and_fires_past_decoys() {
         r#"site{zone{region{item{cat{"c003"},name{$n}}}}, zone{region{item{cat{"c003"},name{$n}}}}}"#,
         r#"site{zone{region{item{cat{"c003"},name{$n}}}, item{cat{"c003"},name{$n}}}}"#,
     ];
-    // Per pattern the anchor can only remove probes. How many depends on
+    // Per pattern the anchor can only remove work. How much depends on
     // the branches off the anchor path, which stay unrestricted (the
-    // interpreter re-embeds them once per binding), so "far below" is
+    // interpreter re-embeds them once per binding), so "far fewer" is
     // asserted for the interpreter on the four single-path selections
     // and for the program over the whole set.
     let mut compiled = (0u64, 0u64);
     for (i, pat) in patterns.into_iter().enumerate() {
         let p = parse_pattern(pat).unwrap();
         let q = parse_query(&format!("h :- d/{pat}")).unwrap();
-        let program = compile_query(&q, MatchStrategy::Indexed);
-        let scan = match_pattern_with(&p, &decoy_site(), MatchStrategy::Scan).0;
+        let (scan, plain) = match_pattern_with(&p, &decoy_site(), MatchStrategy::Scan);
         assert!(!scan.is_empty(), "{pat} must match something");
+        assert_eq!(plain.parent_steps, 0, "{pat}: Scan never anchors");
 
         let doc = decoy_site();
-        let (first, plain) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
+        assert!(!doc.index_is_built());
         let (anchored, stats) = match_pattern_with(&p, &doc, MatchStrategy::Indexed);
-        assert_eq!(first, scan, "{pat}: unanchored indexed diverged");
+        assert!(
+            doc.index_is_built(),
+            "{pat}: the anchor choice builds the index"
+        );
         assert_eq!(anchored, scan, "{pat}: anchored indexed diverged");
-        assert_eq!(plain.parent_steps, 0, "{pat}: no index yet, so no anchor");
         assert!(stats.parent_steps > 0, "{pat}: the anchor did not fire");
         assert!(
-            stats.probes <= plain.probes,
-            "{pat}: the anchor added probes"
+            stats.scanned <= plain.scanned,
+            "{pat}: the anchor added work"
         );
         if i < 4 {
             assert!(
-                stats.probes * 2 < plain.probes,
-                "{pat}: anchored {} probes vs unanchored {}",
-                stats.probes,
-                plain.probes
+                stats.scanned * 2 < plain.scanned,
+                "{pat}: anchored examined {} candidates vs unanchored {}",
+                stats.scanned,
+                plain.scanned
             );
         }
 
         let doc = decoy_site();
-        let (first, plain) = program.run_atom(0, &doc);
-        let (anchored, stats) = program.run_atom(0, &doc);
-        assert_eq!(first, scan, "{pat}: unanchored program diverged");
+        let (unanchored, plain) = compile_query(&q, MatchStrategy::Scan).run_atom(0, &doc);
+        let (anchored, stats) = compile_query(&q, MatchStrategy::Indexed).run_atom(0, &doc);
+        assert_eq!(unanchored, scan, "{pat}: scan program diverged");
         assert_eq!(anchored, scan, "{pat}: anchored program diverged");
         assert!(
             stats.parent_steps > 0,
             "{pat}: the program's anchor did not fire"
         );
         assert!(
-            stats.probes <= plain.probes,
-            "{pat}: the program's anchor added probes"
+            stats.scanned <= plain.scanned,
+            "{pat}: the program's anchor added work"
         );
-        compiled = (compiled.0 + stats.probes, compiled.1 + plain.probes);
-        assert_eq!(
-            anchored,
-            compile_query(&q, MatchStrategy::Scan).run_atom(0, &doc).0,
-            "{pat}: scan program diverged"
-        );
+        compiled = (compiled.0 + stats.scanned, compiled.1 + plain.scanned);
     }
-    assert!(compiled.0 * 3 < compiled.1, "program probes {compiled:?}");
+    assert!(
+        compiled.0 * 3 < compiled.1,
+        "program candidates examined {compiled:?}"
+    );
 }

@@ -259,10 +259,12 @@ fn threaded_run_ships_cross_peer_lineage() {
     assert!(rec.inputs.iter().any(|(d, _)| d.as_str() == "cds"));
 }
 
-/// X16: a traced indexed run journals `IndexLookup` probes and
-/// `IndexMaintain` deltas, the metrics surface them as a hit rate plus
-/// maintenance counters in the report, and both event kinds survive the
-/// Chrome-trace export.
+/// X16: a traced indexed run journals `IndexLookup` work counts and
+/// `IndexMaintain` deltas, the metrics sum them and surface them as a
+/// hit rate plus maintenance counters in the report, and both event
+/// kinds survive the Chrome-trace export. No rule of this run has an
+/// anchor, so its matches read no bucket: what they do is examine
+/// candidates.
 #[test]
 fn indexed_runs_journal_probe_and_maintenance_events() {
     let journal = Journal::new();
@@ -284,8 +286,16 @@ fn indexed_runs_journal_probe_and_maintenance_events() {
     assert!(lookups > 0, "no IndexLookup events were journaled");
     assert!(maintains > 0, "no IndexMaintain events were journaled");
 
+    let scanned: u64 = events
+        .iter()
+        .map(|e| match e.kind {
+            EventKind::IndexLookup { scanned, .. } => u64::from(scanned),
+            _ => 0,
+        })
+        .sum();
     let globals = metrics.globals();
-    assert!(globals.index_probes > 0);
+    assert!(globals.index_scanned > 0, "no candidate was examined");
+    assert_eq!(globals.index_scanned, scanned);
     assert_eq!(globals.index_maintains as usize, maintains);
     assert!(
         globals.index_bytes_peak > 0,
