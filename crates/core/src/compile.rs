@@ -98,13 +98,7 @@
 //! service is compiled once per run, and its program is replaced only
 //! when it was emitted for another strategy. Documents growing, their
 //! indexes being built, or their being replaced never invalidate a
-//! program, because a program reads no document. The cache also
-//! memoizes the per-service artifacts of the regular-path machinery:
-//! prebuilt path NFAs ([`crate::pathexpr::CompiledRegQuery`]) and ψ
-//! translations ([`crate::translate::Translation`]), so path services
-//! stop paying automaton construction and translation cost per run; a
-//! ψ translation does read the documents, and is validated against
-//! their versions.
+//! program, because a program reads no document.
 //!
 //! # The reference
 //!
@@ -118,19 +112,15 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::error::Result;
 use crate::matcher::{
     anchored_candidate_set, item_bound, Anchor, Binding, Bound, CandSet, MatchStats, MatchStrategy,
     Shape,
 };
-use crate::pathexpr::{CompiledRegQuery, RegQuery};
 use crate::pattern::{PItem, PNodeId, Pattern};
 use crate::query::Query;
 use crate::relation::{hash_join, hash_key, Relation, RowIndex, Rows};
 use crate::sym::{FxHashMap, Sym};
-use crate::system::System;
 use crate::trace::{EventKind, Tracer};
-use crate::translate::{translate, Translation};
 use crate::tree::{NodeId, Tree};
 
 /// One node of the plan IR: a pattern item plus its children, in
@@ -908,19 +898,11 @@ impl<'p, 't> Exec<'p, 't> {
 // The program cache
 // ---------------------------------------------------------------------
 
-struct PsiEntry {
-    generation: Vec<(u64, u64)>,
-    translation: Arc<Translation>,
-}
-
-/// The per-engine cache of compiled artifacts: match programs keyed by
-/// service, plus the regular-path machinery's per-service memos
-/// (prebuilt path NFAs, ψ translations). See the module docs, "Caching".
+/// The per-engine cache of compiled match programs, keyed by service.
+/// See the module docs, "Caching".
 #[derive(Default)]
 pub struct ProgramCache {
     programs: FxHashMap<Sym, Arc<CompiledQuery>>,
-    reg: FxHashMap<Sym, Arc<CompiledRegQuery>>,
-    psi: FxHashMap<Sym, PsiEntry>,
     hits: u64,
     misses: u64,
     compiles: u64,
@@ -933,7 +915,7 @@ impl ProgramCache {
         ProgramCache::default()
     }
 
-    /// Lookups answered from cache (programs, NFAs, and translations).
+    /// Lookups answered from cache.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -948,14 +930,14 @@ impl ProgramCache {
         self.compiles
     }
 
-    /// Total nanoseconds spent compiling (programs and translations).
+    /// Total nanoseconds spent compiling.
     pub fn compile_ns(&self) -> u64 {
         self.compile_ns
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.programs.len() + self.reg.len() + self.psi.len()
+        self.programs.len()
     }
 
     /// Is the cache empty?
@@ -984,69 +966,34 @@ impl ProgramCache {
         }
         self.misses += 1;
         tracer.emit(|| EventKind::ProgramCacheMiss { service: svc });
-        let t0 = Instant::now();
-        let compiled = Arc::new(compile_query(q, strategy));
-        let dur_ns = t0.elapsed().as_nanos() as u64;
+        let (compiled, dur_ns) = compile_traced(q, strategy, svc, tracer);
+        let compiled = Arc::new(compiled);
         self.compiles += 1;
         self.compile_ns += dur_ns;
-        tracer.emit(|| EventKind::PlanCompiled {
-            service: svc,
-            atoms: compiled.program.atoms.len() as u32,
-            ops: compiled.program.ops.len() as u32,
-            dur_ns,
-        });
         self.programs.insert(svc, Arc::clone(&compiled));
         compiled
     }
+}
 
-    /// The compile-once form of service `svc`'s positive+reg query:
-    /// every path expression's NFA prebuilt (the per-invocation rebuild
-    /// was the bug this memo fixes). Reg queries carry no document
-    /// statistics, so the entry never invalidates.
-    pub fn reg(&mut self, svc: Sym, q: &RegQuery) -> Arc<CompiledRegQuery> {
-        if let Some(e) = self.reg.get(&svc) {
-            self.hits += 1;
-            return Arc::clone(e);
-        }
-        self.misses += 1;
-        let t0 = Instant::now();
-        let e = Arc::new(CompiledRegQuery::new(q.clone()));
-        self.compile_ns += t0.elapsed().as_nanos() as u64;
-        self.compiles += 1;
-        self.reg.insert(svc, Arc::clone(&e));
-        e
-    }
-
-    /// The memoized ψ translation of `q` against `sys` for service
-    /// `svc`, validated against every document's `(id, version)` pair —
-    /// the translation plants annotations derived from document
-    /// content, so any document change invalidates it.
-    pub fn psi(&mut self, svc: Sym, sys: &System, q: &RegQuery) -> Result<Arc<Translation>> {
-        let generation: Vec<(u64, u64)> = sys
-            .doc_names()
-            .iter()
-            .filter_map(|&d| sys.doc(d).map(|t| (t.id(), t.version())))
-            .collect();
-        if let Some(e) = self.psi.get(&svc) {
-            if e.generation == generation {
-                self.hits += 1;
-                return Ok(Arc::clone(&e.translation));
-            }
-        }
-        self.misses += 1;
-        let t0 = Instant::now();
-        let translation = Arc::new(translate(sys, q)?);
-        self.compile_ns += t0.elapsed().as_nanos() as u64;
-        self.compiles += 1;
-        self.psi.insert(
-            svc,
-            PsiEntry {
-                generation,
-                translation: Arc::clone(&translation),
-            },
-        );
-        Ok(translation)
-    }
+/// [`compile_query`], timed, reporting [`EventKind::PlanCompiled`] for
+/// service `svc` to `tracer`. Returns the program and its compile time
+/// in nanoseconds.
+pub fn compile_traced(
+    q: &Query,
+    strategy: MatchStrategy,
+    svc: Sym,
+    tracer: Tracer<'_>,
+) -> (CompiledQuery, u64) {
+    let t0 = Instant::now();
+    let compiled = compile_query(q, strategy);
+    let dur_ns = t0.elapsed().as_nanos() as u64;
+    tracer.emit(|| EventKind::PlanCompiled {
+        service: svc,
+        atoms: compiled.program.atoms.len() as u32,
+        ops: compiled.program.ops.len() as u32,
+        dur_ns,
+    });
+    (compiled, dur_ns)
 }
 
 #[cfg(test)]

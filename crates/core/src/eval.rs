@@ -264,9 +264,44 @@ pub fn snapshot_compiled(
     snapshot_inner(q, env, Some(&compiled), strategy)
 }
 
+/// [`snapshot`] through `compiled`, a program compiled from `q` under
+/// any strategy ([`compile_query`]): what a caller that holds the
+/// program runs instead of the interpreter, bit-for-bit equal to it
+/// (see [`crate::compile`]). Each matcher run reports its index usage
+/// to `tracer` as an [`EventKind::IndexLookup`] of
+/// [`prepared_query_sym`].
+pub fn snapshot_prepared(
+    q: &Query,
+    env: &Env<'_>,
+    compiled: &CompiledQuery,
+    tracer: Tracer<'_>,
+) -> Result<Forest> {
+    let (heads, _) = snapshot_heads(
+        q,
+        env,
+        Some((prepared_query_sym(), None)),
+        Some(compiled),
+        tracer,
+        compiled.program().strategy(),
+        None,
+    )?;
+    Ok(heads.reduce())
+}
+
+/// The service name the trace events of a [`snapshot_prepared`]
+/// evaluation carry: a client's query belongs to no service, and no
+/// service can be named `?query`.
+pub fn prepared_query_sym() -> Sym {
+    Sym::intern("?query")
+}
+
 /// The head trees of `q` over `env`, before reduction: the engine of
 /// every snapshot entry point, and of positive service calls, which
 /// reduce the result themselves.
+///
+/// `traced` names the service whose matcher runs are reported to
+/// `tracer` as [`EventKind::IndexLookup`]s, with the match cache its
+/// atoms are kept in, if any; with `None` nothing is reported.
 ///
 /// With `marks`, the marks of the call's previous evaluation, a head is
 /// built only for a projection that some new row derives (see the
@@ -275,7 +310,7 @@ pub fn snapshot_compiled(
 pub(crate) fn snapshot_heads(
     q: &Query,
     env: &Env<'_>,
-    mut cache: Option<(Sym, &mut MatchCache)>,
+    mut traced: Option<(Sym, Option<&mut MatchCache>)>,
     compiled: Option<&CompiledQuery>,
     tracer: Tracer<'_>,
     strategy: MatchStrategy,
@@ -320,8 +355,8 @@ pub(crate) fn snapshot_heads(
             .get(atom.doc)
             .ok_or(AxmlError::UnknownDocument(atom.doc))?;
         let cacheable = atom.doc != input_sym() && atom.doc != context_sym();
-        let matches: Arc<Matches> = match cache.as_mut() {
-            Some((svc, c)) if cacheable => {
+        let matches: Arc<Matches> = match traced.as_mut() {
+            Some((svc, Some(c))) if cacheable => {
                 let key = (*svc, i);
                 match c.entries.get(&key) {
                     Some((id, ver, m)) if *id == doc.id() && *ver == doc.version() => {
@@ -854,7 +889,7 @@ mod tests {
             let (heads, _) = snapshot_heads(
                 &q,
                 env,
-                Some((svc, cache)),
+                Some((svc, Some(cache))),
                 Some(&compiled),
                 Tracer::disabled(),
                 MatchStrategy::default(),
@@ -900,7 +935,7 @@ mod tests {
             snapshot_heads(
                 &q,
                 &env,
-                Some((svc, &mut cache)),
+                Some((svc, Some(&mut cache))),
                 Some(&compiled),
                 Tracer::disabled(),
                 MatchStrategy::default(),

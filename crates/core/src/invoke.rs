@@ -173,7 +173,7 @@ fn evaluate_node(
             let (raw, _) = snapshot_heads(
                 q,
                 &env,
-                cache.map(|c| (fname, c)),
+                cache.map(|c| (fname, Some(c))),
                 compiled.as_deref(),
                 tracer,
                 strategy,

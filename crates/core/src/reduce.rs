@@ -178,24 +178,31 @@ fn signatures(t: &Tree, post: &[NodeId]) -> Vec<Sig> {
 /// [`signatures`]). An iterative depth-first walk: a node's frame folds in
 /// each child as the child's frame is popped.
 pub(crate) fn subtree_sig(t: &Tree, n: NodeId) -> Sig {
-    // (node, index of its next child to visit, signature so far); sized so
-    // that result trees and document children rarely regrow it.
-    let mut path: Vec<(NodeId, usize, Sig)> = Vec::with_capacity(16);
-    path.push((n, 0, Sig::leaf(t.marking(n))));
-    loop {
-        let top = path.len() - 1;
-        let (x, next, s) = path[top];
-        if let Some(&c) = t.children(x).get(next) {
-            path[top].1 += 1;
-            path.push((c, 0, Sig::leaf(t.marking(c))));
-            continue;
+    SIG_PATH.with(|path| {
+        let path = &mut *path.borrow_mut();
+        path.clear();
+        path.push((n, 0, Sig::leaf(t.marking(n))));
+        loop {
+            let top = path.len() - 1;
+            let (x, next, s) = path[top];
+            if let Some(&c) = t.children(x).get(next) {
+                path[top].1 += 1;
+                path.push((c, 0, Sig::leaf(t.marking(c))));
+                continue;
+            }
+            path.pop();
+            match path.last_mut() {
+                Some((p, _, ps)) => ps.add_child(t.marking(*p), t.marking(x), s),
+                None => return s,
+            }
         }
-        path.pop();
-        match path.last_mut() {
-            Some((p, _, ps)) => ps.add_child(t.marking(*p), t.marking(x), s),
-            None => return s,
-        }
-    }
+    })
+}
+
+thread_local! {
+    /// [`subtree_sig`]'s walk: (node, index of its next child to visit,
+    /// signature so far) per level, reused by every walk on the thread.
+    static SIG_PATH: RefCell<Vec<(NodeId, usize, Sig)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Does no node of the subtree at `n` have two children with the same

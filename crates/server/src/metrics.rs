@@ -12,9 +12,10 @@
 //!   listener serves: a point-in-time copy of the
 //!   [`SharedSink`](crate::server::SharedSink) registry rendered as
 //!   `axml_*` series;
-//! * [`global_counters`] — the stable (name, value) flattening of
-//!   [`GlobalMetrics`] shared by the renderer and the `stats` wire
-//!   frame, so the two exposures can never drift apart;
+//! * [`counters`] — the stable (name, value) flattening of
+//!   [`GlobalMetrics`] ([`global_counters`]) and of the server's own
+//!   counters, shared by the renderer and the `stats` wire frame, so the
+//!   two exposures can never drift apart;
 //! * [`validate_prometheus_text`] — an in-repo format checker used by
 //!   `axml-inspect prom` and the CI server-smoke job, so the scrape
 //!   output is validated without a Prometheus binary in the image.
@@ -49,12 +50,24 @@ pub struct ServerSnapshot {
     pub journal_dropped: u64,
     /// Time since the server started.
     pub uptime: Duration,
+    /// Query texts compiled into a connection's prepared-query table.
+    pub prepared_compiles: u64,
+    /// Clears of a connection's prepared-query table at its byte bound.
+    pub prepared_clears: u64,
+}
+
+/// Every counter the server reports, in a stable, documented order:
+/// [`global_counters`], then the prepared-query table's. Both the
+/// `stats` wire frame and [`render_prometheus`] read this list.
+pub fn counters(s: &ServerSnapshot) -> Vec<(&'static str, u64)> {
+    let mut out = global_counters(&s.globals);
+    out.push(("prepared_compiles", s.prepared_compiles));
+    out.push(("prepared_clears", s.prepared_clears));
+    out
 }
 
 /// Flatten [`GlobalMetrics`] into `(name, value)` pairs in a stable,
-/// documented order. Both the `stats` wire frame and
-/// [`render_prometheus`] read this list, so the two exposures always
-/// agree on names and coverage.
+/// documented order; the head of [`counters`].
 pub fn global_counters(g: &GlobalMetrics) -> Vec<(&'static str, u64)> {
     vec![
         ("rounds", g.rounds),
@@ -138,13 +151,13 @@ fn push_summary(out: &mut String, name: &str, labels: &str, h: &Histogram) {
 /// Render a [`ServerSnapshot`] as a Prometheus text-format page.
 ///
 /// Every series is prefixed `axml_`; counters from
-/// [`global_counters`] become `axml_<name>_total`, the liveness
+/// [`counters`] become `axml_<name>_total`, the liveness
 /// numbers become gauges, and the latency histograms become summaries
 /// with `0.5`/`0.99` quantiles in seconds. The output passes
 /// [`validate_prometheus_text`].
 pub fn render_prometheus(s: &ServerSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    for (name, value) in global_counters(&s.globals) {
+    for (name, value) in counters(s) {
         let _ = writeln!(out, "# TYPE axml_{name}_total counter");
         let _ = writeln!(out, "axml_{name}_total {value}");
     }
@@ -352,6 +365,8 @@ mod tests {
             journal_len: 100,
             journal_dropped: 7,
             uptime: Duration::from_millis(1500),
+            prepared_compiles: 4,
+            prepared_clears: 1,
         }
     }
 
@@ -359,14 +374,12 @@ mod tests {
     fn rendered_page_passes_the_validator() {
         let page = render_prometheus(&snapshot());
         let samples = validate_prometheus_text(&page).expect("page validates");
-        // 35 counters + 5 gauge/counter singles + request summary (4)
+        // The counters + 5 gauge/counter singles + request summary (4)
         // + one service summary (4).
-        assert_eq!(
-            samples,
-            global_counters(&GlobalMetrics::default()).len() + 5 + 4 + 4
-        );
+        assert_eq!(samples, counters(&snapshot()).len() + 5 + 4 + 4);
         assert!(page.contains("axml_requests_recv_total 31"));
         assert!(page.contains("axml_journal_dropped_total 7"));
+        assert!(page.contains("axml_prepared_clears_total 1"));
         assert!(page.contains("axml_sessions 2"));
         assert!(page.contains("service=\"tc\\\"weird\\\\name\""));
         assert!(page.contains("axml_request_latency_seconds_count 3"));
@@ -374,7 +387,7 @@ mod tests {
 
     #[test]
     fn global_counter_names_are_unique_and_legal() {
-        let names = global_counters(&GlobalMetrics::default());
+        let names = counters(&ServerSnapshot::default());
         for (i, (n, _)) in names.iter().enumerate() {
             assert!(valid_metric_name(n), "bad counter name {n}");
             assert!(

@@ -15,6 +15,11 @@
 //! frame is always its own batch. Answers are bit-for-bit what a
 //! direct [`axml_core::snapshot`] against the same system returns.
 //!
+//! Each connection keeps a table of prepared queries (`Prepared`): a
+//! query text is parsed and compiled the first time the connection
+//! sends it, and every later `query` or `batch` frame repeating it runs
+//! the compiled program. Every reply frame leaves in one socket write.
+//!
 //! Locking discipline (see `docs/mvcc.md`): each session splits into a
 //! `writer` mutex — held by `run`/`subscribe` for a whole fixpoint
 //! drive — and a `published` slot holding the latest committed
@@ -23,13 +28,17 @@
 //! fixpoint is mid-round.
 
 use crate::protocol::{codes, LatencySummary, ProtoError, Request, Response, PROTOCOL_VERSION};
+use axml_core::compile::compile_traced;
+use axml_core::display::compact;
 use axml_core::engine::{EngineConfig, RunStatus};
+use axml_core::eval::{prepared_query_sym, snapshot_prepared};
 use axml_core::trace::{
     chrome_trace, chrome_trace_to, EventCategory, EventKind, Histogram, Journal, JournalConfig,
     MetricsRegistry, ReqKind, TraceEvent, TraceSink, Tracer,
 };
 use axml_core::{
-    snapshot, AxmlError, Env, Query, QueryCursor, RoundRunner, Sym, System, SystemSnapshot,
+    parse_query, AxmlError, CompiledQuery, Env, MatchStrategy, Query, QueryCursor, RoundRunner,
+    Sym, System, SystemSnapshot,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -359,6 +368,12 @@ struct Shared {
     /// Request-scoped trace-id source: every parsed request frame gets
     /// the next id, carried through every event it provokes.
     next_trace: AtomicU64,
+    /// Query texts compiled into a connection's `Prepared` table, over
+    /// all connections.
+    prepared_compiles: AtomicU64,
+    /// Times a connection's `Prepared` table was cleared to stay within
+    /// its byte bound, over all connections.
+    prepared_clears: AtomicU64,
 }
 
 /// The server entry point — see [`Server::spawn`].
@@ -405,6 +420,8 @@ impl Server {
             listen_addr: addr,
             epoch: Instant::now(),
             next_trace: AtomicU64::new(0),
+            prepared_compiles: AtomicU64::new(0),
+            prepared_clears: AtomicU64::new(0),
         });
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let accept = {
@@ -522,8 +539,10 @@ fn accept_loop(
 }
 
 fn refuse(mut stream: TcpStream, code: &'static str, msg: &str) {
-    let frame = Response::from_error(0, ProtoError::new(code, msg));
-    let _ = writeln!(stream, "{}", frame.to_json());
+    let _ = write_frame(
+        &mut stream,
+        &Response::from_error(0, ProtoError::new(code, msg)),
+    );
 }
 
 /// The Prometheus exposition listener: a minimal HTTP/1.0 responder
@@ -570,7 +589,12 @@ fn serve_scrape(mut stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 fn render_scrape(shared: &Arc<Shared>) -> String {
-    crate::metrics::render_prometheus(&crate::metrics::ServerSnapshot {
+    crate::metrics::render_prometheus(&server_snapshot(shared))
+}
+
+/// What the scrape page and the `stats` frame report, copied now.
+fn server_snapshot(shared: &Shared) -> crate::metrics::ServerSnapshot {
+    crate::metrics::ServerSnapshot {
         globals: shared.sink.globals(),
         request_latency: shared.sink.request_latency(),
         services: shared.sink.service_latencies(),
@@ -579,7 +603,9 @@ fn render_scrape(shared: &Arc<Shared>) -> String {
         journal_len: shared.sink.journal_len() as u64,
         journal_dropped: shared.sink.journal_dropped(),
         uptime: shared.epoch.elapsed(),
-    })
+        prepared_compiles: shared.prepared_compiles.load(Ordering::Relaxed),
+        prepared_clears: shared.prepared_clears.load(Ordering::Relaxed),
+    }
 }
 
 /// What the reader thread hands the serving loop: a parsed request
@@ -595,6 +621,7 @@ fn handle_connection(stream: &TcpStream, shared: &Arc<Shared>) -> std::io::Resul
     let reader_stream = stream.try_clone()?;
     let reader = thread::spawn(move || read_loop(reader_stream, &reader_shared, &tx));
 
+    let mut prepared = Prepared::new(shared.cfg.max_frame_bytes);
     let mut pending: std::collections::VecDeque<Inbound> = std::collections::VecDeque::new();
     'serve: loop {
         if pending.is_empty() {
@@ -635,9 +662,9 @@ fn handle_connection(stream: &TcpStream, shared: &Arc<Shared>) -> std::io::Resul
                         _ => break,
                     }
                 }
-                serve_query_group(shared, &mut out, &group)?;
+                serve_query_group(shared, &mut out, &mut prepared, &group)?;
             }
-            Ok((req, trace)) => serve_one(shared, &mut out, req, trace)?,
+            Ok((req, trace)) => serve_one(shared, &mut out, &mut prepared, req, trace)?,
         }
     }
     drop(rx); // unblocks the reader's send() if it is mid-frame
@@ -713,8 +740,18 @@ fn req_kind(req: &Request) -> ReqKind {
     }
 }
 
+/// Send one frame with one write: its JSON line and the newline that
+/// ends it leave as one buffer, so a reply is one segment on the wire
+/// (`TCP_NODELAY` sends each write at once).
 fn write_frame(out: &mut TcpStream, frame: &Response) -> std::io::Result<()> {
-    writeln!(out, "{}", frame.to_json())
+    out.write_all(frame_line(frame).as_bytes())
+}
+
+/// The wire line of `frame`: its JSON and the newline that ends it.
+fn frame_line(frame: &Response) -> String {
+    let mut line = frame.to_json();
+    line.push('\n');
+    line
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -745,13 +782,14 @@ fn served(
 fn serve_one(
     shared: &Arc<Shared>,
     out: &mut TcpStream,
+    prepared: &mut Prepared,
     req: Request,
     trace: u64,
 ) -> std::io::Result<()> {
     let started = Instant::now();
     let (id, kind) = (req.id(), req_kind(&req));
     let sym = session_sym(req.session());
-    let reply = dispatch(shared, out, &req, trace)?;
+    let reply = dispatch(shared, out, prepared, &req, trace)?;
     match reply {
         Ok(frame) => {
             write_frame(out, &frame)?;
@@ -771,6 +809,7 @@ fn serve_one(
 fn dispatch(
     shared: &Arc<Shared>,
     out: &mut TcpStream,
+    prepared: &mut Prepared,
     req: &Request,
     trace: u64,
 ) -> std::io::Result<Result<Response, ProtoError>> {
@@ -818,7 +857,7 @@ fn dispatch(
             id,
             session,
             queries,
-        } => serve_batch_frame(shared, *id, session, queries, trace),
+        } => serve_batch_frame(shared, prepared, *id, session, queries, trace),
         Request::Subscribe { id, session, query } => {
             return serve_subscribe(shared, out, *id, session, query, trace)
         }
@@ -830,25 +869,25 @@ fn dispatch(
             None => Err(unknown_session(session)),
         },
         Request::Stats { id } => {
-            let g = shared.sink.globals();
+            let snap = server_snapshot(shared);
+            let g = &snap.globals;
             Ok(Response::StatsOk {
                 id: *id,
-                sessions: lock(&shared.sessions).len() as u64,
+                sessions: snap.sessions,
                 requests: g.requests_recv,
                 served: g.requests_served,
                 errors: g.request_errors,
                 batches: g.batches_formed,
                 pushes: g.subscription_pushes,
-                counters: crate::metrics::global_counters(&g)
+                counters: crate::metrics::counters(&snap)
                     .into_iter()
                     .map(|(n, v)| (n.to_string(), v))
                     .collect(),
-                latency: LatencySummary::from_histogram(&shared.sink.request_latency()),
-                services: shared
-                    .sink
-                    .service_latencies()
-                    .into_iter()
-                    .map(|(n, h)| (n, LatencySummary::from_histogram(&h)))
+                latency: LatencySummary::from_histogram(&snap.request_latency),
+                services: snap
+                    .services
+                    .iter()
+                    .map(|(n, h)| (n.clone(), LatencySummary::from_histogram(h)))
                     .collect(),
                 session_stats: shared
                     .sink
@@ -1049,6 +1088,16 @@ fn status_str(status: RunStatus) -> &'static str {
     }
 }
 
+/// The tracer a request's engine work reports to: the shared sink under
+/// the request's trace id with [`ServerConfig::trace_engine`], else none.
+fn engine_tracer(shared: &Shared, trace: u64) -> Tracer<'_> {
+    if shared.cfg.trace_engine {
+        Tracer::new(&shared.sink).with_trace(trace)
+    } else {
+        Tracer::disabled()
+    }
+}
+
 fn run_session(
     shared: &Shared,
     id: u64,
@@ -1063,11 +1112,7 @@ fn run_session(
     // it — they follow the published snapshot, which is swapped below
     // after every committed round.
     let mut sys = lock(&sess.writer);
-    let tracer = if shared.cfg.trace_engine {
-        Tracer::new(&shared.sink).with_trace(trace)
-    } else {
-        Tracer::disabled()
-    };
+    let tracer = engine_tracer(shared, trace);
     let mut runner = RoundRunner::new(&cfg);
     let status = loop {
         match runner.step(&mut sys, tracer) {
@@ -1096,14 +1141,73 @@ fn run_session(
     })
 }
 
-fn eval_query(sys: &System, query: &str) -> Result<Vec<String>, ProtoError> {
-    let q = axml_core::parse_query(query)
-        .map_err(|e| ProtoError::new(codes::BAD_QUERY, e.to_string()))?;
-    check_docs(&q, sys)?;
+/// A connection's prepared queries, keyed by query text: each text is
+/// parsed and compiled ([`MatchStrategy::Indexed`]) the first time the
+/// connection sends it, and run from here by every frame that repeats
+/// it. A program reads no document, so one entry serves every session
+/// the connection names; the documents a query names are still checked
+/// per frame, against that frame's session. The keys hold at most
+/// [`ServerConfig::max_frame_bytes`] of text: an insert that would pass
+/// the bound clears the table first.
+struct Prepared {
+    table: HashMap<Box<str>, (Query, CompiledQuery)>,
+    /// Bytes of query text held as keys.
+    bytes: usize,
+    max_bytes: usize,
+}
+
+impl Prepared {
+    fn new(max_bytes: usize) -> Prepared {
+        Prepared {
+            table: HashMap::new(),
+            bytes: 0,
+            max_bytes,
+        }
+    }
+
+    /// The parsed query and program of `text`, compiled on a miss (which
+    /// emits [`EventKind::PlanCompiled`] into `tracer`). A text that does
+    /// not parse is a `bad-query` and is not kept.
+    fn get(
+        &mut self,
+        text: &str,
+        shared: &Shared,
+        tracer: Tracer<'_>,
+    ) -> Result<&(Query, CompiledQuery), ProtoError> {
+        if !self.table.contains_key(text) {
+            let q =
+                parse_query(text).map_err(|e| ProtoError::new(codes::BAD_QUERY, e.to_string()))?;
+            if self.bytes + text.len() > self.max_bytes {
+                self.table.clear();
+                self.bytes = 0;
+                shared.prepared_clears.fetch_add(1, Ordering::Relaxed);
+            }
+            let (compiled, _) =
+                compile_traced(&q, MatchStrategy::Indexed, prepared_query_sym(), tracer);
+            shared.prepared_compiles.fetch_add(1, Ordering::Relaxed);
+            self.bytes += text.len();
+            self.table.insert(text.into(), (q, compiled));
+        }
+        Ok(&self.table[text])
+    }
+}
+
+/// Answer one query text against `sys` through the connection's
+/// prepared program, each answer tree rendered once.
+fn eval_query(
+    shared: &Shared,
+    prepared: &mut Prepared,
+    sys: &System,
+    text: &str,
+    trace: u64,
+) -> Result<Vec<String>, ProtoError> {
+    let tracer = engine_tracer(shared, trace);
+    let (q, compiled) = prepared.get(text, shared, tracer)?;
+    check_docs(q, sys)?;
     let env = Env::for_system(sys);
-    let forest =
-        snapshot(&q, &env).map_err(|e| ProtoError::new(codes::ENGINE_FAILED, e.to_string()))?;
-    Ok(forest.trees().iter().map(|t| t.to_string()).collect())
+    let forest = snapshot_prepared(q, &env, compiled, tracer)
+        .map_err(|e| ProtoError::new(codes::ENGINE_FAILED, e.to_string()))?;
+    Ok(forest.trees().iter().map(compact).collect())
 }
 
 /// A query naming a document the session does not hold is a bad query,
@@ -1126,6 +1230,7 @@ fn check_docs(q: &Query, sys: &System) -> Result<(), ProtoError> {
 fn serve_query_group(
     shared: &Shared,
     out: &mut TcpStream,
+    prepared: &mut Prepared,
     group: &[(Request, u64)],
 ) -> std::io::Result<()> {
     let batch_start = Instant::now();
@@ -1144,10 +1249,12 @@ fn serve_query_group(
         };
         let started = Instant::now();
         let reply = match &snap {
-            Some(s) => eval_query(s.system(), query).map(|trees| Response::Answers {
-                id: *id,
-                session: session.to_string(),
-                trees,
+            Some(s) => eval_query(shared, prepared, s.system(), query, *trace).map(|trees| {
+                Response::Answers {
+                    id: *id,
+                    session: session.to_string(),
+                    trees,
+                }
             }),
             None => Err(sess
                 .as_ref()
@@ -1180,6 +1287,7 @@ fn serve_query_group(
 /// fails the whole frame (the batch is atomic on the wire).
 fn serve_batch_frame(
     shared: &Shared,
+    prepared: &mut Prepared,
     id: u64,
     session: &str,
     queries: &[String],
@@ -1201,7 +1309,7 @@ fn serve_batch_frame(
     let snap = get_session(shared, session)?.read();
     let mut answers = Vec::with_capacity(queries.len());
     for q in queries {
-        answers.push(eval_query(snap.system(), q)?);
+        answers.push(eval_query(shared, prepared, snap.system(), q, trace)?);
     }
     shared.sink.record_traced(
         EventKind::BatchFormed {
@@ -1234,7 +1342,7 @@ fn serve_subscribe(
     query: &str,
     trace: u64,
 ) -> std::io::Result<Result<Response, ProtoError>> {
-    let q = match axml_core::parse_query(query) {
+    let q = match parse_query(query) {
         Ok(q) => q,
         Err(e) => return Ok(Err(ProtoError::new(codes::BAD_QUERY, e.to_string()))),
     };
@@ -1258,11 +1366,7 @@ fn serve_subscribe(
     )?;
     let mut cursor = QueryCursor::new(q);
     let mut runner = RoundRunner::new(&shared.cfg.engine);
-    let tracer = if shared.cfg.trace_engine {
-        Tracer::new(&shared.sink).with_trace(trace)
-    } else {
-        Tracer::disabled()
-    };
+    let tracer = engine_tracer(shared, trace);
     let mut pushes = 0u64;
     let mut done: Option<RunStatus> = None;
     // Deltas are computed snapshot-to-snapshot: `cur` starts at the
@@ -1281,7 +1385,7 @@ fn serve_subscribe(
             Err(e) => return Ok(Err(ProtoError::new(codes::ENGINE_FAILED, e.to_string()))),
         };
         if !fresh.is_empty() {
-            let trees: Vec<String> = fresh.iter().map(|t| t.to_string()).collect();
+            let trees: Vec<String> = fresh.iter().map(compact).collect();
             shared.sink.record_traced(
                 EventKind::SubscriptionPush {
                     session: sym,
@@ -1325,4 +1429,28 @@ fn serve_subscribe(
         rounds: runner.rounds() as u64,
         pushes,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_frame_is_one_line_ending_in_its_newline() {
+        let frames = [
+            Response::Answers {
+                id: 7,
+                session: "s".into(),
+                trees: vec![r#"hit{"a\nb"}"#.into(), "x{y}".into()],
+            },
+            Response::from_error(3, ProtoError::new(codes::BAD_QUERY, "line one\nline two")),
+        ];
+        for frame in frames {
+            let line = frame_line(&frame);
+            assert_eq!(line.matches('\n').count(), 1, "{line:?}");
+            let json = line.strip_suffix('\n').expect("ends in its newline");
+            assert_eq!(json, frame.to_json());
+            assert_eq!(Response::parse(json).unwrap(), frame);
+        }
+    }
 }

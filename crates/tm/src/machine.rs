@@ -1,7 +1,7 @@
 //! Deterministic single-tape Turing machines with a semi-infinite tape,
 //! and a direct step interpreter (the baseline of experiment X6).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Head movement.
@@ -25,8 +25,9 @@ pub struct Tm {
     pub accept: String,
     /// Rejecting state (halts), if distinguished.
     pub reject: Option<String>,
-    /// δ: (state, read) → (state, write, move).
-    pub transitions: HashMap<(String, String), (String, String, Dir)>,
+    /// δ: (state, read) → (state, write, move), in key order, so the
+    /// AXML encoding lists its services in one order in every process.
+    pub transitions: BTreeMap<(String, String), (String, String, Dir)>,
 }
 
 /// The blank symbol.
@@ -42,7 +43,7 @@ impl Tm {
         reject: Option<&str>,
         transitions: &[(&str, &str, &str, &str, Dir)],
     ) -> Tm {
-        let mut map = HashMap::new();
+        let mut map = BTreeMap::new();
         for (q, a, q2, b, d) in transitions {
             assert!(
                 !RESERVED.contains(a) && !RESERVED.contains(b),

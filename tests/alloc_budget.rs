@@ -139,10 +139,12 @@ fn run_and_query(mut sys: System) -> usize {
     snapshot(&q, &Env::for_system(&sys)).unwrap().len()
 }
 
-/// Measured at 16 352–16 383 allocations with debug assertions on (their
+/// Measured at 14 714 allocations with debug assertions on (their
 /// checks allocate too, the semi-naive self-check among them; the count
-/// moves with the order the tests run in) and 7 639 without; each bound
-/// leaves 10 % of headroom. When the index also kept a bucket per
+/// has moved with the order the tests run in) and 6 856 without; each
+/// bound leaves 10 % of headroom. When each subtree signature walk
+/// allocated its own path, 16 352–16 383 and 7 639. When the index also
+/// kept a bucket per
 /// (parent, marking) pair, copied whole by the first write after each
 /// round's snapshot and validated with the rest, 27 022–28 151 and
 /// 9 322; when the index build mid-run recompiled the service, 9 418
@@ -154,9 +156,9 @@ fn run_and_query(mut sys: System) -> usize {
 /// answers were kept uncopied, θ(context) was built only when read and
 /// unshared match relations were moved, about 67 800 and 57 900.
 const CHAIN16_BUDGET: u64 = if cfg!(debug_assertions) {
-    18_025
+    16_186
 } else {
-    8_405
+    7_542
 };
 
 #[test]
@@ -220,7 +222,7 @@ fn first_writes_after_snapshots(chain: usize) -> Vec<u64> {
     }
 }
 
-/// Measured at 92–105 allocations per round on chain-16 and 131–157 on
+/// Measured at 90–105 allocations per round on chain-16 and 131–157 on
 /// chain-64, with debug assertions on and without; each bound leaves
 /// 10 % of headroom. When the index also kept a bucket per (parent,
 /// marking) pair, the same writes took 220–645 and 669–8 465, growing
@@ -394,17 +396,18 @@ fn linear_system() -> System {
     sys
 }
 
-/// Measured at 1 901 allocations without debug assertions and 57 202
+/// Measured at 1 782 allocations without debug assertions and 56 347
 /// with them (their self-check evaluates each poll in full again with
 /// the interpreter and renders both deltas); each bound leaves 10 % of
-/// headroom. When the index also kept a bucket per (parent, marking)
-/// pair, 2 085 and 60 380; when every poll evaluated the query in full,
+/// headroom. When each subtree signature walk allocated its own path,
+/// 1 901 and 57 202. When the index also kept a bucket per (parent,
+/// marking) pair, 2 085 and 60 380; when every poll evaluated the query in full,
 /// rebuilt and reduced every head and keyed every answer with a string,
 /// the same polls took 23 101, and the quiet poll 3 182.
 const LINEAR_POLLS_BUDGET: u64 = if cfg!(debug_assertions) {
-    62_925
+    61_982
 } else {
-    2_092
+    1_961
 };
 
 /// A subscription to the closure of [`linear_system`], polled as the

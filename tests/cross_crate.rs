@@ -10,9 +10,10 @@ use positive_axml::core::System;
 use positive_axml::datalog::engine::db_size;
 use positive_axml::datalog::workload::{chain_tc, cycle_tc, random_tc, same_generation};
 use positive_axml::datalog::{axml_eval, seminaive_eval};
-use positive_axml::tm::encode::{run_axml_tm, AxmlTmOutcome};
+use positive_axml::tm::encode::{encode_tm, run_axml_tm, AxmlTmOutcome};
 use positive_axml::tm::machine::{run as tm_run, Outcome};
 use positive_axml::tm::samples;
+use positive_axml::tm::Tm;
 
 #[test]
 fn datalog_simulation_agrees_on_generated_workloads() {
@@ -33,7 +34,7 @@ fn datalog_simulation_agrees_on_generated_workloads() {
 
 #[test]
 fn turing_simulation_agrees_on_sample_suite() {
-    let suite: Vec<(&str, positive_axml::tm::Tm, Vec<Vec<&str>>)> = vec![
+    let suite: Vec<(&str, Tm, Vec<Vec<&str>>)> = vec![
         (
             "parity",
             samples::even_parity(),
@@ -62,6 +63,41 @@ fn turing_simulation_agrees_on_sample_suite() {
                 other => panic!("{name} on {input:?}: {other:?}"),
             }
         }
+    }
+}
+
+/// One machine encodes to the same services, in the same order, every
+/// time, so its simulation makes the same call visits: the encoding
+/// must not follow a hash map's per-instance iteration order.
+#[test]
+fn turing_encoding_is_deterministic() {
+    encodes_and_runs_alike("parity", samples::even_parity, &["one"; 4]);
+    encodes_and_runs_alike("anbn", samples::anbn, &["a", "a", "b", "b"]);
+}
+
+/// Encode and run five copies of one machine: the service text, the
+/// outcome and the simulation statistics must agree.
+fn encodes_and_runs_alike(name: &str, make: fn() -> Tm, input: &[&str]) {
+    let render = |tm: &Tm| -> Vec<String> {
+        let sys = encode_tm(tm, input).unwrap();
+        sys.service_names()
+            .iter()
+            .map(|&s| format!("{s}: {}", sys.service_query(s).unwrap()))
+            .collect()
+    };
+    let first = make();
+    let text = render(&first);
+    let (outcome, stats) = run_axml_tm(&first, input, 100_000).unwrap();
+    for _ in 0..4 {
+        let tm = make();
+        assert_eq!(render(&tm), text, "{name}: service text differs");
+        let (o, s) = run_axml_tm(&tm, input, 100_000).unwrap();
+        assert_eq!(o, outcome, "{name}: outcome differs");
+        assert_eq!(
+            (s.invocations, s.configs, s.nodes),
+            (stats.invocations, stats.configs, stats.nodes),
+            "{name}: simulation statistics differ"
+        );
     }
 }
 

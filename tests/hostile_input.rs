@@ -5,7 +5,8 @@
 //! cannot raise the invocation budget past the server's own, a
 //! divergent run stops where its budget of call visits cuts the fair
 //! rewriting, and a query naming an unknown document is a bad query
-//! whatever the data.
+//! whatever the data, and a stream of distinct query texts cannot grow
+//! a connection's table of prepared queries past its byte bound.
 //! Below the server, a selective match costs what its answers cost,
 //! counted rather than timed, and decoys of its rarest constant cost
 //! bounded work.
@@ -390,6 +391,74 @@ fn unknown_documents_are_bad_queries_whatever_the_data() {
     let resp = c.call(&Request::Health { id: 5 }).unwrap();
     assert!(matches!(resp, Response::HealthOk { id: 5, .. }), "{resp:?}");
 
+    handle.shutdown();
+    drop(c);
+    handle.join();
+}
+
+/// Distinct query texts are compiled once each into the connection's
+/// prepared table, whose keys never hold more than `max_frame_bytes` of
+/// text: the insert that would pass the bound clears the table first.
+/// Over three budgets of text the table clears at least twice, and every
+/// answer stays correct.
+#[test]
+fn distinct_query_texts_clear_the_prepared_table_at_its_byte_bound() {
+    const BUDGET: usize = 512;
+    let cfg = ServerConfig {
+        max_frame_bytes: BUDGET,
+        ..ServerConfig::default()
+    };
+    let mut handle = Server::spawn("127.0.0.1:0", cfg).expect("bind ephemeral port");
+    let mut c = connect(&handle);
+    let items: Vec<String> = (0..8)
+        .map(|k| format!(r#"item{{k{{"{k}"}},v{{"v{k}"}}}}"#))
+        .collect();
+    let resp = open(&mut c, "s", format!("db{{{}}}", items.join(",")));
+    assert!(matches!(resp, Response::OpenOk { .. }), "{resp:?}");
+    let stats = |c: &mut Client| {
+        let Response::StatsOk { counters, .. } = c.call(&Request::Stats { id: 0 }).unwrap() else {
+            panic!("expected stats_ok")
+        };
+        let get = |name: &str| counters.iter().find(|(n, _)| n == name).unwrap().1;
+        (get("prepared_compiles"), get("prepared_clears"))
+    };
+    let text = |i: usize| format!(r#"h{i}{{$v}} :- d/db{{item{{k{{"{}"}},v{{$v}}}}}}"#, i % 8);
+    let ask = |c: &mut Client, i: usize| {
+        let resp = c
+            .call(&Request::Query {
+                id: i as u64,
+                session: "s".into(),
+                query: text(i),
+            })
+            .unwrap();
+        let Response::Answers { trees, .. } = resp else {
+            panic!("query {i}: {resp:?}")
+        };
+        assert_eq!(trees, vec![format!(r#"h{i}{{"v{}"}}"#, i % 8)], "query {i}");
+    };
+    // The rule the table follows, over the text lengths sent.
+    let (mut held, mut clears, mut sent, mut n) = (0, 0, 0, 0);
+    while sent <= 3 * BUDGET {
+        let len = text(n).len();
+        if held + len > BUDGET {
+            held = 0;
+            clears += 1;
+        }
+        held += len;
+        sent += len;
+        ask(&mut c, n);
+        n += 1;
+    }
+    assert!(clears >= 2, "three budgets of text clear the table twice");
+    assert_eq!(stats(&mut c), (n as u64, clears));
+    // The last text is still held; the first was cleared and compiles
+    // again.
+    ask(&mut c, n - 1);
+    assert_eq!(stats(&mut c), (n as u64, clears));
+    ask(&mut c, 0);
+    assert_eq!(stats(&mut c).0, n as u64 + 1);
+    let resp = c.call(&Request::Health { id: 1 }).unwrap();
+    assert!(matches!(resp, Response::HealthOk { id: 1, .. }), "{resp:?}");
     handle.shutdown();
     drop(c);
     handle.join();
